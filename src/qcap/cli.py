@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__, render, verify
 from .capacity import (
+    DEFAULT_SEED,
     CapacityBounds,
     ChiConfig,
     chi_capacity_numeric,
@@ -49,8 +50,6 @@ EXIT_FAIL = 1
 EXIT_NOT_INTERIOR = 2
 EXIT_NOT_CP = 3
 EXIT_NO_CONVERGENCE = 4
-
-DEFAULT_SEED = 42
 
 CSV_COLUMNS = [
     "x", "lambda_t1", "lambda_t2", "lambda_t3", "norm_AB", "norm_AinvBinv",
@@ -117,17 +116,18 @@ def _channel_from_args(args) -> tuple[str, PauliChannelParams]:
     raise ValueError("select a channel with --gad, --mix, or --lambda/--t3")
 
 
-def _chi_config(args, seed) -> ChiConfig:
-    kwargs = {"seed": seed}
-    if getattr(args, "chi_starts", None) is not None:
+def _chi_kwargs(args) -> dict:
+    """ChiConfig overrides from the --chi-* flags that were given."""
+    kwargs = {}
+    if args.chi_starts is not None:
         kwargs["starts"] = args.chi_starts
-    if getattr(args, "chi_sizes", None):
+    if args.chi_sizes:
         kwargs["sizes"] = tuple(int(s) for s in args.chi_sizes.split(","))
-    if getattr(args, "chi_max_iter", None) is not None:
+    if args.chi_max_iter is not None:
         kwargs["max_iter"] = args.chi_max_iter
-    if getattr(args, "chi_xatol", None) is not None:
+    if args.chi_xatol is not None:
         kwargs["xatol"] = args.chi_xatol
-    return ChiConfig(**kwargs)
+    return kwargs
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -170,7 +170,7 @@ def _analyze_payload(label: str, params: PauliChannelParams, args, seed
         },
     }
     if args.chi:
-        result = chi_capacity_numeric(params, _chi_config(args, seed))
+        result = chi_capacity_numeric(params, ChiConfig(seed=seed, **_chi_kwargs(args)))
         payload["c_chi"] = result.value
         payload["chi_converged"] = result.converged
     return payload
@@ -343,18 +343,9 @@ def cmd_sweep(args) -> int:
                      "t3": args.t3 if args.t3 is not None else 0.0}
         else:
             raise ValueError("select a family with --gad, --mix, or --lambda")
-        chi_kwargs = {}
-        if args.chi_starts is not None:
-            chi_kwargs["starts"] = args.chi_starts
-        if args.chi_sizes:
-            chi_kwargs["sizes"] = tuple(int(s) for s in args.chi_sizes.split(","))
-        if args.chi_max_iter is not None:
-            chi_kwargs["max_iter"] = args.chi_max_iter
-        if args.chi_xatol is not None:
-            chi_kwargs["xatol"] = args.chi_xatol
         cfg = SweepConfig(family, tuple(sorted(fixed.items())), args.x,
                           args.min, args.max, args.steps, seed, args.chi,
-                          tuple(sorted(chi_kwargs.items())))
+                          tuple(sorted(_chi_kwargs(args).items())))
     except (NotInterior, ValueError) as exc:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
 
@@ -541,8 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="evaluate grid points in a worker pool")
     ps.add_argument("--chi-starts", type=int, help="random starts per ensemble size")
     ps.add_argument("--chi-sizes", help="comma list of ensemble sizes, e.g. 2,3,4")
-    ps.add_argument("--chi-max-iter", type=int, help="simplex iteration cap")
-    ps.add_argument("--chi-xatol", type=float, help="simplex step tolerance")
+    ps.add_argument("--chi-max-iter", type=int,
+                    help="BFGS iteration cap per ensemble size (default 200)")
+    ps.add_argument("--chi-xatol", type=float,
+                    help="BFGS stops a start once no step coordinate exceeds this")
     ps.set_defaults(func=cmd_sweep)
 
     pk = sub.add_parser("sinkhorn", help="scaling decomposition of a channel")

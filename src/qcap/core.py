@@ -307,16 +307,29 @@ def is_interior(channel: ChannelLike) -> bool:
     return image_radius(channel) < 1.0 - INTERIOR_MARGIN
 
 
+def entropy_kernel(x: np.ndarray) -> np.ndarray:
+    """h(x) elementwise for an array already in [0, 1], without checks.
+
+    The logarithms go into zeroed buffers only where their argument is
+    positive, so the endpoints give +0.0 and no floating-point warning.
+    """
+    c = 1.0 - x
+    lx = np.zeros_like(x)
+    np.log2(x, out=lx, where=x > 0.0)
+    lc = np.zeros_like(c)
+    np.log2(c, out=lc, where=c > 0.0)
+    lx *= x
+    lc *= c
+    lx += lc
+    return np.subtract(0.0, lx, out=lx)
+
+
 def binary_entropy(x) -> Union[float, np.ndarray]:
     """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
     arr = np.asarray(x, dtype=float)
     if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
         raise ValueError(f"binary_entropy argument outside [0, 1]: {x}")
-    arr = np.clip(arr, 0.0, 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(arr > 0.0, -arr * np.log2(arr, where=arr > 0.0), 0.0)
-        comp = 1.0 - arr
-        out = out + np.where(comp > 0.0, -comp * np.log2(comp, where=comp > 0.0), 0.0)
+    out = entropy_kernel(np.clip(arr, 0.0, 1.0))
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 

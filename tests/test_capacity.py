@@ -7,6 +7,8 @@ from qcap.capacity import (
     CapacityBounds,
     ChiConfig,
     Ensemble,
+    _neg_chi_objective,
+    _random_starts,
     chi_capacity_grid_oracle,
     chi_capacity_numeric,
     gad_bounds,
@@ -22,6 +24,7 @@ from qcap.capacity import (
 from qcap.core import (
     NotInterior,
     PauliChannelParams,
+    _as_ptm,
     binary_entropy,
     is_completely_positive,
     ptm_from_params,
@@ -281,3 +284,51 @@ def test_chi_matches_grid_oracle_on_gad():
         assert numeric >= coarse - 1e-4
         fine = chi_capacity_grid_oracle(ptm_from_params(ch), n_grid=4000)
         assert numeric == pytest.approx(fine, abs=1e-4)
+
+
+def _objective(channel, m):
+    ptm = _as_ptm(channel)
+    return _neg_chi_objective(ptm[1:, 1:], ptm[1:, 0], m)
+
+
+def test_chi_gradient_matches_central_differences():
+    channel = PauliChannelParams(0.5, 0.4, 0.3, 0.3)
+    rng = np.random.default_rng(17)
+    step = 1e-6
+    for m in (2, 3, 4):
+        func = _objective(channel, m)
+        x = _random_starts(rng, m, 6)
+        value, grad = func(x)
+        assert np.array_equal(value, func(x, grad=False))
+        numeric = np.empty_like(x)
+        for i in range(x.shape[1]):
+            e = np.zeros(x.shape[1])
+            e[i] = step
+            numeric[:, i] = (func(x + e, grad=False) - func(x - e, grad=False)) / (2 * step)
+        assert np.abs(numeric - grad).max() <= 1e-6 * np.abs(grad).max()
+
+
+def test_chi_gradient_finite_at_pure_and_maximally_mixed_outputs():
+    rng = np.random.default_rng(19)
+    # identity: every output is pure (r = 1); tracing: the average is 0
+    for channel in (PauliChannelParams(1, 1, 1, 0), PauliChannelParams(0, 0, 0, 0)):
+        for m in (2, 3, 4):
+            value, grad = _objective(channel, m)(_random_starts(rng, m, 4))
+            assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
+
+
+def test_chi_converges_before_the_iteration_cap():
+    cfg = ChiConfig(sizes=(2,), starts=4, xatol=1e-7, fatol=1e-12, max_iter=200)
+    rng = np.random.default_rng(23)
+    count = 0
+    while count < 50:
+        lam = rng.uniform(-1, 1, 3)
+        if 1 + lam[2] < abs(lam[0] + lam[1]) or 1 - lam[2] < abs(lam[0] - lam[1]):
+            continue
+        count += 1
+        r = chi_capacity_numeric(PauliChannelParams(*lam, 0.0), cfg)
+        assert r.converged
+        assert 0 < r.iterations < 200
+    r = chi_capacity_numeric(gad_params(0.475, 1.0))
+    assert r.converged
+    assert r.iterations > 0

@@ -1,6 +1,8 @@
 import json
 import re
 
+import pytest
+
 from qcap import cli
 
 GAD_ARGS = ["--gad", "--p", "0.475", "--gamma-t", "1.0"]
@@ -203,3 +205,21 @@ def test_render_missing_column_exit_1(tmp_path, capsys):
                           "--out", str(tmp_path / "no.svg")], capsys)
     assert code == 1
     assert "c_lower" in err
+
+
+@pytest.mark.parametrize("family, fixed, x_name, lo, hi, steps, pins", [
+    ("gad", (("p", 0.475),), "gamma_t", 0.05, 3.0, 60, {
+        0: "0.834626648016", 12: "0.206772268045", 24: "0.0600936175054",
+        36: "0.0179228519224", 48: "0.00538269718209", 59: "0.00179026824716"}),
+    ("mix", (), "p", 0.02, 0.98, 49, {
+        0: "0.898875567613", 16: "0.318721066841", 32: "0.146013426938",
+        48: "0.0264685558935"}),
+], ids=["fig1", "fig2"])
+def test_sweep_chi_values_pinned(family, fixed, x_name, lo, hi, steps, pins):
+    # c_chi cells of the full fig1 and fig2 `sweep --chi --seed 42`; each
+    # grid point i has its own chi seed (42, i), so the full grid is kept
+    cfg = cli.SweepConfig(family, fixed, x_name, lo, hi, steps, 42, True, ())
+    grid = cfg.grid()
+    for i, expected in pins.items():
+        row = cli._sweep_point((cfg, i, float(grid[i])))
+        assert cli._fmt(row["c_chi"]) == expected
