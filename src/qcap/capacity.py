@@ -24,9 +24,9 @@ import numpy as np
 
 from .core import (
     BlochVector,
+    ChannelOrParams,
     NotInterior,
     PauliChannelParams,
-    QubitChannel,
     _as_ptm,
     binary_entropy,
     entropy_kernel,
@@ -34,8 +34,6 @@ from .core import (
 )
 from .optimize import bfgs_batch
 from .sinkhorn import ScalingPair, UnitalForm, family_scaling_pair, family_unital_params
-
-ChannelOrParams = Union[QubitChannel, PauliChannelParams]
 
 DEFAULT_SEED = 42
 

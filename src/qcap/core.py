@@ -22,13 +22,14 @@ from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .optimize import nelder_mead_batch
-
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI):
+# _CHOI_BASIS[a, b] = sigma_a (x) sigma_b^T / 2, so the Choi matrix of a
+# PTM T is sum_ab T_ab _CHOI_BASIS[a, b]
+_CHOI_BASIS = 0.5 * np.einsum("aij,blk->abikjl", PAULI, PAULI).reshape(4, 4, 4, 4)
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI, _CHOI_BASIS):
     _m.flags.writeable = False
 
 # eigenvalues of a 4x4 Hermitian matrix carry this much solver noise
@@ -138,6 +139,7 @@ class QubitChannel:
 
 
 ChannelLike = Union[QubitChannel, PauliChannelParams, np.ndarray]
+ChannelOrParams = Union[QubitChannel, PauliChannelParams]
 
 
 class CPReport(NamedTuple):
@@ -221,14 +223,9 @@ def compose(outer: ChannelLike, inner: ChannelLike) -> QubitChannel:
 
 def choi_from_channel(channel: ChannelLike) -> np.ndarray:
     """C = sum_ij Phi[E_ij] (x) E_ij (channel on half of an unnormalized
-    maximally entangled state)."""
-    ptm = _as_ptm(channel)
-    C = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            E = np.zeros((2, 2), dtype=complex)
-            E[i, j] = 1.0
-            C += np.kron(apply_channel_matrix(ptm, E), E)
+    maximally entangled state), in the closed form
+    C = 1/2 sum_ab T_ab sigma_a (x) sigma_b^T."""
+    C = np.einsum("ab,abij->ij", _as_ptm(channel), _CHOI_BASIS)
     return 0.5 * (C + C.conj().T)
 
 
@@ -266,33 +263,50 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def image_radius(channel: ChannelLike, n_grid: int = 10_000, refine: bool = True) -> float:
-    """Largest output Bloch norm over pure input states.
+def image_radius(channel: ChannelLike) -> float:
+    """Largest output Bloch norm over pure input states, exactly.
 
-    Deterministic Fibonacci grid followed by a local simplex refinement
-    at the maximizer; the image-ellipsoid boundary distance is smooth,
-    so grid plus refinement is reliable at qubit scale.
+    Maximizing |M s + t| over unit vectors s is a trust-region subproblem
+    (More & Sorensen 1983).  With M'M = V diag(g) V' and d = V' M' t, the
+    maximizer solves (mu I - M'M) s = M' t with mu >= g_max.  In the
+    eigenbasis, with mu = g_max + delta and gap_k = g_max - g_k, the
+    secular equation sum_k d_k^2 / (delta + gap_k)^2 = 1 has one root
+    delta in [|d_top|, |d|], found by bisection to adjacent doubles.  In
+    the hard case (d has no component in the top eigenspace, as for a
+    unital channel) delta = 0 if the other components stay inside the
+    sphere, and the top eigenspace fills the rest of the unit norm.  The
+    value is |M s + t| at that explicit unit vector s, so it is always
+    attained by a pure input.
     """
     ptm = _as_ptm(channel)
     M = ptm[1:, 1:]
     t = ptm[1:, 0]
-    pts = fibonacci_sphere(n_grid)
-    norms = np.linalg.norm(pts @ M.T + t, axis=1)
-    best = float(norms.max())
-    if not refine:
-        return best
-
-    def neg_radius(angles: np.ndarray) -> np.ndarray:
-        th, ph = angles[:, 0], angles[:, 1]
-        st = np.sin(th)
-        s = np.column_stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)])
-        return -np.linalg.norm(s @ M.T + t, axis=1)
-
-    top = pts[np.argsort(norms, kind="stable")[-4:]]
-    starts = np.column_stack([np.arccos(np.clip(top[:, 2], -1, 1)),
-                              np.arctan2(top[:, 1], top[:, 0])])
-    res = nelder_mead_batch(neg_radius, starts, xatol=1e-12)
-    return max(best, float(-res.fun.min()))
+    g, V = np.linalg.eigh(M.T @ M)
+    d = (V.T @ (M.T @ t)).tolist()
+    gap = (g[-1] - g).tolist()
+    top = [k for k in range(3) if gap[k] == 0.0]
+    lo = math.sqrt(sum(d[k] * d[k] for k in top))
+    hi = math.sqrt(sum(dk * dk for dk in d))
+    rest = -1.0
+    if lo == 0.0:  # hard-case candidate: delta = 0
+        s = [0.0 if k in top else d[k] / gap[k] for k in range(3)]
+        rest = 1.0 - sum(sk * sk for sk in s)
+    if rest >= 0.0:
+        s[top[0]] = math.sqrt(rest)
+    else:
+        (d0, d1, d2), (g0, g1, g2) = d, gap
+        while True:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            phi = (d0 / (mid + g0)) ** 2 + (d1 / (mid + g1)) ** 2 + (d2 / (mid + g2)) ** 2
+            if phi > 1.0:
+                lo = mid
+            else:
+                hi = mid
+        s = [dk / (hi + gk) for dk, gk in zip(d, gap)]
+    b = V @ np.array(s)
+    return float(np.linalg.norm(M @ (b / np.linalg.norm(b)) + t))
 
 
 def is_interior(channel: ChannelLike) -> bool:

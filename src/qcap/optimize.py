@@ -1,13 +1,11 @@
-"""Vectorized batch minimizers for small search dimensions.
+"""Vectorized batch quasi-Newton minimizer for small search dimensions.
 
 Every member of a batch advances in lockstep, so the objective is only
 ever called on stacked 2-D arrays.  This keeps the per-iteration cost
 dominated by a handful of vectorized array operations instead of Python
 overhead, which matters when the objective itself is a few microseconds.
-
-``bfgs_batch`` is a quasi-Newton method for smooth objectives that
-supply their gradient; ``nelder_mead_batch`` is a derivative-free
-simplex search.
+``bfgs_batch`` needs a smooth objective that supplies its gradient; the
+chi-capacity search is its only caller.
 """
 
 from __future__ import annotations
@@ -15,10 +13,6 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-# standard simplex coefficients: reflection, expansion, contraction, shrink
-_RHO, _CHI, _PSI, _SIGMA = 1.0, 2.0, 0.5, 0.5
-_NONZDELT, _ZDELT = 0.05, 0.00025
 
 # BFGS trial steps along the search direction, expanding as well as
 # backtracking: a ladder that only backtracks from 1 stalls on the
@@ -124,100 +118,3 @@ def bfgs_batch(
         still_open[idx[done]] = False
 
     return BatchResult(x, f, ~still_open, it)
-
-
-def _initial_simplex(x0: np.ndarray) -> np.ndarray:
-    batch, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
-    for k in range(n):
-        col = sim[:, k + 1, k]
-        sim[:, k + 1, k] = np.where(col != 0.0, col * (1.0 + _NONZDELT), _ZDELT)
-    return sim
-
-
-def nelder_mead_batch(
-    func: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    xatol: float = 1e-9,
-    fatol: float = 0.0,
-    max_iter: int | None = None,
-) -> BatchResult:
-    """Minimize ``func`` independently for every row of ``x0``.
-
-    ``func`` must map a (k, n) array of points to a length-k vector of
-    values, for any k.  A member converges once its simplex diameter
-    falls below ``xatol`` or its value spread falls to ``fatol``.
-    """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    batch, n = x0.shape
-    if max_iter is None:
-        max_iter = 400 * n
-
-    sim = _initial_simplex(x0)
-    fsim = func(sim.reshape(-1, n)).reshape(batch, n + 1)
-    still_open = np.ones(batch, dtype=bool)
-    it = 0
-
-    for it in range(1, max_iter + 1):
-        act = np.flatnonzero(still_open)
-        if act.size == 0:
-            break
-        s = sim[act]
-        f = fsim[act]
-        order = np.argsort(f, axis=1, kind="stable")
-        s = np.take_along_axis(s, order[:, :, None], axis=1)
-        f = np.take_along_axis(f, order, axis=1)
-        sim[act] = s
-        fsim[act] = f
-
-        xspread = np.max(np.abs(s[:, 1:, :] - s[:, :1, :]), axis=(1, 2))
-        fspread = f[:, -1] - f[:, 0]
-        done = (xspread <= xatol) | (fspread <= fatol)
-        if np.any(done):
-            still_open[act[done]] = False
-            act = act[~done]
-            if act.size == 0:
-                continue
-            s = s[~done]
-            f = f[~done]
-
-        xbar = s[:, :n, :].mean(axis=1)
-        worst = s[:, n, :]
-        step = xbar - worst
-        xr = xbar + _RHO * step
-        xe = xbar + _RHO * _CHI * step
-        xoc = xbar + _PSI * _RHO * step
-        xic = xbar - _PSI * step
-        cand = np.stack([xr, xe, xoc, xic], axis=1)
-        fc = func(cand.reshape(-1, n)).reshape(-1, 4)
-        fr, fe, foc, fic = fc[:, 0], fc[:, 1], fc[:, 2], fc[:, 3]
-
-        f0, fsec, fworst = f[:, 0], f[:, n - 1], f[:, n]
-        use_xe = (fr < f0) & (fe < fr)
-        use_xr = ((fr < f0) & ~(fe < fr)) | (~(fr < f0) & (fr < fsec))
-        use_oc = ~(fr < fsec) & (fr < fworst) & (foc <= fr)
-        use_ic = ~(fr < fsec) & ~(fr < fworst) & (fic < fworst)
-        shrink = ~(fr < fsec) & ~use_oc & ~use_ic
-
-        accept = ~shrink
-        if np.any(accept):
-            pick = np.zeros(len(f), dtype=int)
-            pick[use_xe] = 1
-            pick[use_oc] = 2
-            pick[use_ic] = 3
-            rows = np.flatnonzero(accept)
-            s[rows, n, :] = cand[rows, pick[rows], :]
-            f[rows, n] = fc[rows, pick[rows]]
-        if np.any(shrink):
-            rows = np.flatnonzero(shrink)
-            shrunk = s[rows, :1, :] + _SIGMA * (s[rows, 1:, :] - s[rows, :1, :])
-            s[rows, 1:, :] = shrunk
-            f[rows, 1:] = func(shrunk.reshape(-1, n)).reshape(len(rows), n)
-
-        sim[act] = s
-        fsim[act] = f
-
-    order = np.argsort(fsim, axis=1, kind="stable")
-    sim = np.take_along_axis(sim, order[:, :, None], axis=1)
-    fsim = np.take_along_axis(fsim, order, axis=1)
-    return BatchResult(sim[:, 0, :], fsim[:, 0], ~still_open, it)

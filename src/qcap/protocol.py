@@ -14,21 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import Union
 
 import numpy as np
 
 from .core import (
-    PauliChannelParams,
-    QubitChannel,
+    ChannelLike,
     _as_ptm,
     apply_channel_matrix,
     apply_scaling,
     operator_norm,
     random_density,
 )
-
-ChannelLike = Union[QubitChannel, PauliChannelParams, np.ndarray]
 
 MAX_BLOCK_LENGTH = 3
 POVM_PSD_TOL = 1e-10

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .core import (
+    ChannelOrParams,
     NoConvergence,
     NotInterior,
     NotUnital,
@@ -36,8 +37,6 @@ from .core import (
     ptm_from_params,
     sqrtm_psd_2x2,
 )
-
-ChannelOrParams = Union[QubitChannel, PauliChannelParams]
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,15 @@ def test_sinkhorn_exit_codes(capsys):
     assert code == 4
 
 
+def test_sinkhorn_iterate_rejects_a_pole_boundary_channel(capsys):
+    # |t3| + |lambda3| = 1 with the farthest output at the pole: the
+    # generic interior test must see the boundary instead of iterating
+    code, _, err = run(["sinkhorn", "--lambda", "0.3", "0.3", "0.7", "--t3", "0.3",
+                        "--method", "iterate"], capsys)
+    assert code == 2
+    assert "touches the Bloch sphere" in err
+
+
 def test_verify_all_suites_pass(capsys):
     code, out, err = run(["verify", "--suite", "all", "--seed", "7"], capsys)
     assert code == 0

@@ -116,6 +116,28 @@ def test_choi_depolarizing_eigenvalues():
         assert abs(np.trace(choi).real - 2.0) <= 1e-12
 
 
+def test_choi_matches_its_definition_on_random_channels():
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)  # E_00, E_01, E_10, E_11
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        ch = core.random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5)))
+        by_definition = sum(np.kron(apply_channel_matrix(ch, E), E) for E in units)
+        np.testing.assert_allclose(choi_from_channel(ch), by_definition, rtol=0, atol=1e-15)
+
+
+def test_cp_verdicts_on_the_unital_grid():
+    # every point of the 50^3 grid through the production path, against
+    # 1 +- l3 >= |l1 +- l2| with the same tolerance
+    axis = np.linspace(-1.0, 1.0, 50)
+    for l1 in axis:
+        for l2 in axis:
+            by_inequality = ((1.0 + axis - abs(l1 + l2) >= -1e-10)
+                             & (1.0 - axis - abs(l1 - l2) >= -1e-10))
+            verdicts = [is_completely_positive(PauliChannelParams(l1, l2, l3, 0.0)).is_cp
+                        for l3 in axis]
+            assert verdicts == by_inequality.tolist(), (l1, l2)
+
+
 def test_cp_check_against_unital_inequality():
     # 1 +- l3 >= |l1 +- l2| evaluated directly as the oracle
     assert not is_completely_positive(PauliChannelParams(1, 1, -1, 0)).is_cp
@@ -183,6 +205,52 @@ def test_image_radius_matches_family_geometry():
         ch = ptm_from_params(PauliChannelParams(l1, l2, l3, t3))
         expected = _family_radius_oracle(l1, l2, l3, t3)
         assert image_radius(ch) == pytest.approx(expected, abs=1e-9)
+
+
+def _rotated(params, rng):
+    # the same image geometry in a random orthonormal frame, so that the
+    # eigenbasis of M'M is no longer the coordinate axes
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    ch = ptm_from_params(params)
+    return QubitChannel.from_affine(q @ ch.linear_part @ q.T, q @ ch.translation)
+
+
+def test_image_radius_is_exact_at_a_pole_of_the_boundary():
+    # |t3| + |lambda3| = 1 is reached at the pole, where a (theta, phi)
+    # search over the sphere stalls below 1
+    for params in (PauliChannelParams(0.3, 0.3, 0.7, 0.3),
+                   PauliChannelParams(0.0, 0.0, 0.5, 0.5)):
+        ch = ptm_from_params(params)
+        assert abs(image_radius(ch) - 1.0) <= 1e-15
+        assert not is_interior(ch)
+    assert is_interior(ptm_from_params(PauliChannelParams(0.3, 0.3, 0.7, 0.2999)))
+
+
+def test_image_radius_hard_and_degenerate_cases():
+    rng = np.random.default_rng(37)
+    cases = [
+        (1.0, 1.0, 1.0, 0.0),    # identity
+        (0.0, 0.0, 0.0, 0.0),    # tracing channel
+        (0.8, 0.8, 0.1, 0.0),    # unital, degenerate top eigenvalue
+        (0.8, 0.5, 0.3, 0.05),   # t orthogonal to the top eigenvector
+        (0.8, 0.8, 0.3, 0.05),   # the same with a degenerate top
+        (0.8, 0.5, 0.3, 1e-9),
+    ]
+    for l1, l2, l3, t3 in cases:
+        expected = _family_radius_oracle(l1, l2, l3, t3)
+        params = PauliChannelParams(l1, l2, l3, t3)
+        assert abs(image_radius(ptm_from_params(params)) - expected) <= 1e-12
+        assert abs(image_radius(_rotated(params, rng)) - expected) <= 1e-12
+
+
+def test_image_radius_bounds_a_fine_grid_on_random_channels():
+    pts = fibonacci_sphere(200_000)
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        ch = core.random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5)))
+        grid_max = np.linalg.norm(pts @ ch.linear_part.T + ch.translation, axis=1).max()
+        radius = image_radius(ch)
+        assert grid_max - 1e-15 <= radius <= grid_max + 1e-4
 
 
 def test_fibonacci_sphere_is_unit_and_spread():
