@@ -54,6 +54,8 @@ from .capacity import (
     ChiConfig,
     ChiResult,
     Ensemble,
+    Report,
+    analyze,
     chi_capacity_grid_oracle,
     chi_capacity_numeric,
     gad_bounds,

@@ -129,6 +129,13 @@ class ChiConfig:
     max_iter: Optional[int] = None
     structured_starts: bool = True
 
+    def __post_init__(self):
+        if not self.sizes or not set(self.sizes) <= {1, 2, 3, 4}:
+            raise ValueError(f"chi ensemble sizes must be 1 to 4, got {self.sizes}")
+        if self.starts < 0 or self.starts == 0 and not (
+                self.structured_starts and set(self.sizes) <= _STRUCTURED.keys()):
+            raise ValueError(f"chi starts = {self.starts} leave a size with no start")
+
 
 @dataclass(frozen=True)
 class ChiResult:
@@ -157,12 +164,26 @@ def theorem_bound(c_psi: float, pair: ScalingPair) -> float:
     return c_psi - 2.0 * math.log2(pair.norm_ab)
 
 
-def proposition_bounds(params: PauliChannelParams) -> CapacityBounds:
-    """Two-sided capacity bounds for an interior family channel."""
+@dataclass(frozen=True)
+class Report:
+    """An interior family channel's unital form, scaling pair and bounds."""
+
+    form: UnitalForm
+    pair: ScalingPair
+    bounds: CapacityBounds
+
+
+def analyze(params: PauliChannelParams) -> Report:
+    """Scale an interior family channel to unital form and bound its capacity."""
     form = family_unital_params(params)
     pair = family_scaling_pair(params)
-    return CapacityBounds.from_parts(unital_capacity(form), pair.norm_ab,
-                                     pair.norm_ab_inv)
+    return Report(form, pair, CapacityBounds.from_parts(
+        unital_capacity(form), pair.norm_ab, pair.norm_ab_inv))
+
+
+def proposition_bounds(params: PauliChannelParams) -> CapacityBounds:
+    """Two-sided capacity bounds for an interior family channel."""
+    return analyze(params).bounds
 
 
 # ---------------------------------------------------------------------------
@@ -175,10 +196,10 @@ def _check_gad_domain(p: float, gt: float) -> None:
             f"p = {p} gives the boundary amplitude damping channel; "
             "the scaling decomposition needs p > 0"
         )
-    if p > 0.5:
+    if not p <= 0.5:  # also rejects NaN
         raise ValueError(
             f"excited-state population must satisfy 0 < p <= 1/2, got {p}")
-    if gt < 0.0:
+    if not gt >= 0.0:
         raise ValueError(f"dimensionless time must be >= 0, got {gt}")
 
 

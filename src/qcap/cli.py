@@ -2,19 +2,19 @@
 scaling decomposition, verify invariants, and render charts.
 
 Exit codes: 0 success, 1 verification failure or render error,
-2 channel not interior (or outside the family domain), 3 channel not
-completely positive, 4 iteration did not converge.
+2 bad flag value or channel not interior (or outside the family
+domain), 3 channel not completely positive, 4 no convergence.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,12 +22,12 @@ import numpy as np
 from . import __version__, render, verify
 from .capacity import (
     DEFAULT_SEED,
-    CapacityBounds,
     ChiConfig,
+    Report,
+    analyze,
     chi_capacity_numeric,
     gad_params,
     mix_params,
-    unital_capacity,
 )
 from .core import (
     NoConvergence,
@@ -56,10 +56,17 @@ CSV_COLUMNS = [
     "c_unital", "c_lower_raw", "c_upper_raw", "c_lower", "c_upper", "c_chi",
 ]
 
+# the values that fix a channel of each family (any one can be swept),
+# and the label analyze and sinkhorn print for it
 _SWEEP_VARS = {
     "gad": ("gamma_t", "p"),
     "mix": ("p",),
     "custom": ("lambda1", "lambda2", "lambda3", "t3"),
+}
+_LABELS = {
+    "gad": "gad p={p:g} gamma_t={gamma_t:g}",
+    "mix": "mix p={p:g}",
+    "custom": "custom lambda=({lambda1:g},{lambda2:g},{lambda3:g}) t3={t3:g}",
 }
 
 
@@ -83,51 +90,79 @@ def _resolve_seed(value: Optional[int]) -> int:
     return int(env) if env else DEFAULT_SEED
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:  # argparse's own wording for a non-number
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("channel selection")
     group.add_argument("--gad", action="store_true",
                        help="generalized amplitude damping (needs --p, --gamma-t)")
     group.add_argument("--mix", action="store_true",
                        help="amplitude-damping/depolarizing mixture (needs --p)")
-    group.add_argument("--p", type=float, help="family parameter p")
-    group.add_argument("--gamma-t", type=float, dest="gamma_t",
+    group.add_argument("--p", type=_finite_float, help="family parameter p")
+    group.add_argument("--gamma-t", type=_finite_float, dest="gamma_t",
                        help="dimensionless time for --gad")
-    group.add_argument("--lambda", type=float, nargs=3, dest="lambdas",
+    group.add_argument("--lambda", type=_finite_float, nargs=3, dest="lambdas",
                        metavar=("L1", "L2", "L3"),
                        help="custom channel lambda parameters")
-    group.add_argument("--t3", type=float, help="custom channel translation")
+    group.add_argument("--t3", type=_finite_float, default=0.0,
+                       help="custom channel translation")
+
+
+def _channel_values(args) -> tuple[str, dict]:
+    """The family the flags select and its values (None where not given)."""
+    if args.gad or args.mix:
+        family = "gad" if args.gad else "mix"
+        return family, {name: getattr(args, name) for name in _SWEEP_VARS[family]}
+    if args.lambdas is not None:
+        return "custom", dict(zip(_SWEEP_VARS["custom"], (*args.lambdas, args.t3)))
+    raise ValueError("select a channel with --gad, --mix, or --lambda/--t3")
+
+
+def _require_values(family: str, values: dict) -> None:
+    missing = [f"--{name.replace('_', '-')}" for name, v in values.items() if v is None]
+    if missing:
+        raise ValueError(f"--{family} requires {' and '.join(missing)}")
+
+
+def _family_params(family: str, values: dict) -> PauliChannelParams:
+    if family == "gad":
+        return gad_params(values["p"], values["gamma_t"])
+    if family == "mix":
+        return mix_params(values["p"])
+    return PauliChannelParams(*(values[name] for name in _SWEEP_VARS["custom"]))
 
 
 def _channel_from_args(args) -> tuple[str, PauliChannelParams]:
-    if args.gad:
-        if args.p is None or args.gamma_t is None:
-            raise ValueError("--gad requires --p and --gamma-t")
-        return (f"gad p={args.p:g} gamma_t={args.gamma_t:g}",
-                gad_params(args.p, args.gamma_t))
-    if args.mix:
-        if args.p is None:
-            raise ValueError("--mix requires --p")
-        return f"mix p={args.p:g}", mix_params(args.p)
-    if args.lambdas is not None:
-        t3 = args.t3 if args.t3 is not None else 0.0
-        l1, l2, l3 = args.lambdas
-        return (f"custom lambda=({l1:g},{l2:g},{l3:g}) t3={t3:g}",
-                PauliChannelParams(l1, l2, l3, t3))
-    raise ValueError("select a channel with --gad, --mix, or --lambda/--t3")
+    family, values = _channel_values(args)
+    _require_values(family, values)
+    return _LABELS[family].format(**values), _family_params(family, values)
+
+
+def _completely_positive(params: PauliChannelParams, x_name: str = "",
+                         x: float = 0.0) -> bool:
+    """Whether the channel is CP; if not, prints why (at grid point x_name = x)."""
+    cp = is_completely_positive(params)
+    if not cp.is_cp:
+        what = f"grid point {x_name} = {x:g}" if x_name else "channel"
+        _fail(f"{what} is not completely positive "
+              f"(min Choi eigenvalue {cp.min_eigenvalue:.3e})", EXIT_NOT_CP)
+    return cp.is_cp
 
 
 def _chi_kwargs(args) -> dict:
     """ChiConfig overrides from the --chi-* flags that were given."""
-    kwargs = {}
-    if args.chi_starts is not None:
-        kwargs["starts"] = args.chi_starts
-    if args.chi_sizes:
-        kwargs["sizes"] = tuple(int(s) for s in args.chi_sizes.split(","))
-    if args.chi_max_iter is not None:
-        kwargs["max_iter"] = args.chi_max_iter
-    if args.chi_xatol is not None:
-        kwargs["xatol"] = args.chi_xatol
-    return kwargs
+    sizes = tuple(int(s) for s in args.chi_sizes.split(",")) if args.chi_sizes else None
+    given = {"starts": args.chi_starts, "sizes": sizes,
+             "max_iter": args.chi_max_iter, "xatol": args.chi_xatol}
+    return {key: value for key, value in given.items() if value is not None}
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -142,35 +177,31 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 # analyze
 
 
-def _analyze_payload(label: str, params: PauliChannelParams, args, seed
-                     ) -> dict:
-    form = family_unital_params(params)
-    pair = family_scaling_pair(params)
-    bounds = CapacityBounds.from_parts(unital_capacity(form), pair.norm_ab,
-                                       pair.norm_ab_inv)
-    residuals = verify_decomposition(params, pair)
+def _row(x: Optional[float], report: Report, chi: Optional[float]) -> dict:
+    """One sweep row: ``CSV_COLUMNS`` mapped onto a report and chi."""
+    form, pair, bounds = report.form, report.pair, report.bounds
+    return dict(zip(CSV_COLUMNS, (
+        x, form.lt1, form.lt2, form.lt3, pair.norm_ab, pair.norm_ab_inv,
+        bounds.unital_capacity, bounds.lower_raw, bounds.upper_raw,
+        bounds.lower_clamped, bounds.upper_clamped, chi)))
+
+
+def _analyze_payload(label: str, params: PauliChannelParams,
+                     chi_cfg: Optional[ChiConfig]) -> dict:
+    report = analyze(params)
+    row = _row(None, report, None)
     payload = {
         "channel": label,
         "lambda": [params.lambda1, params.lambda2, params.lambda3],
         "t3": params.t3,
         "completely_positive": True,
         "interior": True,
-        "lambda_tilde": [form.lt1, form.lt2, form.lt3],
-        "norm_AB": pair.norm_ab,
-        "norm_AinvBinv": pair.norm_ab_inv,
-        "c_unital": bounds.unital_capacity,
-        "c_lower_raw": bounds.lower_raw,
-        "c_upper_raw": bounds.upper_raw,
-        "c_lower": bounds.lower_clamped,
-        "c_upper": bounds.upper_clamped,
-        "residuals": {
-            "unitality": residuals.unitality,
-            "trace_preservation": residuals.trace_preservation,
-            "reconstruction": residuals.reconstruction,
-        },
+        "lambda_tilde": [row["lambda_t1"], row["lambda_t2"], row["lambda_t3"]],
+        **{col: row[col] for col in CSV_COLUMNS[4:11]},  # norm_AB .. c_upper
+        "residuals": asdict(verify_decomposition(params, report.pair)),
     }
-    if args.chi:
-        result = chi_capacity_numeric(params, ChiConfig(seed=seed, **_chi_kwargs(args)))
+    if chi_cfg is not None:
+        result = chi_capacity_numeric(params, chi_cfg)
         payload["c_chi"] = result.value
         payload["chi_converged"] = result.converged
     return payload
@@ -205,22 +236,18 @@ def cmd_analyze(args) -> int:
     seed = _resolve_seed(args.seed)
     try:
         label, params = _channel_from_args(args)
+        chi_cfg = ChiConfig(seed=seed, **_chi_kwargs(args)) if args.chi else None
     except (NotInterior, ValueError) as exc:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
-    report = is_completely_positive(params)
-    if not report.is_cp:
-        return _fail(
-            f"channel is not completely positive "
-            f"(min Choi eigenvalue {report.min_eigenvalue:.3e})", EXIT_NOT_CP)
+    if not _completely_positive(params):
+        return EXIT_NOT_CP
     if params.boundary_margin <= 0.0:
         return _fail(
             f"channel is not interior: |t3| + |lambda3| = "
             f"{abs(params.t3) + abs(params.lambda3):.6g} >= 1", EXIT_NOT_INTERIOR)
-    payload = _analyze_payload(label, params, args, seed)
-    if args.json:
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    else:
-        _emit(_analyze_text(payload), args.out)
+    payload = _analyze_payload(label, params, chi_cfg)
+    text = json.dumps(payload, indent=2) + "\n" if args.json else _analyze_text(payload)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -249,62 +276,35 @@ class SweepConfig:
             raise ValueError(
                 f"family {self.family!r} sweeps over "
                 f"{', '.join(_SWEEP_VARS[self.family])}; got {self.x_name!r}")
+        if self.chi:
+            ChiConfig(**dict(self.chi_kwargs))  # rejects bad --chi-* values now
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.steps)
 
 
 def _point_params(cfg: SweepConfig, x: float) -> PauliChannelParams:
-    fixed = dict(cfg.fixed)
-    if cfg.family == "gad":
-        p = fixed["p"] if cfg.x_name == "gamma_t" else x
-        gt = fixed["gamma_t"] if cfg.x_name == "p" else x
-        return gad_params(p, gt)
-    if cfg.family == "mix":
-        return mix_params(x)
-    values = dict(fixed)
+    values = dict(cfg.fixed)
     values[cfg.x_name] = x
-    return PauliChannelParams(values["lambda1"], values["lambda2"],
-                              values["lambda3"], values["t3"])
+    return _family_params(cfg.family, values)
 
 
 def _sweep_point(task: tuple[SweepConfig, int, float]) -> dict:
     cfg, index, x = task
     params = _point_params(cfg, x)
-    form = family_unital_params(params)
-    pair = family_scaling_pair(params)
-    bounds = CapacityBounds.from_parts(unital_capacity(form), pair.norm_ab,
-                                       pair.norm_ab_inv)
-    row = {
-        "x": x,
-        "lambda_t1": form.lt1,
-        "lambda_t2": form.lt2,
-        "lambda_t3": form.lt3,
-        "norm_AB": pair.norm_ab,
-        "norm_AinvBinv": pair.norm_ab_inv,
-        "c_unital": bounds.unital_capacity,
-        "c_lower_raw": bounds.lower_raw,
-        "c_upper_raw": bounds.upper_raw,
-        "c_lower": bounds.lower_clamped,
-        "c_upper": bounds.upper_clamped,
-        "c_chi": None,
-    }
+    chi = None
     if cfg.chi:
         chi_cfg = ChiConfig(seed=(cfg.seed, index), **dict(cfg.chi_kwargs))
-        row["c_chi"] = chi_capacity_numeric(params, chi_cfg).value
-    return row
+        chi = chi_capacity_numeric(params, chi_cfg).value
+    return _row(x, analyze(params), chi)
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(CSV_COLUMNS) + "\n")
+    lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        cells = []
-        for col in CSV_COLUMNS:
-            value = row[col]
-            cells.append("" if value is None else _fmt(value))
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+        lines.append(",".join(["" if (value := row[col]) is None else _fmt(value)
+                               for col in CSV_COLUMNS]))
+    return "\n".join(lines) + "\n"
 
 
 def _rows_to_json(rows: list[dict], cfg: SweepConfig) -> str:
@@ -323,29 +323,12 @@ def _rows_to_json(rows: list[dict], cfg: SweepConfig) -> str:
 def cmd_sweep(args) -> int:
     seed = _resolve_seed(args.seed)
     try:
-        if args.gad:
-            if args.x == "gamma_t" and args.p is None:
-                raise ValueError("--gad sweep over gamma_t requires --p")
-            if args.x == "p" and args.gamma_t is None:
-                raise ValueError("--gad sweep over p requires --gamma-t")
-            fixed = {}
-            if args.p is not None:
-                fixed["p"] = args.p
-            if args.gamma_t is not None:
-                fixed["gamma_t"] = args.gamma_t
-            family = "gad"
-        elif args.mix:
-            family, fixed = "mix", {}
-        elif args.lambdas is not None:
-            family = "custom"
-            l1, l2, l3 = args.lambdas
-            fixed = {"lambda1": l1, "lambda2": l2, "lambda3": l3,
-                     "t3": args.t3 if args.t3 is not None else 0.0}
-        else:
-            raise ValueError("select a family with --gad, --mix, or --lambda")
+        family, fixed = _channel_values(args)
+        fixed.pop(args.x, None)
         cfg = SweepConfig(family, tuple(sorted(fixed.items())), args.x,
                           args.min, args.max, args.steps, seed, args.chi,
                           tuple(sorted(_chi_kwargs(args).items())))
+        _require_values(family, fixed)
     except (NotInterior, ValueError) as exc:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
 
@@ -356,13 +339,8 @@ def cmd_sweep(args) -> int:
             params = _point_params(cfg, float(x))
             if params.boundary_margin <= 0.0:
                 raise NotInterior(f"|t3| + |lambda3| >= 1 at {cfg.x_name} = {x:g}")
-            if cfg.family == "custom":
-                report = is_completely_positive(params)
-                if not report.is_cp:
-                    return _fail(
-                        f"grid point {cfg.x_name} = {x:g} is not completely "
-                        f"positive (min Choi eigenvalue "
-                        f"{report.min_eigenvalue:.3e})", EXIT_NOT_CP)
+            if cfg.family == "custom" and not _completely_positive(params, cfg.x_name, x):
+                return EXIT_NOT_CP
         except (NotInterior, ValueError) as exc:
             if index in (0, len(grid) - 1):
                 _warn(f"dropping boundary grid point {cfg.x_name} = {x:g}: {exc}")
@@ -377,10 +355,8 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_point(task) for task in tasks]
 
-    if args.format == "json":
-        _emit(_rows_to_json(rows, cfg), args.out)
-    else:
-        _emit(_rows_to_csv(rows), args.out)
+    text = _rows_to_json(rows, cfg) if args.format == "json" else _rows_to_csv(rows)
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -393,11 +369,8 @@ def cmd_sinkhorn(args) -> int:
         label, params = _channel_from_args(args)
     except (NotInterior, ValueError) as exc:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
-    report = is_completely_positive(params)
-    if not report.is_cp:
-        return _fail(f"channel is not completely positive "
-                     f"(min Choi eigenvalue {report.min_eigenvalue:.3e})",
-                     EXIT_NOT_CP)
+    if not _completely_positive(params):
+        return EXIT_NOT_CP
     pairs = {}
     try:
         if args.method in ("closed-form", "both"):
@@ -520,8 +493,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_args(ps)
     ps.add_argument("--x", required=True,
                     help="sweep variable (gamma_t, p, lambda1..3, t3)")
-    ps.add_argument("--min", type=float, required=True)
-    ps.add_argument("--max", type=float, required=True)
+    ps.add_argument("--min", type=_finite_float, required=True)
+    ps.add_argument("--max", type=_finite_float, required=True)
     ps.add_argument("--steps", type=int, required=True)
     ps.add_argument("--chi", action="store_true",
                     help="include the optimized chi capacity column")

@@ -195,6 +195,7 @@ def sinkhorn_iterate(
 
     eye = np.eye(2, dtype=complex)
     P = eye.copy()
+    res_unital = res_tp = math.inf  # what max_iter < 1 reports
     for sweep in range(1, max_iter + 1):
         Q = inverse_2x2(apply_channel_matrix(ptm, P))
         P = inverse_2x2(apply_channel_matrix(ptm.T, Q))
@@ -207,7 +208,8 @@ def sinkhorn_iterate(
             return ScalingPair.from_operators(root_q / gauge, gauge * root_p,
                                               iterations=sweep)
     raise NoConvergence(
-        f"residual {max(res_unital, res_tp):.3e} > {tol:.1e} after {max_iter} sweeps"
+        f"residual {max(res_unital, res_tp):.3e} > {tol:.1e} "
+        f"after {max(max_iter, 0)} sweeps"
     )
 
 

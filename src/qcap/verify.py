@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import capacity, core, protocol, sinkhorn
+from .capacity import DEFAULT_SEED
 
 
 @dataclass(frozen=True)
@@ -329,7 +330,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 42, canary: bool = False) -> SuiteResult:
+def run_suite(name: str, seed: int = DEFAULT_SEED, canary: bool = False) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     rng = np.random.default_rng(seed)
@@ -339,5 +340,5 @@ def run_suite(name: str, seed: int = 42, canary: bool = False) -> SuiteResult:
     return SuiteResult(name, tuple(checks))
 
 
-def run_suites(names, seed: int = 42, canary: bool = False) -> list[SuiteResult]:
+def run_suites(names, seed: int = DEFAULT_SEED, canary: bool = False) -> list[SuiteResult]:
     return [run_suite(name, seed=seed, canary=canary) for name in names]

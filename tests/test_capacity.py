@@ -332,3 +332,18 @@ def test_chi_converges_before_the_iteration_cap():
     r = chi_capacity_numeric(gad_params(0.475, 1.0))
     assert r.converged
     assert r.iterations > 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gad_params(math.nan, 1.0),
+    lambda: gad_params(0.3, math.nan),
+    lambda: ChiConfig(sizes=()),
+    lambda: ChiConfig(sizes=(2, 5)),
+    lambda: ChiConfig(starts=-1),
+    lambda: ChiConfig(sizes=(1, 2), starts=0),
+    lambda: ChiConfig(starts=0, structured_starts=False),
+], ids=["gad-p-nan", "gad-gt-nan", "chi-no-sizes", "chi-size-5",
+        "chi-negative-starts", "chi-size-1-no-start", "chi-no-start"])
+def test_bad_settings_raise_value_error(make):
+    with pytest.raises(ValueError):
+        make()

@@ -1,5 +1,6 @@
 import json
 import re
+import traceback
 
 import pytest
 
@@ -232,3 +233,108 @@ def test_sweep_chi_values_pinned(family, fixed, x_name, lo, hi, steps, pins):
     for i, expected in pins.items():
         row = cli._sweep_point((cfg, i, float(grid[i])))
         assert cli._fmt(row["c_chi"]) == expected
+
+
+GOLDEN_ANALYZE_JSON = """\
+{
+  "channel": "custom lambda=(0.5,0.4,0.3) t3=0.2",
+  "lambda": [
+    0.5,
+    0.4,
+    0.3
+  ],
+  "t3": 0.2,
+  "completely_positive": true,
+  "interior": true,
+  "lambda_tilde": [
+    0.5114190538471467,
+    0.40913524307771737,
+    0.31385933836549285
+  ],
+  "norm_AB": 1.1714441187137419,
+  "norm_AinvBinv": 1.1452879100823092,
+  "c_unital": 0.19789731997143412,
+  "c_lower_raw": -0.2586789502276268,
+  "c_upper_raw": 0.5893179563273236,
+  "c_lower": 0.0,
+  "c_upper": 0.5893179563273236,
+  "residuals": {
+    "unitality": 4.440892098500626e-16,
+    "trace_preservation": 2.220446049250313e-16,
+    "reconstruction": 3.3306690738754696e-16
+  }
+}
+"""
+
+GOLDEN_ANALYZE_TEXT = """\
+channel: gad p=0.475 gamma_t=1
+lambda: 0.367879441171 0.367879441171 0.135335283237  t3: -0.0432332358382
+completely positive: yes
+interior: yes
+lambda_tilde: 0.368230173116 0.368230173116 0.135593460393
+norm products: |A||B| = 1.02582516904  |A^-1||B^-1| = 1.02484809089
+unital capacity: 0.100149810835
+bounds raw: [0.0265800628862, 0.170969972221]
+bounds clamped: [0.0265800628862, 0.170969972221]
+decomposition residuals: unitality 2.220e-16  tp 3.092e-16  reconstruction 3.331e-16
+"""
+
+GOLDEN_SWEEP_CSV = """\
+x,lambda_t1,lambda_t2,lambda_t3,norm_AB,norm_AinvBinv,c_unital,c_lower_raw,c_upper_raw,c_lower,c_upper,c_chi
+0.2,0.832355191198,0.832355191198,0.692815164313,1.24617200516,1.22577399053,0.584493496474,-0.0505129289623,1.17187949237,0,1,
+0.45,0.660657529895,0.660657529895,0.436468371807,1.25805216478,1.21419864328,0.343047849108,-0.319335639695,0.903056781642,0,0.903056781642,
+0.7,0.522686352678,0.522686352678,0.273201023276,1.26799588869,1.20467680162,0.207200519875,-0.477899615603,0.744492805734,0,0.744492805734,
+0.95,0.411970460048,0.411970460048,0.169719659953,1.27560764519,1.1974883009,0.126148925944,-0.576220372718,0.646172048619,0,0.646172048619,
+1.2,0.323575971204,0.323575971204,0.10470140914,1.28102916434,1.19242033997,0.0769025597503,-0.637704082109,0.584688339227,0,0.584688339227,
+"""
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["analyze", "--lambda", "0.5", "0.4", "0.3", "--t3", "0.2", "--json"],
+     GOLDEN_ANALYZE_JSON),
+    (["analyze", *GAD_ARGS], GOLDEN_ANALYZE_TEXT),
+    (["sweep", "--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
+      "--max", "1.2", "--steps", "5"], GOLDEN_SWEEP_CSV),
+], ids=["analyze-json", "analyze-text", "sweep-csv"])
+def test_outputs_are_pinned(args, expected, capsys):
+    code, out, err = run(args, capsys)
+    assert (code, out, err) == (0, expected, "")
+
+
+CHANNEL = ["--lambda", "0.5", "0.4", "0.3", "--t3", "0.3"]
+GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
+             "--max", "1.0", "--steps", "3"]
+
+
+@pytest.mark.parametrize("args, exit_code, phrase", [
+    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "nan"], 2, "finite"),
+    (["analyze", "--lambda", "0.5", "0.4", "0.3", "--t3", "nan"], 2, "finite"),
+    (["sinkhorn", "--gad", "--p", "nan", "--gamma-t", "1"], 2, "finite"),
+    (["sweep", "--lambda", "0.5", "0.4", "nan", "--x", "t3", "--min", "0",
+      "--max", "0.5", "--steps", "4"], 2, "finite"),
+    (["sweep", "--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0",
+      "--max", "inf", "--steps", "4"], 2, "finite"),
+    (["analyze", *CHANNEL, "--chi", "--chi-sizes", "5"], 2, "sizes"),
+    (["analyze", *CHANNEL, "--chi", "--chi-sizes", "0"], 2, "sizes"),
+    (["analyze", *CHANNEL, "--chi", "--chi-starts", "-1"], 2, "starts"),
+    (["analyze", *CHANNEL, "--chi", "--chi-sizes", "2,x"], 2, "'x'"),
+    (["analyze", *CHANNEL, "--chi", "--chi-sizes", "1", "--chi-starts", "0"], 2,
+     "no start"),
+    (["sweep", *GAD_SWEEP, "--chi", "--chi-sizes", "5"], 2, "sizes"),
+    (["sweep", *GAD_SWEEP, "--chi", "--chi-starts", "-1"], 2, "starts"),
+    (["sinkhorn", *CHANNEL, "--method", "iterate", "--max-iter", "0"], 4,
+     "after 0 sweeps"),
+])
+def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys):
+    # an uncaught exception would end the command with a traceback and exit 1
+    try:
+        code = cli.main(args)
+    except SystemExit as exc:  # argparse rejects a flag value
+        code = exc.code
+    except Exception:
+        traceback.print_exc()
+        code = 1
+    err = capsys.readouterr().err
+    assert code == exit_code
+    assert "Traceback" not in err
+    assert "error:" in err and phrase in err
