@@ -11,14 +11,16 @@ The chi-capacity (a lower bound on C, equal to it in the unital case)
 is computed by multistart quasi-Newton (BFGS) search over ensembles of
 up to four pure states, using the closed-form gradient of the Holevo
 quantity, with an exhaustive two-state grid search as the independent
-cross-check oracle.
+cross-check oracle.  The starts of every ensemble size run as one
+lockstep batch, padded to the largest size with zero-weight states, and
+each iteration's gradient is taken from its line-search evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -117,7 +119,8 @@ class ChiConfig:
     starts are prepended when ``structured_starts`` is set.  Each start
     is refined by BFGS until its step is at most ``xatol`` in every
     coordinate, its decrease is at most ``fatol``, or no trial step is
-    accepted; ``max_iter`` caps the iterations (200 when ``None``).
+    accepted; ``max_iter``, at least 1, caps the iterations (200 when
+    ``None``).
     Identical configs give bit-identical results.
     """
 
@@ -135,6 +138,8 @@ class ChiConfig:
         if self.starts < 0 or self.starts == 0 and not (
                 self.structured_starts and set(self.sizes) <= _STRUCTURED.keys()):
             raise ValueError(f"chi starts = {self.starts} leave a size with no start")
+        if self.max_iter is not None and self.max_iter < 1:
+            raise ValueError(f"chi max_iter = {self.max_iter} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -142,8 +147,9 @@ class ChiResult:
     """Best Holevo value found and its ensemble.
 
     ``converged`` says whether the best start met a stopping rule before
-    the iteration cap; ``iterations`` sums the optimizer iterations over
-    the ensemble sizes searched.
+    the iteration cap; ``iterations`` sums over the ensemble sizes
+    searched the optimizer iterations each size ran, that is, the last
+    iteration in which any start of that size was still open.
     """
 
     value: float
@@ -278,12 +284,15 @@ def holevo_quantity(channel: ChannelOrParams, ensemble: Ensemble) -> float:
     return s_avg - float(ensemble.weights @ s_each)
 
 
+_LOGIT_CLIP = 700.0  # sigmoid(700) is exactly 1.0 and exp(700) is finite
+
+
 def _stick_weights(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (k, m-1) unconstrained logits -> (k, m) simplex weights and the
     # (k, m-1) stick fractions sigmoid(logits); the clip keeps exp finite
     # for the far trial steps of the line search
     k, mm1 = logits.shape
-    s = 1.0 / (1.0 + np.exp(-np.clip(logits, -700.0, 700.0)))
+    s = 1.0 / (1.0 + np.exp(-np.clip(logits, -_LOGIT_CLIP, _LOGIT_CLIP)))
     if mm1 == 0:
         return np.ones((k, 1)), s
     rem = np.cumprod(1.0 - s, axis=1)
@@ -304,12 +313,57 @@ def _entropy_slope(r: np.ndarray) -> np.ndarray:
     return q
 
 
-def _neg_chi_objective(M: np.ndarray, t: np.ndarray, m: int):
-    """Negated Holevo quantity of m-state ensembles and its gradient.
+class _Forward(NamedTuple):
+    """One evaluation of the negated Holevo quantity on a batch, with the
+    intermediates its gradient is taken from, one row per point."""
 
-    A row holds the angles (theta_k, phi_k) of the m input Bloch vectors
-    n_k followed by m - 1 stick-breaking logits l_i for the weights w_k.
-    With outputs o_k = M n_k + t and average a = sum_k w_k o_k,
+    value: np.ndarray   # (k,)
+    st: np.ndarray      # (k, m) sin and cos of the polar angles
+    ct: np.ndarray
+    sp: np.ndarray      # (k, m) sin and cos of the azimuths
+    cp: np.ndarray
+    w: np.ndarray       # (k, m) weights
+    frac: np.ndarray    # (k, m - 1) stick fractions
+    out: np.ndarray     # (k, m, 3) output Bloch vectors
+    radii: np.ndarray   # (k, m)
+    avg: np.ndarray     # (k, 3) average output
+    r_avg: np.ndarray   # (k,)
+    s_each: np.ndarray  # (k, m) output entropies
+
+
+def _chi_forward(M: np.ndarray, t: np.ndarray, params: np.ndarray) -> _Forward:
+    """Negated Holevo quantity of the m-state ensembles in ``params``.
+
+    A (k, 3m - 1) row holds the angles (theta_k, phi_k) of the m input
+    Bloch vectors n_k followed by m - 1 stick-breaking logits l_i for
+    the weights w_k; the outputs are o_k = M n_k + t.
+    """
+    k = params.shape[0]
+    m = (params.shape[1] + 1) // 3
+    ang = np.ascontiguousarray(params[:, : 2 * m])
+    sin, cos = np.sin(ang), np.cos(ang)
+    st, sp = sin[:, 0::2], sin[:, 1::2]
+    ct, cp = cos[:, 0::2], cos[:, 1::2]
+    states = np.stack([st * cp, st * sp, ct], axis=-1)
+    w, frac = _stick_weights(params[:, 2 * m:])
+    # one (k m, 3) product: numpy would loop over k tiny (m, 3) ones
+    out = (states.reshape(-1, 3) @ M.T).reshape(k, m, 3) + t
+    radii = np.sqrt(np.einsum("kmi,kmi->km", out, out))
+    np.clip(radii, 0.0, 1.0, out=radii)
+    avg = np.einsum("km,kmi->ki", w, out)
+    r_avg = np.sqrt(np.einsum("ki,ki->k", avg, avg))
+    np.clip(r_avg, 0.0, 1.0, out=r_avg)
+    s_avg = entropy_kernel(0.5 * (1.0 - r_avg))
+    s_each = entropy_kernel(0.5 * (1.0 - radii))
+    value = -(s_avg - np.einsum("km,km->k", w, s_each))
+    return _Forward(value, st, ct, sp, cp, w, frac, out, radii, avg, r_avg, s_each)
+
+
+def _chi_gradient(M: np.ndarray, fw: _Forward, rows) -> np.ndarray:
+    """Gradient of the negated Holevo quantity at the points ``rows`` of
+    a forward pass, from its stored intermediates.
+
+    With average output a = sum_k w_k o_k,
 
         dchi/do_k = w_k (q(|a|) a - q(|o_k|) o_k),
         dchi/dw_k = q(|a|) a.o_k - S(|o_k|) = G_k,
@@ -318,37 +372,42 @@ def _neg_chi_objective(M: np.ndarray, t: np.ndarray, m: int):
     with s_i = sigmoid(l_i); dchi/do_k is pulled back through M^T and
     the angle derivatives of n_k.
     """
+    st, ct, sp, cp, w, frac, out, radii, avg, r_avg, s_each = (a[rows] for a in fw[1:])
+    k, m = w.shape
+    qa = _entropy_slope(r_avg)[:, None] * avg
+    qo = _entropy_slope(radii)[..., None] * out
+    g_n = ((w[..., None] * (qa[:, None, :] - qo)).reshape(-1, 3) @ M).reshape(k, m, 3)
+    d_th = (g_n[..., 0] * cp + g_n[..., 1] * sp) * ct - g_n[..., 2] * st
+    d_ph = (g_n[..., 1] * cp - g_n[..., 0] * sp) * st
+    wg = w * (np.einsum("ki,kmi->km", qa, out) - s_each)
+    later = np.cumsum(wg[:, :0:-1], axis=1)[:, ::-1]
+    d_l = (1.0 - frac) * wg[:, :-1] - frac * later
+    d_ang = np.stack([d_th, d_ph], axis=-1).reshape(k, 2 * m)
+    return -np.concatenate([d_ang, d_l], axis=1)
+
+
+def _chi_objective(M: np.ndarray, t: np.ndarray):
+    """The ``bfgs_batch`` objective: values of a batch and a callable
+    that takes the gradient at chosen rows from the same forward pass."""
+
+    def func(params: np.ndarray):
+        fw = _chi_forward(M, t, params)
+        return fw.value, lambda rows: _chi_gradient(M, fw, rows)
+
+    return func
+
+
+def _neg_chi_objective(M: np.ndarray, t: np.ndarray, m: int):
+    """Negated Holevo quantity of m-state ensembles and its gradient.
+
+    ``neg_chi(params)`` returns the values and the (k, 3m - 1) gradient
+    of every row, ``neg_chi(params, grad=False)`` the values alone.
+    """
 
     def neg_chi(params: np.ndarray, grad: bool = True):
-        k = params.shape[0]
-        ang = params[:, : 2 * m].reshape(k, m, 2)
-        th, ph = ang[..., 0], ang[..., 1]
-        st, ct = np.sin(th), np.cos(th)
-        sp, cp = np.sin(ph), np.cos(ph)
-        states = np.stack([st * cp, st * sp, ct], axis=-1)
-        w, frac = _stick_weights(params[:, 2 * m:])
-        out = states @ M.T + t
-        radii = np.sqrt(np.einsum("kmi,kmi->km", out, out))
-        np.clip(radii, 0.0, 1.0, out=radii)
-        avg = np.einsum("km,kmi->ki", w, out)
-        r_avg = np.sqrt(np.einsum("ki,ki->k", avg, avg))
-        np.clip(r_avg, 0.0, 1.0, out=r_avg)
-        s_avg = entropy_kernel(0.5 * (1.0 - r_avg))
-        s_each = entropy_kernel(0.5 * (1.0 - radii))
-        value = -(s_avg - np.einsum("km,km->k", w, s_each))
-        if not grad:
-            return value
-
-        qa = _entropy_slope(r_avg)[:, None] * avg
-        qo = _entropy_slope(radii)[..., None] * out
-        g_n = (w[..., None] * (qa[:, None, :] - qo)) @ M
-        d_th = (g_n[..., 0] * cp + g_n[..., 1] * sp) * ct - g_n[..., 2] * st
-        d_ph = (g_n[..., 1] * cp - g_n[..., 0] * sp) * st
-        wg = w * (np.einsum("ki,kmi->km", qa, out) - s_each)
-        later = np.cumsum(wg[:, :0:-1], axis=1)[:, ::-1]
-        d_l = (1.0 - frac) * wg[:, :-1] - frac * later
-        d_ang = np.stack([d_th, d_ph], axis=-1).reshape(k, 2 * m)
-        return value, -np.concatenate([d_ang, d_l], axis=1)
+        assert params.shape[1] == 3 * m - 1
+        fw = _chi_forward(M, t, params)
+        return (fw.value, _chi_gradient(M, fw, slice(None))) if grad else fw.value
 
     return neg_chi
 
@@ -388,13 +447,28 @@ def _random_starts(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     return np.concatenate([angles, logits], axis=1)
 
 
-def _params_to_ensemble(params: np.ndarray, m: int) -> Ensemble:
+def _pad_starts(x0: np.ndarray, m: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    # widen m-state rows to the top-state layout and mark their own
+    # coordinates free.  Each padding state sits at theta = phi = 0 and
+    # its logit is pinned at the clip, where the sigmoid is exactly 1.0:
+    # the row's last own state takes the whole remaining stick, and the
+    # padding states get weight and gradient exactly 0
+    k = len(x0)
+    x = np.concatenate([x0[:, : 2 * m], np.zeros((k, 2 * (top - m))),
+                        x0[:, 2 * m:], np.full((k, top - m), _LOGIT_CLIP)], axis=1)
+    free = np.zeros(3 * top - 1, dtype=bool)
+    free[: 2 * m] = free[2 * top: 2 * top + m - 1] = True
+    return x, np.broadcast_to(free, x.shape)
+
+
+def _params_to_ensemble(params: np.ndarray, m: int, top: int) -> Ensemble:
+    # the first m states of a top-state row and their m - 1 logits
     ang = params[: 2 * m].reshape(m, 2)
     th, ph = ang[:, 0], ang[:, 1]
     st = np.sin(th)
     states = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1)
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    weights, _ = _stick_weights(params[None, 2 * m:])
+    weights, _ = _stick_weights(params[None, 2 * top: 2 * top + m - 1])
     weights = np.clip(weights[0], 0.0, None)
     weights /= weights.sum()
     return Ensemble(weights, states)
@@ -405,43 +479,40 @@ def chi_capacity_numeric(channel: ChannelOrParams,
     """Maximize the Holevo quantity over ensembles of pure states.
 
     Ensembles of 2 to 4 pure states are sufficient at qubit scale; each
-    size is attacked with a batch of seeded random starts (plus a few
-    deterministic axis-aligned ones) refined together by BFGS on the
-    closed-form gradient.  The best value across all starts and sizes
-    is returned together with the maximizing ensemble; ``converged``
+    size gets a batch of seeded random starts (plus a few deterministic
+    axis-aligned ones).  The starts of all sizes are refined together,
+    as one lockstep BFGS batch on the closed-form gradient: every row
+    is padded to the largest size with states of weight exactly 0,
+    which never move, so each row follows the path it would follow
+    alone.  The best value across all starts and sizes is returned
+    together with the maximizing ensemble, which holds its own size's
+    states; ties go to the earlier size and start.  ``converged``
     records whether that start met a stopping rule rather than the
-    iteration cap, and ``iterations`` sums the batch iterations over
-    the sizes.
+    iteration cap, and ``iterations`` sums over the sizes the last
+    iteration in which any start of that size was still open.
     """
     cfg = config or ChiConfig()
     ptm = _as_ptm(channel)
     M = np.ascontiguousarray(ptm[1:, 1:])
     t = ptm[1:, 0]
     rng = np.random.default_rng(cfg.seed)
+    top = max(cfg.sizes)
 
-    best_val = -np.inf
-    best_params: Optional[np.ndarray] = None
-    best_m = 0
-    best_conv = False
-    iterations = 0
+    blocks = []
     for m in cfg.sizes:
         starts = [_random_starts(rng, m, cfg.starts)]
         if cfg.structured_starts:
             starts.insert(0, _structured_starts(m))
-        x0 = np.vstack([s for s in starts if s.size])
-        res = bfgs_batch(_neg_chi_objective(M, t, m), x0,
-                         xatol=cfg.xatol, fatol=cfg.fatol,
-                         max_iter=cfg.max_iter)
-        iterations += res.iterations
-        k = int(np.argmin(res.fun))
-        if -res.fun[k] > best_val:
-            best_val = -res.fun[k]
-            best_params = res.x[k]
-            best_m = m
-            best_conv = bool(res.converged[k])
-    assert best_params is not None
-    return ChiResult(float(best_val), _params_to_ensemble(best_params, best_m),
-                     best_conv, iterations)
+        blocks.append(_pad_starts(np.vstack([s for s in starts if s.size]), m, top))
+    x0, free = (np.vstack(parts) for parts in zip(*blocks))
+    res = bfgs_batch(_chi_objective(M, t), x0, xatol=cfg.xatol, fatol=cfg.fatol,
+                     max_iter=cfg.max_iter, free=free)
+    ends = np.cumsum([len(x) for x, _ in blocks])
+    iterations = sum(int(stop.max()) for stop in np.split(res.stopped, ends[:-1]))
+    k = int(np.argmin(res.fun))
+    m = cfg.sizes[int(np.searchsorted(ends, k, side="right"))]
+    return ChiResult(float(-res.fun[k]), _params_to_ensemble(res.x[k], m, top),
+                     bool(res.converged[k]), iterations)
 
 
 def chi_capacity_grid_oracle(channel: ChannelOrParams, n_grid: int = 2000,

@@ -87,7 +87,12 @@ def _resolve_seed(value: Optional[int]) -> int:
     if value is not None:
         return value
     env = os.environ.get("QCAP_SEED")
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise ValueError(f"QCAP_SEED must be an integer, got {env!r}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -233,8 +238,8 @@ def _analyze_text(payload: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    seed = _resolve_seed(args.seed)
     try:
+        seed = _resolve_seed(args.seed)
         label, params = _channel_from_args(args)
         chi_cfg = ChiConfig(seed=seed, **_chi_kwargs(args)) if args.chi else None
     except (NotInterior, ValueError) as exc:
@@ -321,8 +326,8 @@ def _rows_to_json(rows: list[dict], cfg: SweepConfig) -> str:
 
 
 def cmd_sweep(args) -> int:
-    seed = _resolve_seed(args.seed)
     try:
+        seed = _resolve_seed(args.seed)
         family, fixed = _channel_values(args)
         fixed.pop(args.x, None)
         cfg = SweepConfig(family, tuple(sorted(fixed.items())), args.x,
@@ -418,7 +423,10 @@ def cmd_sinkhorn(args) -> int:
 
 def cmd_verify(args) -> int:
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
-    seed = _resolve_seed(args.seed)
+    try:
+        seed = _resolve_seed(args.seed)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_NOT_INTERIOR)
     results = verify.run_suites(names, seed=seed, canary=args.canary)
     passed = sum(c.passed for r in results for c in r.checks)
     failed = sum(not c.passed for r in results for c in r.checks)

@@ -4,13 +4,17 @@ Every member of a batch advances in lockstep, so the objective is only
 ever called on stacked 2-D arrays.  This keeps the per-iteration cost
 dominated by a handful of vectorized array operations instead of Python
 overhead, which matters when the objective itself is a few microseconds.
+Each iteration makes one objective call, on every trial step of every
+open member, and takes the gradient at the accepted steps from that
+call instead of evaluating the objective again.  Members may hold some
+coordinates fixed, and members leave the working arrays as they stop.
 ``bfgs_batch`` needs a smooth objective that supplies its gradient; the
 chi-capacity search is its only caller.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -26,95 +30,204 @@ class BatchResult(NamedTuple):
     x: np.ndarray          # (batch, n) best point per member
     fun: np.ndarray        # (batch,) best value per member
     converged: np.ndarray  # (batch,) bool: met a stopping rule before max_iter
-    iterations: int
+    iterations: int        # lockstep iterations run, the largest of ``stopped``
+    stopped: np.ndarray    # (batch,) iteration in which each member stopped
+
+
+class _Groups:
+    """Members that free the same coordinates, as row spans of the
+    working arrays.
+
+    The working arrays hold each member's free coordinates as a prefix
+    of ``width`` columns, zero beyond them, with the rows sorted by
+    group.  Every reduction over coordinates runs per group, on the
+    group's own columns: numpy sums a zero-padded row in another order,
+    which would change the last bits of a member's path.
+    """
+
+    def __init__(self, free: np.ndarray):
+        masks, member_of = np.unique(free, axis=0, return_inverse=True)
+        self.member_of = member_of.reshape(-1)
+        self.cols = [np.flatnonzero(mask) for mask in masks]
+        self.all_free = [mask.all() for mask in masks]
+        self.width = max(len(c) for c in self.cols)
+        # one group freeing every coordinate: each helper is the plain op
+        self.plain = len(masks) == 1 and self.all_free[0]
+
+    def spans(self, ids: np.ndarray) -> list[tuple[int, int, int]]:
+        """(start, stop, group) for each group present in sorted ``ids``."""
+        if self.plain:
+            return [(0, len(ids), 0)]
+        bounds = np.searchsorted(ids, np.arange(len(self.cols) + 1))
+        return [(int(bounds[j]), int(bounds[j + 1]), j)
+                for j in range(len(self.cols)) if bounds[j] < bounds[j + 1]]
+
+    def dot(self, a: np.ndarray, b: np.ndarray, spans) -> np.ndarray:
+        if self.plain:
+            return np.einsum("ki,ki->k", a, b)
+        out = np.empty(len(a))
+        for lo, hi, j in spans:
+            w = len(self.cols[j])
+            out[lo:hi] = np.einsum("ki,ki->k", a[lo:hi, :w], b[lo:hi, :w])
+        return out
+
+    def matvec(self, H: np.ndarray, v: np.ndarray, spans) -> np.ndarray:
+        if self.plain:
+            return np.einsum("kij,kj->ki", H, v)
+        out = np.zeros_like(v)
+        for lo, hi, j in spans:
+            w = len(self.cols[j])
+            out[lo:hi, :w] = np.einsum("kij,kj->ki", H[lo:hi, :w, :w], v[lo:hi, :w])
+        return out
+
+    def to_free(self, full: np.ndarray, spans) -> np.ndarray:
+        """Rows in the caller's layout -> free-coordinate prefixes."""
+        if self.plain:
+            return full
+        out = np.zeros((len(full), self.width))
+        for lo, hi, j in spans:
+            out[lo:hi, :len(self.cols[j])] = full[lo:hi, self.cols[j]]
+        return out
+
+    def to_full(self, x: np.ndarray, base: np.ndarray, spans) -> np.ndarray:
+        """Free-coordinate prefixes (k, ..., width) -> caller's layout,
+        the fixed coordinates taken from ``base`` (k, n)."""
+        if self.plain:
+            return x
+        full = np.empty(x.shape[:-1] + base.shape[-1:])
+        for lo, hi, j in spans:
+            cols = self.cols[j]
+            if self.all_free[j]:
+                full[lo:hi] = x[lo:hi, ..., :len(cols)]
+                continue
+            full[lo:hi] = base[lo:hi].reshape((hi - lo,) + (1,) * (x.ndim - 2) + (-1,))
+            full[lo:hi, ..., cols] = x[lo:hi, ..., :len(cols)]
+        return full
 
 
 def bfgs_batch(
-    func: Callable[..., object],
+    func: Callable[[np.ndarray], tuple],
     x0: np.ndarray,
     xatol: float = 1e-9,
     fatol: float = 0.0,
     max_iter: int | None = None,
+    free: Optional[np.ndarray] = None,
 ) -> BatchResult:
     """Minimize a smooth ``func`` independently for every row of ``x0``.
 
-    ``func(x, grad=True)`` maps a (k, n) array of points to a length-k
-    vector of values and a (k, n) array of gradients; ``func(x,
-    grad=False)`` returns the values alone.  Both must accept any k.
+    ``func(x)`` maps a (k, n) array of points to a length-k vector of
+    values and a callable ``gradient(rows)`` that returns the
+    (len(rows), n) gradients at ``x[rows]``; it must accept any k.
+    ``free``, a (batch, n) boolean mask, lets each member move only its
+    own coordinates; the others keep their ``x0`` values.  The
+    quasi-Newton algebra of a member runs on its free coordinates only,
+    so it follows the same path, bit for bit, as it would with those
+    coordinates alone.
 
     Each iteration evaluates the steps ``alpha = 2^8 ... 2^-11`` along
-    the quasi-Newton direction ``-H g`` in one call and takes the lowest
-    value among those meeting the Armijo condition; ``-g`` replaces a
-    direction that does not descend.  The inverse Hessian estimate ``H``
-    starts as the identity, is rescaled by ``s.y / y.y`` at the first
-    update, and skips updates with ``s.y <= 0``.  A member stops when no
-    trial step is accepted, when its step is at most ``xatol`` in every
-    coordinate, or when its decrease is at most ``fatol``; otherwise it
-    runs for ``max_iter`` iterations (200 when ``None``).
+    the quasi-Newton direction ``-H g`` of every open member in one call
+    and takes the lowest value among those meeting the Armijo condition;
+    ``-g`` replaces a direction that does not descend.  The gradient is
+    asked of that same call, at the accepted steps only.  The inverse
+    Hessian estimate ``H`` starts as the identity, is rescaled by
+    ``s.y / y.y`` at the first update, and skips updates with
+    ``s.y <= 0``.  A member stops when no trial step is accepted, when
+    its step is at most ``xatol`` in every coordinate, or when its
+    decrease is at most ``fatol``; otherwise it runs for ``max_iter``
+    iterations (200 when ``None``).  ``stopped`` records the iteration
+    in which each member stopped (the last one run for a member still
+    open at the cap).
     """
-    x = np.array(np.atleast_2d(x0), dtype=float)
-    batch, n = x.shape
+    x_best = np.array(np.atleast_2d(x0), dtype=float)
+    batch, n = x_best.shape
     if max_iter is None:
         max_iter = _BFGS_MAX_ITER
+    groups = _Groups(np.ones((batch, n), dtype=bool) if free is None
+                     else np.asarray(free, dtype=bool))
+    steps = len(_LADDER)
 
-    f, g = func(x, grad=True)
-    f = np.array(f, dtype=float)
-    g = np.array(g, dtype=float)
-    H = np.repeat(np.eye(n)[None], batch, axis=0)
+    # working arrays: open members only, sorted by group
+    live = np.argsort(groups.member_of, kind="stable")
+    gid = groups.member_of[live]
+    spans = groups.spans(gid)
+    base = x_best[live]
+    f_best, gradient = func(x_best)
+    f_best = np.array(f_best, dtype=float)
+    f = f_best[live]
+    x = groups.to_free(base, spans)
+    g = groups.to_free(np.array(gradient(live), dtype=float), spans)
+    H = np.repeat(np.eye(groups.width)[None], batch, axis=0)
     scaled = np.zeros(batch, dtype=bool)
-    still_open = np.ones(batch, dtype=bool)
+    converged = np.zeros(batch, dtype=bool)
+    stopped = np.zeros(batch, dtype=int)
     it = 0
 
-    while it < max_iter and np.any(still_open):
+    while it < max_iter and live.size:
         it += 1
-        act = np.flatnonzero(still_open)
-        xa, fa, ga = x[act], f[act], g[act]
-        d = -np.einsum("kij,kj->ki", H[act], ga)
-        slope = np.einsum("ki,ki->k", d, ga)
+        d = -groups.matvec(H, g, spans)
+        slope = groups.dot(d, g, spans)
         uphill = ~(slope < 0.0)
         if np.any(uphill):
-            d[uphill] = -ga[uphill]
-            slope[uphill] = -np.einsum("ki,ki->k", ga[uphill], ga[uphill])
+            d[uphill] = -g[uphill]
+            slope[uphill] = -groups.dot(g[uphill], g[uphill], groups.spans(gid[uphill]))
 
-        trial = xa[:, None, :] + _LADDER[:, None] * d[:, None, :]
-        ft = func(trial.reshape(-1, n), grad=False).reshape(len(act), -1)
-        ok = ft <= fa[:, None] + _ARMIJO * _LADDER * slope[:, None]
+        trial = x[:, None, :] + _LADDER[:, None] * d[:, None, :]
+        ft, gradient = func(groups.to_full(trial, base, spans).reshape(-1, n))
+        ft = ft.reshape(len(live), steps)
+        ok = ft <= f[:, None] + _ARMIJO * _LADDER * slope[:, None]
         pick = np.argmin(np.where(ok, ft, np.inf), axis=1)
-        rows = np.arange(len(act))
-        took = ok[rows, pick]
-        still_open[act[~took]] = False
-        if not np.any(took):
-            continue
+        took = np.flatnonzero(ok[np.arange(len(live)), pick])
+        done = np.ones(len(live), dtype=bool)
 
-        idx = act[took]
-        xn = trial[rows[took], pick[took]]
-        s = xn - xa[took]
-        fn, gn = func(xn, grad=True)
-        y = gn - ga[took]
-        sy = np.einsum("ki,ki->k", s, y)
+        if took.size:
+            at = took * steps + pick[took]
+            took_spans = groups.spans(gid[took])
+            xn = trial.reshape(-1, groups.width)[at]
+            fn = ft.reshape(-1)[at]
+            gn = groups.to_free(np.asarray(gradient(at), dtype=float), took_spans)
+            s = xn - x[took]
+            y = gn - g[took]
+            sy = groups.dot(s, y, took_spans)
 
-        upd = sy > 0.0
-        if np.any(upd):
-            iu = idx[upd]
-            su, yu, rho = s[upd], y[upd], 1.0 / sy[upd]
-            Hu = H[iu]
-            first = ~scaled[iu]
-            if np.any(first):
-                Hu[first] *= (sy[upd][first]
-                              / np.einsum("ki,ki->k", yu[first], yu[first]))[:, None, None]
-                scaled[iu] = True
-            Hy = np.einsum("kij,kj->ki", Hu, yu)
-            yHy = np.einsum("ki,ki->k", yu, Hy)
-            Hu -= rho[:, None, None] * (su[:, :, None] * Hy[:, None, :]
-                                        + Hy[:, :, None] * su[:, None, :])
-            Hu += ((rho * rho * yHy + rho)[:, None, None]
-                   * su[:, :, None] * su[:, None, :])
-            H[iu] = Hu
+            upd = sy > 0.0
+            if np.any(upd):
+                iu = took[upd]
+                upd_spans = groups.spans(gid[iu])
+                su, yu, rho = s[upd], y[upd], 1.0 / sy[upd]
+                # update in place when every open member takes part
+                Hu = H if len(iu) == len(H) else H[iu]
+                first = ~scaled[iu]
+                if np.any(first):
+                    Hu[first] *= (sy[upd][first] / groups.dot(
+                        yu[first], yu[first], groups.spans(gid[iu[first]])))[:, None, None]
+                    scaled[iu] = True
+                Hy = groups.matvec(Hu, yu, upd_spans)
+                yHy = groups.dot(yu, Hy, upd_spans)
+                Hu -= rho[:, None, None] * (su[:, :, None] * Hy[:, None, :]
+                                            + Hy[:, :, None] * su[:, None, :])
+                Hu += ((rho * rho * yHy + rho)[:, None, None]
+                       * su[:, :, None] * su[:, None, :])
+                if Hu is not H:
+                    H[iu] = Hu
 
-        done = (np.abs(s).max(axis=1) <= xatol) | (fa[took] - fn <= fatol)
-        x[idx] = xn
-        f[idx] = fn
-        g[idx] = gn
-        still_open[idx[done]] = False
+            done[took] = (np.abs(s).max(axis=1) <= xatol) | (f[took] - fn <= fatol)
+            x[took] = xn
+            f[took] = fn
+            g[took] = gn
+        gradient = None  # frees this pass's intermediates before the next
 
-    return BatchResult(x, f, ~still_open, it)
+        if np.any(done):
+            out = live[done]
+            x_best[out] = groups.to_full(x[done], base[done], groups.spans(gid[done]))
+            f_best[out] = f[done]
+            converged[out] = True
+            stopped[out] = it
+            keep = ~done
+            live, gid, base, x, f, g, H, scaled = (
+                a[keep] for a in (live, gid, base, x, f, g, H, scaled))
+            spans = groups.spans(gid)
+
+    x_best[live] = groups.to_full(x, base, spans)
+    f_best[live] = f
+    stopped[live] = it
+    return BatchResult(x_best, f_best, converged, it, stopped)

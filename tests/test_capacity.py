@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from qcap import capacity
 from qcap.capacity import (
     CapacityBounds,
     ChiConfig,
     Ensemble,
+    _chi_objective,
     _neg_chi_objective,
+    _pad_starts,
     _random_starts,
+    _structured_starts,
     chi_capacity_grid_oracle,
     chi_capacity_numeric,
     gad_bounds,
@@ -29,6 +33,7 @@ from qcap.core import (
     is_completely_positive,
     ptm_from_params,
 )
+from qcap.optimize import _LADDER, bfgs_batch
 from qcap.sinkhorn import ScalingPair, family_unital_params
 
 H_QUARTER = 0.8112781244591328           # h(1/4) = 2 - (3/4) log2(3)
@@ -342,8 +347,108 @@ def test_chi_converges_before_the_iteration_cap():
     lambda: ChiConfig(starts=-1),
     lambda: ChiConfig(sizes=(1, 2), starts=0),
     lambda: ChiConfig(starts=0, structured_starts=False),
+    lambda: ChiConfig(max_iter=0),
 ], ids=["gad-p-nan", "gad-gt-nan", "chi-no-sizes", "chi-size-5",
-        "chi-negative-starts", "chi-size-1-no-start", "chi-no-start"])
+        "chi-negative-starts", "chi-size-1-no-start", "chi-no-start",
+        "chi-max-iter-0"])
 def test_bad_settings_raise_value_error(make):
     with pytest.raises(ValueError):
         make()
+
+
+def _ptm_parts(channel):
+    ptm = _as_ptm(channel)
+    return np.ascontiguousarray(ptm[1:, 1:]), ptm[1:, 0]
+
+
+def _chi_per_size(channel, cfg):
+    # the search as it ran before the lockstep batch: one bfgs_batch call
+    # per ensemble size on that size's unpadded starts, the same draws
+    M, t = _ptm_parts(channel)
+    rng = np.random.default_rng(cfg.seed)
+    best, iterations = None, 0
+    for m in cfg.sizes:
+        x0 = np.vstack([_structured_starts(m), _random_starts(rng, m, cfg.starts)])
+        res = bfgs_batch(_chi_objective(M, t), x0, xatol=cfg.xatol,
+                         fatol=cfg.fatol, max_iter=cfg.max_iter)
+        iterations += res.iterations
+        k = int(np.argmin(res.fun))
+        if best is None or -res.fun[k] > best[0]:
+            best = (float(-res.fun[k]), m)
+    return best[0], best[1], iterations
+
+
+@pytest.mark.parametrize("channel", [
+    gad_params(0.475, 1.0),
+    mix_params(0.3),
+    PauliChannelParams(0.6, -0.4, 0.3, 0.0),
+    PauliChannelParams(0.5, 0.4, 0.3, 0.3),
+], ids=["gad", "mix", "unital", "custom"])
+@pytest.mark.parametrize("sizes", [(2, 3, 4), (2,), (4, 2), (3, 4)])
+def test_lockstep_chi_matches_one_batch_per_size(channel, sizes):
+    cfg = ChiConfig(sizes=sizes, seed=(7, len(sizes)))
+    value, m, iterations = _chi_per_size(channel, cfg)
+    got = chi_capacity_numeric(channel, cfg)
+    assert abs(got.value - value) <= 4 * math.ulp(value)
+    assert got.iterations == iterations
+    assert got.ensemble.size == m
+
+
+def test_padding_states_are_inert():
+    M, t = _ptm_parts(PauliChannelParams(0.5, 0.4, 0.3, 0.3))
+    rng = np.random.default_rng(29)
+    blocks = [_pad_starts(_random_starts(rng, m, 5), m, 4) for m in (1, 2, 3, 4)]
+    x0 = np.vstack([x for x, _ in blocks])
+    fixed = ~np.vstack([free for _, free in blocks])
+    # every coordinate free: the padding gets gradient exactly 0 and so
+    # never moves, while the row's own coordinates converge
+    res = bfgs_batch(_chi_objective(M, t), x0, xatol=1e-7, fatol=1e-12)
+    assert np.array_equal(res.x[fixed], x0[fixed])
+    assert np.all(res.converged)
+    # padding leaves each row's value and gradient on its own coordinates
+    # bit for bit as without it
+    for (x, free), m in zip(blocks, (1, 2, 3, 4)):
+        value, grad = _neg_chi_objective(M, t, 4)(x)
+        own_value, own_grad = _neg_chi_objective(M, t, m)(
+            np.ascontiguousarray(x[free].reshape(len(x), -1)))
+        assert np.array_equal(value, own_value)
+        assert np.array_equal(grad[free].reshape(len(x), -1), own_grad)
+        assert not np.any(grad[~free])
+
+
+def test_gradient_from_the_trial_pass_matches_a_fresh_evaluation():
+    M, t = _ptm_parts(gad_params(0.3, 0.7))
+    rng = np.random.default_rng(31)
+    x0 = np.vstack([_pad_starts(_random_starts(rng, m, 4), m, 4)[0] for m in (2, 3, 4)])
+    _, grad = _neg_chi_objective(M, t, 4)(x0)
+    trial = (x0[:, None, :] - _LADDER[:, None] * grad[:, None, :]).reshape(-1, x0.shape[1])
+    values, gradient = _chi_objective(M, t)(trial)
+    rows = np.array([3, 20, 41, 77, 150, len(trial) - 1])
+    fresh_values, fresh_grad = _neg_chi_objective(M, t, 4)(trial[rows])
+    assert np.array_equal(values[rows], fresh_values)
+    assert np.array_equal(gradient(rows), fresh_grad)
+
+
+def test_default_chi_solve_makes_one_forward_pass_per_iteration(monkeypatch):
+    # a timing-free guard for the lockstep solve: one objective pass per
+    # iteration over every size's starts, no per-size batches and no
+    # separate gradient pass
+    passes, batches = [], []
+    forward, solve = capacity._chi_forward, capacity.bfgs_batch
+
+    def counting_forward(M, t, params):
+        passes.append(len(params))
+        return forward(M, t, params)
+
+    def recording_solve(*args, **kwargs):
+        batches.append(solve(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(capacity, "_chi_forward", counting_forward)
+    monkeypatch.setattr(capacity, "bfgs_batch", recording_solve)
+    cfg = ChiConfig()
+    result = chi_capacity_numeric(gad_params(0.475, 1.0), cfg)
+    assert len(batches) == 1
+    assert len(passes) == batches[0].iterations + 1
+    assert passes[0] == len(cfg.sizes) * (cfg.starts + 3)
+    assert batches[0].iterations < result.iterations

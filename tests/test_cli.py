@@ -324,8 +324,18 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
     (["sweep", *GAD_SWEEP, "--chi", "--chi-starts", "-1"], 2, "starts"),
     (["sinkhorn", *CHANNEL, "--method", "iterate", "--max-iter", "0"], 4,
      "after 0 sweeps"),
+    (["QCAP_SEED=abc", "sweep", "--mix", "--x", "p", "--min", "0.1", "--max", "0.9",
+      "--steps", "3"], 2, "QCAP_SEED"),
+    (["QCAP_SEED=abc", "analyze", *GAD_ARGS], 2, "QCAP_SEED"),
+    (["QCAP_SEED=abc", "verify", "--suite", "core"], 2, "QCAP_SEED"),
+    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "1", "--chi", "--chi-max-iter", "0",
+      "--chi-sizes", "2", "--chi-starts", "2"], 2, "max_iter"),
 ])
-def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys):
+def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
+    while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell
+        name, value = args[0].split("=", 1)
+        monkeypatch.setenv(name, value)
+        args = args[1:]
     # an uncaught exception would end the command with a traceback and exit 1
     try:
         code = cli.main(args)
