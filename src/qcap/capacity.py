@@ -292,11 +292,14 @@ def _stick_weights(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # (k, m-1) stick fractions sigmoid(logits); the clip keeps exp finite
     # for the far trial steps of the line search
     k, mm1 = logits.shape
-    s = 1.0 / (1.0 + np.exp(-np.clip(logits, -_LOGIT_CLIP, _LOGIT_CLIP)))
-    if mm1 == 0:
-        return np.ones((k, 1)), s
-    rem = np.cumprod(1.0 - s, axis=1)
-    return np.concatenate([s[:, :1], s[:, 1:] * rem[:, :-1], rem[:, -1:]], axis=1), s
+    s = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(logits, -_LOGIT_CLIP), _LOGIT_CLIP)))
+    w = np.ones((k, mm1 + 1))
+    if mm1:
+        rem = np.cumprod(1.0 - s, axis=1)
+        w[:, 0] = s[:, 0]
+        np.multiply(s[:, 1:], rem[:, :-1], out=w[:, 1:-1])
+        w[:, -1] = rem[:, -1]
+    return w, s
 
 
 _Q0 = -1.0 / math.log(2.0)  # q(0), the r -> 0 limit of the entropy slope
@@ -317,18 +320,15 @@ class _Forward(NamedTuple):
     """One evaluation of the negated Holevo quantity on a batch, with the
     intermediates its gradient is taken from, one row per point."""
 
-    value: np.ndarray   # (k,)
-    st: np.ndarray      # (k, m) sin and cos of the polar angles
-    ct: np.ndarray
-    sp: np.ndarray      # (k, m) sin and cos of the azimuths
-    cp: np.ndarray
-    w: np.ndarray       # (k, m) weights
-    frac: np.ndarray    # (k, m - 1) stick fractions
-    out: np.ndarray     # (k, m, 3) output Bloch vectors
-    radii: np.ndarray   # (k, m)
-    avg: np.ndarray     # (k, 3) average output
-    r_avg: np.ndarray   # (k,)
-    s_each: np.ndarray  # (k, m) output entropies
+    value: np.ndarray  # (k,)
+    sin: np.ndarray    # (k, 2m) sines and cosines of the angles
+    cos: np.ndarray
+    w: np.ndarray      # (k, m) weights
+    frac: np.ndarray   # (k, m - 1) stick fractions
+    out: np.ndarray    # (k, m, 3) output Bloch vectors
+    avg: np.ndarray    # (k, 3) average output
+    r: np.ndarray      # (k, 1 + m) Bloch radii of the average, then of each output
+    s: np.ndarray      # (k, 1 + m) their entropies
 
 
 def _chi_forward(M: np.ndarray, t: np.ndarray, params: np.ndarray) -> _Forward:
@@ -342,21 +342,22 @@ def _chi_forward(M: np.ndarray, t: np.ndarray, params: np.ndarray) -> _Forward:
     m = (params.shape[1] + 1) // 3
     ang = np.ascontiguousarray(params[:, : 2 * m])
     sin, cos = np.sin(ang), np.cos(ang)
-    st, sp = sin[:, 0::2], sin[:, 1::2]
-    ct, cp = cos[:, 0::2], cos[:, 1::2]
-    states = np.stack([st * cp, st * sp, ct], axis=-1)
+    states = np.empty((k, m, 3))
+    np.multiply(sin[:, 0::2], cos[:, 1::2], out=states[..., 0])
+    np.multiply(sin[:, 0::2], sin[:, 1::2], out=states[..., 1])
+    states[..., 2] = cos[:, 0::2]
     w, frac = _stick_weights(params[:, 2 * m:])
     # one (k m, 3) product: numpy would loop over k tiny (m, 3) ones
     out = (states.reshape(-1, 3) @ M.T).reshape(k, m, 3) + t
-    radii = np.sqrt(np.einsum("kmi,kmi->km", out, out))
-    np.clip(radii, 0.0, 1.0, out=radii)
     avg = np.einsum("km,kmi->ki", w, out)
-    r_avg = np.sqrt(np.einsum("ki,ki->k", avg, avg))
-    np.clip(r_avg, 0.0, 1.0, out=r_avg)
-    s_avg = entropy_kernel(0.5 * (1.0 - r_avg))
-    s_each = entropy_kernel(0.5 * (1.0 - radii))
-    value = -(s_avg - np.einsum("km,km->k", w, s_each))
-    return _Forward(value, st, ct, sp, cp, w, frac, out, radii, avg, r_avg, s_each)
+    r = np.empty((k, 1 + m))
+    np.sqrt(np.einsum("ki,ki->k", avg, avg), out=r[:, 0])
+    np.sqrt(np.einsum("kmi,kmi->km", out, out), out=r[:, 1:])
+    # a root of a sum of squares is >= +0, so only the top needs a clip
+    np.minimum(r, 1.0, out=r)
+    s = entropy_kernel(0.5 * (1.0 - r))
+    value = -(s[:, 0] - np.einsum("km,km->k", w, s[:, 1:]))
+    return _Forward(value, sin, cos, w, frac, out, avg, r, s)
 
 
 def _chi_gradient(M: np.ndarray, fw: _Forward, rows) -> np.ndarray:
@@ -372,18 +373,23 @@ def _chi_gradient(M: np.ndarray, fw: _Forward, rows) -> np.ndarray:
     with s_i = sigmoid(l_i); dchi/do_k is pulled back through M^T and
     the angle derivatives of n_k.
     """
-    st, ct, sp, cp, w, frac, out, radii, avg, r_avg, s_each = (a[rows] for a in fw[1:])
+    sin, cos, w, frac, out, avg, r, s = (np.take(a, rows, axis=0) for a in fw[1:])
     k, m = w.shape
-    qa = _entropy_slope(r_avg)[:, None] * avg
-    qo = _entropy_slope(radii)[..., None] * out
+    st, sp, ct, cp = sin[:, 0::2], sin[:, 1::2], cos[:, 0::2], cos[:, 1::2]
+    q = _entropy_slope(r)
+    qa = q[:, :1] * avg
+    qo = q[:, 1:, None] * out
     g_n = ((w[..., None] * (qa[:, None, :] - qo)).reshape(-1, 3) @ M).reshape(k, m, 3)
     d_th = (g_n[..., 0] * cp + g_n[..., 1] * sp) * ct - g_n[..., 2] * st
     d_ph = (g_n[..., 1] * cp - g_n[..., 0] * sp) * st
-    wg = w * (np.einsum("ki,kmi->km", qa, out) - s_each)
+    wg = w * (np.einsum("ki,kmi->km", qa, out) - s[:, 1:])
     later = np.cumsum(wg[:, :0:-1], axis=1)[:, ::-1]
     d_l = (1.0 - frac) * wg[:, :-1] - frac * later
-    d_ang = np.stack([d_th, d_ph], axis=-1).reshape(k, 2 * m)
-    return -np.concatenate([d_ang, d_l], axis=1)
+    grad = np.empty((k, 3 * m - 1))
+    np.negative(d_th, out=grad[:, 0:2 * m:2])
+    np.negative(d_ph, out=grad[:, 1:2 * m:2])
+    np.negative(d_l, out=grad[:, 2 * m:])
+    return grad
 
 
 def _chi_objective(M: np.ndarray, t: np.ndarray):
@@ -407,7 +413,7 @@ def _neg_chi_objective(M: np.ndarray, t: np.ndarray, m: int):
     def neg_chi(params: np.ndarray, grad: bool = True):
         assert params.shape[1] == 3 * m - 1
         fw = _chi_forward(M, t, params)
-        return (fw.value, _chi_gradient(M, fw, slice(None))) if grad else fw.value
+        return (fw.value, _chi_gradient(M, fw, np.arange(len(params)))) if grad else fw.value
 
     return neg_chi
 

@@ -48,60 +48,70 @@ class _Groups:
     def __init__(self, free: np.ndarray):
         masks, member_of = np.unique(free, axis=0, return_inverse=True)
         self.member_of = member_of.reshape(-1)
-        self.cols = [np.flatnonzero(mask) for mask in masks]
-        self.all_free = [mask.all() for mask in masks]
-        self.width = max(len(c) for c in self.cols)
-        # one group freeing every coordinate: each helper is the plain op
-        self.plain = len(masks) == 1 and self.all_free[0]
+        self.widths = [int(mask.sum()) for mask in masks]
+        self.width = max(self.widths)
+        # each group's free columns as runs (prefix start, column, length)
+        self.runs = []
+        for mask in masks:
+            edges = np.flatnonzero(np.diff(np.concatenate([[0], mask, [0]]).astype(int)))
+            starts, stops = edges[::2], edges[1::2]
+            prefix = np.concatenate([[0], np.cumsum(stops - starts)[:-1]])
+            self.runs.append(list(zip(prefix.tolist(), starts.tolist(),
+                                      (stops - starts).tolist())))
+        self.edges = np.arange(len(masks) + 1)
 
     def spans(self, ids: np.ndarray) -> list[tuple[int, int, int]]:
         """(start, stop, group) for each group present in sorted ``ids``."""
-        if self.plain:
+        if len(self.widths) == 1:
             return [(0, len(ids), 0)]
-        bounds = np.searchsorted(ids, np.arange(len(self.cols) + 1))
-        return [(int(bounds[j]), int(bounds[j + 1]), j)
-                for j in range(len(self.cols)) if bounds[j] < bounds[j + 1]]
+        b = np.searchsorted(ids, self.edges).tolist()
+        return [(b[j], b[j + 1], j) for j in range(len(b) - 1) if b[j] < b[j + 1]]
+
+    def _whole(self, spans, width: int) -> bool:
+        # one group whose free prefix fills ``width`` columns: the plain
+        # op on the whole arrays is the per-group one
+        return len(spans) == 1 and self.widths[spans[0][2]] == width
 
     def dot(self, a: np.ndarray, b: np.ndarray, spans) -> np.ndarray:
-        if self.plain:
+        if self._whole(spans, self.width):
             return np.einsum("ki,ki->k", a, b)
         out = np.empty(len(a))
         for lo, hi, j in spans:
-            w = len(self.cols[j])
+            w = self.widths[j]
             out[lo:hi] = np.einsum("ki,ki->k", a[lo:hi, :w], b[lo:hi, :w])
         return out
 
     def matvec(self, H: np.ndarray, v: np.ndarray, spans) -> np.ndarray:
-        if self.plain:
+        if self._whole(spans, self.width):
             return np.einsum("kij,kj->ki", H, v)
         out = np.zeros_like(v)
         for lo, hi, j in spans:
-            w = len(self.cols[j])
+            w = self.widths[j]
             out[lo:hi, :w] = np.einsum("kij,kj->ki", H[lo:hi, :w, :w], v[lo:hi, :w])
         return out
 
     def to_free(self, full: np.ndarray, spans) -> np.ndarray:
         """Rows in the caller's layout -> free-coordinate prefixes."""
-        if self.plain:
+        if self._whole(spans, full.shape[-1]):
             return full
         out = np.zeros((len(full), self.width))
         for lo, hi, j in spans:
-            out[lo:hi, :len(self.cols[j])] = full[lo:hi, self.cols[j]]
+            for src, col, length in self.runs[j]:
+                out[lo:hi, src:src + length] = full[lo:hi, col:col + length]
         return out
 
     def to_full(self, x: np.ndarray, base: np.ndarray, spans) -> np.ndarray:
         """Free-coordinate prefixes (k, ..., width) -> caller's layout,
         the fixed coordinates taken from ``base`` (k, n)."""
-        if self.plain:
+        n = base.shape[-1]
+        if self._whole(spans, n):
             return x
-        full = np.empty(x.shape[:-1] + base.shape[-1:])
+        full = np.empty(x.shape[:-1] + (n,))
         for lo, hi, j in spans:
-            cols = self.cols[j]
-            if self.all_free[j]:
-                full[lo:hi] = x[lo:hi, ..., :len(cols)]
-                continue
-            full[lo:hi] = base[lo:hi].reshape((hi - lo,) + (1,) * (x.ndim - 2) + (-1,))
-            full[lo:hi, ..., cols] = x[lo:hi, ..., :len(cols)]
+            if self.widths[j] < n:
+                full[lo:hi] = base[lo:hi].reshape((hi - lo,) + (1,) * (x.ndim - 2) + (-1,))
+            for src, col, length in self.runs[j]:
+                full[lo:hi, ..., col:col + length] = x[lo:hi, ..., src:src + length]
         return full
 
 
@@ -167,7 +177,7 @@ def bfgs_batch(
         d = -groups.matvec(H, g, spans)
         slope = groups.dot(d, g, spans)
         uphill = ~(slope < 0.0)
-        if np.any(uphill):
+        if uphill.any():
             d[uphill] = -g[uphill]
             slope[uphill] = -groups.dot(g[uphill], g[uphill], groups.spans(gid[uphill]))
 
@@ -190,23 +200,27 @@ def bfgs_batch(
             sy = groups.dot(s, y, took_spans)
 
             upd = sy > 0.0
-            if np.any(upd):
+            if upd.any():
                 iu = took[upd]
                 upd_spans = groups.spans(gid[iu])
                 su, yu, rho = s[upd], y[upd], 1.0 / sy[upd]
                 # update in place when every open member takes part
                 Hu = H if len(iu) == len(H) else H[iu]
                 first = ~scaled[iu]
-                if np.any(first):
+                if first.any():
                     Hu[first] *= (sy[upd][first] / groups.dot(
                         yu[first], yu[first], groups.spans(gid[iu[first]])))[:, None, None]
                     scaled[iu] = True
                 Hy = groups.matvec(Hu, yu, upd_spans)
                 yHy = groups.dot(yu, Hy, upd_spans)
-                Hu -= rho[:, None, None] * (su[:, :, None] * Hy[:, None, :]
-                                            + Hy[:, :, None] * su[:, None, :])
-                Hu += ((rho * rho * yHy + rho)[:, None, None]
-                       * su[:, :, None] * su[:, None, :])
+                # H -= rho (s Hy^T + Hy s^T); H += (rho^2 y.Hy + rho) s s^T
+                step = su[:, :, None] * Hy[:, None, :]
+                step += Hy[:, :, None] * su[:, None, :]
+                step *= rho[:, None, None]
+                Hu -= step
+                np.multiply((rho * rho * yHy + rho)[:, None, None] * su[:, :, None],
+                            su[:, None, :], out=step)
+                Hu += step
                 if Hu is not H:
                     H[iu] = Hu
 
@@ -216,7 +230,7 @@ def bfgs_batch(
             g[took] = gn
         gradient = None  # frees this pass's intermediates before the next
 
-        if np.any(done):
+        if done.any():
             out = live[done]
             x_best[out] = groups.to_full(x[done], base[done], groups.spans(gid[done]))
             f_best[out] = f[done]
