@@ -489,8 +489,7 @@ def chi_capacity_numeric(channel: ChannelOrParams,
     axis-aligned ones).  The starts of all sizes are refined together,
     as one lockstep BFGS batch on the closed-form gradient: every row
     is padded to the largest size with states of weight exactly 0,
-    which never move, so each row follows the path it would follow
-    alone.  The best value across all starts and sizes is returned
+    held fixed, and follows bit for bit the path it would follow alone.  The best value across all starts and sizes is returned
     together with the maximizing ensemble, which holds its own size's
     states; ties go to the earlier size and start.  ``converged``
     records whether that start met a stopping rule rather than the
