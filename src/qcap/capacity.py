@@ -488,10 +488,11 @@ def chi_capacity_numeric(channel: ChannelOrParams,
     size gets a batch of seeded random starts (plus a few deterministic
     axis-aligned ones).  The starts of all sizes are refined together,
     as one lockstep BFGS batch on the closed-form gradient: every row
-    is padded to the largest size with states of weight exactly 0,
-    held fixed, and follows bit for bit the path it would follow alone.  The best value across all starts and sizes is returned
-    together with the maximizing ensemble, which holds its own size's
-    states; ties go to the earlier size and start.  ``converged``
+    is padded to the largest size with states of weight exactly 0, held
+    fixed, so the padding adds only zero terms to the row's sums.  The
+    best value across all starts and sizes is returned together with
+    the maximizing ensemble, which holds its own size's states; ties go
+    to the earlier size and start.  ``converged``
     records whether that start met a stopping rule rather than the
     iteration cap, and ``iterations`` sums over the sizes the last
     iteration in which any start of that size was still open.

@@ -62,19 +62,10 @@ class _Groups:
 
     def spans(self, ids: np.ndarray) -> list[tuple[int, int, int]]:
         """(start, stop, group) for each group present in sorted ``ids``."""
-        if len(self.widths) == 1:
-            return [(0, len(ids), 0)]
         b = np.searchsorted(ids, self.edges).tolist()
         return [(b[j], b[j + 1], j) for j in range(len(b) - 1) if b[j] < b[j + 1]]
 
-    def _whole(self, spans, width: int) -> bool:
-        # one group whose free prefix fills ``width`` columns: the plain
-        # op on the whole arrays is the per-group one
-        return len(spans) == 1 and self.widths[spans[0][2]] == width
-
     def dot(self, a: np.ndarray, b: np.ndarray, spans) -> np.ndarray:
-        if self._whole(spans, self.width):
-            return np.einsum("ki,ki->k", a, b)
         out = np.empty(len(a))
         for lo, hi, j in spans:
             w = self.widths[j]
@@ -82,8 +73,6 @@ class _Groups:
         return out
 
     def matvec(self, H: np.ndarray, v: np.ndarray, spans) -> np.ndarray:
-        if self._whole(spans, self.width):
-            return np.einsum("kij,kj->ki", H, v)
         out = np.zeros_like(v)
         for lo, hi, j in spans:
             w = self.widths[j]
@@ -92,8 +81,6 @@ class _Groups:
 
     def to_free(self, full: np.ndarray, spans) -> np.ndarray:
         """Rows in the caller's layout -> free-coordinate prefixes."""
-        if self._whole(spans, full.shape[-1]):
-            return full
         out = np.zeros((len(full), self.width))
         for lo, hi, j in spans:
             for src, col, length in self.runs[j]:
@@ -104,8 +91,6 @@ class _Groups:
         """Free-coordinate prefixes (k, ..., width) -> caller's layout,
         the fixed coordinates taken from ``base`` (k, n)."""
         n = base.shape[-1]
-        if self._whole(spans, n):
-            return x
         full = np.empty(x.shape[:-1] + (n,))
         for lo, hi, j in spans:
             if self.widths[j] < n:
@@ -113,6 +98,32 @@ class _Groups:
             for src, col, length in self.runs[j]:
                 full[lo:hi, ..., col:col + length] = x[lo:hi, ..., src:src + length]
         return full
+
+
+class _Plain:
+    """Members that all move every coordinate: one group spanning the
+    whole working arrays, so each reduction is one call and no copy is
+    made.  It has the interface of ``_Groups``, whose per-group slices
+    and copies would add a fifth to a small single-size chi solve."""
+
+    def __init__(self, batch: int, n: int):
+        self.member_of = np.zeros(batch, dtype=int)
+        self.width = n
+
+    def spans(self, ids: np.ndarray) -> None:
+        return None
+
+    def dot(self, a: np.ndarray, b: np.ndarray, spans) -> np.ndarray:
+        return np.einsum("ki,ki->k", a, b)
+
+    def matvec(self, H: np.ndarray, v: np.ndarray, spans) -> np.ndarray:
+        return np.einsum("kij,kj->ki", H, v)
+
+    def to_free(self, full: np.ndarray, spans) -> np.ndarray:
+        return full
+
+    def to_full(self, x: np.ndarray, base: np.ndarray, spans) -> np.ndarray:
+        return x
 
 
 def bfgs_batch(
@@ -131,8 +142,7 @@ def bfgs_batch(
     ``free``, a (batch, n) boolean mask, lets each member move only its
     own coordinates; the others keep their ``x0`` values.  The
     quasi-Newton algebra of a member runs on its free coordinates only,
-    so it follows the same path, bit for bit, as it would with those
-    coordinates alone.
+    so its fixed coordinates never enter a reduction.
 
     Each iteration evaluates the steps ``alpha = 2^8 ... 2^-11`` along
     the quasi-Newton direction ``-H g`` of every open member in one call
@@ -152,8 +162,8 @@ def bfgs_batch(
     batch, n = x_best.shape
     if max_iter is None:
         max_iter = _BFGS_MAX_ITER
-    groups = _Groups(np.ones((batch, n), dtype=bool) if free is None
-                     else np.asarray(free, dtype=bool))
+    free = np.ones((batch, n), dtype=bool) if free is None else np.asarray(free, dtype=bool)
+    groups = _Plain(batch, n) if free.all() else _Groups(free)
     steps = len(_LADDER)
 
     # working arrays: open members only, sorted by group
@@ -204,8 +214,7 @@ def bfgs_batch(
                 iu = took[upd]
                 upd_spans = groups.spans(gid[iu])
                 su, yu, rho = s[upd], y[upd], 1.0 / sy[upd]
-                # update in place when every open member takes part
-                Hu = H if len(iu) == len(H) else H[iu]
+                Hu = H[iu]
                 first = ~scaled[iu]
                 if first.any():
                     Hu[first] *= (sy[upd][first] / groups.dot(
@@ -221,8 +230,7 @@ def bfgs_batch(
                 np.multiply((rho * rho * yHy + rho)[:, None, None] * su[:, :, None],
                             su[:, None, :], out=step)
                 Hu += step
-                if Hu is not H:
-                    H[iu] = Hu
+                H[iu] = Hu
 
             done[took] = (np.abs(s).max(axis=1) <= xatol) | (f[took] - fn <= fatol)
             x[took] = xn
