@@ -119,8 +119,8 @@ class ChiConfig:
     starts are prepended when ``structured_starts`` is set.  Each start
     is refined by BFGS until its step is at most ``xatol`` in every
     coordinate, its decrease is at most ``fatol``, or no trial step is
-    accepted; ``max_iter``, at least 1, caps the iterations (200 when
-    ``None``).
+    accepted; ``xatol`` and ``fatol`` must be at least 0, and
+    ``max_iter``, at least 1, caps the iterations (200 when ``None``).
     Identical configs give bit-identical results.
     """
 
@@ -140,6 +140,9 @@ class ChiConfig:
             raise ValueError(f"chi starts = {self.starts} leave a size with no start")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"chi max_iter = {self.max_iter} must be at least 1")
+        for name in ("xatol", "fatol"):
+            if not getattr(self, name) >= 0.0:  # also rejects NaN
+                raise ValueError(f"chi {name} = {getattr(self, name)} must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -339,9 +339,24 @@ def entropy_kernel(x: np.ndarray) -> np.ndarray:
 
 
 def binary_entropy(x) -> Union[float, np.ndarray]:
-    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0."""
+    """h(x) = -x log2 x - (1-x) log2 (1-x), with h(0) = h(1) = 0.
+
+    Arguments within 1e-12 outside [0, 1] are clamped; others, and NaN,
+    raise ValueError.  A float takes a scalar path that repeats
+    ``entropy_kernel``'s operations in order, with numpy's ``log2`` (whose
+    last bits ``math.log2`` does not always match), so it returns the
+    same bits as the array path.
+    """
+    if isinstance(x, float):
+        if not -1e-12 <= x <= 1.0 + 1e-12:
+            raise ValueError(f"binary_entropy argument outside [0, 1]: {x}")
+        x = min(max(x, 0.0), 1.0)
+        c = 1.0 - x
+        lx = float(np.log2(x)) * x if x > 0.0 else 0.0
+        lc = float(np.log2(c)) * c if c > 0.0 else 0.0
+        return 0.0 - (lx + lc)
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+    if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
         raise ValueError(f"binary_entropy argument outside [0, 1]: {x}")
     out = entropy_kernel(np.clip(arr, 0.0, 1.0))
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
@@ -367,11 +382,18 @@ def operator_norm(K) -> float:
     K = np.asarray(K, dtype=complex)
     if K.shape == (2, 2):
         g = K.conj().T @ K
-        tr = g[0, 0].real + g[1, 1].real
-        det = max((g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real, 0.0)
-        disc = max(tr * tr - 4.0 * det, 0.0)
-        return math.sqrt(0.5 * (tr + math.sqrt(disc)))
+        return gram_norm_2x2(g[0, 0].real + g[1, 1].real,
+                             (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real)
     return float(np.linalg.norm(K, 2))
+
+
+def gram_norm_2x2(tr: float, det: float) -> float:
+    """Largest singular value of a 2x2 K from the trace and determinant
+    of its Gram matrix K'K (rounding may leave det or the discriminant
+    slightly negative; both are clamped at 0)."""
+    det = max(det, 0.0)
+    disc = max(tr * tr - 4.0 * det, 0.0)
+    return math.sqrt(0.5 * (tr + math.sqrt(disc)))
 
 
 def inverse_2x2(M) -> np.ndarray:

@@ -28,6 +28,7 @@ from .core import (
     QubitChannel,
     _as_ptm,
     apply_channel_matrix,
+    gram_norm_2x2,
     inverse_2x2,
     is_interior,
     is_trace_preserving,
@@ -53,8 +54,8 @@ class ScalingPair:
 
     @classmethod
     def from_operators(cls, a, b, iterations: Optional[int] = None) -> "ScalingPair":
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
+        a = np.array(a, dtype=complex)
+        b = np.array(b, dtype=complex)
         a.flags.writeable = False
         b.flags.writeable = False
         return cls(
@@ -130,12 +131,34 @@ def family_scaling_pair(params: PauliChannelParams) -> ScalingPair:
     unital and trace preserving, which yields
     B = sqrt(2/(PS+MR)) diag(1/sqrt(PM), 1/sqrt(RS)) with
     P, M, R, S = sqrt(1 +- t3 +- l3).
+
+    The four norms are computed from the diagonal entries, with the same
+    bits as ``ScalingPair.from_operators(a, b)``.
     """
     p, m, r, s = _family_roots(params)
-    a = np.diag([math.sqrt(m * s), math.sqrt(p * r)]).astype(complex)
+    a0, a1 = math.sqrt(m * s), math.sqrt(p * r)
     g = math.sqrt(2.0 / (p * s + m * r))
-    b = g * np.diag([1.0 / math.sqrt(p * m), 1.0 / math.sqrt(r * s)]).astype(complex)
-    return ScalingPair.from_operators(a, b)
+    b0, b1 = g * (1.0 / math.sqrt(p * m)), g * (1.0 / math.sqrt(r * s))
+    a = np.array([[a0, 0.0], [0.0, a1]], dtype=complex)
+    b = np.array([[b0, 0.0], [0.0, b1]], dtype=complex)
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return ScalingPair(a, b, _diagonal_norm(a0, a1), _diagonal_norm(b0, b1),
+                       _diagonal_inverse_norm(a0, a1), _diagonal_inverse_norm(b0, b1))
+
+
+def _diagonal_norm(d0: float, d1: float) -> float:
+    # operator_norm(diag(d0, d1)) without the matrix products: the Gram
+    # matrix is diag(d0^2, d1^2)
+    g0, g1 = d0 * d0, d1 * d1
+    return gram_norm_2x2(g0 + g1, g0 * g1)
+
+
+def _diagonal_inverse_norm(d0: float, d1: float) -> float:
+    # operator_norm(inverse_2x2(diag(d0, d1))); numpy divides by the real
+    # determinant as a multiplication by its reciprocal
+    scale = 1.0 / (d0 * d1)
+    return _diagonal_norm(d1 * scale, d0 * scale)
 
 
 def family_unital_params(params: PauliChannelParams) -> UnitalForm:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import traceback
@@ -235,6 +236,20 @@ def test_sweep_chi_values_pinned(family, fixed, x_name, lo, hi, steps, pins):
         assert cli._fmt(row["c_chi"]) == expected
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["--gad", "--p", "0.475", "--x", "gamma_t", "--min", "0.05", "--max", "3",
+      "--steps", "60"], "a80ba3fdeb9da63482a10e1e740e30d9018fdeee08a148092cf9e32d08629f59"),
+    (["--mix", "--x", "p", "--min", "0.02", "--max", "0.98", "--steps", "49"],
+     "8bbf0829cdf04db66ff54193bec96cbd17c16a915e12c7330d9d51ba14c88b8a"),
+], ids=["fig1", "fig2"])
+def test_figure_bounds_csv_pinned(args, digest, capsys):
+    # the full fig1 and fig2 grids without --chi: every bounds column of
+    # the figure CSVs, byte for byte
+    code, out, err = run(["sweep", *args], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 GOLDEN_ANALYZE_JSON = """\
 {
   "channel": "custom lambda=(0.5,0.4,0.3) t3=0.2",
@@ -330,6 +345,11 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
     (["QCAP_SEED=abc", "verify", "--suite", "core"], 2, "QCAP_SEED"),
     (["analyze", "--gad", "--p", "0.3", "--gamma-t", "1", "--chi", "--chi-max-iter", "0",
       "--chi-sizes", "2", "--chi-starts", "2"], 2, "max_iter"),
+    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "1", "--chi", "--chi-xatol", "nan"],
+     2, "xatol"),
+    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "1", "--chi", "--chi-xatol", "-1"],
+     2, "xatol"),
+    (["sweep", *GAD_SWEEP, "--chi", "--chi-xatol", "nan"], 2, "xatol"),
 ])
 def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
     while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell

@@ -16,6 +16,7 @@ from qcap.core import (
     choi_from_channel,
     compose,
     density_to_bloch,
+    entropy_kernel,
     fibonacci_sphere,
     image_radius,
     is_completely_positive,
@@ -271,6 +272,32 @@ def test_binary_entropy_values():
         binary_entropy(1.1)
     with pytest.raises(ValueError):
         binary_entropy(-0.1)
+
+
+def test_binary_entropy_rejects_nan():
+    with pytest.raises(ValueError):
+        binary_entropy(math.nan)
+    with pytest.raises(ValueError):
+        binary_entropy(np.array([0.2, math.nan]))
+
+
+def test_binary_entropy_float_path_matches_the_kernel_bit_for_bit():
+    rng = np.random.default_rng(19)
+    tiny = np.finfo(float).tiny
+    band = 1e-12
+    xs = [0.0, 1.0, 0.5, -0.0, 5e-324, tiny / 2, tiny, 1.0 - 2.0**-53,
+          -band, np.nextafter(-band, 0.0), 1.0 + band, np.nextafter(1.0 + band, 1.0),
+          *rng.uniform(0.0, 1.0, 2000), *10.0 ** rng.uniform(-300, 0, 500)]
+    for x in map(float, xs):
+        got = binary_entropy(x)
+        assert type(got) is float
+        assert got == float(entropy_kernel(np.array(min(max(x, 0.0), 1.0))))
+        assert got == binary_entropy(np.array([x]))[0]
+    for x in (np.nextafter(-band, -1.0), np.nextafter(1.0 + band, 2.0)):
+        with pytest.raises(ValueError):
+            binary_entropy(float(x))
+        with pytest.raises(ValueError):
+            binary_entropy(np.array([x]))
 
 
 def test_von_neumann_entropy():

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from qcap.capacity import gad_f, gad_params
+from qcap.capacity import gad_f, gad_params, mix_params
 from qcap.core import (
     NoConvergence,
     NotInterior,
@@ -182,6 +183,35 @@ def test_iteration_raises_no_convergence():
     params = PauliChannelParams(0.5, 0.4, 0.3, 0.3)
     with pytest.raises(NoConvergence):
         sinkhorn_iterate(ptm_from_params(params), tol=1e-12, max_iter=2)
+
+
+def test_from_operators_copies_the_callers_arrays():
+    a = np.eye(2, dtype=complex)
+    pair = ScalingPair.from_operators(a, a)
+    a[0, 0] = 2.0
+    assert pair.a[0, 0] == 1.0 and pair.b[0, 0] == 1.0
+    for frozen in (pair.a, pair.b):
+        with pytest.raises(ValueError):
+            frozen[0, 0] = 3.0
+
+
+def test_family_pair_matches_the_generic_pair_bit_for_bit():
+    rng = np.random.default_rng(29)
+    params = [gad_params(float(p), float(gt)) for p, gt in
+              zip(10.0 ** rng.uniform(-10, math.log10(0.5), 300), rng.uniform(0, 5, 300))]
+    params += [gad_params(0.5, 5.0), gad_params(1e-10, 1e-6)]
+    params += [mix_params(float(p)) for p in rng.uniform(1e-6, 1 - 1e-6, 200)]
+    params += [_random_interior_params(rng) for _ in range(200)]
+    for prm in params:
+        pair = family_scaling_pair(prm)
+        generic = ScalingPair.from_operators(pair.a, pair.b)
+        for field in dataclasses.fields(ScalingPair):
+            got, expected = getattr(pair, field.name), getattr(generic, field.name)
+            if isinstance(got, np.ndarray):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+                assert not got.flags.writeable
+            else:
+                assert type(got) is type(expected) and got == expected, field.name
 
 
 def test_iteration_near_boundary():
