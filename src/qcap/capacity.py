@@ -25,7 +25,6 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .core import (
-    BlochVector,
     ChannelOrParams,
     NotInterior,
     PauliChannelParams,
@@ -98,13 +97,6 @@ class Ensemble:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", s)
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "Ensemble":
-        weights, states = zip(*pairs)
-        states = [s.as_array() if isinstance(s, BlochVector) else np.asarray(s, float)
-                  for s in states]
-        return cls(np.array(weights, float), np.array(states, float))
-
     @property
     def size(self) -> int:
         return len(self.weights)
@@ -115,12 +107,12 @@ class ChiConfig:
     """Settings for the multistart chi-capacity search.
 
     ``starts`` random starts per ensemble size are drawn from a
-    generator seeded with ``seed``; a few deterministic axis-aligned
-    starts are prepended when ``structured_starts`` is set.  Each start
-    is refined by BFGS until its step is at most ``xatol`` in every
-    coordinate, its decrease is at most ``fatol``, or no trial step is
-    accepted; ``xatol`` and ``fatol`` must be at least 0, and
-    ``max_iter``, at least 1, caps the iterations (200 when ``None``).
+    generator seeded with ``seed``, after a few deterministic
+    axis-aligned starts for sizes 2 to 4.  Each start is refined by BFGS
+    until its step is at most ``xatol`` in every coordinate, its
+    decrease is at most ``fatol``, or no trial step is accepted;
+    ``xatol`` and ``fatol`` must be at least 0, and ``max_iter``, at
+    least 1, caps the iterations (200 when ``None``).
     Identical configs give bit-identical results.
     """
 
@@ -130,13 +122,11 @@ class ChiConfig:
     xatol: float = 1e-9
     fatol: float = 0.0
     max_iter: Optional[int] = None
-    structured_starts: bool = True
 
     def __post_init__(self):
         if not self.sizes or not set(self.sizes) <= {1, 2, 3, 4}:
             raise ValueError(f"chi ensemble sizes must be 1 to 4, got {self.sizes}")
-        if self.starts < 0 or self.starts == 0 and not (
-                self.structured_starts and set(self.sizes) <= _STRUCTURED.keys()):
+        if self.starts < 0 or self.starts == 0 and not set(self.sizes) <= _STRUCTURED.keys():
             raise ValueError(f"chi starts = {self.starts} leave a size with no start")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"chi max_iter = {self.max_iter} must be at least 1")
@@ -509,9 +499,7 @@ def chi_capacity_numeric(channel: ChannelOrParams,
 
     blocks = []
     for m in cfg.sizes:
-        starts = [_random_starts(rng, m, cfg.starts)]
-        if cfg.structured_starts:
-            starts.insert(0, _structured_starts(m))
+        starts = [_structured_starts(m), _random_starts(rng, m, cfg.starts)]
         blocks.append(_pad_starts(np.vstack([s for s in starts if s.size]), m, top))
     x0, free = (np.vstack(parts) for parts in zip(*blocks))
     res = bfgs_batch(_chi_objective(M, t), x0, xatol=cfg.xatol, fatol=cfg.fatol,

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from typing import Optional
 
 import numpy as np
@@ -56,17 +56,16 @@ CSV_COLUMNS = [
     "c_unital", "c_lower_raw", "c_upper_raw", "c_lower", "c_upper", "c_chi",
 ]
 
-# the values that fix a channel of each family (any one can be swept),
-# and the label analyze and sinkhorn print for it
-_SWEEP_VARS = {
-    "gad": ("gamma_t", "p"),
-    "mix": ("p",),
-    "custom": ("lambda1", "lambda2", "lambda3", "t3"),
-}
-_LABELS = {
-    "gad": "gad p={p:g} gamma_t={gamma_t:g}",
-    "mix": "mix p={p:g}",
-    "custom": "custom lambda=({lambda1:g},{lambda2:g},{lambda3:g}) t3={t3:g}",
+# each family: the values that fix one of its channels (any one can be
+# swept), the label analyze and sinkhorn print for it, and its
+# constructor, called with the values by name
+_FAMILIES = {
+    "gad": (("gamma_t", "p"), "gad p={p:g} gamma_t={gamma_t:g}",
+            lambda gamma_t, p: gad_params(p, gamma_t)),
+    "mix": (("p",), "mix p={p:g}", mix_params),
+    "custom": (("lambda1", "lambda2", "lambda3", "t3"),
+               "custom lambda=({lambda1:g},{lambda2:g},{lambda3:g}) t3={t3:g}",
+               PauliChannelParams),
 }
 
 
@@ -84,15 +83,17 @@ def _fail(message: str, code: int) -> int:
 
 
 def _resolve_seed(value: Optional[int]) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("QCAP_SEED")
-    if not env:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"QCAP_SEED must be an integer, got {env!r}") from None
+    if value is None:
+        env = os.environ.get("QCAP_SEED")
+        if not env:
+            return DEFAULT_SEED
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"QCAP_SEED must be an integer, got {env!r}") from None
+    if value < 0:  # numpy's generators take only non-negative seeds
+        raise ValueError(f"seed must be a non-negative integer, got {value}")
+    return value
 
 
 def _finite_float(text: str) -> float:
@@ -125,9 +126,9 @@ def _channel_values(args) -> tuple[str, dict]:
     """The family the flags select and its values (None where not given)."""
     if args.gad or args.mix:
         family = "gad" if args.gad else "mix"
-        return family, {name: getattr(args, name) for name in _SWEEP_VARS[family]}
+        return family, {name: getattr(args, name) for name in _FAMILIES[family][0]}
     if args.lambdas is not None:
-        return "custom", dict(zip(_SWEEP_VARS["custom"], (*args.lambdas, args.t3)))
+        return "custom", dict(zip(_FAMILIES["custom"][0], (*args.lambdas, args.t3)))
     raise ValueError("select a channel with --gad, --mix, or --lambda/--t3")
 
 
@@ -137,18 +138,11 @@ def _require_values(family: str, values: dict) -> None:
         raise ValueError(f"--{family} requires {' and '.join(missing)}")
 
 
-def _family_params(family: str, values: dict) -> PauliChannelParams:
-    if family == "gad":
-        return gad_params(values["p"], values["gamma_t"])
-    if family == "mix":
-        return mix_params(values["p"])
-    return PauliChannelParams(*(values[name] for name in _SWEEP_VARS["custom"]))
-
-
 def _channel_from_args(args) -> tuple[str, PauliChannelParams]:
     family, values = _channel_values(args)
     _require_values(family, values)
-    return _LABELS[family].format(**values), _family_params(family, values)
+    _, label, make = _FAMILIES[family]
+    return label.format(**values), make(**values)
 
 
 def _completely_positive(params: PauliChannelParams, x_name: str = "",
@@ -260,47 +254,9 @@ def cmd_analyze(args) -> int:
 # sweep
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    family: str                  # gad | mix | custom
-    fixed: tuple[tuple[str, float], ...]
-    x_name: str
-    x_min: float
-    x_max: float
-    steps: int
-    seed: int
-    chi: bool
-    chi_kwargs: tuple[tuple[str, object], ...]
-
-    def __post_init__(self):
-        if self.steps < 2:
-            raise ValueError("sweep needs at least 2 steps")
-        if not self.x_min < self.x_max:
-            raise ValueError("sweep requires min < max")
-        if self.x_name not in _SWEEP_VARS[self.family]:
-            raise ValueError(
-                f"family {self.family!r} sweeps over "
-                f"{', '.join(_SWEEP_VARS[self.family])}; got {self.x_name!r}")
-        if self.chi:
-            ChiConfig(**dict(self.chi_kwargs))  # rejects bad --chi-* values now
-
-    def grid(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.steps)
-
-
-def _point_params(cfg: SweepConfig, x: float) -> PauliChannelParams:
-    values = dict(cfg.fixed)
-    values[cfg.x_name] = x
-    return _family_params(cfg.family, values)
-
-
-def _sweep_point(task: tuple[SweepConfig, int, float]) -> dict:
-    cfg, index, x = task
-    params = _point_params(cfg, x)
-    chi = None
-    if cfg.chi:
-        chi_cfg = ChiConfig(seed=(cfg.seed, index), **dict(cfg.chi_kwargs))
-        chi = chi_capacity_numeric(params, chi_cfg).value
+def _sweep_point(task: tuple[float, PauliChannelParams, Optional[ChiConfig]]) -> dict:
+    x, params, chi_cfg = task
+    chi = None if chi_cfg is None else chi_capacity_numeric(params, chi_cfg).value
     return _row(x, analyze(params), chi)
 
 
@@ -312,13 +268,13 @@ def _rows_to_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rows_to_json(rows: list[dict], cfg: SweepConfig) -> str:
+def _rows_to_json(rows: list[dict], family: str, x_name: str, seed: int, chi: bool) -> str:
     meta = {
         "version": __version__,
-        "family": cfg.family,
-        "x": cfg.x_name,
-        "seed": cfg.seed,
-        "chi": cfg.chi,
+        "family": family,
+        "x": x_name,
+        "seed": seed,
+        "chi": chi,
         "tolerances": {"psd": PSD_TOL, "unital": UNITAL_TOL},
     }
     return json.dumps({"meta": meta, "columns": CSV_COLUMNS, "rows": rows},
@@ -330,37 +286,50 @@ def cmd_sweep(args) -> int:
         seed = _resolve_seed(args.seed)
         family, fixed = _channel_values(args)
         fixed.pop(args.x, None)
-        cfg = SweepConfig(family, tuple(sorted(fixed.items())), args.x,
-                          args.min, args.max, args.steps, seed, args.chi,
-                          tuple(sorted(_chi_kwargs(args).items())))
+        chi_kwargs = _chi_kwargs(args)
+        if args.steps < 2:
+            raise ValueError("sweep needs at least 2 steps")
+        if not args.min < args.max:
+            raise ValueError("sweep requires min < max")
+        names, _, make = _FAMILIES[family]
+        if args.x not in names:
+            raise ValueError(
+                f"family {family!r} sweeps over {', '.join(names)}; got {args.x!r}")
+        if args.chi:
+            ChiConfig(**chi_kwargs)  # rejects bad --chi-* values now
         _require_values(family, fixed)
+        if args.workers < 1:
+            raise ValueError(f"--workers must be at least 1, got {args.workers}")
     except (NotInterior, ValueError) as exc:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
 
-    grid = cfg.grid()
+    grid = np.linspace(args.min, args.max, args.steps).tolist()
     tasks = []
     for index, x in enumerate(grid):
         try:
-            params = _point_params(cfg, float(x))
+            params = make(**fixed, **{args.x: x})
             if params.boundary_margin <= 0.0:
-                raise NotInterior(f"|t3| + |lambda3| >= 1 at {cfg.x_name} = {x:g}")
-            if cfg.family == "custom" and not _completely_positive(params, cfg.x_name, x):
+                raise NotInterior(f"|t3| + |lambda3| >= 1 at {args.x} = {x:g}")
+            if family == "custom" and not _completely_positive(params, args.x, x):
                 return EXIT_NOT_CP
         except (NotInterior, ValueError) as exc:
             if index in (0, len(grid) - 1):
-                _warn(f"dropping boundary grid point {cfg.x_name} = {x:g}: {exc}")
+                _warn(f"dropping boundary grid point {args.x} = {x:g}: {exc}")
                 continue
             return _fail(f"non-interior grid point inside sweep range: {exc}",
                          EXIT_NOT_INTERIOR)
-        tasks.append((cfg, index, float(x)))
+        chi_cfg = ChiConfig(seed=(seed, index), **chi_kwargs) if args.chi else None
+        tasks.append((x, params, chi_cfg))
 
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    workers = min(args.workers, len(tasks))  # a pool forks all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, tasks))
     else:
         rows = [_sweep_point(task) for task in tasks]
 
-    text = _rows_to_json(rows, cfg) if args.format == "json" else _rows_to_csv(rows)
+    text = (_rows_to_json(rows, family, args.x, seed, args.chi)
+            if args.format == "json" else _rows_to_csv(rows))
     _emit(text, args.out)
     return EXIT_OK
 
@@ -510,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", help="output path (default stdout)")
     ps.add_argument("--seed", type=int)
     ps.add_argument("--workers", type=int, default=1,
-                    help="evaluate grid points in a worker pool")
+                    help="evaluate grid points in a pool of this many processes "
+                         "(at most one per point)")
     ps.add_argument("--chi-starts", type=int, help="random starts per ensemble size")
     ps.add_argument("--chi-sizes", help="comma list of ensemble sizes, e.g. 2,3,4")
     ps.add_argument("--chi-max-iter", type=int,

@@ -85,9 +85,6 @@ class PauliChannelParams:
     lambda3: float
     t3: float
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.lambda1, self.lambda2, self.lambda3, self.t3)
-
     @property
     def boundary_margin(self) -> float:
         """1 - |t3| - |lambda3|; positive in the interior."""

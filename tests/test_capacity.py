@@ -346,14 +346,13 @@ def test_chi_converges_before_the_iteration_cap():
     lambda: ChiConfig(sizes=(2, 5)),
     lambda: ChiConfig(starts=-1),
     lambda: ChiConfig(sizes=(1, 2), starts=0),
-    lambda: ChiConfig(starts=0, structured_starts=False),
     lambda: ChiConfig(max_iter=0),
     lambda: ChiConfig(xatol=math.nan),
     lambda: ChiConfig(xatol=-1e-9),
     lambda: ChiConfig(fatol=math.nan),
     lambda: ChiConfig(fatol=-1.0),
 ], ids=["gad-p-nan", "gad-gt-nan", "chi-no-sizes", "chi-size-5",
-        "chi-negative-starts", "chi-size-1-no-start", "chi-no-start",
+        "chi-negative-starts", "chi-size-1-no-start",
         "chi-max-iter-0", "chi-xatol-nan", "chi-xatol-negative", "chi-fatol-nan",
         "chi-fatol-negative"])
 def test_bad_settings_raise_value_error(make):

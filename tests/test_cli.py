@@ -3,9 +3,11 @@ import json
 import re
 import traceback
 
+import numpy as np
 import pytest
 
 from qcap import cli
+from qcap.capacity import ChiConfig
 
 GAD_ARGS = ["--gad", "--p", "0.475", "--gamma-t", "1.0"]
 
@@ -129,15 +131,64 @@ def test_sweep_json_meta_and_seed_resolution(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["meta"]["seed"] == 9
 
 
-def test_sweep_worker_pool_matches_serial(tmp_path, capsys):
+@pytest.mark.parametrize("args", [
+    ["--mix", "--x", "p", "--min", "0.1", "--max", "0.9", "--steps", "6"],
+    ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2", "--max", "1.2",
+     "--steps", "4", "--chi", "--chi-sizes", "2", "--chi-starts", "2"],
+], ids=["bounds", "chi"])
+def test_sweep_worker_pool_matches_serial(args, tmp_path, capsys):
     serial = tmp_path / "serial.csv"
     pooled = tmp_path / "pooled.csv"
-    args = ["sweep", "--mix", "--x", "p", "--min", "0.1", "--max", "0.9",
-            "--steps", "6"]
-    assert cli.main(args + ["--out", str(serial)]) == 0
-    assert cli.main(args + ["--workers", "3", "--out", str(pooled)]) == 0
+    assert cli.main(["sweep", *args, "--out", str(serial)]) == 0
+    assert cli.main(["sweep", *args, "--workers", "3", "--out", str(pooled)]) == 0
     capsys.readouterr()
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+def test_sweep_pool_has_at_most_one_worker_per_point(monkeypatch, capsys):
+    # a stand-in pool that records its size and maps in this process, so
+    # no large pool is ever started
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    args = ["sweep", "--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
+            "--max", "1.0", "--steps", "3"]
+    code, serial, _ = run(args, capsys)
+    assert code == 0
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, pooled, _ = run([*args, "--workers", "64"], capsys)
+    assert (code, sizes, pooled) == (0, [3], serial)
+
+
+def test_sweep_builds_each_grid_point_once(monkeypatch, capsys):
+    # 6 grid points, both endpoints outside the mixture's domain: each
+    # point's channel is built once, and the chi solve builds none
+    names, label, make = cli._FAMILIES["mix"]
+    calls = []
+
+    def counting(**values):
+        calls.append(values)
+        return make(**values)
+
+    monkeypatch.setitem(cli._FAMILIES, "mix", (names, label, counting))
+    code, out, err = run(["sweep", "--mix", "--x", "p", "--min", "0", "--max", "1",
+                          "--steps", "6", "--chi", "--chi-sizes", "2",
+                          "--chi-starts", "1"], capsys)
+    assert code == 0
+    assert len(out.strip().splitlines()) == 1 + 4
+    assert len(calls) == 6
 
 
 def test_sinkhorn_both_methods_agree(capsys):
@@ -229,10 +280,12 @@ def test_render_missing_column_exit_1(tmp_path, capsys):
 def test_sweep_chi_values_pinned(family, fixed, x_name, lo, hi, steps, pins):
     # c_chi cells of the full fig1 and fig2 `sweep --chi --seed 42`; each
     # grid point i has its own chi seed (42, i), so the full grid is kept
-    cfg = cli.SweepConfig(family, fixed, x_name, lo, hi, steps, 42, True, ())
-    grid = cfg.grid()
+    grid = np.linspace(lo, hi, steps)
+    make = cli._FAMILIES[family][2]
     for i, expected in pins.items():
-        row = cli._sweep_point((cfg, i, float(grid[i])))
+        x = float(grid[i])
+        params = make(**dict(fixed), **{x_name: x})
+        row = cli._sweep_point((x, params, ChiConfig(seed=(42, i))))
         assert cli._fmt(row["c_chi"]) == expected
 
 
@@ -350,6 +403,13 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
     (["analyze", "--gad", "--p", "0.3", "--gamma-t", "1", "--chi", "--chi-xatol", "-1"],
      2, "xatol"),
     (["sweep", *GAD_SWEEP, "--chi", "--chi-xatol", "nan"], 2, "xatol"),
+    (["sweep", *GAD_SWEEP, "--workers", "0"], 2, "--workers"),
+    (["sweep", *GAD_SWEEP, "--workers", "-4"], 2, "--workers"),
+    (["sweep", *GAD_SWEEP, "--chi", "--chi-sizes", "2", "--chi-starts", "2",
+      "--seed", "-1"], 2, "non-negative"),
+    (["analyze", *GAD_ARGS, "--chi", "--seed", "-1"], 2, "non-negative"),
+    (["verify", "--suite", "core", "--seed", "-1"], 2, "non-negative"),
+    (["QCAP_SEED=-3", "verify"], 2, "non-negative"),
 ])
 def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
     while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell
