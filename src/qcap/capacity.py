@@ -10,10 +10,11 @@ sandwiches it between
 The chi-capacity (a lower bound on C, equal to it in the unital case)
 is computed by multistart quasi-Newton (BFGS) search over ensembles of
 up to four pure states, using the closed-form gradient of the Holevo
-quantity, with an exhaustive two-state grid search as the independent
-cross-check oracle.  The starts of every ensemble size run as one
-lockstep batch, padded to the largest size with zero-weight states, and
-each iteration's gradient is taken from its line-search evaluation.
+quantity, with the family's exact one-dimensional reduction as the
+independent cross-check oracle.  The starts of every ensemble size run
+as one lockstep batch, padded to the largest size with zero-weight
+states, and each iteration's gradient is taken from its line-search
+evaluation.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .core import (
     _as_ptm,
     binary_entropy,
     entropy_kernel,
-    fibonacci_sphere,
 )
 from .optimize import bfgs_batch
 from .sinkhorn import ScalingPair, UnitalForm, family_scaling_pair, family_unital_params
@@ -396,21 +396,6 @@ def _chi_objective(M: np.ndarray, t: np.ndarray):
     return func
 
 
-def _neg_chi_objective(M: np.ndarray, t: np.ndarray, m: int):
-    """Negated Holevo quantity of m-state ensembles and its gradient.
-
-    ``neg_chi(params)`` returns the values and the (k, 3m - 1) gradient
-    of every row, ``neg_chi(params, grad=False)`` the values alone.
-    """
-
-    def neg_chi(params: np.ndarray, grad: bool = True):
-        assert params.shape[1] == 3 * m - 1
-        fw = _chi_forward(M, t, params)
-        return (fw.value, _chi_gradient(M, fw, np.arange(len(params)))) if grad else fw.value
-
-    return neg_chi
-
-
 _AXES = {
     "x": (0.5 * math.pi, 0.0), "-x": (0.5 * math.pi, math.pi),
     "y": (0.5 * math.pi, 0.5 * math.pi), "-y": (0.5 * math.pi, 1.5 * math.pi),
@@ -512,53 +497,33 @@ def chi_capacity_numeric(channel: ChannelOrParams,
                      bool(res.converged[k]), iterations)
 
 
-def chi_capacity_grid_oracle(channel: ChannelOrParams, n_grid: int = 2000,
-                             n_weights: int = 101, block: int = 256) -> float:
-    """Exhaustive two-state lower bound on the chi-capacity.
+def chi_capacity_grid_oracle(params: PauliChannelParams) -> float:
+    """Chi-capacity of a family channel by its exact one-dimensional
+    reduction; the independent cross-check of the optimizer.
 
-    Both states run over an ``n_grid``-point Fibonacci sphere grid and
-    the weight over an ``n_weights``-point grid; brute force only, for
-    cross-checking the optimizer.  By the w <-> 1-w symmetry only
-    weights >= 1/2 are scanned.
+    Averaging an ensemble over the reflections (x, y) -> (+-x, +-y),
+    which commute with the channel, keeps every output entropy and moves
+    the average output onto the z axis, raising its entropy if anything.
+    At input height z the purest output lies on the axis of
+    l = max(|lambda1|, |lambda2|), so with S(r) = h((1 - r)/2) and
+    r(z)^2 = l^2 (1 - z^2) + (lambda3 z + t3)^2,
+    chi = max_z S(|lambda3 z + t3|) - conv S(r(z)), conv the lower convex
+    envelope on [-1, 1].  On a grid each envelope value is attained by
+    two heights, each a +- pair of states, so the grid value is a lower
+    bound on chi that converges quadratically in the grid step.
     """
-    ptm = _as_ptm(channel)
-    pts = fibonacci_sphere(n_grid)
-    out = pts @ ptm[1:, 1:].T + ptm[1:, 0]
-    radii = np.clip(np.linalg.norm(out, axis=1), 0.0, 1.0)
-    s_each = entropy_kernel(0.5 * (1.0 - radii))
-    norms_sq = np.einsum("ni,ni->n", out, out)
-
-    weights = np.linspace(0.0, 1.0, n_weights)
-    weights = weights[weights >= 0.5 - 1e-15]
-    best = 0.0
-    # work buffers reused across the weight loop; negated chi is
-    # assembled in place as q log2 q + (1-q) log2(1-q) + w s_i + (1-w) s_j
-    q = np.empty((block, n_grid))
-    t1 = np.empty_like(q)
-    t2 = np.empty_like(q)
-    for lo in range(0, n_grid, block):
-        hi = min(lo + block, n_grid)
-        rows = hi - lo
-        gram = out[lo:hi] @ out.T
-        qb, t1b, t2b = q[:rows], t1[:rows], t2[:rows]
-        for w in weights:
-            np.multiply(gram, 2.0 * w * (1.0 - w), out=qb)
-            qb += (w * w) * norms_sq[lo:hi, None]
-            qb += ((1.0 - w) ** 2) * norms_sq[None, :]
-            np.clip(qb, 0.0, 1.0, out=qb)
-            np.sqrt(qb, out=qb)
-            qb *= -0.5
-            qb += 0.5  # (1 - r_avg)/2, in [0, 1/2]
-            t1b.fill(0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                np.log2(qb, out=t1b, where=qb > 0.0)
-            t1b *= qb
-            qb *= -1.0
-            qb += 1.0  # 1 - q, in [1/2, 1]
-            np.log2(qb, out=t2b)
-            t2b *= qb
-            t1b += t2b
-            t1b += w * s_each[lo:hi, None]
-            t1b += (1.0 - w) * s_each[None, :]
-            best = max(best, -float(t1b.min()))
-    return best
+    z = np.arange(-100_000, 100_001) / 100_000  # 200 001 heights, z = 0 exact
+    lam = max(abs(params.lambda1), abs(params.lambda2))
+    height = params.lambda3 * z + params.t3
+    radius = np.sqrt(lam * lam * (1.0 - z * z) + height * height)
+    s = entropy_kernel(0.5 * (1.0 - np.minimum(radius, 1.0)))
+    hx, hy = [], []  # the lower hull of (z, s), by the monotone chain
+    for x, y in zip(z.tolist(), s.tolist()):
+        while len(hx) >= 2 and ((hx[-1] - hx[-2]) * (y - hy[-2])
+                                <= (hy[-1] - hy[-2]) * (x - hx[-2])):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
+    s_avg = entropy_kernel(0.5 * (1.0 - np.minimum(np.abs(height), 1.0)))
+    return float(np.max(s_avg - np.interp(z, hx, hy)))

@@ -9,6 +9,7 @@ domain), 3 channel not completely positive, 4 no convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -106,6 +107,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _chi_sizes(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(size) for size in text.split(","))
+    except ValueError as exc:  # int()'s message quotes the bad entry
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("channel selection")
     group.add_argument("--gad", action="store_true",
@@ -120,6 +128,16 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
                        help="custom channel lambda parameters")
     group.add_argument("--t3", type=_finite_float, default=0.0,
                        help="custom channel translation")
+
+
+def _add_chi_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--chi-starts", type=int, help="random starts per ensemble size")
+    parser.add_argument("--chi-sizes", type=_chi_sizes,
+                        help="comma list of ensemble sizes, e.g. 2,3,4")
+    parser.add_argument("--chi-max-iter", type=int,
+                        help="BFGS iteration cap per ensemble size (default 200)")
+    parser.add_argument("--chi-xatol", type=float,
+                        help="BFGS stops a start once no step coordinate exceeds this")
 
 
 def _channel_values(args) -> tuple[str, dict]:
@@ -158,8 +176,7 @@ def _completely_positive(params: PauliChannelParams, x_name: str = "",
 
 def _chi_kwargs(args) -> dict:
     """ChiConfig overrides from the --chi-* flags that were given."""
-    sizes = tuple(int(s) for s in args.chi_sizes.split(",")) if args.chi_sizes else None
-    given = {"starts": args.chi_starts, "sizes": sizes,
+    given = {"starts": args.chi_starts, "sizes": args.chi_sizes,
              "max_iter": args.chi_max_iter, "xatol": args.chi_xatol}
     return {key: value for key, value in given.items() if value is not None}
 
@@ -446,6 +463,7 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # parsing never mutates the parser, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcap",
@@ -460,10 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--json", action="store_true")
     pa.add_argument("--out", help="write report to a file instead of stdout")
     pa.add_argument("--seed", type=int)
-    for flag, typ in (("--chi-starts", int), ("--chi-max-iter", int),
-                      ("--chi-xatol", float)):
-        pa.add_argument(flag, type=typ, help=argparse.SUPPRESS)
-    pa.add_argument("--chi-sizes", help=argparse.SUPPRESS)
+    _add_chi_args(pa)
     pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("sweep", help="sweep a channel family into CSV/JSON")
@@ -481,12 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--workers", type=int, default=1,
                     help="evaluate grid points in a pool of this many processes "
                          "(at most one per point)")
-    ps.add_argument("--chi-starts", type=int, help="random starts per ensemble size")
-    ps.add_argument("--chi-sizes", help="comma list of ensemble sizes, e.g. 2,3,4")
-    ps.add_argument("--chi-max-iter", type=int,
-                    help="BFGS iteration cap per ensemble size (default 200)")
-    ps.add_argument("--chi-xatol", type=float,
-                    help="BFGS stops a start once no step coordinate exceeds this")
+    _add_chi_args(ps)
     ps.set_defaults(func=cmd_sweep)
 
     pk = sub.add_parser("sinkhorn", help="scaling decomposition of a channel")

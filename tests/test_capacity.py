@@ -9,7 +9,6 @@ from qcap.capacity import (
     ChiConfig,
     Ensemble,
     _chi_objective,
-    _neg_chi_objective,
     _pad_starts,
     _random_starts,
     _structured_starts,
@@ -31,7 +30,6 @@ from qcap.core import (
     _as_ptm,
     binary_entropy,
     is_completely_positive,
-    ptm_from_params,
 )
 from qcap.optimize import _LADDER, bfgs_batch
 from qcap.sinkhorn import ScalingPair, family_unital_params
@@ -263,53 +261,52 @@ def test_chi_respects_upper_bound():
         assert r.value <= bounds.upper_raw + 1e-6
 
 
-def test_grid_oracle_trivials():
-    ident = ptm_from_params(PauliChannelParams(1, 1, 1, 0))
-    val = chi_capacity_grid_oracle(ident, n_grid=500)
-    assert 0.999 <= val <= 1.0 + 1e-12
-    tracing = ptm_from_params(PauliChannelParams(0, 0, 0, 0))
-    assert chi_capacity_grid_oracle(tracing, n_grid=200) == pytest.approx(0.0, abs=1e-12)
+def test_grid_oracle_closed_forms():
+    assert chi_capacity_grid_oracle(PauliChannelParams(1, 1, 1, 0)) == 1.0
+    assert chi_capacity_grid_oracle(PauliChannelParams(0, 0, 0, 0)) == 0.0
+    assert chi_capacity_grid_oracle(PauliChannelParams(0, 0, 0, 0.5)) == 0.0
+    # a unital channel's chi is 1 - h((1 - s_max)/2)
+    depolarizing = chi_capacity_grid_oracle(PauliChannelParams(0.5, 0.5, 0.5, 0))
+    assert abs(depolarizing - (1 - H_QUARTER)) <= 1e-12
+    rng = np.random.default_rng(37)
+    count = 0
+    while count < 20:
+        lam = rng.uniform(-1, 1, 3)
+        if 1 + lam[2] < abs(lam[0] + lam[1]) or 1 - lam[2] < abs(lam[0] - lam[1]):
+            continue
+        count += 1
+        expected = 1.0 - binary_entropy(0.5 * (1.0 - np.abs(lam).max()))
+        assert abs(chi_capacity_grid_oracle(PauliChannelParams(*lam, 0.0)) - expected) <= 1e-12
 
 
-def test_grid_oracle_depolarizing():
-    # closed form within the 5e-4 grid resolution
-    ch = ptm_from_params(PauliChannelParams(0.5, 0.5, 0.5, 0))
-    expected = 1 - H_QUARTER
-    val = chi_capacity_grid_oracle(ch)
-    assert expected - 5e-4 <= val <= expected + 1e-12
-
-
-def test_chi_matches_grid_oracle_on_gad():
-    # the 4000-point grid resolves chi to ~1e-4; the coarser default grid
-    # still supports the one-sided guarantee
-    for gt in (0.25, 0.5, 1.0):
-        ch = gad_params(0.475, gt)
-        numeric = chi_capacity_numeric(ch).value
-        coarse = chi_capacity_grid_oracle(ptm_from_params(ch))
-        assert numeric >= coarse - 1e-4
-        fine = chi_capacity_grid_oracle(ptm_from_params(ch), n_grid=4000)
-        assert numeric == pytest.approx(fine, abs=1e-4)
-
-
-def _objective(channel, m):
-    ptm = _as_ptm(channel)
-    return _neg_chi_objective(ptm[1:, 1:], ptm[1:, 0], m)
+@pytest.mark.parametrize("channel", [
+    gad_params(0.475, 0.25),
+    gad_params(0.475, 0.5),
+    gad_params(0.475, 1.0),
+    mix_params(0.3),
+    PauliChannelParams(0.5, 0.4, 0.3, 0.3),
+    PauliChannelParams(0.2, 0.6, 0.1, 0.5),
+    PauliChannelParams(0.3, 0.2, 0.6, 0.3),
+], ids=["gad-0.25", "gad-0.5", "gad-1", "mix", "custom", "custom-l2", "custom-poles"])
+def test_chi_matches_grid_oracle(channel):
+    # the oracle is exact up to its grid error, about 1e-11 here; the
+    # last channel's optimum mixes the two poles, off the z = 0 plane
+    assert abs(chi_capacity_numeric(channel).value - chi_capacity_grid_oracle(channel)) <= 1e-9
 
 
 def test_chi_gradient_matches_central_differences():
-    channel = PauliChannelParams(0.5, 0.4, 0.3, 0.3)
+    func = _chi_objective(*_ptm_parts(PauliChannelParams(0.5, 0.4, 0.3, 0.3)))
     rng = np.random.default_rng(17)
     step = 1e-6
     for m in (2, 3, 4):
-        func = _objective(channel, m)
         x = _random_starts(rng, m, 6)
-        value, grad = func(x)
-        assert np.array_equal(value, func(x, grad=False))
+        _, gradient = func(x)
+        grad = gradient(np.arange(len(x)))
         numeric = np.empty_like(x)
         for i in range(x.shape[1]):
             e = np.zeros(x.shape[1])
             e[i] = step
-            numeric[:, i] = (func(x + e, grad=False) - func(x - e, grad=False)) / (2 * step)
+            numeric[:, i] = (func(x + e)[0] - func(x - e)[0]) / (2 * step)
         assert np.abs(numeric - grad).max() <= 1e-6 * np.abs(grad).max()
 
 
@@ -317,9 +314,10 @@ def test_chi_gradient_finite_at_pure_and_maximally_mixed_outputs():
     rng = np.random.default_rng(19)
     # identity: every output is pure (r = 1); tracing: the average is 0
     for channel in (PauliChannelParams(1, 1, 1, 0), PauliChannelParams(0, 0, 0, 0)):
+        func = _chi_objective(*_ptm_parts(channel))
         for m in (2, 3, 4):
-            value, grad = _objective(channel, m)(_random_starts(rng, m, 4))
-            assert np.all(np.isfinite(value)) and np.all(np.isfinite(grad))
+            value, gradient = func(_random_starts(rng, m, 4))
+            assert np.all(np.isfinite(value)) and np.all(np.isfinite(gradient(np.arange(4))))
 
 
 def test_chi_converges_before_the_iteration_cap():
@@ -411,12 +409,14 @@ def test_padding_states_are_inert():
     assert np.all(res.converged)
     # padding leaves each row's value and gradient on its own coordinates
     # bit for bit as without it
-    for (x, free), m in zip(blocks, (1, 2, 3, 4)):
-        value, grad = _neg_chi_objective(M, t, 4)(x)
-        own_value, own_grad = _neg_chi_objective(M, t, m)(
-            np.ascontiguousarray(x[free].reshape(len(x), -1)))
+    func = _chi_objective(M, t)
+    for x, free in blocks:
+        rows = np.arange(len(x))
+        value, gradient = func(x)
+        own_value, own_gradient = func(np.ascontiguousarray(x[free].reshape(len(x), -1)))
+        grad = gradient(rows)
         assert np.array_equal(value, own_value)
-        assert np.array_equal(grad[free].reshape(len(x), -1), own_grad)
+        assert np.array_equal(grad[free].reshape(len(x), -1), own_gradient(rows))
         assert not np.any(grad[~free])
 
 
@@ -424,13 +424,14 @@ def test_gradient_from_the_trial_pass_matches_a_fresh_evaluation():
     M, t = _ptm_parts(gad_params(0.3, 0.7))
     rng = np.random.default_rng(31)
     x0 = np.vstack([_pad_starts(_random_starts(rng, m, 4), m, 4)[0] for m in (2, 3, 4)])
-    _, grad = _neg_chi_objective(M, t, 4)(x0)
+    func = _chi_objective(M, t)
+    grad = func(x0)[1](np.arange(len(x0)))
     trial = (x0[:, None, :] - _LADDER[:, None] * grad[:, None, :]).reshape(-1, x0.shape[1])
-    values, gradient = _chi_objective(M, t)(trial)
+    values, gradient = func(trial)
     rows = np.array([3, 20, 41, 77, 150, len(trial) - 1])
-    fresh_values, fresh_grad = _neg_chi_objective(M, t, 4)(trial[rows])
+    fresh_values, fresh_gradient = func(trial[rows])
     assert np.array_equal(values[rows], fresh_values)
-    assert np.array_equal(gradient(rows), fresh_grad)
+    assert np.array_equal(gradient(rows), fresh_gradient(np.arange(len(rows))))
 
 
 def test_default_chi_solve_makes_one_forward_pass_per_iteration(monkeypatch):

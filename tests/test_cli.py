@@ -410,6 +410,8 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
     (["analyze", *GAD_ARGS, "--chi", "--seed", "-1"], 2, "non-negative"),
     (["verify", "--suite", "core", "--seed", "-1"], 2, "non-negative"),
     (["QCAP_SEED=-3", "verify"], 2, "non-negative"),
+    (["sweep", *GAD_SWEEP, "--chi-sizes", "2,x"], 2, "argument --chi-sizes"),
+    (["analyze", *GAD_ARGS, "--chi-sizes", "2,x"], 2, "argument --chi-sizes"),
 ])
 def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
     while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell
@@ -428,3 +430,8 @@ def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypa
     assert code == exit_code
     assert "Traceback" not in err
     assert "error:" in err and phrase in err
+
+
+def test_parser_is_built_once():
+    # main() parses with the one cached parser instead of rebuilding it
+    assert cli.build_parser() is cli.build_parser()
