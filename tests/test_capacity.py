@@ -261,10 +261,13 @@ def test_chi_respects_upper_bound():
         assert r.value <= bounds.upper_raw + 1e-6
 
 
-def test_grid_oracle_closed_forms():
+def test_grid_oracle_trivials():
     assert chi_capacity_grid_oracle(PauliChannelParams(1, 1, 1, 0)) == 1.0
     assert chi_capacity_grid_oracle(PauliChannelParams(0, 0, 0, 0)) == 0.0
     assert chi_capacity_grid_oracle(PauliChannelParams(0, 0, 0, 0.5)) == 0.0
+
+
+def test_grid_oracle_depolarizing():
     # a unital channel's chi is 1 - h((1 - s_max)/2)
     depolarizing = chi_capacity_grid_oracle(PauliChannelParams(0.5, 0.5, 0.5, 0))
     assert abs(depolarizing - (1 - H_QUARTER)) <= 1e-12
