@@ -23,7 +23,6 @@ import numpy as np
 from . import __version__, render, verify
 from .capacity import (
     DEFAULT_SEED,
-    ChiConfig,
     Report,
     analyze,
     chi_capacity_numeric,
@@ -107,13 +106,6 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _chi_sizes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(size) for size in text.split(","))
-    except ValueError as exc:  # int()'s message quotes the bad entry
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("channel selection")
     group.add_argument("--gad", action="store_true",
@@ -128,16 +120,6 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
                        help="custom channel lambda parameters")
     group.add_argument("--t3", type=_finite_float, default=0.0,
                        help="custom channel translation")
-
-
-def _add_chi_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--chi-starts", type=int, help="random starts per ensemble size")
-    parser.add_argument("--chi-sizes", type=_chi_sizes,
-                        help="comma list of ensemble sizes, e.g. 2,3,4")
-    parser.add_argument("--chi-max-iter", type=int,
-                        help="BFGS iteration cap per ensemble size (default 200)")
-    parser.add_argument("--chi-xatol", type=float,
-                        help="BFGS stops a start once no step coordinate exceeds this")
 
 
 def _channel_values(args) -> tuple[str, dict]:
@@ -174,13 +156,6 @@ def _completely_positive(params: PauliChannelParams, x_name: str = "",
     return cp.is_cp
 
 
-def _chi_kwargs(args) -> dict:
-    """ChiConfig overrides from the --chi-* flags that were given."""
-    given = {"starts": args.chi_starts, "sizes": args.chi_sizes,
-             "max_iter": args.chi_max_iter, "xatol": args.chi_xatol}
-    return {key: value for key, value in given.items() if value is not None}
-
-
 def _emit(text: str, out_path: Optional[str]) -> None:
     if out_path:
         with open(out_path, "w", newline="") as fh:
@@ -202,8 +177,7 @@ def _row(x: Optional[float], report: Report, chi: Optional[float]) -> dict:
         bounds.lower_clamped, bounds.upper_clamped, chi)))
 
 
-def _analyze_payload(label: str, params: PauliChannelParams,
-                     chi_cfg: Optional[ChiConfig]) -> dict:
+def _analyze_payload(label: str, params: PauliChannelParams, chi: bool) -> dict:
     report = analyze(params)
     row = _row(None, report, None)
     payload = {
@@ -216,8 +190,8 @@ def _analyze_payload(label: str, params: PauliChannelParams,
         **{col: row[col] for col in CSV_COLUMNS[4:11]},  # norm_AB .. c_upper
         "residuals": asdict(verify_decomposition(params, report.pair)),
     }
-    if chi_cfg is not None:
-        result = chi_capacity_numeric(params, chi_cfg)
+    if chi:
+        result = chi_capacity_numeric(params)
         payload["c_chi"] = result.value
         payload["chi_converged"] = result.converged
     return payload
@@ -250,9 +224,8 @@ def _analyze_text(payload: dict) -> str:
 
 def cmd_analyze(args) -> int:
     try:
-        seed = _resolve_seed(args.seed)
+        _resolve_seed(args.seed)  # checked, though no result depends on it
         label, params = _channel_from_args(args)
-        chi_cfg = ChiConfig(seed=seed, **_chi_kwargs(args)) if args.chi else None
     except (NotInterior, ValueError) as exc:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
     if not _completely_positive(params):
@@ -261,7 +234,7 @@ def cmd_analyze(args) -> int:
         return _fail(
             f"channel is not interior: |t3| + |lambda3| = "
             f"{abs(params.t3) + abs(params.lambda3):.6g} >= 1", EXIT_NOT_INTERIOR)
-    payload = _analyze_payload(label, params, chi_cfg)
+    payload = _analyze_payload(label, params, args.chi)
     text = json.dumps(payload, indent=2) + "\n" if args.json else _analyze_text(payload)
     _emit(text, args.out)
     return EXIT_OK
@@ -271,10 +244,9 @@ def cmd_analyze(args) -> int:
 # sweep
 
 
-def _sweep_point(task: tuple[float, PauliChannelParams, Optional[ChiConfig]]) -> dict:
-    x, params, chi_cfg = task
-    chi = None if chi_cfg is None else chi_capacity_numeric(params, chi_cfg).value
-    return _row(x, analyze(params), chi)
+def _sweep_point(task: tuple[float, PauliChannelParams, bool]) -> dict:
+    x, params, chi = task
+    return _row(x, analyze(params), chi_capacity_numeric(params).value if chi else None)
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
@@ -303,7 +275,6 @@ def cmd_sweep(args) -> int:
         seed = _resolve_seed(args.seed)
         family, fixed = _channel_values(args)
         fixed.pop(args.x, None)
-        chi_kwargs = _chi_kwargs(args)
         if args.steps < 2:
             raise ValueError("sweep needs at least 2 steps")
         if not args.min < args.max:
@@ -312,8 +283,6 @@ def cmd_sweep(args) -> int:
         if args.x not in names:
             raise ValueError(
                 f"family {family!r} sweeps over {', '.join(names)}; got {args.x!r}")
-        if args.chi:
-            ChiConfig(**chi_kwargs)  # rejects bad --chi-* values now
         _require_values(family, fixed)
         if args.workers < 1:
             raise ValueError(f"--workers must be at least 1, got {args.workers}")
@@ -335,8 +304,7 @@ def cmd_sweep(args) -> int:
                 continue
             return _fail(f"non-interior grid point inside sweep range: {exc}",
                          EXIT_NOT_INTERIOR)
-        chi_cfg = ChiConfig(seed=(seed, index), **chi_kwargs) if args.chi else None
-        tasks.append((x, params, chi_cfg))
+        tasks.append((x, params, args.chi))
 
     workers = min(args.workers, len(tasks))  # a pool forks all its workers at once
     if workers > 1:
@@ -474,11 +442,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa = sub.add_parser("analyze", help="full report for a single channel")
     _add_channel_args(pa)
     pa.add_argument("--chi", action="store_true",
-                    help="also optimize the chi capacity")
+                    help="also compute the chi capacity")
     pa.add_argument("--json", action="store_true")
     pa.add_argument("--out", help="write report to a file instead of stdout")
     pa.add_argument("--seed", type=int)
-    _add_chi_args(pa)
     pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("sweep", help="sweep a channel family into CSV/JSON")
@@ -489,14 +456,13 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max", type=_finite_float, required=True)
     ps.add_argument("--steps", type=int, required=True)
     ps.add_argument("--chi", action="store_true",
-                    help="include the optimized chi capacity column")
+                    help="include the chi capacity column")
     ps.add_argument("--format", choices=("csv", "json"), default="csv")
     ps.add_argument("--out", help="output path (default stdout)")
     ps.add_argument("--seed", type=int)
     ps.add_argument("--workers", type=int, default=1,
                     help="evaluate grid points in a pool of this many processes "
                          "(at most one per point)")
-    _add_chi_args(ps)
     ps.set_defaults(func=cmd_sweep)
 
     pk = sub.add_parser("sinkhorn", help="scaling decomposition of a channel")

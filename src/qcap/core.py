@@ -237,8 +237,19 @@ def kraus_from_choi(choi, tol: float = 1e-12) -> list[np.ndarray]:
 
 
 def is_completely_positive(channel: ChannelLike, tol: float = PSD_TOL) -> CPReport:
-    """CP certificate: smallest Choi eigenvalue must be >= -tol."""
-    mineig = float(np.linalg.eigvalsh(choi_from_channel(channel))[0])
+    """CP certificate: smallest Choi eigenvalue must be >= -tol.
+
+    A family channel's Choi matrix splits into two 2x2 blocks, whose
+    smallest eigenvalues are (1 + lambda3 - hypot(t3, lambda1 + lambda2))/2
+    and (1 - lambda3 - hypot(t3, lambda1 - lambda2))/2; any other channel
+    goes through the eigensolver.
+    """
+    if isinstance(channel, PauliChannelParams):
+        l1, l2, l3, t3 = channel.lambda1, channel.lambda2, channel.lambda3, channel.t3
+        mineig = 0.5 * min(1.0 + l3 - math.hypot(t3, l1 + l2),
+                           1.0 - l3 - math.hypot(t3, l1 - l2))
+    else:
+        mineig = float(np.linalg.eigvalsh(choi_from_channel(channel))[0])
     return CPReport(mineig >= -tol, mineig)
 
 

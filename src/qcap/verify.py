@@ -93,7 +93,7 @@ def _unital_family_choi_min_eig(l1, l2, l3):
 
 def _check_cp_grid(rng) -> CheckResult:
     # full 50^3 grid through a batched eigensolve, plus a subsample
-    # through the production single-channel path
+    # through the single-channel eigensolver path, given each as a PTM
     axis = np.linspace(-1.0, 1.0, 50)
     l1, l2, l3 = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
     min_eigs = _unital_family_choi_min_eig(l1, l2, l3)
@@ -106,7 +106,7 @@ def _check_cp_grid(rng) -> CheckResult:
     sample_ok = True
     for k in idx:
         params = core.PauliChannelParams(l1[k], l2[k], l3[k], 0.0)
-        report = core.is_completely_positive(params)
+        report = core.is_completely_positive(core.ptm_from_params(params))
         if report.is_cp != bool(by_inequality[k]):
             sample_ok = False
             break

@@ -225,7 +225,7 @@ def test_chi_identity_and_tracing():
 
 def test_chi_matches_unital_closed_form():
     ch = PauliChannelParams(0.5, 0.3, 0.2, 0.0)
-    r = chi_capacity_numeric(ch)
+    r = chi_capacity_numeric(ch, ChiConfig())
     assert r.value == pytest.approx(1 - H_QUARTER, abs=1e-4)
     assert r.converged
     assert r.ensemble.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -282,19 +282,57 @@ def test_grid_oracle_depolarizing():
         assert abs(chi_capacity_grid_oracle(PauliChannelParams(*lam, 0.0)) - expected) <= 1e-12
 
 
-@pytest.mark.parametrize("channel", [
-    gad_params(0.475, 0.25),
-    gad_params(0.475, 0.5),
-    gad_params(0.475, 1.0),
-    mix_params(0.3),
-    PauliChannelParams(0.5, 0.4, 0.3, 0.3),
-    PauliChannelParams(0.2, 0.6, 0.1, 0.5),
-    PauliChannelParams(0.3, 0.2, 0.6, 0.3),
-], ids=["gad-0.25", "gad-0.5", "gad-1", "mix", "custom", "custom-l2", "custom-poles"])
+ORACLE_CHANNELS = {
+    "gad-0.25": gad_params(0.475, 0.25),
+    "gad-0.5": gad_params(0.475, 0.5),
+    "gad-1": gad_params(0.475, 1.0),
+    "mix": mix_params(0.3),
+    "custom": PauliChannelParams(0.5, 0.4, 0.3, 0.3),
+    "custom-l2": PauliChannelParams(0.2, 0.6, 0.1, 0.5),
+    "custom-poles": PauliChannelParams(0.3, 0.2, 0.6, 0.3),
+}
+
+EDGE_CHANNELS = {
+    "identity": PauliChannelParams(1, 1, 1, 0),
+    "tracing": PauliChannelParams(0, 0, 0, 0),
+    "constant": PauliChannelParams(0, 0, 0, 0.5),
+    "l-zero": PauliChannelParams(0, 0, 0.5, 0.3),
+    "opposite": PauliChannelParams(0.6, -0.6, 0, 0),
+    "lambda3-zero": PauliChannelParams(0.4, 0.3, 0, 0.3),
+}
+
+
+@pytest.mark.parametrize("channel", ORACLE_CHANNELS.values(), ids=ORACLE_CHANNELS.keys())
 def test_chi_matches_grid_oracle(channel):
     # the oracle is exact up to its grid error, about 1e-11 here; the
     # last channel's optimum mixes the two poles, off the z = 0 plane
-    assert abs(chi_capacity_numeric(channel).value - chi_capacity_grid_oracle(channel)) <= 1e-9
+    got = chi_capacity_numeric(channel, ChiConfig()).value
+    assert abs(got - chi_capacity_grid_oracle(channel)) <= 1e-9
+
+
+@pytest.mark.parametrize("channel", [*ORACLE_CHANNELS.values(), *EDGE_CHANNELS.values()],
+                         ids=[*ORACLE_CHANNELS, *EDGE_CHANNELS])
+def test_family_chi_is_exact_and_attained(channel):
+    # the exact solver against the dense oracle and the search; its
+    # value is the Holevo quantity of its own ensemble, bit for bit
+    result = chi_capacity_numeric(channel)
+    assert abs(result.value - chi_capacity_grid_oracle(channel)) <= 1e-10
+    assert result.value >= chi_capacity_numeric(channel, ChiConfig()).value - 1e-13
+    assert result.value == holevo_quantity(channel, result.ensemble)
+    assert result.ensemble.size <= 4
+
+
+def test_family_chi_runs_no_search(monkeypatch):
+    # a family channel without a config never reaches the optimizer,
+    # while a config still asks for the search
+    def refuse(*args, **kwargs):
+        raise AssertionError("bfgs_batch called")
+
+    monkeypatch.setattr(capacity, "bfgs_batch", refuse)
+    for channel in [*ORACLE_CHANNELS.values(), *EDGE_CHANNELS.values()]:
+        chi_capacity_numeric(channel)
+    with pytest.raises(AssertionError, match="bfgs_batch"):
+        chi_capacity_numeric(gad_params(0.475, 1.0), ChiConfig())
 
 
 def test_chi_gradient_matches_central_differences():
@@ -335,7 +373,7 @@ def test_chi_converges_before_the_iteration_cap():
         r = chi_capacity_numeric(PauliChannelParams(*lam, 0.0), cfg)
         assert r.converged
         assert 0 < r.iterations < 200
-    r = chi_capacity_numeric(gad_params(0.475, 1.0))
+    r = chi_capacity_numeric(gad_params(0.475, 1.0), ChiConfig())
     assert r.converged
     assert r.iterations > 0
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from qcap import cli
-from qcap.capacity import ChiConfig
 
 GAD_ARGS = ["--gad", "--p", "0.475", "--gamma-t", "1.0"]
 
@@ -40,9 +39,7 @@ def test_analyze_non_cp_exit_3(capsys):
 
 def test_analyze_json_with_chi(capsys):
     code, out, err = run(["analyze", "--lambda", "0.5", "0.4", "0.3",
-                          "--t3", "0.2", "--chi", "--json",
-                          "--chi-sizes", "2", "--chi-starts", "8",
-                          "--chi-max-iter", "200"], capsys)
+                          "--t3", "0.2", "--chi", "--json"], capsys)
     assert code == 0
     payload = json.loads(out)
     assert payload["interior"] is True
@@ -54,8 +51,7 @@ def test_sweep_csv_columns_and_determinism(tmp_path, capsys):
     out_a = tmp_path / "a.csv"
     out_b = tmp_path / "b.csv"
     args = ["sweep", "--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
-            "--max", "1.2", "--steps", "5", "--chi", "--chi-sizes", "2",
-            "--chi-starts", "4", "--chi-max-iter", "150"]
+            "--max", "1.2", "--steps", "5", "--chi"]
     assert cli.main(args + ["--out", str(out_a)]) == 0
     assert cli.main(args + ["--out", str(out_b)]) == 0
     capsys.readouterr()
@@ -134,7 +130,7 @@ def test_sweep_json_meta_and_seed_resolution(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("args", [
     ["--mix", "--x", "p", "--min", "0.1", "--max", "0.9", "--steps", "6"],
     ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2", "--max", "1.2",
-     "--steps", "4", "--chi", "--chi-sizes", "2", "--chi-starts", "2"],
+     "--steps", "4", "--chi"],
 ], ids=["bounds", "chi"])
 def test_sweep_worker_pool_matches_serial(args, tmp_path, capsys):
     serial = tmp_path / "serial.csv"
@@ -184,8 +180,7 @@ def test_sweep_builds_each_grid_point_once(monkeypatch, capsys):
 
     monkeypatch.setitem(cli._FAMILIES, "mix", (names, label, counting))
     code, out, err = run(["sweep", "--mix", "--x", "p", "--min", "0", "--max", "1",
-                          "--steps", "6", "--chi", "--chi-sizes", "2",
-                          "--chi-starts", "1"], capsys)
+                          "--steps", "6", "--chi"], capsys)
     assert code == 0
     assert len(out.strip().splitlines()) == 1 + 4
     assert len(calls) == 6
@@ -278,14 +273,13 @@ def test_render_missing_column_exit_1(tmp_path, capsys):
         48: "0.0264685558935"}),
 ], ids=["fig1", "fig2"])
 def test_sweep_chi_values_pinned(family, fixed, x_name, lo, hi, steps, pins):
-    # c_chi cells of the full fig1 and fig2 `sweep --chi --seed 42`; each
-    # grid point i has its own chi seed (42, i), so the full grid is kept
+    # c_chi cells of the full fig1 and fig2 `sweep --chi --seed 42`
     grid = np.linspace(lo, hi, steps)
     make = cli._FAMILIES[family][2]
     for i, expected in pins.items():
         x = float(grid[i])
         params = make(**dict(fixed), **{x_name: x})
-        row = cli._sweep_point((x, params, ChiConfig(seed=(42, i))))
+        row = cli._sweep_point((x, params, True))
         assert cli._fmt(row["c_chi"]) == expected
 
 
@@ -299,6 +293,19 @@ def test_figure_bounds_csv_pinned(args, digest, capsys):
     # the full fig1 and fig2 grids without --chi: every bounds column of
     # the figure CSVs, byte for byte
     code, out, err = run(["sweep", *args], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["--gad", "--p", "0.475", "--x", "gamma_t", "--min", "0.05", "--max", "3",
+      "--steps", "60"], "4fd9d7a456eb6b524ccf2d6798f124e479dd12bd11974c8a45a8f27f74a47fff"),
+    (["--mix", "--x", "p", "--min", "0.02", "--max", "0.98", "--steps", "49"],
+     "490e89902a1dee239e3e7fb10f078163c6e9a033bc2b0fda0e6241f17555ddff"),
+], ids=["fig1", "fig2"])
+def test_figure_chi_csv_pinned(args, digest, capsys):
+    # the figure CSVs themselves, the chi column included, byte for byte
+    code, out, err = run(["sweep", *args, "--chi", "--seed", "42"], capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -382,36 +389,31 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
       "--max", "0.5", "--steps", "4"], 2, "finite"),
     (["sweep", "--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0",
       "--max", "inf", "--steps", "4"], 2, "finite"),
-    (["analyze", *CHANNEL, "--chi", "--chi-sizes", "5"], 2, "sizes"),
-    (["analyze", *CHANNEL, "--chi", "--chi-sizes", "0"], 2, "sizes"),
-    (["analyze", *CHANNEL, "--chi", "--chi-starts", "-1"], 2, "starts"),
-    (["analyze", *CHANNEL, "--chi", "--chi-sizes", "2,x"], 2, "'x'"),
-    (["analyze", *CHANNEL, "--chi", "--chi-sizes", "1", "--chi-starts", "0"], 2,
-     "no start"),
-    (["sweep", *GAD_SWEEP, "--chi", "--chi-sizes", "5"], 2, "sizes"),
-    (["sweep", *GAD_SWEEP, "--chi", "--chi-starts", "-1"], 2, "starts"),
+    (["sweep", *GAD_SWEEP, "--chi", "--chi-sizes", "2"], 2, "unrecognized arguments"),
+    (["analyze", "--json"], 2, "select a channel"),
+    (["analyze", "--gad", "--p", "0.3"], 2, "--gad requires --gamma-t"),
+    (["analyze", "--gad", "--p", "x", "--gamma-t", "1"], 2, "invalid float value"),
+    (["analyze", "--gad", "--p", "0.7", "--gamma-t", "1"], 2, "0 < p <= 1/2"),
+    (["analyze", "--mix", "--p", "1.5"], 2, "0 < p < 1"),
+    (["sweep", "--gad", "--x", "gamma_t", "--min", "0.2", "--max", "1", "--steps", "3"],
+     2, "--gad requires --p"),
     (["sinkhorn", *CHANNEL, "--method", "iterate", "--max-iter", "0"], 4,
      "after 0 sweeps"),
     (["QCAP_SEED=abc", "sweep", "--mix", "--x", "p", "--min", "0.1", "--max", "0.9",
       "--steps", "3"], 2, "QCAP_SEED"),
     (["QCAP_SEED=abc", "analyze", *GAD_ARGS], 2, "QCAP_SEED"),
     (["QCAP_SEED=abc", "verify", "--suite", "core"], 2, "QCAP_SEED"),
-    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "1", "--chi", "--chi-max-iter", "0",
-      "--chi-sizes", "2", "--chi-starts", "2"], 2, "max_iter"),
-    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "1", "--chi", "--chi-xatol", "nan"],
-     2, "xatol"),
-    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "1", "--chi", "--chi-xatol", "-1"],
-     2, "xatol"),
-    (["sweep", *GAD_SWEEP, "--chi", "--chi-xatol", "nan"], 2, "xatol"),
+    (["analyze", "--gad", "--p", "0", "--gamma-t", "1"], 2, "boundary amplitude damping"),
+    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "-1"], 2, "dimensionless time"),
+    (["render", "--in", "sweep.csv", "--out", "chart.svg"], 1, "explicit charts need"),
+    (["render", "--in", "sweep.csv", "--out", "chart.svg", "--x", "x", "--series", "c_chi"],
+     1, "COLUMN:STYLE:LABEL"),
     (["sweep", *GAD_SWEEP, "--workers", "0"], 2, "--workers"),
     (["sweep", *GAD_SWEEP, "--workers", "-4"], 2, "--workers"),
-    (["sweep", *GAD_SWEEP, "--chi", "--chi-sizes", "2", "--chi-starts", "2",
-      "--seed", "-1"], 2, "non-negative"),
+    (["sweep", *GAD_SWEEP, "--chi", "--seed", "-1"], 2, "non-negative"),
     (["analyze", *GAD_ARGS, "--chi", "--seed", "-1"], 2, "non-negative"),
     (["verify", "--suite", "core", "--seed", "-1"], 2, "non-negative"),
     (["QCAP_SEED=-3", "verify"], 2, "non-negative"),
-    (["sweep", *GAD_SWEEP, "--chi-sizes", "2,x"], 2, "argument --chi-sizes"),
-    (["analyze", *GAD_ARGS, "--chi-sizes", "2,x"], 2, "argument --chi-sizes"),
 ])
 def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
     while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell

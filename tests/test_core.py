@@ -164,6 +164,23 @@ def test_cp_gad_grid():
             assert report.is_cp, (p, gt, report)
 
 
+def test_family_cp_closed_form_matches_the_eigensolver():
+    # the family's closed-form smallest Choi eigenvalue against the
+    # eigensolver on its PTM, nonunital channels on both sides of CP
+    rng = np.random.default_rng(29)
+    verdicts = set()
+    for _ in range(500):
+        l1, l2, l3 = rng.uniform(-1, 1, 3)
+        t3 = rng.uniform(0.01, 1) * rng.choice([-1, 1])
+        params = PauliChannelParams(l1, l2, l3, t3)
+        report = is_completely_positive(params)
+        mineig = float(np.linalg.eigvalsh(choi_from_channel(ptm_from_params(params)))[0])
+        assert abs(report.min_eigenvalue - mineig) <= 1e-15, params
+        assert report.is_cp == (mineig >= -core.PSD_TOL), params
+        verdicts.add(report.is_cp)
+    assert verdicts == {True, False}
+
+
 def test_unital_and_trace_preserving_flags():
     assert is_unital(PauliChannelParams(0.3, -0.2, 0.5, 0.0))
     from qcap.capacity import gad_params
