@@ -389,31 +389,42 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
       "--max", "0.5", "--steps", "4"], 2, "finite"),
     (["sweep", "--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0",
       "--max", "inf", "--steps", "4"], 2, "finite"),
-    (["sweep", *GAD_SWEEP, "--chi", "--chi-sizes", "2"], 2, "unrecognized arguments"),
+    # the removed chi search flags are refused by name
+    (["analyze", *CHANNEL, "--chi", "--chi-sizes", "5"], 2, "sizes"),
+    (["analyze", *CHANNEL, "--chi", "--chi-sizes", "0"], 2, "sizes"),
+    (["analyze", *CHANNEL, "--chi", "--chi-starts", "-1"], 2, "starts"),
     (["analyze", "--json"], 2, "select a channel"),
     (["analyze", "--gad", "--p", "0.3"], 2, "--gad requires --gamma-t"),
-    (["analyze", "--gad", "--p", "x", "--gamma-t", "1"], 2, "invalid float value"),
-    (["analyze", "--gad", "--p", "0.7", "--gamma-t", "1"], 2, "0 < p <= 1/2"),
-    (["analyze", "--mix", "--p", "1.5"], 2, "0 < p < 1"),
-    (["sweep", "--gad", "--x", "gamma_t", "--min", "0.2", "--max", "1", "--steps", "3"],
-     2, "--gad requires --p"),
+    (["sweep", *GAD_SWEEP, "--chi", "--chi-sizes", "5"], 2, "sizes"),
+    (["sweep", *GAD_SWEEP, "--chi", "--chi-starts", "-1"], 2, "starts"),
     (["sinkhorn", *CHANNEL, "--method", "iterate", "--max-iter", "0"], 4,
      "after 0 sweeps"),
     (["QCAP_SEED=abc", "sweep", "--mix", "--x", "p", "--min", "0.1", "--max", "0.9",
       "--steps", "3"], 2, "QCAP_SEED"),
     (["QCAP_SEED=abc", "analyze", *GAD_ARGS], 2, "QCAP_SEED"),
     (["QCAP_SEED=abc", "verify", "--suite", "core"], 2, "QCAP_SEED"),
-    (["analyze", "--gad", "--p", "0", "--gamma-t", "1"], 2, "boundary amplitude damping"),
-    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "-1"], 2, "dimensionless time"),
-    (["render", "--in", "sweep.csv", "--out", "chart.svg"], 1, "explicit charts need"),
-    (["render", "--in", "sweep.csv", "--out", "chart.svg", "--x", "x", "--series", "c_chi"],
-     1, "COLUMN:STYLE:LABEL"),
+    (["analyze", "--gad", "--p", "x", "--gamma-t", "1"], 2, "invalid float value"),
+    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "1", "--chi", "--chi-xatol", "nan"],
+     2, "xatol"),
+    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "1", "--chi", "--chi-xatol", "-1"],
+     2, "xatol"),
+    (["sweep", *GAD_SWEEP, "--chi", "--chi-xatol", "nan"], 2, "xatol"),
     (["sweep", *GAD_SWEEP, "--workers", "0"], 2, "--workers"),
     (["sweep", *GAD_SWEEP, "--workers", "-4"], 2, "--workers"),
     (["sweep", *GAD_SWEEP, "--chi", "--seed", "-1"], 2, "non-negative"),
     (["analyze", *GAD_ARGS, "--chi", "--seed", "-1"], 2, "non-negative"),
     (["verify", "--suite", "core", "--seed", "-1"], 2, "non-negative"),
     (["QCAP_SEED=-3", "verify"], 2, "non-negative"),
+    (["sweep", *GAD_SWEEP, "--chi", "--chi-sizes", "2"], 2, "unrecognized arguments"),
+    (["analyze", "--gad", "--p", "0.7", "--gamma-t", "1"], 2, "0 < p <= 1/2"),
+    (["analyze", "--mix", "--p", "1.5"], 2, "0 < p < 1"),
+    (["sweep", "--gad", "--x", "gamma_t", "--min", "0.2", "--max", "1", "--steps", "3"],
+     2, "--gad requires --p"),
+    (["analyze", "--gad", "--p", "0", "--gamma-t", "1"], 2, "boundary amplitude damping"),
+    (["analyze", "--gad", "--p", "0.3", "--gamma-t", "-1"], 2, "dimensionless time"),
+    (["render", "--in", "sweep.csv", "--out", "chart.svg"], 1, "explicit charts need"),
+    (["render", "--in", "sweep.csv", "--out", "chart.svg", "--x", "x", "--series", "c_chi"],
+     1, "COLUMN:STYLE:LABEL"),
 ])
 def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
     while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell
