@@ -571,7 +571,7 @@ def _family_chi(params: PauliChannelParams) -> ChiResult:
         zbar = float(z[int(np.argmax(s_avg - np.interp(z, hx, hy)))])
         j = min(int(np.searchsorted(hx, zbar, side="right")), len(hx) - 1)
         a, b = hx[j - 1], hx[j]
-    w = (b - zbar) / (b - a) if b > a else 1.0
+    w = (b - zbar) / (b - a)
     pairs = [(height, weight) for height, weight in ((a, w), (b, 1.0 - w)) if weight > 0.0]
     axis = 0 if abs(params.lambda1) >= abs(params.lambda2) else 1
     states = np.zeros((2 * len(pairs), 3))

@@ -224,7 +224,6 @@ def _analyze_text(payload: dict) -> str:
 
 def cmd_analyze(args) -> int:
     try:
-        _resolve_seed(args.seed)  # checked, though no result depends on it
         label, params = _channel_from_args(args)
     except (NotInterior, ValueError) as exc:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
@@ -445,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="also compute the chi capacity")
     pa.add_argument("--json", action="store_true")
     pa.add_argument("--out", help="write report to a file instead of stdout")
-    pa.add_argument("--seed", type=int)
     pa.set_defaults(func=cmd_analyze)
 
     ps = sub.add_parser("sweep", help="sweep a channel family into CSV/JSON")

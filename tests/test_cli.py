@@ -401,7 +401,8 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
      "after 0 sweeps"),
     (["QCAP_SEED=abc", "sweep", "--mix", "--x", "p", "--min", "0.1", "--max", "0.9",
       "--steps", "3"], 2, "QCAP_SEED"),
-    (["QCAP_SEED=abc", "analyze", *GAD_ARGS], 2, "QCAP_SEED"),
+    # analyze takes no seed; the sweep without --chi still reads it for its JSON meta
+    (["QCAP_SEED=abc", "sweep", *GAD_SWEEP, "--format", "json"], 2, "QCAP_SEED"),
     (["QCAP_SEED=abc", "verify", "--suite", "core"], 2, "QCAP_SEED"),
     (["analyze", "--gad", "--p", "x", "--gamma-t", "1"], 2, "invalid float value"),
     (["analyze", "--gad", "--p", "0.3", "--gamma-t", "1", "--chi", "--chi-xatol", "nan"],
@@ -412,7 +413,7 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
     (["sweep", *GAD_SWEEP, "--workers", "0"], 2, "--workers"),
     (["sweep", *GAD_SWEEP, "--workers", "-4"], 2, "--workers"),
     (["sweep", *GAD_SWEEP, "--chi", "--seed", "-1"], 2, "non-negative"),
-    (["analyze", *GAD_ARGS, "--chi", "--seed", "-1"], 2, "non-negative"),
+    (["sweep", *GAD_SWEEP, "--format", "json", "--seed", "-1"], 2, "non-negative"),
     (["verify", "--suite", "core", "--seed", "-1"], 2, "non-negative"),
     (["QCAP_SEED=-3", "verify"], 2, "non-negative"),
     (["sweep", *GAD_SWEEP, "--chi", "--chi-sizes", "2"], 2, "unrecognized arguments"),
@@ -425,6 +426,7 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
     (["render", "--in", "sweep.csv", "--out", "chart.svg"], 1, "explicit charts need"),
     (["render", "--in", "sweep.csv", "--out", "chart.svg", "--x", "x", "--series", "c_chi"],
      1, "COLUMN:STYLE:LABEL"),
+    (["analyze", *GAD_ARGS, "--chi", "--seed", "1"], 2, "unrecognized arguments: --seed"),
 ])
 def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
     while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell
