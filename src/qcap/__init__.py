@@ -26,7 +26,6 @@ from .core import (
     choi_from_channel,
     compose,
     density_to_bloch,
-    fibonacci_sphere,
     image_radius,
     is_completely_positive,
     is_interior,

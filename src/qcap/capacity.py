@@ -12,11 +12,11 @@ of a family channel is solved exactly by the family's one-dimensional
 reduction, which also yields the maximizing ensemble of at most four
 pure states.  Any other channel, or an explicit ``ChiConfig``, gets a
 multistart quasi-Newton (BFGS) search over ensembles of up to four pure
-states, using the closed-form gradient of the Holevo quantity.  The
-starts of every ensemble size run as one lockstep batch, padded to the
-largest size with zero-weight states, and each iteration's gradient is
-taken from its line-search evaluation.  A dense-grid evaluation of the
-reduction is the independent cross-check oracle of both.
+states, using the closed-form gradient of the Holevo quantity.  Each
+ensemble size's starts run as one lockstep batch, and each iteration's
+gradient is taken from its line-search evaluation.  A dense-grid
+evaluation of the reduction is the independent cross-check oracle of
+both.
 """
 
 from __future__ import annotations
@@ -144,11 +144,10 @@ class ChiResult:
     """Best Holevo value found and its ensemble.
 
     For the search, ``converged`` says whether the best start met a
-    stopping rule before the iteration cap; ``iterations`` sums over the
-    ensemble sizes searched the optimizer iterations each size ran, that
-    is, the last iteration in which any start of that size was still
-    open.  The exact family solver reports ``converged`` and its number
-    of zoom passes.
+    stopping rule before the iteration cap; ``iterations`` sums the
+    iterations of the ensemble sizes' batches, each of which runs until
+    its last start stops.  The exact family solver reports ``converged``
+    and its number of zoom passes.
     """
 
     value: float
@@ -437,28 +436,13 @@ def _random_starts(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     return np.concatenate([angles, logits], axis=1)
 
 
-def _pad_starts(x0: np.ndarray, m: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    # widen m-state rows to the top-state layout and mark their own
-    # coordinates free.  Each padding state sits at theta = phi = 0 and
-    # its logit is pinned at the clip, where the sigmoid is exactly 1.0:
-    # the row's last own state takes the whole remaining stick, and the
-    # padding states get weight and gradient exactly 0
-    k = len(x0)
-    x = np.concatenate([x0[:, : 2 * m], np.zeros((k, 2 * (top - m))),
-                        x0[:, 2 * m:], np.full((k, top - m), _LOGIT_CLIP)], axis=1)
-    free = np.zeros(3 * top - 1, dtype=bool)
-    free[: 2 * m] = free[2 * top: 2 * top + m - 1] = True
-    return x, np.broadcast_to(free, x.shape)
-
-
-def _params_to_ensemble(params: np.ndarray, m: int, top: int) -> Ensemble:
-    # the first m states of a top-state row and their m - 1 logits
+def _params_to_ensemble(params: np.ndarray, m: int) -> Ensemble:
     ang = params[: 2 * m].reshape(m, 2)
     th, ph = ang[:, 0], ang[:, 1]
     st = np.sin(th)
     states = np.stack([st * np.cos(ph), st * np.sin(ph), np.cos(th)], axis=-1)
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    weights, _ = _stick_weights(params[None, 2 * top: 2 * top + m - 1])
+    weights, _ = _stick_weights(params[None, 2 * m:])
     weights = np.clip(weights[0], 0.0, None)
     weights /= weights.sum()
     return Ensemble(weights, states)
@@ -474,16 +458,13 @@ def chi_capacity_numeric(channel: ChannelOrParams,
 
     Ensembles of 2 to 4 pure states are sufficient at qubit scale; each
     size gets a batch of seeded random starts (plus a few deterministic
-    axis-aligned ones).  The starts of all sizes are refined together,
-    as one lockstep BFGS batch on the closed-form gradient: every row
-    is padded to the largest size with states of weight exactly 0, held
-    fixed, so the padding adds only zero terms to the row's sums.  The
-    best value across all starts and sizes is returned together with
-    the maximizing ensemble, which holds its own size's states; ties go
-    to the earlier size and start.  ``converged``
-    records whether that start met a stopping rule rather than the
-    iteration cap, and ``iterations`` sums over the sizes the last
-    iteration in which any start of that size was still open.
+    axis-aligned ones), all drawn from one generator in ``sizes`` order.
+    Each size's starts are refined as one lockstep BFGS batch on the
+    closed-form gradient.  The best value across all starts and sizes
+    is returned together with the maximizing ensemble; ties go to the
+    earlier size and start.  ``converged`` records whether that start
+    met a stopping rule rather than the iteration cap, and
+    ``iterations`` sums the iterations of the sizes' batches.
     """
     if config is None and isinstance(channel, PauliChannelParams):
         return _family_chi(channel)
@@ -492,21 +473,17 @@ def chi_capacity_numeric(channel: ChannelOrParams,
     M = np.ascontiguousarray(ptm[1:, 1:])
     t = ptm[1:, 0]
     rng = np.random.default_rng(cfg.seed)
-    top = max(cfg.sizes)
-
-    blocks = []
+    best, iterations = None, 0
     for m in cfg.sizes:
         starts = [_structured_starts(m), _random_starts(rng, m, cfg.starts)]
-        blocks.append(_pad_starts(np.vstack([s for s in starts if s.size]), m, top))
-    x0, free = (np.vstack(parts) for parts in zip(*blocks))
-    res = bfgs_batch(_chi_objective(M, t), x0, xatol=cfg.xatol, fatol=cfg.fatol,
-                     max_iter=cfg.max_iter, free=free)
-    ends = np.cumsum([len(x) for x, _ in blocks])
-    iterations = sum(int(stop.max()) for stop in np.split(res.stopped, ends[:-1]))
-    k = int(np.argmin(res.fun))
-    m = cfg.sizes[int(np.searchsorted(ends, k, side="right"))]
-    return ChiResult(float(-res.fun[k]), _params_to_ensemble(res.x[k], m, top),
-                     bool(res.converged[k]), iterations)
+        res = bfgs_batch(_chi_objective(M, t), np.vstack([s for s in starts if s.size]),
+                         xatol=cfg.xatol, fatol=cfg.fatol, max_iter=cfg.max_iter)
+        iterations += res.iterations
+        k = int(np.argmin(res.fun))
+        if best is None or res.fun[k] < best[0]:
+            best = (res.fun[k], res.x[k], res.converged[k], m)
+    fun, x, converged, m = best
+    return ChiResult(float(-fun), _params_to_ensemble(x, m), bool(converged), iterations)
 
 
 def _family_profile(params: PauliChannelParams, z: np.ndarray

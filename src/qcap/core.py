@@ -262,15 +262,6 @@ def is_unital(channel: ChannelLike, tol: float = UNITAL_TOL) -> bool:
     return bool(np.linalg.norm(_as_ptm(channel)[1:, 0]) <= tol)
 
 
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n near-uniform points on the unit sphere (deterministic)."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
-    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-
-
 def image_radius(channel: ChannelLike) -> float:
     """Largest output Bloch norm over pure input states, exactly.
 

@@ -12,6 +12,7 @@ product instances at block lengths n <= 3 (64x64 matrices at most).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -144,12 +145,32 @@ def code_scaling_traces(code: Code, scaling: np.ndarray) -> np.ndarray:
     return traces
 
 
+def completion_tolerance(scaling: np.ndarray, n: int) -> float:
+    """How far below 0 rounding may take the smallest eigenvalue of the
+    completion that ``modify_povm`` builds with the 2x2 ``scaling`` at
+    block length n.
+
+    ``operator_norm`` takes |A|^2 = (tr + sqrt(tr^2 - 4 det))/2 from the
+    Gram matrix A'A, and the discriminant cancels when the two singular
+    values nearly coincide.  An error E = 4 eps tr^2 in it moves |A|^2,
+    which is at least tr/2, by at most E / sqrt(max(disc, E)) / 2, and
+    |A|^(2n) n times as much, relatively; the completion, whose
+    eigenvalues lie in [0, 1], moves by as much.
+    """
+    A = np.asarray(scaling, dtype=complex)
+    g = A.conj().T @ A
+    tr = g[0, 0].real + g[1, 1].real
+    disc = tr * tr - 4.0 * (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real
+    err = 4.0 * np.finfo(float).eps * tr * tr
+    return POVM_PSD_TOL + n * err / (math.sqrt(max(disc, err)) * tr)
+
+
 def modify_povm(povm: Povm, scaling: np.ndarray) -> Povm:
     """Elements A'^(x)n M_j A^(x)n / |A|^(2n) plus PSD completion.
 
     The rescaling keeps the total below the identity, so the completion
-    element stays PSD; a violation beyond tolerance indicates a bug and
-    raises.
+    element stays PSD; a violation beyond ``completion_tolerance``
+    indicates a bug and raises.
     """
     A = np.asarray(scaling, dtype=complex)
     n = round(np.log2(povm.dim))
@@ -158,7 +179,7 @@ def modify_povm(povm: Povm, scaling: np.ndarray) -> Povm:
     elements = np.array([a_n.conj().T @ E @ a_n / scale for E in povm.elements])
     modified = Povm(elements)
     low = np.linalg.eigvalsh(modified.completion)[0].real
-    if low < -POVM_PSD_TOL:
+    if low < -completion_tolerance(A, n):
         raise ValueError(
             f"modified completion element has eigenvalue {low:.3e}; "
             "the rescaled elements exceed the identity"

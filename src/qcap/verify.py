@@ -278,8 +278,9 @@ def _check_modified_povm(rng) -> CheckResult:
             modified = protocol.modify_povm(povm, pair.a)
             total = modified.elements.sum(axis=0) + modified.completion
             ok = ok and np.abs(total - np.eye(2**n)).max() <= 1e-12
-            low = min(low, modified.min_eigenvalue())
-            ok = ok and low >= -1e-10
+            eig = modified.min_eigenvalue()
+            low = min(low, eig)
+            ok = ok and eig >= -protocol.completion_tolerance(pair.a, n)
     return _result("modified_povm_complete_and_psd", ok,
                    f"elements resolve identity; min eigenvalue {low:.2e}")
 

@@ -231,6 +231,16 @@ def test_verify_all_suites_pass(capsys):
     assert all(body["checks"] for body in payload["suites"].values())
 
 
+def test_verify_near_degenerate_scaling_prints_json(capsys):
+    # at this seed a rescaling-identity instance draws an A whose two
+    # singular values agree to 2.4e-7, so |A|^6 rounds low and the
+    # modified completion's least eigenvalue reaches -6.5e-10
+    code, out, err = run(["verify", "--suite", "protocol", "--seed", "1704011245"], capsys)
+    assert code == 0
+    assert json.loads(out)["all_passed"] is True
+    assert err == ""
+
+
 def test_verify_canary_fails(capsys):
     code, out, err = run(["verify", "--suite", "sinkhorn", "--canary"], capsys)
     assert code == 1

@@ -17,7 +17,6 @@ from qcap.core import (
     compose,
     density_to_bloch,
     entropy_kernel,
-    fibonacci_sphere,
     image_radius,
     is_completely_positive,
     is_interior,
@@ -259,6 +258,15 @@ def test_image_radius_hard_and_degenerate_cases():
         params = PauliChannelParams(l1, l2, l3, t3)
         assert abs(image_radius(ptm_from_params(params)) - expected) <= 1e-12
         assert abs(image_radius(_rotated(params, rng)) - expected) <= 1e-12
+
+
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """n near-uniform points on the unit sphere (deterministic)."""
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    r = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
+    phi = math.pi * (3.0 - math.sqrt(5.0)) * i
+    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
 def test_image_radius_bounds_a_fine_grid_on_random_channels():

@@ -34,31 +34,3 @@ def test_bfgs_batch_reports_the_iteration_cap():
     assert res.iterations == 3
     assert not res.converged[0]
     assert res.fun[0] < _rosenbrock(np.array([[-1.2, 1.0]]), grad=False)[0]
-
-
-def _rosenbrock_between(x):
-    # Rosenbrock in columns 0 and 2; column 1 does not enter the value
-    value, gradient = _rosenbrock(x[:, [0, 2]])
-
-    def full_gradient(rows):
-        g = gradient(rows)
-        return np.column_stack([g[:, 0], np.zeros(len(g)), g[:, 1]])
-
-    return value, full_gradient
-
-
-def test_bfgs_batch_fixed_coordinates_do_not_change_the_path():
-    x0 = np.array([[-1.2, 5.0, 1.0], [0.0, -3.0, 0.0], [2.0, 7.0, -1.0],
-                   [0.5, 0.25, 0.5]])
-    free = np.array([[True, False, True]] * 3 + [[True, True, True]])
-    res = bfgs_batch(_rosenbrock_between, x0, xatol=1e-10, free=free)
-    alone = bfgs_batch(_rosenbrock, x0[:3, [0, 2]], xatol=1e-10)
-    assert np.array_equal(res.x[:3, [0, 2]], alone.x)
-    assert np.array_equal(res.x[:3, 1], x0[:3, 1])
-    assert np.array_equal(res.fun[:3], alone.fun)
-    assert np.array_equal(res.stopped[:3], alone.stopped)
-    assert res.iterations == res.stopped.max()
-    # the fully free member moves its inert coordinate nowhere either,
-    # since its gradient there is exactly 0
-    assert res.x[3, 1] == 0.25
-    assert np.abs(res.x[3, [0, 2]] - 1.0).max() <= 1e-6

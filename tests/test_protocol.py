@@ -1,11 +1,16 @@
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from qcap.capacity import gad_params
-from qcap.core import PauliChannelParams, ptm_from_params
+from qcap.core import PauliChannelParams, operator_norm, ptm_from_params
 from qcap.protocol import (
+    POVM_PSD_TOL,
     Code,
     Povm,
+    completion_tolerance,
     modify_code,
     modify_povm,
     outcome_probabilities,
@@ -103,6 +108,35 @@ def test_modify_povm_random_completion_psd():
         assert modified.min_eigenvalue() >= -1e-10
         total = modified.elements.sum(axis=0) + modified.completion
         np.testing.assert_allclose(total, np.eye(2**n), atol=1e-12)
+
+
+def _top_singular_value_squared(A):
+    # exact for the real 2x2 A up to the 50-digit root of the discriminant
+    a, b, c, d = (Fraction(float(x)) for x in A.ravel())
+    tr = a * a + b * b + c * c + d * d
+    disc = tr * tr - 4 * (a * d - b * c) ** 2
+    with localcontext() as ctx:
+        ctx.prec = 50
+        dec = [Decimal(q.numerator) / Decimal(q.denominator) for q in (tr, disc)]
+        return (dec[0] + dec[1].sqrt()) / 2
+
+
+def test_completion_tolerance_covers_the_norm_rounding():
+    # |A|^2 from the Gram discriminant loses digits as the two singular
+    # values of A meet; the tolerance above POVM_PSD_TOL bounds that loss
+    rng = np.random.default_rng(8)
+    for gap in (1e-3, 1e-7, 1e-11, 0.0):
+        for _ in range(50):
+            u, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+            s = rng.uniform(0.5, 2.0)
+            A = u @ np.diag([s, s * (1.0 - gap)]) @ v.T
+            with localcontext() as ctx:
+                ctx.prec = 50
+                rel = abs(Decimal(operator_norm(A)) ** 2 / _top_singular_value_squared(A) - 1)
+            assert rel <= completion_tolerance(A, 1) - POVM_PSD_TOL
+    # well-separated singular values leave the tolerance at its floor
+    assert completion_tolerance(np.diag([0.8, 1.3]), 3) <= POVM_PSD_TOL * (1 + 1e-4)
 
 
 def test_outcome_probability_kronecker_delta():
