@@ -9,14 +9,15 @@ sandwiches it between
 
 The chi-capacity (a lower bound on C, equal to it in the unital case)
 of a family channel is solved exactly by the family's one-dimensional
-reduction, which also yields the maximizing ensemble of at most four
-pure states.  Any other channel, or an explicit ``ChiConfig``, gets a
-multistart quasi-Newton (BFGS) search over ensembles of up to four pure
-states, using the closed-form gradient of the Holevo quantity.  Each
-ensemble size's starts run as one lockstep batch, and each iteration's
-gradient is taken from its line-search evaluation.  A dense-grid
-evaluation of the reduction is the independent cross-check oracle of
-both.
+reduction: a lower convex hull on a grid of input heights, polished by
+Newton on its tangent conditions, gives the maximizing ensemble of at
+most four pure states.  Any other channel, or an explicit ``ChiConfig``,
+gets a multistart quasi-Newton (BFGS) search over ensembles of up to
+four pure states, using the closed-form gradient of the Holevo
+quantity.  Each ensemble size's starts run as one lockstep batch, and
+each iteration's gradient is taken from its line-search evaluation.
+A dense-grid evaluation of the reduction is the independent cross-check
+oracle of both.
 """
 
 from __future__ import annotations
@@ -146,8 +147,9 @@ class ChiResult:
     For the search, ``converged`` says whether the best start met a
     stopping rule before the iteration cap; ``iterations`` sums the
     iterations of the ensemble sizes' batches, each of which runs until
-    its last start stops.  The exact family solver reports ``converged``
-    and its number of zoom passes.
+    its last start stops.  For the exact family solver, ``iterations``
+    counts its Newton steps and ``converged`` says whether its final
+    tangent residual is within 1e-11.
     """
 
     value: float
@@ -300,7 +302,8 @@ def _stick_weights(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, s
 
 
-_Q0 = -1.0 / math.log(2.0)  # q(0), the r -> 0 limit of the entropy slope
+_LN2 = math.log(2.0)
+_Q0 = -1.0 / _LN2  # q(0), the r -> 0 limit of the entropy slope
 _R_MAX = 1.0 - 1e-16  # keeps the entropy slope finite at pure outputs
 
 
@@ -513,42 +516,183 @@ def _lower_hull(z: np.ndarray, s: np.ndarray) -> tuple[list[float], list[float]]
     return hx, hy
 
 
-_ZOOM_POINTS = 257  # heights per window, the first pass's grid included
-_ZOOM_SPAN = 4      # a zoom window reaches this many steps of the last pass
-_ZOOM_PASSES = 5
+_GRID_POINTS = 257  # heights of the first pass
+_NEWTON_CAP = 50     # Newton steps per solve, far above the few it takes
+_TANGENT_TOL = 1e-11  # tangent residual below which a solve counts as converged
+
+
+def _least_entropy(params: PauliChannelParams, z: float) -> tuple[float, float, float]:
+    # s(z) = S(r(z)), the least output entropy at input height z, and
+    # its first two derivatives: with g = r r' = (lambda3^2 - l^2) z +
+    # lambda3 t3 and q(r) = atanh(r)/r, s' = -q g/ln 2 and
+    # s'' = -(q'(r) g^2/r + q (lambda3^2 - l^2))/ln 2; r is clipped as in
+    # _entropy_slope, and q'(r)/r takes its series below r = 1e-2, where
+    # the closed form cancels
+    lam = max(abs(params.lambda1), abs(params.lambda2))
+    height = params.lambda3 * z + params.t3
+    r = min(math.sqrt(lam * lam * (1.0 - z * z) + height * height), 1.0)
+    curve = params.lambda3 * params.lambda3 - lam * lam
+    g = curve * z + params.lambda3 * params.t3
+    rc = min(r, _R_MAX)
+    r2 = rc * rc
+    if rc < 1e-2:
+        q = 1.0 + r2 / 3.0 + r2 * r2 / 5.0
+        dq_r = 2.0 / 3.0 + 0.8 * r2 + 6.0 / 7.0 * r2 * r2
+    else:
+        q = math.atanh(rc) / rc
+        dq_r = (rc / (1.0 - r2) - math.atanh(rc)) / (r2 * rc)
+    s = float(binary_entropy(0.5 * (1.0 - r)))
+    return s, _Q0 * q * g, _Q0 * (dq_r * g * g + q * curve)
+
+
+def _average_slope(params: PauliChannelParams, z: float) -> tuple[float, float]:
+    # the first two derivatives of S(|lambda3 z + t3|), the entropy of a
+    # +- pair's average output at height z: with u = lambda3 z + t3,
+    # -lambda3 atanh(u)/ln 2 and -lambda3^2/((1 - u^2) ln 2)
+    u = min(max(params.lambda3 * z + params.t3, -_R_MAX), _R_MAX)
+    return _Q0 * params.lambda3 * math.atanh(u), _Q0 * params.lambda3 ** 2 / (1.0 - u * u)
+
+
+class _Heights(NamedTuple):
+    """The exact family solution: +- pairs at heights a <= b (a == b for
+    a single pair), the average height z between them, the envelope's
+    slope there, the Newton steps taken and the final tangent residual."""
+
+    a: float
+    b: float
+    z: float
+    slope: float
+    steps: int
+    residual: float
+
+
+def _newton_done(residual: float, last: float, steps: int) -> bool:
+    # stop at an exact root, at the cap, or once a converged residual
+    # stops falling: it has reached the rounding floor
+    return (residual == 0.0 or steps == _NEWTON_CAP
+            or residual <= _TANGENT_TOL and residual >= last)
+
+
+def _bitangent(params: PauliChannelParams, a: float, b: float):
+    """Newton on the tangent conditions s'(a) = m = s'(b), with m the
+    chord slope (s(b) - s(a))/(b - a), from a hull segment; an end at
+    z = +-1 stays pinned.  Steps are halved until they keep
+    -1 <= a < b <= 1.  Returns a, b, m, the steps and the residual."""
+    free_a, free_b = a > -1.0, b < 1.0
+    steps, last = 0, math.inf
+    while True:
+        sa, da, ha = _least_entropy(params, a)
+        sb, db, hb = _least_entropy(params, b)
+        width = b - a
+        m = (sb - sa) / width
+        fa = da - m if free_a else 0.0
+        fb = db - m if free_b else 0.0
+        residual = max(abs(fa), abs(fb))
+        if _newton_done(residual, last, steps):
+            break
+        last = residual
+        # the Jacobian of (fa, fb), with dm/da = -fa/w and dm/db = fb/w
+        j00, j01 = ha + fa / width, -fb / width
+        j10, j11 = fa / width, hb - fb / width
+        if free_a and free_b:
+            det = j00 * j11 - j01 * j10
+            step_a = (j11 * fa - j01 * fb) / det
+            step_b = (j00 * fb - j10 * fa) / det
+        else:
+            step_a = fa / j00 if free_a else 0.0
+            step_b = fb / j11 if free_b else 0.0
+        if not (math.isfinite(step_a) and math.isfinite(step_b)):
+            break
+        while not -1.0 <= a - step_a < b - step_b <= 1.0:
+            step_a *= 0.5
+            step_b *= 0.5
+        a, b = a - step_a, b - step_b
+        steps += 1
+    return a, b, m, steps, residual
+
+
+def _single_pair(params: PauliChannelParams, z: float) -> tuple[_Heights, float]:
+    """Newton on S_avg'(z) = s'(z), the best height where the envelope
+    equals s, kept in [-1, 1].  Returns the single pair and s''(z)."""
+    steps, last = 0, math.inf
+    while True:
+        _, ds, hs = _least_entropy(params, z)
+        dv, hv = _average_slope(params, z)
+        residual = abs(dv - ds)
+        if _newton_done(residual, last, steps):
+            break
+        last = residual
+        step = (dv - ds) / (hv - hs)
+        if not math.isfinite(step):
+            break
+        z = min(max(z - step, -1.0), 1.0)
+        steps += 1
+    return _Heights(z, z, z, ds, steps, residual), hs
+
+
+def _best_height(params: PauliChannelParams, m: float) -> float:
+    # the height where S_avg' = m, (tanh(-m ln 2/lambda3) - t3)/lambda3;
+    # with lambda3 = 0 the average entropy is flat, and the best height
+    # is the end of the segment where the envelope is lower
+    if params.lambda3 == 0.0:
+        return -math.inf if m >= 0.0 else math.inf
+    return (math.tanh(-m * _LN2 / params.lambda3) - params.t3) / params.lambda3
+
+
+def _family_heights(params: PauliChannelParams) -> _Heights:
+    """The heights of the family chi's ensemble: a coarse pass, polished
+    by Newton.
+
+    The lower hull of s on 257 heights and the height zbar of the
+    largest gap between S_avg and the hull pick the hull segment [a, b]
+    holding the best average height.  Where [a, b] is one grid step, the
+    envelope equals s around zbar and the best height solves
+    S_avg' = s' (a single pair).  Otherwise, or where s'' < 0 at that
+    root, [a, b] is a bitangent of the envelope: Newton polishes its
+    ends and the best height is ``_best_height`` clipped to [a, b].  A
+    best height past a free end of the bitangent lies where the envelope
+    equals s again, so the single pair is solved from that end.
+    """
+    z = np.linspace(-1.0, 1.0, _GRID_POINTS)
+    step = 2.0 / (_GRID_POINTS - 1)
+    s, s_avg = _family_profile(params, z)
+    hx, hy = _lower_hull(z, s)
+    zbar = float(z[int(np.argmax(s_avg - np.interp(z, hx, hy)))])
+    j = min(int(np.searchsorted(hx, zbar, side="right")), len(hx) - 1)
+    a, b = hx[j - 1], hx[j]
+    spent = 0
+    if b - a < 1.5 * step:
+        pair, curvature = _single_pair(params, zbar)
+        if curvature >= 0.0:
+            return pair
+        spent = pair.steps
+    a, b, m, steps, residual = _bitangent(params, a, b)
+    spent += steps
+    best = _best_height(params, m)
+    if best < a and a > -1.0 or best > b and b < 1.0:
+        pair, curvature = _single_pair(params, a if best < a else b)
+        if curvature >= 0.0:
+            return pair._replace(steps=spent + pair.steps)
+        spent += pair.steps
+    return _Heights(a, b, min(max(best, a), b), m, spent, residual)
 
 
 def _family_chi(params: PauliChannelParams) -> ChiResult:
     """Chi-capacity of a family channel from its one-dimensional
     reduction (see ``chi_capacity_grid_oracle``), with its ensemble.
 
-    A first pass takes the lower hull of the least output entropy on
-    257 heights and the height z of the largest gap between the average
-    output's entropy and the hull.  The hull segment [a, b] holding z
-    gives the ensemble: a +- pair of states at height a with weight
-    w = (b - z)/(b - a) and one at height b with weight 1 - w, each in
-    the plane of the z axis and the axis of l.  Each of five zoom
-    passes repeats this on 257 heights over four steps of the last pass
-    to each side of a, b and z, so the step shrinks 32-fold per pass.
-    The gap is stationary in a, b and z, so the value, the Holevo
-    quantity of the final ensemble, is a lower bound on chi whose error
-    is second order in the last step, far below rounding.
+    ``_family_heights`` gives the heights a <= b and the best average
+    height z between them: a coarse lower hull on 257 heights, polished
+    by Newton on the tangent conditions.  The ensemble is a +- pair of
+    states at height a with weight w = (b - z)/(b - a) and one at height
+    b with weight 1 - w (a single pair when a = b), each in the plane of
+    the z axis and the axis of l.  The value is the Holevo quantity of
+    that ensemble, a lower bound on chi whose error is second order in
+    the Newton residual; ``iterations`` counts the Newton steps, and
+    ``converged`` says whether the tangent residual met its tolerance.
     """
-    z = np.linspace(-1.0, 1.0, _ZOOM_POINTS)
-    step = 2.0 / (_ZOOM_POINTS - 1)
-    for zoom in range(1 + _ZOOM_PASSES):
-        if zoom:
-            z = np.unique(np.concatenate([
-                np.linspace(max(c - _ZOOM_SPAN * step, -1.0),
-                            min(c + _ZOOM_SPAN * step, 1.0), _ZOOM_POINTS)
-                for c in (a, b, zbar)]))
-            step *= 2.0 * _ZOOM_SPAN / (_ZOOM_POINTS - 1)
-        s, s_avg = _family_profile(params, z)
-        hx, hy = _lower_hull(z, s)
-        zbar = float(z[int(np.argmax(s_avg - np.interp(z, hx, hy)))])
-        j = min(int(np.searchsorted(hx, zbar, side="right")), len(hx) - 1)
-        a, b = hx[j - 1], hx[j]
-    w = (b - zbar) / (b - a)
+    a, b, z, _, steps, residual = _family_heights(params)
+    w = (b - z) / (b - a) if b > a else 1.0
     pairs = [(height, weight) for height, weight in ((a, w), (b, 1.0 - w)) if weight > 0.0]
     axis = 0 if abs(params.lambda1) >= abs(params.lambda2) else 1
     states = np.zeros((2 * len(pairs), 3))
@@ -558,7 +702,8 @@ def _family_chi(params: PauliChannelParams) -> ChiResult:
         states[2 * k: 2 * k + 2, 2] = height
     weights = np.repeat([0.5 * weight for _, weight in pairs], 2)
     ensemble = Ensemble(weights, states)
-    return ChiResult(holevo_quantity(params, ensemble), ensemble, True, _ZOOM_PASSES)
+    return ChiResult(holevo_quantity(params, ensemble), ensemble,
+                     residual <= _TANGENT_TOL, steps)
 
 
 def chi_capacity_grid_oracle(params: PauliChannelParams) -> float:

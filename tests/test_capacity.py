@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -332,6 +333,177 @@ def test_family_chi_runs_no_search(monkeypatch):
         chi_capacity_numeric(channel)
     with pytest.raises(AssertionError, match="bfgs_batch"):
         chi_capacity_numeric(gad_params(0.475, 1.0), ChiConfig())
+
+
+def _complex_step(f, z):
+    # f'(z) from f(z + i h): exact to rounding, with no cancellation
+    return f(complex(z, 1e-30)).imag / 1e-30
+
+
+def _entropy_of_radius(r):
+    # h((1 - r)/2) in bits for a real or complex radius r, sharing no
+    # code with qcap
+    x = 0.5 * (1.0 - r)
+    return -sum(p * cmath.log(p) for p in (x, 1.0 - x) if p != 0.0) / math.log(2.0)
+
+
+def _reduction(channel):
+    # the reduction's two curves, s(z) = S(r(z)) and S_avg(z) = S(lambda3 z + t3)
+    # (h is symmetric, so S(|u|) = S(u)), written out independently of qcap
+    lam = max(abs(channel.lambda1), abs(channel.lambda2))
+
+    def least(z):
+        height = channel.lambda3 * z + channel.t3
+        return _entropy_of_radius(cmath.sqrt(lam * lam * (1.0 - z * z) + height * height))
+
+    def average(z):
+        return _entropy_of_radius(channel.lambda3 * z + channel.t3)
+
+    return least, average
+
+
+def _golden_max(f, lo, hi, iterations=100):
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(iterations):
+        x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if f(x1) < f(x2):
+            lo = x1
+        else:
+            hi = x2
+    return f(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("eta", np.linspace(0.02, 0.98, 25))
+def test_amplitude_damping_chi_matches_the_closed_form(eta):
+    # amplitude damping of transmissivity eta is the family member
+    # (sqrt(eta), sqrt(eta), eta; 1 - eta); Giovannetti & Fazio (PRA 71,
+    # 032314, 2005) give its chi as max_q [h(eta q) - h((1 + root)/2)],
+    # root = sqrt((1 - 2 eta q)^2 + 4 eta q (1 - q)), maximized here by a
+    # grid and golden-section search
+    def gf(q):
+        root = math.sqrt((1.0 - 2.0 * eta * q) ** 2 + 4.0 * eta * q * (1.0 - q))
+        return (_entropy_of_radius(1.0 - 2.0 * eta * q) - _entropy_of_radius(min(root, 1.0))).real
+
+    grid = np.linspace(0.0, 1.0, 1001)
+    k = int(np.argmax([gf(q) for q in grid]))
+    expected = _golden_max(gf, grid[max(k - 1, 0)], grid[min(k + 1, 1000)])
+    channel = PauliChannelParams(math.sqrt(eta), math.sqrt(eta), eta, 1.0 - eta)
+    assert abs(chi_capacity_numeric(channel).value - expected) <= 1e-12
+
+
+def _random_cp_family(rng, kind):
+    # kind 1 sets lambda3 = 0, kind 2 sets l = 0 and kind 3 sets t3 = 0
+    while True:
+        lam1, lam2, lam3, t3 = rng.uniform(-1.0, 1.0, 4)
+        lam3 = 0.0 if kind == 1 else lam3
+        lam1, lam2 = (0.0, 0.0) if kind == 2 else (lam1, lam2)
+        t3 = 0.0 if kind == 3 else t3
+        if 1 + lam3 >= math.hypot(t3, lam1 + lam2) and 1 - lam3 >= math.hypot(t3, lam1 - lam2):
+            return PauliChannelParams(float(lam1), float(lam2), float(lam3), float(t3))
+
+
+RANDOM_FAMILY = [_random_cp_family(np.random.default_rng(41), k % 4) for k in range(200)]
+
+# optimal bitangents with one end at z = +-1 and one inside; about 1 in
+# 700 random channels has one
+ONE_END_PINNED = [
+    PauliChannelParams(0.087, -0.14, 0.083, -0.868),
+    PauliChannelParams(-0.376, -0.034, 0.322, 0.565),
+    PauliChannelParams(0.009, 0.194, 0.131, -0.804),
+    PauliChannelParams(-0.593, -0.475, 0.5007, -0.484),
+]
+
+
+def test_family_chi_meets_its_tangent_conditions():
+    # the exact solver's own optimality conditions, checked by complex-step
+    # derivatives: a bitangent's free ends touch s with the chord's slope m,
+    # a best height inside it has S_avg' = m, and a single pair has
+    # S_avg' = s'; the reported slope is m or s', and the value is its
+    # ensemble's Holevo quantity
+    shapes = set()
+    for channel in [*ORACLE_CHANNELS.values(), *EDGE_CHANNELS.values(), *RANDOM_FAMILY,
+                    *ONE_END_PINNED]:
+        least, average = _reduction(channel)
+        a, b, z, slope, steps, residual = capacity._family_heights(channel)
+        assert -1.0 <= a <= z <= b <= 1.0 and residual <= 1e-11
+        if a == b:
+            shapes.add("pair")
+            if abs(z) < 1.0:
+                assert abs(_complex_step(least, z) - slope) <= 1e-10
+                assert abs(_complex_step(average, z) - slope) <= 1e-10
+        else:
+            m = (least(b).real - least(a).real) / (b - a)
+            assert abs(slope - m) <= 1e-12
+            for end in (a, b):
+                if abs(end) < 1.0:
+                    assert abs(_complex_step(least, end) - m) <= 1e-10
+            if a < z < b:
+                assert abs(_complex_step(average, z) - m) <= 1e-10
+            shapes.add("both pinned" if (a, b) == (-1.0, 1.0) else "one pinned")
+        result = chi_capacity_numeric(channel)
+        assert result.value == holevo_quantity(channel, result.ensemble)
+        assert result.ensemble.size <= 4
+        assert result.converged
+    assert shapes == {"pair", "one pinned", "both pinned"}
+
+
+@pytest.mark.parametrize("start", [(-0.45, 0.56), (-0.3, 0.9)], ids=["near", "far"])
+def test_bitangent_with_both_ends_free(monkeypatch, start):
+    # no family channel tried (30 000 random ones) has a bitangent with
+    # both ends inside (-1, 1), so the two-end Newton step is checked on
+    # a tilted double well s = (z^2 - 1/4)^2 + z/10, whose bitangent
+    # touches at z = +-1/2 with slope 1/10.  From the far start the first
+    # full step would put a at -10.2; the halved steps stay in [-1, 1]
+    heights = []
+
+    def well(params, z):
+        heights.append(z)
+        return (z * z - 0.25) ** 2 + 0.1 * z, 4.0 * z * (z * z - 0.25) + 0.1, 12.0 * z * z - 1.0
+
+    monkeypatch.setattr(capacity, "_least_entropy", well)
+    a, b, m, steps, residual = capacity._bitangent(None, *start)
+    assert abs(a + 0.5) <= 1e-15 and abs(b - 0.5) <= 1e-15 and abs(m - 0.1) <= 1e-15
+    assert 0 < steps <= 10 and residual <= 1e-15
+    assert all(-1.0 <= z <= 1.0 for z in heights)
+
+
+@pytest.mark.parametrize("channel", [
+    *RANDOM_FAMILY[:4],
+    ONE_END_PINNED[0],
+    # a best height just past the polished bitangent's end, where the
+    # envelope equals s again; clipping it to the end loses 2.8e-7
+    PauliChannelParams(0.2706, 0.1603, 0.1811, 0.78),
+], ids=["random-0", "lambda3-zero", "l-zero", "t3-zero", "one-end-pinned", "past-the-end"])
+def test_family_chi_meets_the_grid_oracle(channel):
+    assert chi_capacity_numeric(channel).value >= chi_capacity_grid_oracle(channel) - 1e-13
+
+
+def test_family_chi_reports_its_newton_steps(monkeypatch):
+    # iterations counts the Newton steps and converged the tangent
+    # residual: with no steps allowed the grid's tangents miss it
+    channel = gad_params(0.475, 1.0)
+    result = chi_capacity_numeric(channel)
+    assert result.converged and 0 < result.iterations <= 10
+    monkeypatch.setattr(capacity, "_NEWTON_CAP", 0)
+    result = chi_capacity_numeric(channel)
+    assert not result.converged and result.iterations == 0
+
+
+def test_exact_chi_takes_one_coarse_hull(monkeypatch):
+    # a timing-free guard for the exact solver's work: one lower hull on
+    # the first pass's 257 heights, and the polish takes no other
+    sizes = []
+    hull = capacity._lower_hull
+
+    def counting_hull(z, s):
+        sizes.append(len(z))
+        return hull(z, s)
+
+    monkeypatch.setattr(capacity, "_lower_hull", counting_hull)
+    for channel in [*ORACLE_CHANNELS.values(), *EDGE_CHANNELS.values()]:
+        sizes.clear()
+        chi_capacity_numeric(channel)
+        assert len(sizes) == 1 and sizes[0] <= 257
 
 
 def test_chi_gradient_matches_central_differences():

@@ -2,11 +2,13 @@ import hashlib
 import json
 import re
 import traceback
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from qcap import cli
+from qcap.capacity import chi_capacity_numeric
 
 GAD_ARGS = ["--gad", "--p", "0.475", "--gamma-t", "1.0"]
 
@@ -309,7 +311,7 @@ def test_figure_bounds_csv_pinned(args, digest, capsys):
 
 @pytest.mark.parametrize("args, digest", [
     (["--gad", "--p", "0.475", "--x", "gamma_t", "--min", "0.05", "--max", "3",
-      "--steps", "60"], "4fd9d7a456eb6b524ccf2d6798f124e479dd12bd11974c8a45a8f27f74a47fff"),
+      "--steps", "60"], "7badc79d0c07fcd8c2f0c6b5180d5c9b9a57c5bdfc9a60d83c53287f57d30c18"),
     (["--mix", "--x", "p", "--min", "0.02", "--max", "0.98", "--steps", "49"],
      "490e89902a1dee239e3e7fb10f078163c6e9a033bc2b0fda0e6241f17555ddff"),
 ], ids=["fig1", "fig2"])
@@ -318,6 +320,41 @@ def test_figure_chi_csv_pinned(args, digest, capsys):
     code, out, err = run(["sweep", *args, "--chi", "--seed", "42"], capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _holevo_50_digits(params, ensemble) -> Decimal:
+    # the Holevo quantity of an ensemble through a family channel, in
+    # 50-digit decimal arithmetic on the exact values of its doubles
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lam = [Decimal(params.lambda1), Decimal(params.lambda2), Decimal(params.lambda3)]
+        shift = [Decimal(0), Decimal(0), Decimal(params.t3)]
+        outs = [[lam[i] * Decimal(float(n[i])) + shift[i] for i in range(3)]
+                for n in ensemble.states]
+        weights = [Decimal(float(w)) for w in ensemble.weights]
+
+        def entropy(vector):
+            r = min(sum(c * c for c in vector).sqrt(), Decimal(1))
+            x = (1 - r) / 2
+            return -sum(p * p.ln() for p in (x, 1 - x) if p > 0) / Decimal(2).ln()
+
+        average = [sum(w * o[i] for w, o in zip(weights, outs)) for i in range(3)]
+        return entropy(average) - sum(w * entropy(o) for w, o in zip(weights, outs))
+
+
+@pytest.mark.parametrize("index, cell", [(44, "0.00803493451198")], ids=["fig1-44"])
+def test_moved_chi_cells_are_correctly_rounded(index, cell):
+    # fig1 c_chi cells within a double's rounding of a 12-digit boundary
+    # must be their ensemble's 50-digit Holevo quantity, correctly
+    # rounded.  At gamma_t = 2.25 that value is 0.0080349345119848...,
+    # 1.5e-19 below the boundary, and the cell once read ...199
+    gamma_t = float(np.linspace(0.05, 3.0, 60)[index])
+    params = cli._FAMILIES["gad"][2](p=0.475, gamma_t=gamma_t)
+    result = chi_capacity_numeric(params)
+    exact = _holevo_50_digits(params, result.ensemble)
+    assert cli._fmt(cli._sweep_point((gamma_t, params, True))["c_chi"]) == cell
+    assert format(exact, ".12g") == cell
+    assert abs(exact - Decimal(result.value)) <= Decimal("1e-15")  # entropies near 1 in doubles
 
 
 GOLDEN_ANALYZE_JSON = """\
