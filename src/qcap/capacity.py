@@ -12,10 +12,11 @@ of a family channel is solved exactly by the family's one-dimensional
 reduction: a lower convex hull on a grid of input heights, polished by
 Newton on its tangent conditions, gives the maximizing ensemble of at
 most four pure states.  Any other channel, or an explicit ``ChiConfig``,
-gets a multistart quasi-Newton (BFGS) search over ensembles of up to
-four pure states, using the closed-form gradient of the Holevo
-quantity.  Each ensemble size's starts run as one lockstep batch, and
-each iteration's gradient is taken from its line-search evaluation.
+gets a multistart quasi-Newton (BFGS) search from seeded random starts
+over ensembles of two to four pure states, using the closed-form
+gradient of the Holevo quantity.  Each ensemble size's starts run as
+one lockstep batch, and each iteration's gradient is taken from its
+line-search evaluation.
 A dense-grid evaluation of the reduction is the independent cross-check
 oracle of both.
 """
@@ -111,9 +112,9 @@ class ChiConfig:
 
     Passing one to ``chi_capacity_numeric`` asks for the search even
     for a family channel, which is otherwise solved exactly.
-    ``starts`` random starts per ensemble size are drawn from a
-    generator seeded with ``seed``, after a few deterministic
-    axis-aligned starts for sizes 2 to 4.  Each start is refined by BFGS
+    Each ensemble size in ``sizes`` (2 to 4) gets ``starts`` (at least
+    1) random starts, drawn from one generator seeded with ``seed`` in
+    ``sizes`` order.  Each start is refined by BFGS
     until its step is at most ``xatol`` in every coordinate, its
     decrease is at most ``fatol``, or no trial step is accepted;
     ``xatol`` and ``fatol`` must be at least 0, and ``max_iter``, at
@@ -129,10 +130,10 @@ class ChiConfig:
     max_iter: Optional[int] = None
 
     def __post_init__(self):
-        if not self.sizes or not set(self.sizes) <= {1, 2, 3, 4}:
-            raise ValueError(f"chi ensemble sizes must be 1 to 4, got {self.sizes}")
-        if self.starts < 0 or self.starts == 0 and not set(self.sizes) <= _STRUCTURED.keys():
-            raise ValueError(f"chi starts = {self.starts} leave a size with no start")
+        if not self.sizes or not set(self.sizes) <= {2, 3, 4}:
+            raise ValueError(f"chi ensemble sizes must be 2 to 4, got {self.sizes}")
+        if self.starts < 1:
+            raise ValueError(f"chi starts = {self.starts} must be at least 1")
         if self.max_iter is not None and self.max_iter < 1:
             raise ValueError(f"chi max_iter = {self.max_iter} must be at least 1")
         for name in ("xatol", "fatol"):
@@ -288,17 +289,16 @@ _LOGIT_CLIP = 700.0  # sigmoid(700) is exactly 1.0 and exp(700) is finite
 
 
 def _stick_weights(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # (k, m-1) unconstrained logits -> (k, m) simplex weights and the
+    # (k, m-1) unconstrained logits, m >= 2, -> (k, m) simplex weights and the
     # (k, m-1) stick fractions sigmoid(logits); the clip keeps exp finite
     # for the far trial steps of the line search
     k, mm1 = logits.shape
     s = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(logits, -_LOGIT_CLIP), _LOGIT_CLIP)))
-    w = np.ones((k, mm1 + 1))
-    if mm1:
-        rem = np.cumprod(1.0 - s, axis=1)
-        w[:, 0] = s[:, 0]
-        np.multiply(s[:, 1:], rem[:, :-1], out=w[:, 1:-1])
-        w[:, -1] = rem[:, -1]
+    w = np.empty((k, mm1 + 1))
+    rem = np.cumprod(1.0 - s, axis=1)
+    w[:, 0] = s[:, 0]
+    np.multiply(s[:, 1:], rem[:, :-1], out=w[:, 1:-1])
+    w[:, -1] = rem[:, -1]
     return w, s
 
 
@@ -404,33 +404,6 @@ def _chi_objective(M: np.ndarray, t: np.ndarray):
     return func
 
 
-_AXES = {
-    "x": (0.5 * math.pi, 0.0), "-x": (0.5 * math.pi, math.pi),
-    "y": (0.5 * math.pi, 0.5 * math.pi), "-y": (0.5 * math.pi, 1.5 * math.pi),
-    "z": (0.0, 0.0), "-z": (math.pi, 0.0),
-}
-
-_STRUCTURED = {
-    2: [("x", "-x"), ("y", "-y"), ("z", "-z")],
-    3: [("x", "-x", "z"), ("y", "-y", "z"), ("z", "-z", "x")],
-    4: [("x", "-x", "z", "-z"), ("y", "-y", "z", "-z"), ("x", "-x", "y", "-y")],
-}
-
-
-def _uniform_logits(m: int) -> list[float]:
-    # stick-breaking logits that give m equal weights
-    return [math.log(1.0 / (m - k - 1)) for k in range(m - 1)]
-
-
-def _structured_starts(m: int) -> np.ndarray:
-    rows = []
-    logits = _uniform_logits(m)
-    for names in _STRUCTURED.get(m, []):
-        angles = [c for name in names for c in _AXES[name]]
-        rows.append(angles + logits)
-    return np.array(rows)
-
-
 def _random_starts(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     th = np.arccos(rng.uniform(-1.0, 1.0, size=(count, m)))
     ph = rng.uniform(0.0, 2.0 * math.pi, size=(count, m))
@@ -460,8 +433,8 @@ def chi_capacity_numeric(channel: ChannelOrParams,
     a ``config``, or any other channel, runs the multistart search.
 
     Ensembles of 2 to 4 pure states are sufficient at qubit scale; each
-    size gets a batch of seeded random starts (plus a few deterministic
-    axis-aligned ones), all drawn from one generator in ``sizes`` order.
+    size gets a batch of seeded random starts, all drawn from one
+    generator in ``sizes`` order.
     Each size's starts are refined as one lockstep BFGS batch on the
     closed-form gradient.  The best value across all starts and sizes
     is returned together with the maximizing ensemble; ties go to the
@@ -478,8 +451,7 @@ def chi_capacity_numeric(channel: ChannelOrParams,
     rng = np.random.default_rng(cfg.seed)
     best, iterations = None, 0
     for m in cfg.sizes:
-        starts = [_structured_starts(m), _random_starts(rng, m, cfg.starts)]
-        res = bfgs_batch(_chi_objective(M, t), np.vstack([s for s in starts if s.size]),
+        res = bfgs_batch(_chi_objective(M, t), _random_starts(rng, m, cfg.starts),
                          xatol=cfg.xatol, fatol=cfg.fatol, max_iter=cfg.max_iter)
         iterations += res.iterations
         k = int(np.argmin(res.fun))

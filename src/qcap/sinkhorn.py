@@ -209,12 +209,9 @@ def sinkhorn_iterate(
     Raises NotInterior pre-flight and NoConvergence if the residuals do
     not reach ``tol`` within ``max_iter`` sweeps.
     """
-    ptm = _as_ptm(channel)
-    if isinstance(channel, PauliChannelParams):
-        if not is_interior(channel):
-            raise NotInterior("family channel on or outside the interior boundary")
-    elif not is_interior(ptm):
+    if not is_interior(channel):
         raise NotInterior("channel image touches the Bloch sphere")
+    ptm = _as_ptm(channel)
 
     eye = np.eye(2, dtype=complex)
     P = eye.copy()

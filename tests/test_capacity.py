@@ -11,7 +11,6 @@ from qcap.capacity import (
     Ensemble,
     _chi_objective,
     _random_starts,
-    _structured_starts,
     chi_capacity_grid_oracle,
     chi_capacity_numeric,
     gad_bounds,
@@ -27,6 +26,7 @@ from qcap.capacity import (
 from qcap.core import (
     NotInterior,
     PauliChannelParams,
+    QubitChannel,
     _as_ptm,
     binary_entropy,
     is_completely_positive,
@@ -322,6 +322,30 @@ def test_family_chi_is_exact_and_attained(channel):
     assert result.ensemble.size <= 4
 
 
+def _random_rotation(rng):
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q * np.linalg.det(q)
+
+
+ROTATED_CHANNELS = {
+    **ORACLE_CHANNELS,
+    **{name: EDGE_CHANNELS[name] for name in ("identity", "l-zero", "opposite", "lambda3-zero")},
+    "unital": PauliChannelParams(0.5, 0.3, 0.2, 0.0),
+}
+
+
+@pytest.mark.parametrize("seed, params", enumerate(ROTATED_CHANNELS.values()),
+                         ids=ROTATED_CHANNELS.keys())
+def test_search_finds_chi_of_a_rotated_family_channel(seed, params):
+    # rotations on input and output keep chi but move the optimal
+    # states off the coordinate axes
+    rng = np.random.default_rng(seed)
+    ptm = _as_ptm(params)
+    out, inp = _random_rotation(rng), _random_rotation(rng)
+    channel = QubitChannel.from_affine(out @ ptm[1:, 1:] @ inp, out @ ptm[1:, 0])
+    assert abs(chi_capacity_numeric(channel).value - capacity._family_chi(params).value) <= 1e-12
+
+
 def test_family_chi_runs_no_search(monkeypatch):
     # a family channel without a config never reaches the optimizer,
     # while a config still asks for the search
@@ -561,10 +585,12 @@ def test_chi_converges_before_the_iteration_cap():
     lambda: ChiConfig(xatol=-1e-9),
     lambda: ChiConfig(fatol=math.nan),
     lambda: ChiConfig(fatol=-1.0),
+    lambda: ChiConfig(sizes=(1,)),
+    lambda: ChiConfig(starts=0),
 ], ids=["gad-p-nan", "gad-gt-nan", "chi-no-sizes", "chi-size-5",
         "chi-negative-starts", "chi-size-1-no-start",
         "chi-max-iter-0", "chi-xatol-nan", "chi-xatol-negative", "chi-fatol-nan",
-        "chi-fatol-negative"])
+        "chi-fatol-negative", "chi-size-1", "chi-no-starts"])
 def test_bad_settings_raise_value_error(make):
     with pytest.raises(ValueError):
         make()
@@ -582,9 +608,8 @@ def _chi_per_size(channel, cfg):
     rng = np.random.default_rng(cfg.seed)
     best, iterations = None, 0
     for m in cfg.sizes:
-        x0 = np.vstack([_structured_starts(m), _random_starts(rng, m, cfg.starts)])
-        res = bfgs_batch(_chi_objective(M, t), x0, xatol=cfg.xatol,
-                         fatol=cfg.fatol, max_iter=cfg.max_iter)
+        res = bfgs_batch(_chi_objective(M, t), _random_starts(rng, m, cfg.starts),
+                         xatol=cfg.xatol, fatol=cfg.fatol, max_iter=cfg.max_iter)
         iterations += res.iterations
         k = int(np.argmin(res.fun))
         if best is None or -res.fun[k] > best[0]:
@@ -645,5 +670,5 @@ def test_default_chi_solve_makes_one_forward_pass_per_iteration(monkeypatch):
     result = chi_capacity_numeric(gad_params(0.475, 1.0), cfg)
     assert len(batches) == len(cfg.sizes)
     assert len(passes) == sum(batch.iterations + 1 for batch in batches)
-    assert passes[0] == cfg.starts + 3
+    assert passes[0] == cfg.starts
     assert result.iterations == sum(batch.iterations for batch in batches)
