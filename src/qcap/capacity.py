@@ -277,12 +277,15 @@ def holevo_quantity(channel: ChannelOrParams, ensemble: Ensemble) -> float:
     """S(sum_k p_k Phi[rho_k]) - sum_k p_k S(Phi[rho_k]) in bits."""
     ptm = _as_ptm(channel)
     out = ensemble.states @ ptm[1:, 1:].T + ptm[1:, 0]
-    radii = np.clip(np.linalg.norm(out, axis=1), 0.0, 1.0)
     avg = ensemble.weights @ out
-    r_avg = min(float(np.linalg.norm(avg)), 1.0)
-    s_avg = float(entropy_kernel(np.array(0.5 * (1.0 - r_avg))))
-    s_each = entropy_kernel(0.5 * (1.0 - radii))
-    return s_avg - float(ensemble.weights @ s_each)
+    # the radii of the average, then of each output, by np.linalg.norm's
+    # own formulas; a root of a sum of squares is >= +0, so only the top
+    # needs a clip.  One entropy call takes them all
+    r = np.empty(1 + len(out))
+    r[0] = math.sqrt(avg.dot(avg))
+    np.sqrt(np.add.reduce(out * out, axis=1), out=r[1:])
+    s = entropy_kernel(0.5 * (1.0 - np.minimum(r, 1.0)))
+    return float(s[0]) - float(ensemble.weights @ s[1:])
 
 
 _LOGIT_CLIP = 700.0  # sigmoid(700) is exactly 1.0 and exp(700) is finite
@@ -465,30 +468,47 @@ def _family_profile(params: PauliChannelParams, z: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray]:
     # at input heights z: the least output entropy S(r(z)), reached on
     # the axis of l = max(|lambda1|, |lambda2|), and the entropy
-    # S(|lambda3 z + t3|) of a +- pair's average output
+    # S(|lambda3 z + t3|) of a +- pair's average output; one entropy call
+    # takes both rows
     lam = max(abs(params.lambda1), abs(params.lambda2))
     height = params.lambda3 * z + params.t3
-    radius = np.sqrt(lam * lam * (1.0 - z * z) + height * height)
-    s = entropy_kernel(0.5 * (1.0 - np.minimum(radius, 1.0)))
-    s_avg = entropy_kernel(0.5 * (1.0 - np.minimum(np.abs(height), 1.0)))
+    r = np.empty((2, len(z)))
+    np.sqrt(lam * lam * (1.0 - z * z) + height * height, out=r[0])
+    np.abs(height, out=r[1])
+    s, s_avg = entropy_kernel(0.5 * (1.0 - np.minimum(r, 1.0)))
     return s, s_avg
 
 
-def _lower_hull(z: np.ndarray, s: np.ndarray) -> tuple[list[float], list[float]]:
+def _lower_hull(z: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vertices of the lower convex hull of the points (z, s), z strictly
-    ascending, by the monotone chain; collinear points are dropped."""
-    hx, hy = [], []
-    for x, y in zip(z.tolist(), s.tolist()):
+    ascending, by the monotone chain; collinear points are dropped.
+
+    The chain keeps every point until the first consecutive triple that
+    fails its convexity test, so that test is taken on all triples at
+    once and the chain starts from the prefix before it; the Python loop
+    runs only from there.  With no such triple the hull is every point,
+    and ``z`` and ``s`` themselves are returned.
+    """
+    dz, ds = z[1:-1] - z[:-2], s[1:-1] - s[:-2]
+    pops = np.flatnonzero(dz * (s[2:] - s[:-2]) <= ds * (z[2:] - z[:-2]))
+    if len(pops) == 0:
+        return z, s
+    first = int(pops[0]) + 2  # the first point whose arrival pops
+    hx, hy = z[:first].tolist(), s[:first].tolist()
+    for x, y in zip(z[first:].tolist(), s[first:].tolist()):
         while len(hx) >= 2 and ((hx[-1] - hx[-2]) * (y - hy[-2])
                                 <= (hy[-1] - hy[-2]) * (x - hx[-2])):
             hx.pop()
             hy.pop()
         hx.append(x)
         hy.append(y)
-    return hx, hy
+    return np.array(hx), np.array(hy)
 
 
 _GRID_POINTS = 257  # heights of the first pass
+_GRID = np.linspace(-1.0, 1.0, _GRID_POINTS)
+_GRID.flags.writeable = False  # _lower_hull may hand it back as the hull
+_GRID_STEP = 2.0 / (_GRID_POINTS - 1)
 _NEWTON_CAP = 50     # Newton steps per solve, far above the few it takes
 _TANGENT_TOL = 1e-11  # tangent residual below which a solve counts as converged
 
@@ -615,25 +635,26 @@ def _family_heights(params: PauliChannelParams) -> _Heights:
     """The heights of the family chi's ensemble: a coarse pass, polished
     by Newton.
 
-    The lower hull of s on 257 heights and the height zbar of the
-    largest gap between S_avg and the hull pick the hull segment [a, b]
-    holding the best average height.  Where [a, b] is one grid step, the
-    envelope equals s around zbar and the best height solves
-    S_avg' = s' (a single pair).  Otherwise, or where s'' < 0 at that
-    root, [a, b] is a bitangent of the envelope: Newton polishes its
-    ends and the best height is ``_best_height`` clipped to [a, b].  A
-    best height past a free end of the bitangent lies where the envelope
-    equals s again, so the single pair is solved from that end.
+    The lower hull of s on a fixed grid of 257 heights and the height
+    zbar of the largest gap between S_avg and the hull pick the hull
+    segment [a, b] holding the best average height.  On every figure
+    point s is strictly convex on the grid, so the hull is the grid
+    itself and costs one vectorized test (``_lower_hull``).  Where
+    [a, b] is one grid step, the envelope equals s around zbar and the
+    best height solves S_avg' = s' (a single pair).  Otherwise, or where
+    s'' < 0 at that root, [a, b] is a bitangent of the envelope: Newton
+    polishes its ends and the best height is ``_best_height`` clipped to
+    [a, b].  A best height past a free end of the bitangent lies where
+    the envelope equals s again, so the single pair is solved from that
+    end.
     """
-    z = np.linspace(-1.0, 1.0, _GRID_POINTS)
-    step = 2.0 / (_GRID_POINTS - 1)
-    s, s_avg = _family_profile(params, z)
-    hx, hy = _lower_hull(z, s)
-    zbar = float(z[int(np.argmax(s_avg - np.interp(z, hx, hy)))])
+    s, s_avg = _family_profile(params, _GRID)
+    hx, hy = _lower_hull(_GRID, s)
+    zbar = float(_GRID[int(np.argmax(s_avg - np.interp(_GRID, hx, hy)))])
     j = min(int(np.searchsorted(hx, zbar, side="right")), len(hx) - 1)
-    a, b = hx[j - 1], hx[j]
+    a, b = float(hx[j - 1]), float(hx[j])
     spent = 0
-    if b - a < 1.5 * step:
+    if b - a < 1.5 * _GRID_STEP:
         pair, curvature = _single_pair(params, zbar)
         if curvature >= 0.0:
             return pair

@@ -29,6 +29,7 @@ from qcap.core import (
     QubitChannel,
     _as_ptm,
     binary_entropy,
+    entropy_kernel,
     is_completely_positive,
 )
 from qcap.optimize import _LADDER, bfgs_batch
@@ -203,6 +204,44 @@ def test_holevo_invariance_under_relabeling_and_merging():
     v = holevo_quantity(ch, base)
     assert holevo_quantity(ch, swapped) == pytest.approx(v, abs=1e-14)
     assert holevo_quantity(ch, split) == pytest.approx(v, abs=1e-14)
+
+
+def _holevo_reference(channel, ensemble):
+    # the Holevo quantity as holevo_quantity once wrote it: np.linalg.norm,
+    # np.clip and an entropy call for the average and one for the outputs
+    ptm = _as_ptm(channel)
+    out = ensemble.states @ ptm[1:, 1:].T + ptm[1:, 0]
+    radii = np.clip(np.linalg.norm(out, axis=1), 0.0, 1.0)
+    avg = ensemble.weights @ out
+    r_avg = min(float(np.linalg.norm(avg)), 1.0)
+    s_avg = float(entropy_kernel(np.array(0.5 * (1.0 - r_avg))))
+    s_each = entropy_kernel(0.5 * (1.0 - radii))
+    return s_avg - float(ensemble.weights @ s_each)
+
+
+def test_holevo_quantity_matches_its_reference_bit_for_bit():
+    # seeded random family params and rotated (generic) channels with
+    # ensembles of 1 to 4 states, and a state whose radius rounds past 1
+    rng = np.random.default_rng(11)
+    cases = []
+    for k in range(400):
+        params = _random_cp_family(rng, k % 4)
+        channel = params
+        if k % 2:
+            ptm = _as_ptm(params)
+            out, inp = _random_rotation(rng), _random_rotation(rng)
+            channel = QubitChannel.from_affine(out @ ptm[1:, 1:] @ inp, out @ ptm[1:, 0])
+        m = 1 + k % 4
+        states = rng.normal(size=(m, 3))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        cases.append((channel, Ensemble(rng.dirichlet(np.ones(m)), states)))
+    past_one = [0.9698243673082586, -0.03271874667890908, -0.24159921396994988]
+    assert np.linalg.norm(past_one) > 1.0
+    for weights in ([1.0], [0.3, 0.7]):
+        states = [past_one, [0.0, 0.0, 1.0]][: len(weights)]
+        cases.append((PauliChannelParams(1, 1, 1, 0), Ensemble(weights, states)))
+    for channel, ensemble in cases:
+        assert holevo_quantity(channel, ensemble) == _holevo_reference(channel, ensemble)
 
 
 def test_ensemble_validation():
@@ -386,31 +425,25 @@ def _reduction(channel):
     return least, average
 
 
-def _golden_max(f, lo, hi, iterations=100):
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(iterations):
-        x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
-        if f(x1) < f(x2):
-            lo = x1
-        else:
-            hi = x2
-    return f(0.5 * (lo + hi))
-
-
 @pytest.mark.parametrize("eta", np.linspace(0.02, 0.98, 25))
 def test_amplitude_damping_chi_matches_the_closed_form(eta):
     # amplitude damping of transmissivity eta is the family member
     # (sqrt(eta), sqrt(eta), eta; 1 - eta); Giovannetti & Fazio (PRA 71,
     # 032314, 2005) give its chi as max_q [h(eta q) - h((1 + root)/2)],
-    # root = sqrt((1 - 2 eta q)^2 + 4 eta q (1 - q)), maximized here by a
-    # grid and golden-section search
+    # root = sqrt((1 - 2 eta q)^2 + 4 eta q (1 - q)), maximized here by
+    # scipy's bounded scalar minimizer around the best of a grid
+    optimize = pytest.importorskip("scipy.optimize")
+
     def gf(q):
         root = math.sqrt((1.0 - 2.0 * eta * q) ** 2 + 4.0 * eta * q * (1.0 - q))
         return (_entropy_of_radius(1.0 - 2.0 * eta * q) - _entropy_of_radius(min(root, 1.0))).real
 
     grid = np.linspace(0.0, 1.0, 1001)
     k = int(np.argmax([gf(q) for q in grid]))
-    expected = _golden_max(gf, grid[max(k - 1, 0)], grid[min(k + 1, 1000)])
+    found = optimize.minimize_scalar(lambda q: -gf(q), method="bounded",
+                                     bounds=(grid[max(k - 1, 0)], grid[min(k + 1, 1000)]),
+                                     options={"xatol": 1e-12})
+    expected = max(-found.fun, gf(grid[k]))
     channel = PauliChannelParams(math.sqrt(eta), math.sqrt(eta), eta, 1.0 - eta)
     assert abs(chi_capacity_numeric(channel).value - expected) <= 1e-12
 
@@ -528,6 +561,75 @@ def test_exact_chi_takes_one_coarse_hull(monkeypatch):
         sizes.clear()
         chi_capacity_numeric(channel)
         assert len(sizes) == 1 and sizes[0] <= 257
+
+
+FIG_CHANNELS = ([gad_params(0.475, float(gt)) for gt in np.linspace(0.05, 3.0, 60)]
+                + [mix_params(float(p)) for p in np.linspace(0.02, 0.98, 49)])
+
+
+def test_figure_hulls_keep_the_whole_grid(monkeypatch):
+    # a timing-free guard for the first pass: on every figure point the
+    # profile is strictly convex, so the hull is the whole 257-point grid
+    # and comes back as the input arrays, with no per-point Python loop
+    calls = []
+    hull = capacity._lower_hull
+
+    def checking_hull(z, s):
+        hx, hy = hull(z, s)
+        calls.append(len(z) == 257 and hx is z and hy is s)
+        return hx, hy
+
+    monkeypatch.setattr(capacity, "_lower_hull", checking_hull)
+    for channel in FIG_CHANNELS:
+        chi_capacity_numeric(channel)
+    assert len(calls) == 109 and all(calls)
+
+
+def _reference_hull(z, s):
+    # the plain monotone chain, one point at a time
+    hx, hy = [], []
+    for x, y in zip(z.tolist(), s.tolist()):
+        while len(hx) >= 2 and ((hx[-1] - hx[-2]) * (y - hy[-2])
+                                <= (hy[-1] - hy[-2]) * (x - hx[-2])):
+            hx.pop()
+            hy.pop()
+        hx.append(x)
+        hy.append(y)
+    return hx, hy
+
+
+def _assert_same_hull(z, s):
+    hx, hy = capacity._lower_hull(z, s)
+    rx, ry = _reference_hull(z, s)
+    assert hx.tolist() == rx and hy.tolist() == ry
+    return hx, hy
+
+
+def test_lower_hull_matches_the_monotone_chain():
+    # vertex for vertex, with float ==, on the figure profiles and on
+    # seeded random CP family profiles, a quarter each with lambda3 = 0,
+    # l = 0 or t3 = 0
+    rng = np.random.default_rng(5)
+    channels = FIG_CHANNELS + [_random_cp_family(rng, k % 4) for k in range(2000)]
+    looped = 0
+    for channel in channels:
+        s, _ = capacity._family_profile(channel, capacity._GRID)
+        hx, _ = _assert_same_hull(capacity._GRID, s)
+        looped += hx is not capacity._GRID
+    assert looped > 0
+    # a constant profile keeps only its two ends
+    s, _ = capacity._family_profile(PauliChannelParams(0.6, 0.6, 0.6, 0), capacity._GRID)
+    assert np.all(s == s[0])
+    hx, hy = _assert_same_hull(capacity._GRID, s)
+    assert hx.tolist() == [-1.0, 1.0] and hy.tolist() == [s[0], s[0]]
+    # a concave profile pops at the third point already
+    z = np.linspace(-1.0, 1.0, 9)
+    hx, _ = _assert_same_hull(z, 1.0 - z * z)
+    assert hx.tolist() == [-1.0, 1.0]
+    # two and three points, convex and not
+    for z, s in [([0.0, 1.0], [3.0, 2.0]), ([0.0, 0.5, 1.0], [1.0, 0.0, 1.0]),
+                 ([0.0, 0.5, 1.0], [0.0, 1.0, 0.0]), ([0.0, 0.5, 1.0], [0.0, 0.5, 1.0])]:
+        _assert_same_hull(np.array(z), np.array(s))
 
 
 def test_chi_gradient_matches_central_differences():
