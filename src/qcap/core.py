@@ -144,22 +144,30 @@ class CPReport(NamedTuple):
     min_eigenvalue: float
 
 
-def _as_ptm(channel: ChannelLike) -> np.ndarray:
+def _as_ptm(channel: ChannelLike, stacked: bool = False) -> np.ndarray:
+    """The 4x4 PTM of ``channel``; with ``stacked``, an array may also be a
+    (..., 4, 4) stack of PTMs."""
     if isinstance(channel, QubitChannel):
         return channel.ptm
     if isinstance(channel, PauliChannelParams):
         return ptm_from_params(channel).ptm
     ptm = np.asarray(channel, dtype=float)
-    if ptm.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 PTM, got shape {ptm.shape}")
+    if ptm.shape[-2:] != (4, 4) or (ptm.ndim != 2 and not stacked):
+        expected = "a (..., 4, 4) stack of PTMs" if stacked else "a 4x4 PTM"
+        raise ValueError(f"expected {expected}, got shape {ptm.shape}")
     return ptm
 
 
 def bloch_to_density(b) -> np.ndarray:
-    """rho = (I + x sx + y sy + z sz) / 2.  Norms above 1 are accepted
-    here; physicality is a separate check."""
-    x, y, z = (b.x, b.y, b.z) if isinstance(b, BlochVector) else np.asarray(b, float)
-    return 0.5 * np.array([[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]])
+    """rho = (I + x sx + y sy + z sz) / 2, or a (..., 2, 2) stack of them
+    for a (..., 3) array.  Norms above 1 are accepted here; physicality
+    is a separate check."""
+    if isinstance(b, BlochVector):
+        x, y, z = b.x, b.y, b.z
+    else:
+        x, y, z = np.moveaxis(np.asarray(b, float), -1, 0)
+    rows = [[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]
+    return 0.5 * np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
 def density_to_bloch(rho) -> BlochVector:
@@ -195,21 +203,30 @@ def apply_channel(channel: ChannelLike, b) -> BlochVector:
 
 
 def apply_channel_matrix(channel: ChannelLike, X) -> np.ndarray:
-    """Action of the map on an arbitrary 2x2 matrix via its PTM."""
-    ptm = _as_ptm(channel)
+    """Action of the map on an arbitrary 2x2 matrix via its PTM.
+
+    A (..., 4, 4) stack of PTMs and a (..., 2, 2) stack of matrices
+    broadcast against each other.
+    """
+    ptm = _as_ptm(channel, stacked=True)
     X = np.asarray(X, dtype=complex)
-    coeff = np.einsum("aij,ji->a", PAULI, X)
-    out = ptm @ coeff
-    return 0.5 * np.einsum("a,aij->ij", out, PAULI)
+    coeff = np.einsum("aij,...ji->...a", PAULI, X)
+    out = (ptm @ coeff[..., None])[..., 0]
+    return 0.5 * np.einsum("...a,aij->...ij", out, PAULI)
+
+
+def _dagger(K: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return K.conj().swapaxes(-1, -2)
 
 
 def kraus_ptm(K) -> np.ndarray:
     """Raw 4x4 PTM of the (generally non trace preserving) map
-    X -> K X K'."""
+    X -> K X K', or a (..., 4, 4) stack for a (..., 2, 2) stack of K."""
     K = np.asarray(K, dtype=complex)
-    conj = PAULI @ K.conj().T
-    out = K[None, :, :] @ conj  # K sigma_b K'
-    ptm = 0.5 * np.einsum("aij,bji->ab", PAULI, out)
+    conj = PAULI @ _dagger(K)[..., None, :, :]
+    out = K[..., None, :, :] @ conj  # K sigma_b K'
+    ptm = 0.5 * np.einsum("aij,...bji->...ab", PAULI, out)
     return np.ascontiguousarray(ptm.real)
 
 
@@ -221,18 +238,27 @@ def compose(outer: ChannelLike, inner: ChannelLike) -> QubitChannel:
 def choi_from_channel(channel: ChannelLike) -> np.ndarray:
     """C = sum_ij Phi[E_ij] (x) E_ij (channel on half of an unnormalized
     maximally entangled state), in the closed form
-    C = 1/2 sum_ab T_ab sigma_a (x) sigma_b^T."""
-    C = np.einsum("ab,abij->ij", _as_ptm(channel), _CHOI_BASIS)
-    return 0.5 * (C + C.conj().T)
+    C = 1/2 sum_ab T_ab sigma_a (x) sigma_b^T.  A (..., 4, 4) stack of
+    PTMs gives a stack of Choi matrices."""
+    C = np.einsum("...ab,abij->...ij", _as_ptm(channel, stacked=True), _CHOI_BASIS)
+    return 0.5 * (C + _dagger(C))
 
 
-def kraus_from_choi(choi, tol: float = 1e-12) -> list[np.ndarray]:
-    """Kraus operators from the eigendecomposition of the Choi matrix."""
-    w, V = np.linalg.eigh(np.asarray(choi, dtype=complex))
-    ops = []
-    for k in range(len(w) - 1, -1, -1):
-        if w[k] > tol:
-            ops.append(np.sqrt(w[k]) * V[:, k].reshape(2, 2))
+def kraus_from_choi(choi, tol: float = 1e-12):
+    """Kraus operators from the eigendecomposition of the Choi matrix,
+    largest eigenvalue first.
+
+    A single 4x4 Choi matrix gives the list of operators whose eigenvalue
+    exceeds ``tol``.  A (..., 4, 4) stack gives a (..., 4, 2, 2) array in
+    the same order, with the operators at or below ``tol`` set to zero.
+    """
+    choi = np.asarray(choi, dtype=complex)
+    w, V = np.linalg.eigh(choi)
+    w, V = w[..., ::-1], V[..., ::-1]
+    ops = np.sqrt(np.where(w > tol, w, 0.0))[..., None] * V.swapaxes(-1, -2)
+    ops = ops.reshape(*w.shape, 2, 2)
+    if choi.ndim == 2:
+        return [K for K, wk in zip(ops, w) if wk > tol]
     return ops
 
 
@@ -370,9 +396,10 @@ def von_neumann_entropy(rho) -> float:
 
 
 def apply_scaling(K, X) -> np.ndarray:
-    """K X K' for a single-Kraus scaling map."""
+    """K X K' for a single-Kraus scaling map; stacks of K and X
+    broadcast against each other."""
     K = np.asarray(K, dtype=complex)
-    return K @ np.asarray(X, dtype=complex) @ K.conj().T
+    return K @ np.asarray(X, dtype=complex) @ _dagger(K)
 
 
 def operator_norm(K) -> float:
@@ -404,12 +431,6 @@ def inverse_2x2(M) -> np.ndarray:
     return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
 
 
-def sqrtm_psd_2x2(M) -> np.ndarray:
-    """Principal square root of a 2x2 positive semidefinite matrix."""
-    w, V = np.linalg.eigh(np.asarray(M, dtype=complex))
-    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-
-
 # ---------------------------------------------------------------------------
 # random instances for tests and verification suites
 
@@ -422,11 +443,28 @@ def random_bloch(rng: np.random.Generator, pure: bool = False) -> BlochVector:
     return BlochVector.from_array(v)
 
 
+def random_ginibre(rng: np.random.Generator, count: int, dim: int = 2) -> np.ndarray:
+    """(count, dim, dim) complex Gaussian matrices in one ``normal`` call.
+
+    Each matrix takes its real part, then its imaginary part, from the
+    stream, so the result and the generator state afterwards are the
+    same as ``count`` sequential draws of
+    ``rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))``.
+    """
+    g = rng.normal(size=(count, 2, dim, dim))
+    return g[:, 0] + 1j * g[:, 1]
+
+
 def random_density(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     """Random mixed state: normalized Wishart G G' / tr."""
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return random_densities(rng, 1, dim)[0]
+
+
+def random_densities(rng: np.random.Generator, count: int, dim: int = 2) -> np.ndarray:
+    """(count, dim, dim) stack of ``random_density`` draws, bit for bit."""
+    g = random_ginibre(rng, count, dim)
+    rho = g @ _dagger(g)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
@@ -437,9 +475,21 @@ def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
 
 def random_cptp_channel(rng: np.random.Generator, kraus_rank: int = 2) -> QubitChannel:
     """Random CPTP qubit channel from a normalized random Kraus set."""
-    ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-           for _ in range(kraus_rank)]
-    total = sum(K.conj().T @ K for K in ops)
+    return QubitChannel(normalized_kraus_ptm(random_ginibre(rng, kraus_rank)))
+
+
+def normalized_kraus_ptm(ops) -> np.ndarray:
+    """PTM of the channel with Kraus operators K_k S^(-1/2), S = sum K_k'K_k.
+
+    ``ops`` is an (r, 2, 2) set, or a (..., r, 2, 2) stack of sets that
+    gives a (..., 4, 4) stack; all-zero operators may pad the sets to a
+    common r.  The first row is set to (1, 0, 0, 0), as ``QubitChannel``
+    does.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    total = (_dagger(ops) @ ops).sum(axis=-3)
     w, V = np.linalg.eigh(total)
-    inv_sqrt = (V / np.sqrt(w)) @ V.conj().T
-    return QubitChannel.from_kraus([K @ inv_sqrt for K in ops])
+    inv_sqrt = (V / np.sqrt(w)[..., None, :]) @ _dagger(V)
+    ptm = kraus_ptm(ops @ inv_sqrt[..., None, :, :]).sum(axis=-3)
+    ptm[..., 0, :] = (1.0, 0.0, 0.0, 0.0)
+    return ptm

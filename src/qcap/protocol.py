@@ -8,39 +8,63 @@ slack).  The outcome probabilities of the modified protocol are then an
 exact rescaling of the originals, and the success probability is at
 least (|A||B|)^(-2n).  These identities are verified on explicit tensor
 product instances at block lengths n <= 3 (64x64 matrices at most).
+
+Every function works on a whole code or POVM at once: the channel acts
+on all codeword factors in one contraction, the codewords are one
+stacked Kronecker product, and all Born probabilities, the completion
+element's included, come from one trace contraction against the
+stacked elements.  Codes and POVMs check their shapes, and every
+function that pairs a code with a POVM checks that their dimensions
+match, so no contraction broadcasts a mismatch.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 from .core import (
     ChannelLike,
     _as_ptm,
+    _dagger,
     apply_channel_matrix,
     apply_scaling,
     operator_norm,
-    random_density,
+    random_densities,
+    random_ginibre,
 )
 
 MAX_BLOCK_LENGTH = 3
 POVM_PSD_TOL = 1e-10
 
 
-def _kron_all(mats) -> np.ndarray:
-    return reduce(np.kron, mats)
+def _kron_stack(mats: np.ndarray) -> np.ndarray:
+    """Kronecker product over axis -3: (..., n, 2, 2) -> (..., 2^n, 2^n),
+    folded from the left like ``reduce(np.kron, ...)``."""
+    out = mats[..., 0, :, :]
+    for k in range(1, mats.shape[-3]):
+        d = out.shape[-1]
+        out = (out[..., :, None, :, None] * mats[..., None, k, :, None, :]
+               ).reshape(*out.shape[:-2], 2 * d, 2 * d)
+    return out
+
+
+def _scaling_operator(scaling) -> np.ndarray:
+    op = np.asarray(scaling, dtype=complex)
+    if op.shape != (2, 2):
+        raise ValueError(f"scaling operator must be 2x2, got shape {op.shape}")
+    return op
 
 
 @dataclass(frozen=True)
 class Code:
     """Codewords as explicit tensor products of single-qubit states.
 
-    ``factors`` has shape (size, n, 2, 2); codeword i is the Kronecker
-    product of its n factors, each a trace-1 PSD matrix.
+    ``factors`` has shape (size, n, 2, 2) with 1 <= n <= MAX_BLOCK_LENGTH;
+    codeword i is the Kronecker product of its n factors, each a trace-1
+    PSD matrix.
     """
 
     factors: np.ndarray
@@ -49,8 +73,9 @@ class Code:
         f = np.array(self.factors, dtype=complex)
         if f.ndim != 4 or f.shape[2:] != (2, 2):
             raise ValueError(f"factors must have shape (size, n, 2, 2), got {f.shape}")
-        if f.shape[1] > MAX_BLOCK_LENGTH:
-            raise ValueError(f"block length capped at {MAX_BLOCK_LENGTH}")
+        if not 1 <= f.shape[1] <= MAX_BLOCK_LENGTH:
+            raise ValueError(f"block length n must be 1..{MAX_BLOCK_LENGTH}, "
+                             f"got factors of shape {f.shape}")
         f.flags.writeable = False
         object.__setattr__(self, "factors", f)
 
@@ -63,19 +88,19 @@ class Code:
         return self.factors.shape[1]
 
     def codeword(self, i: int) -> np.ndarray:
-        return _kron_all(self.factors[i])
+        return _kron_stack(self.factors[i])
 
     @classmethod
     def random(cls, rng: np.random.Generator, size: int, n: int) -> "Code":
-        factors = np.array([[random_density(rng) for _ in range(n)]
-                            for _ in range(size)])
-        return cls(factors)
+        """Factors drawn by ``random_density``, codeword by codeword."""
+        return cls(random_densities(rng, size * n).reshape(size, n, 2, 2))
 
 
 @dataclass(frozen=True)
 class Povm:
-    """Measurement elements M_1..M_N; the completion I - sum M_j is
-    element 0 and is guaranteed PSD for valid instances."""
+    """Measurement elements M_1..M_N on 2^n dimensions, 1 <= n <=
+    MAX_BLOCK_LENGTH; the completion I - sum M_j is element 0 and is
+    guaranteed PSD for valid instances."""
 
     elements: np.ndarray  # (N, d, d)
 
@@ -83,12 +108,20 @@ class Povm:
         e = np.array(self.elements, dtype=complex)
         if e.ndim != 3 or e.shape[1] != e.shape[2]:
             raise ValueError(f"elements must have shape (N, d, d), got {e.shape}")
+        if e.shape[1] not in (2**n for n in range(1, MAX_BLOCK_LENGTH + 1)):
+            raise ValueError(f"POVM dimension must be 2^n with 1 <= n <= "
+                             f"{MAX_BLOCK_LENGTH}, got elements of shape {e.shape}")
         e.flags.writeable = False
         object.__setattr__(self, "elements", e)
 
     @property
     def dim(self) -> int:
         return self.elements.shape[1]
+
+    @property
+    def n(self) -> int:
+        """Block length the elements act on."""
+        return self.dim.bit_length() - 1
 
     @property
     def size(self) -> int:
@@ -98,24 +131,31 @@ class Povm:
     def completion(self) -> np.ndarray:
         return np.eye(self.dim) - self.elements.sum(axis=0)
 
+    def with_completion(self) -> np.ndarray:
+        """(N+1, d, d) stack: the completion, then M_1..M_N."""
+        return np.concatenate([self.completion[None], self.elements])
+
     def min_eigenvalue(self) -> float:
         """Smallest eigenvalue over all elements and the completion."""
-        lows = [np.linalg.eigvalsh(E)[0].real for E in self.elements]
-        lows.append(np.linalg.eigvalsh(self.completion)[0].real)
-        return float(min(lows))
+        return float(np.linalg.eigvalsh(self.with_completion())[:, 0].min())
 
     @classmethod
     def random(cls, rng: np.random.Generator, size: int, dim: int) -> "Povm":
         """Random PSD matrices normalized against their sum, so the
         elements resolve the identity exactly (completion zero)."""
-        raws = []
-        for _ in range(size):
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            raws.append(g @ g.conj().T)
-        total = sum(raws)
-        w, V = np.linalg.eigh(total)
-        inv_sqrt = (V / np.sqrt(w)) @ V.conj().T
-        return cls(np.array([inv_sqrt @ R @ inv_sqrt for R in raws]))
+        g = random_ginibre(rng, size, dim)
+        raws = g @ _dagger(g)
+        w, V = np.linalg.eigh(raws.sum(axis=0))
+        inv_sqrt = (V / np.sqrt(w)) @ _dagger(V)
+        return cls(inv_sqrt @ raws @ inv_sqrt)
+
+
+def _check_pairing(code: Code, povm: Povm) -> None:
+    if povm.dim != 2**code.n:
+        raise ValueError(
+            f"POVM elements of shape {povm.elements.shape} do not act on codewords "
+            f"from factors of shape {code.factors.shape} (need dimension {2**code.n})"
+        )
 
 
 def modify_code(code: Code, scaling: np.ndarray) -> Code:
@@ -124,25 +164,19 @@ def modify_code(code: Code, scaling: np.ndarray) -> Code:
     Normalization distributes over the tensor product, so the product
     structure is preserved exactly.
     """
-    B = np.asarray(scaling, dtype=complex)
+    B = _scaling_operator(scaling)
     if abs(np.linalg.det(B)) < 1e-14:
         raise ValueError("scaling operator must be invertible")
-    factors = np.empty_like(code.factors)
-    for i in range(code.size):
-        for k in range(code.n):
-            f = apply_scaling(B, code.factors[i, k])
-            factors[i, k] = f / np.trace(f).real
-    return Code(factors)
+    factors = apply_scaling(B, code.factors)
+    return Code(factors / np.trace(factors, axis1=-2, axis2=-1).real[..., None, None])
 
 
 def code_scaling_traces(code: Code, scaling: np.ndarray) -> np.ndarray:
-    """tr[B^(x)n rho_i B'^(x)n] for every codeword, via per-factor traces."""
-    B = np.asarray(scaling, dtype=complex)
-    traces = np.empty(code.size)
-    for i in range(code.size):
-        per_factor = [np.trace(apply_scaling(B, f)).real for f in code.factors[i]]
-        traces[i] = np.prod(per_factor)
-    return traces
+    """tr[B^(x)n rho_i B'^(x)n] for every codeword, as the product of the
+    per-factor traces tr[f B'B]."""
+    B = _scaling_operator(scaling)
+    per_factor = np.einsum("snij,ji->sn", code.factors, _dagger(B) @ B).real
+    return per_factor.prod(axis=1)
 
 
 def completion_tolerance(scaling: np.ndarray, n: int) -> float:
@@ -172,12 +206,11 @@ def modify_povm(povm: Povm, scaling: np.ndarray) -> Povm:
     element stays PSD; a violation beyond ``completion_tolerance``
     indicates a bug and raises.
     """
-    A = np.asarray(scaling, dtype=complex)
-    n = round(np.log2(povm.dim))
-    a_n = _kron_all([A] * n)
+    A = _scaling_operator(scaling)
+    n = povm.n
+    a_n = _kron_stack(np.broadcast_to(A, (n, 2, 2)))
     scale = operator_norm(A) ** (2 * n)
-    elements = np.array([a_n.conj().T @ E @ a_n / scale for E in povm.elements])
-    modified = Povm(elements)
+    modified = Povm(_dagger(a_n) @ povm.elements @ a_n / scale)
     low = np.linalg.eigvalsh(modified.completion)[0].real
     if low < -completion_tolerance(A, n):
         raise ValueError(
@@ -190,15 +223,14 @@ def modify_povm(povm: Povm, scaling: np.ndarray) -> Povm:
 def apply_channel_blockwise(channel: ChannelLike, code: Code, i: int) -> np.ndarray:
     """Phi^(x)n acting on codeword i (factor by factor, since both the
     channel action and the codeword factorize)."""
-    ptm = _as_ptm(channel)
-    outs = [apply_channel_matrix(ptm, f) for f in code.factors[i]]
-    return _kron_all(outs)
+    return _kron_stack(apply_channel_matrix(_as_ptm(channel), code.factors[i]))
 
 
 def outcome_probability(channel: ChannelLike, code: Code, i: int,
                         povm: Povm, j: int) -> float:
     """Born probability tr[Phi^(x)n[rho_i] M_j]; j = 0 addresses the
     completion element."""
+    _check_pairing(code, povm)
     out = apply_channel_blockwise(channel, code, i)
     element = povm.completion if j == 0 else povm.elements[j - 1]
     return float(np.trace(out @ element).real)
@@ -207,13 +239,10 @@ def outcome_probability(channel: ChannelLike, code: Code, i: int,
 def outcome_probabilities(channel: ChannelLike, code: Code, povm: Povm) -> np.ndarray:
     """(size, N+1) matrix of outcome probabilities, column 0 the
     completion element; each row sums to 1."""
-    probs = np.empty((code.size, povm.size + 1))
-    for i in range(code.size):
-        out = apply_channel_blockwise(channel, code, i)
-        probs[i, 0] = np.trace(out @ povm.completion).real
-        for j in range(povm.size):
-            probs[i, j + 1] = np.trace(out @ povm.elements[j]).real
-    return probs
+    _check_pairing(code, povm)
+    # the channel acts on every factor of every codeword in one contraction
+    outs = _kron_stack(apply_channel_matrix(_as_ptm(channel), code.factors))
+    return np.einsum("sab,jba->sj", outs, povm.with_completion()).real
 
 
 def verify_rescaling_identity(phi: ChannelLike, psi: ChannelLike,
@@ -222,6 +251,7 @@ def verify_rescaling_identity(phi: ChannelLike, psi: ChannelLike,
     """Max deviation of p_tilde(j|i) * tr[B^n rho_i B'^n] * |A|^(2n)
     from the original-protocol probability p_psi(j|i), over all pairs
     with j != 0."""
+    _check_pairing(code, povm)
     n = code.n
     denom = code_scaling_traces(code, b_op) * operator_norm(a_op) ** (2 * n)
     modified = outcome_probabilities(phi, modify_code(code, b_op),

@@ -36,7 +36,6 @@ from .core import (
     kraus_ptm,
     operator_norm,
     ptm_from_params,
-    sqrtm_psd_2x2,
 )
 
 
@@ -206,31 +205,99 @@ def sinkhorn_iterate(
     alternation from P = I converges for interior channels; the result
     is gauge fixed so that det A = det B.
 
+    The sweeps run on Pauli coefficients c_a = tr(sigma_a X) held as
+    Python floats (see ``_pauli_inverse``, ``_pauli_sqrt`` and
+    ``_pauli_sandwich``); matrices are built only for the returned pair.
+
     Raises NotInterior pre-flight and NoConvergence if the residuals do
     not reach ``tol`` within ``max_iter`` sweeps.
     """
     if not is_interior(channel):
         raise NotInterior("channel image touches the Bloch sphere")
     ptm = _as_ptm(channel)
+    forward, adjoint = ptm.tolist(), ptm.T.tolist()
 
-    eye = np.eye(2, dtype=complex)
-    P = eye.copy()
-    res_unital = res_tp = math.inf  # what max_iter < 1 reports
+    phi_p = _pauli_map(forward, (2.0, 0.0, 0.0, 0.0))  # Phi[I]
+    residual = math.inf  # what max_iter < 1 reports
     for sweep in range(1, max_iter + 1):
-        Q = inverse_2x2(apply_channel_matrix(ptm, P))
-        P = inverse_2x2(apply_channel_matrix(ptm.T, Q))
-        root_q = sqrtm_psd_2x2(Q)
-        root_p = sqrtm_psd_2x2(P)
-        res_unital = np.abs(root_q @ apply_channel_matrix(ptm, P) @ root_q - eye).max()
-        res_tp = np.abs(root_p @ apply_channel_matrix(ptm.T, Q) @ root_p - eye).max()
-        if max(res_unital, res_tp) < tol:
-            gauge = (np.linalg.det(root_q).real / np.linalg.det(root_p).real) ** 0.25
-            return ScalingPair.from_operators(root_q / gauge, gauge * root_p,
+        q = _pauli_inverse(phi_p)
+        adj_q = _pauli_map(adjoint, q)
+        p = _pauli_inverse(adj_q)
+        phi_p = _pauli_map(forward, p)
+        root_q, root_p = _pauli_sqrt(q), _pauli_sqrt(p)
+        residual = max(_identity_residual(_pauli_sandwich(root_q, phi_p)),
+                       _identity_residual(_pauli_sandwich(root_p, adj_q)))
+        if residual < tol:
+            gauge = (_pauli_det(root_q) / _pauli_det(root_p)) ** 0.25
+            return ScalingPair.from_operators(_pauli_matrix(root_q) / gauge,
+                                              gauge * _pauli_matrix(root_p),
                                               iterations=sweep)
     raise NoConvergence(
-        f"residual {max(res_unital, res_tp):.3e} > {tol:.1e} "
-        f"after {max(max_iter, 0)} sweeps"
+        f"residual {residual:.3e} > {tol:.1e} after {max(max_iter, 0)} sweeps"
     )
+
+
+# Hermitian 2x2 matrices X = (c0 I + c1 sx + c2 sy + c3 sz) / 2 as their
+# real Pauli coefficients c = (c0, c1, c2, c3); the PTM maps c to ptm @ c.
+
+
+def _pauli_map(rows, c):
+    c0, c1, c2, c3 = c
+    return tuple(r0 * c0 + r1 * c1 + r2 * c2 + r3 * c3 for r0, r1, r2, r3 in rows)
+
+
+def _pauli_det(c):
+    c0, c1, c2, c3 = c
+    return 0.25 * (c0 * c0 - (c1 * c1 + c2 * c2 + c3 * c3))
+
+
+def _pauli_inverse(c):
+    """X^-1 = (c0 I - c.sigma) / (2 det X): coefficients (c0, -c) / det X,
+    with det X = (c0^2 - |c|^2) / 4."""
+    det = _pauli_det(c)
+    if det == 0.0:
+        raise ValueError("matrix is singular")
+    s = 1.0 / det
+    c0, c1, c2, c3 = c
+    return c0 * s, -c1 * s, -c2 * s, -c3 * s
+
+
+def _pauli_sqrt(c):
+    """Principal root of a PSD X: (X + sqrt(det X) I) / sqrt(tr X + 2 sqrt(det X))."""
+    c0, c1, c2, c3 = c
+    shifted = c0 + 2.0 * math.sqrt(max(_pauli_det(c), 0.0))
+    norm = 1.0 / math.sqrt(shifted)
+    return shifted * norm, c1 * norm, c2 * norm, c3 * norm
+
+
+def _pauli_sandwich(r, f):
+    """R F R for Hermitian R, F by the Pauli product rule
+    (r.s)(f.s) = (r.f) I + i (r x f).s, which gives
+    (r0 + r.s)(f0 + f.s)(r0 + r.s) = r0^2 f0 + 2 r0 r.f + f0 |r|^2
+    + (r0^2 - |r|^2) f.s + 2 (r0 f0 + r.f) r.s;
+    R F R is 1/8 of that, so its coefficients are 1/4 of these."""
+    r0, r1, r2, r3 = r
+    f0, f1, f2, f3 = f
+    rf = r1 * f1 + r2 * f2 + r3 * f3
+    rr = r1 * r1 + r2 * r2 + r3 * r3
+    along_f = 0.25 * (r0 * r0 - rr)
+    along_r = 0.5 * (r0 * f0 + rf)
+    return (0.25 * (r0 * r0 * f0 + 2.0 * r0 * rf + f0 * rr),
+            along_f * f1 + along_r * r1,
+            along_f * f2 + along_r * r2,
+            along_f * f3 + along_r * r3)
+
+
+def _identity_residual(m):
+    """Largest entry of |X - I|."""
+    m0, m1, m2, m3 = m
+    return max(abs(0.5 * (m0 + m3) - 1.0), abs(0.5 * (m0 - m3) - 1.0),
+               0.5 * math.hypot(m1, m2))
+
+
+def _pauli_matrix(c) -> np.ndarray:
+    c0, c1, c2, c3 = c
+    return 0.5 * np.array([[c0 + c3, complex(c1, -c2)], [complex(c1, c2), c0 - c3]])
 
 
 def unital_diagonalize(channel: ChannelOrParams, tol: float = 1e-9) -> UnitalForm:

@@ -66,15 +66,26 @@ def _check_bloch_roundtrip(rng) -> CheckResult:
                    f"max deviation {worst:.2e} over 1000 states (tol 1e-14)")
 
 
+def _ptm_vs_kraus_draws(rng, count: int = 1000):
+    """Raw Kraus sets, zero-padded to rank 4, and Bloch vectors, drawn in
+    the order of ``random_cptp_channel`` then ``random_bloch`` per pair."""
+    ops = np.zeros((count, 4, 2, 2), dtype=complex)
+    blochs = np.empty((count, 3))
+    for k in range(count):
+        rank = int(rng.integers(1, 5))
+        ops[k, :rank] = core.random_ginibre(rng, rank)
+        blochs[k] = core.random_bloch(rng).as_array()
+    return ops, blochs
+
+
 def _check_ptm_vs_kraus(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(1000):
-        ch = core.random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5)))
-        rho = core.bloch_to_density(core.random_bloch(rng))
-        via_ptm = core.apply_channel_matrix(ch, rho)
-        kraus = core.kraus_from_choi(core.choi_from_channel(ch))
-        via_kraus = sum(core.apply_scaling(K, rho) for K in kraus)
-        worst = max(worst, float(np.abs(via_ptm - via_kraus).max()))
+    ops, blochs = _ptm_vs_kraus_draws(rng)
+    ptms = core.normalized_kraus_ptm(ops)
+    rhos = core.bloch_to_density(blochs)
+    via_ptm = core.apply_channel_matrix(ptms, rhos)
+    kraus = core.kraus_from_choi(core.choi_from_channel(ptms))
+    via_kraus = core.apply_scaling(kraus, rhos[:, None]).sum(axis=1)
+    worst = float(np.abs(via_ptm - via_kraus).max())
     return _result("ptm_matches_kraus_path", worst <= 1e-10,
                    f"max deviation {worst:.2e} over 1000 pairs (tol 1e-10)")
 
@@ -256,48 +267,77 @@ def _protocol_instance(rng, n):
     return phi, psi, pair, code, povm
 
 
+# The protocol functions raise when an identity they rely on breaks
+# (ValueError from modify_povm, AssertionError from success_probability).
+# The checks below report the first such error as a failed check, and
+# still draw all their instances, so the later checks see the same ones.
+
+
 def _check_rescaling_identity(rng, instances: int = 100) -> CheckResult:
+    name = "probability_rescaling_identity"
     worst = 0.0
+    error = None
     for n in (1, 2, 3):
         for _ in range(instances):
             phi, psi, pair, code, povm = _protocol_instance(rng, n)
-            dev = protocol.verify_rescaling_identity(phi, psi, pair.a, pair.b,
-                                                     code, povm)
+            try:
+                dev = protocol.verify_rescaling_identity(phi, psi, pair.a, pair.b,
+                                                         code, povm)
+            except ValueError as exc:
+                error = error or f"n={n}: {exc}"
+                continue
             worst = max(worst, dev)
-    return _result("probability_rescaling_identity", worst <= 1e-11,
+    if error:
+        return _result(name, False, error)
+    return _result(name, worst <= 1e-11,
                    f"max deviation {worst:.2e} over {3 * instances} instances "
                    "(tol 1e-11)")
 
 
 def _check_modified_povm(rng) -> CheckResult:
+    name = "modified_povm_complete_and_psd"
     ok = True
     low = np.inf
+    error = None
     for n in (1, 2, 3):
         for _ in range(30):
             _, _, pair, _, povm = _protocol_instance(rng, n)
-            modified = protocol.modify_povm(povm, pair.a)
+            try:
+                modified = protocol.modify_povm(povm, pair.a)
+            except ValueError as exc:
+                error = error or f"n={n}: {exc}"
+                continue
             total = modified.elements.sum(axis=0) + modified.completion
             ok = ok and np.abs(total - np.eye(2**n)).max() <= 1e-12
             eig = modified.min_eigenvalue()
             low = min(low, eig)
             ok = ok and eig >= -protocol.completion_tolerance(pair.a, n)
-    return _result("modified_povm_complete_and_psd", ok,
-                   f"elements resolve identity; min eigenvalue {low:.2e}")
+    if error:
+        return _result(name, False, error)
+    return _result(name, ok, f"elements resolve identity; min eigenvalue {low:.2e}")
 
 
 def _check_rate_penalty(rng) -> CheckResult:
+    name = "per_use_rate_penalty"
     ok = True
     slack = np.inf
+    error = None
     for n in (1, 2, 3):
         for _ in range(50):
             _, _, pair, code, _ = _protocol_instance(rng, n)
             for i in range(code.size):
-                prob, _ = protocol.success_probability(code, i, pair.a, pair.b)
+                try:
+                    prob, _ = protocol.success_probability(code, i, pair.a, pair.b)
+                except AssertionError as exc:
+                    error = error or f"n={n}, codeword {i}: {exc}"
+                    continue
                 lhs = np.log2(prob) / n
                 rhs = -2.0 * np.log2(pair.norm_ab)
                 slack = min(slack, lhs - rhs)
                 ok = ok and lhs >= rhs - 1e-9
-    return _result("per_use_rate_penalty", ok,
+    if error:
+        return _result(name, False, error)
+    return _result(name, ok,
                    f"min slack {slack:.2e} of log2(P)/n over the penalty bound")
 
 

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from qcap import cli
+from qcap import cli, protocol
 from qcap.capacity import chi_capacity_numeric
 
 GAD_ARGS = ["--gad", "--p", "0.475", "--gamma-t", "1.0"]
@@ -231,6 +231,48 @@ def test_verify_all_suites_pass(capsys):
     assert payload["counts"]["failed"] == 0
     assert set(payload["suites"]) == {"core", "sinkhorn", "protocol"}
     assert all(body["checks"] for body in payload["suites"].values())
+    # details that measure no round-off move only if the instance stream does
+    details = {c["name"]: c["detail"] for body in payload["suites"].values()
+               for c in body["checks"]}
+    assert details["cp_check_matches_unital_inequality"] == (
+        "50^3 grid agreement=True, production-path subsample agreement=True (tol 1e-10)")
+    assert details["norm_times_inverse_norm_at_least_one"] == (
+        "min product 1.094615 over random invertible operators")
+    assert details["per_use_rate_penalty"] == (
+        "min slack 1.95e-04 of log2(P)/n over the penalty bound")
+    assert details["norm_product_diverges_toward_boundary"] == (
+        "|A||B| grows 4.63 -> 5.21e+06 as p -> 0; routes agree within "
+        "cancellation-scaled tolerance")
+
+
+def _protocol_checks(capsys):
+    code, out, err = run(["verify", "--suite", "protocol", "--seed", "7"], capsys)
+    payload = json.loads(out)
+    return code, {c["name"]: c for c in payload["suites"]["protocol"]["checks"]}
+
+
+def test_verify_reports_a_broken_povm_completion(monkeypatch, capsys):
+    # a negative tolerance makes modify_povm raise on every instance
+    monkeypatch.setattr(protocol, "completion_tolerance", lambda scaling, n: -1.0)
+    code, checks = _protocol_checks(capsys)
+    assert code == 1
+    for name in ("probability_rescaling_identity", "modified_povm_complete_and_psd"):
+        assert not checks[name]["passed"]
+        assert "modified completion element has eigenvalue" in checks[name]["detail"]
+    assert checks["per_use_rate_penalty"]["passed"]
+
+
+def test_verify_reports_a_success_probability_below_the_bound(monkeypatch, capsys):
+    # inflated codeword traces push the success probability below its bound
+    traces = protocol.code_scaling_traces
+    monkeypatch.setattr(protocol, "code_scaling_traces",
+                        lambda code, scaling: 10.0 * traces(code, scaling))
+    code, checks = _protocol_checks(capsys)
+    assert code == 1
+    check = checks["per_use_rate_penalty"]
+    assert not check["passed"]
+    assert "fell below bound" in check["detail"]
+    assert checks["modified_povm_complete_and_psd"]["passed"]
 
 
 def test_verify_near_degenerate_scaling_prints_json(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qcap import core
+from qcap import core, verify
 from qcap.core import (
     BlochVector,
     PauliChannelParams,
@@ -390,6 +390,49 @@ def test_ptm_path_matches_kraus_path():
         ops = kraus_from_choi(choi_from_channel(ch))
         via_kraus = sum(apply_scaling(K, rho) for K in ops)
         np.testing.assert_allclose(via_ptm, via_kraus, atol=1e-10)
+
+
+def _sequential_ptm_vs_kraus_draws(rng, count):
+    # the draw loop of the PTM-vs-Kraus check before it was stacked
+    channels, rhos = [], []
+    for _ in range(count):
+        channels.append(core.random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5))))
+        rhos.append(bloch_to_density(core.random_bloch(rng)))
+    return channels, rhos
+
+
+def test_ptm_vs_kraus_draws_match_the_sequential_draws():
+    fast, slow = np.random.default_rng(24), np.random.default_rng(24)
+    ops, blochs = verify._ptm_vs_kraus_draws(fast, count=300)
+    channels, rhos = _sequential_ptm_vs_kraus_draws(slow, 300)
+    assert fast.bit_generator.state["state"] == slow.bit_generator.state["state"]
+    ptms = core.normalized_kraus_ptm(ops)
+    assert ptms.tobytes() == np.array([ch.ptm for ch in channels]).tobytes()
+    assert bloch_to_density(blochs).tobytes() == np.array(rhos).tobytes()
+
+
+def test_stacked_core_functions_match_the_single_calls():
+    rng = np.random.default_rng(25)
+    ops, blochs = verify._ptm_vs_kraus_draws(rng, count=200)
+    ptms = core.normalized_kraus_ptm(ops)
+    rhos = bloch_to_density(blochs)
+    chois = choi_from_channel(ptms)
+    stacked_kraus = kraus_from_choi(chois)
+    via_ptm = apply_channel_matrix(ptms, rhos)
+    scaled = apply_scaling(ops, rhos[:, None])
+    raw_ptms = kraus_ptm(ops)
+    for k in range(len(ptms)):
+        assert rhos[k].tobytes() == bloch_to_density(blochs[k]).tobytes()
+        assert via_ptm[k].tobytes() == apply_channel_matrix(ptms[k], rhos[k]).tobytes()
+        assert chois[k].tobytes() == choi_from_channel(ptms[k]).tobytes()
+        single = kraus_from_choi(chois[k])
+        assert stacked_kraus[k, :len(single)].tobytes() == np.array(single).tobytes()
+        assert not stacked_kraus[k, len(single):].any()
+        for r in range(4):
+            assert scaled[k, r].tobytes() == apply_scaling(ops[k, r], rhos[k]).tobytes()
+            assert raw_ptms[k, r].tobytes() == kraus_ptm(ops[k, r]).tobytes()
+    with pytest.raises(ValueError, match="4x4 PTM"):
+        core.is_unital(ptms)
 
 
 def test_choi_trace_and_hermiticity_random():

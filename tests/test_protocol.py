@@ -1,15 +1,25 @@
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from qcap.capacity import gad_params
-from qcap.core import PauliChannelParams, operator_norm, ptm_from_params
+from qcap.core import (
+    PauliChannelParams,
+    _as_ptm,
+    apply_channel_matrix,
+    apply_scaling,
+    operator_norm,
+    ptm_from_params,
+    random_density,
+)
 from qcap.protocol import (
     POVM_PSD_TOL,
     Code,
     Povm,
+    code_scaling_traces,
     completion_tolerance,
     modify_code,
     modify_povm,
@@ -225,3 +235,169 @@ def test_rate_penalty_consistency():
             for i in range(code.size):
                 prob, _ = success_probability(code, i, pair.a, pair.b)
                 assert np.log2(prob) / n >= -2 * np.log2(pair.norm_ab) - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the stacked kernels against the per-element loops they replaced
+
+
+def _ref_codeword_output(ptm, factors):
+    return reduce(np.kron, [apply_channel_matrix(ptm, f) for f in factors])
+
+
+def _ref_outcome_probabilities(channel, code, povm):
+    ptm = _as_ptm(channel)
+    probs = np.empty((code.size, povm.size + 1))
+    for i in range(code.size):
+        out = _ref_codeword_output(ptm, code.factors[i])
+        probs[i, 0] = np.trace(out @ povm.completion).real
+        for j in range(povm.size):
+            probs[i, j + 1] = np.trace(out @ povm.elements[j]).real
+    return probs
+
+
+def _ref_code_scaling_traces(code, B):
+    traces = np.empty(code.size)
+    for i in range(code.size):
+        traces[i] = np.prod([np.trace(apply_scaling(B, f)).real for f in code.factors[i]])
+    return traces
+
+
+def _ref_modify_code(code, B):
+    factors = np.empty_like(code.factors)
+    for i in range(code.size):
+        for k in range(code.n):
+            f = apply_scaling(B, code.factors[i, k])
+            factors[i, k] = f / np.trace(f).real
+    return factors
+
+
+def _ref_modify_povm(povm, A):
+    n = round(np.log2(povm.dim))
+    a_n = reduce(np.kron, [A] * n)
+    scale = operator_norm(A) ** (2 * n)
+    return np.array([a_n.conj().T @ E @ a_n / scale for E in povm.elements])
+
+
+def _ref_min_eigenvalue(povm):
+    lows = [np.linalg.eigvalsh(E)[0].real for E in povm.elements]
+    lows.append(np.linalg.eigvalsh(povm.completion)[0].real)
+    return float(min(lows))
+
+
+def _ref_code_factors(rng, size, n):
+    return np.array([[random_density(rng) for _ in range(n)] for _ in range(size)])
+
+
+def _ref_povm_elements(rng, size, dim):
+    raws = []
+    for _ in range(size):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        raws.append(g @ g.conj().T)
+    w, V = np.linalg.eigh(sum(raws))
+    inv_sqrt = (V / np.sqrt(w)) @ V.conj().T
+    return np.array([inv_sqrt @ R @ inv_sqrt for R in raws])
+
+
+def _generator_state(rng):
+    return rng.bit_generator.state["state"]
+
+
+def test_random_code_and_povm_match_the_sequential_draws():
+    for n in (1, 2, 3):
+        for size in (1, 2, 4):
+            fast, slow = np.random.default_rng(60 + n), np.random.default_rng(60 + n)
+            code = Code.random(fast, size=size, n=n)
+            povm = Povm.random(fast, size=size, dim=2**n)
+            factors = _ref_code_factors(slow, size, n)
+            elements = _ref_povm_elements(slow, size, 2**n)
+            assert code.factors.tobytes() == factors.tobytes()
+            assert povm.elements.tobytes() == elements.tobytes()
+            assert _generator_state(fast) == _generator_state(slow)
+
+
+def _random_interior_params(rng):
+    while True:
+        l1, l2, l3 = rng.uniform(-1, 1, 3)
+        t3 = rng.uniform(-1, 1)
+        if abs(t3) + abs(l3) >= 0.98:
+            continue
+        if 1 + l3 < np.hypot(t3, l1 + l2) + 1e-6 or 1 - l3 < np.hypot(t3, l1 - l2) + 1e-6:
+            continue
+        return PauliChannelParams(l1, l2, l3, t3)
+
+
+def test_stacked_kernels_match_the_per_element_loops():
+    rng = np.random.default_rng(61)
+    for n in (1, 2, 3):
+        for _ in range(20):
+            params = _random_interior_params(rng)
+            phi, psi, pair, code, povm = _instance(rng, n, params=params)
+            # a completion that is not zero, so column 0 is exercised
+            povm = Povm(povm.elements * rng.uniform(0.5, 1.0))
+            for channel in (phi, psi):
+                np.testing.assert_allclose(outcome_probabilities(channel, code, povm),
+                                           _ref_outcome_probabilities(channel, code, povm),
+                                           rtol=0, atol=1e-14)
+            np.testing.assert_allclose(code_scaling_traces(code, pair.b),
+                                       _ref_code_scaling_traces(code, pair.b),
+                                       rtol=1e-14, atol=0)
+            np.testing.assert_allclose(modify_code(code, pair.b).factors,
+                                       _ref_modify_code(code, pair.b), rtol=0, atol=1e-14)
+            modified = modify_povm(povm, pair.a)
+            np.testing.assert_allclose(modified.elements, _ref_modify_povm(povm, pair.a),
+                                       rtol=0, atol=1e-14)
+            for p in (povm, modified):
+                assert abs(p.min_eigenvalue() - _ref_min_eigenvalue(p)) <= 1e-14
+            for i in range(code.size):
+                np.testing.assert_allclose(code.codeword(i),
+                                           reduce(np.kron, code.factors[i]), rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# shape errors name the shapes instead of failing inside numpy
+
+
+def test_code_rejects_block_length_zero():
+    with pytest.raises(ValueError, match=r"block length.*\(2, 0, 2, 2\)"):
+        Code(np.zeros((2, 0, 2, 2)))
+
+
+def test_povm_rejects_a_dimension_that_is_not_a_power_of_two():
+    with pytest.raises(ValueError, match=r"2\^n.*\(2, 3, 3\)"):
+        Povm(np.zeros((2, 3, 3)))
+
+
+def test_povm_rejects_a_dimension_above_the_block_length_cap():
+    with pytest.raises(ValueError, match=r"2\^n.*\(2, 16, 16\)"):
+        Povm(np.zeros((2, 16, 16)))
+
+
+def test_outcome_probabilities_reject_a_mismatched_povm():
+    rng = np.random.default_rng(62)
+    phi, _, _, code, _ = _instance(rng, 2)
+    povm = Povm.random(rng, size=3, dim=8)
+    with pytest.raises(ValueError, match=r"\(3, 8, 8\).*\(3, 2, 2, 2\)"):
+        outcome_probabilities(phi, code, povm)
+    with pytest.raises(ValueError, match=r"\(3, 8, 8\).*\(3, 2, 2, 2\)"):
+        outcome_probability(phi, code, 0, povm, 1)
+
+
+def test_rescaling_identity_rejects_a_mismatched_povm():
+    rng = np.random.default_rng(63)
+    phi, psi, pair, code, _ = _instance(rng, 3)
+    povm = Povm.random(rng, size=2, dim=2)
+    with pytest.raises(ValueError, match=r"\(2, 2, 2\).*\(3, 3, 2, 2\)"):
+        verify_rescaling_identity(phi, psi, pair.a, pair.b, code, povm)
+
+
+def test_scalings_must_be_single_2x2_operators():
+    # a stack of operators would broadcast over the factors silently
+    rng = np.random.default_rng(64)
+    _, _, _, code, povm = _instance(rng, 2)
+    stacked = np.broadcast_to(np.eye(2), (3, 1, 2, 2))
+    for call in (lambda: modify_code(code, stacked),
+                 lambda: code_scaling_traces(code, stacked),
+                 lambda: modify_povm(povm, stacked)):
+        with pytest.raises(ValueError, match=r"2x2.*\(3, 1, 2, 2\)"):
+            call()

@@ -11,6 +11,8 @@ from qcap.core import (
     NotUnital,
     PauliChannelParams,
     QubitChannel,
+    apply_channel_matrix,
+    inverse_2x2,
     is_completely_positive,
     is_interior,
     is_trace_preserving,
@@ -20,6 +22,7 @@ from qcap.core import (
     random_cptp_channel,
     random_unitary,
 )
+from qcap import sinkhorn
 from qcap.sinkhorn import (
     ScalingPair,
     family_scaling_pair,
@@ -271,3 +274,92 @@ def test_norm_products_diverge_towards_amplitude_damping():
                 for p in (1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12)]
     assert all(b > a for a, b in zip(products, products[1:]))
     assert products[-1] > 1e3
+
+
+# ---------------------------------------------------------------------------
+# the Pauli-coefficient sweep against the matrix-form loop it replaced
+
+
+def _matrix_sqrt(M):
+    w, V = np.linalg.eigh(M)
+    return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+
+
+def _matrix_form_iterate(ptm, tol=1e-12, max_iter=10_000):
+    """The pair and the residual after every sweep."""
+    eye = np.eye(2, dtype=complex)
+    P = eye.copy()
+    residuals = []
+    for sweep in range(1, max_iter + 1):
+        Q = inverse_2x2(apply_channel_matrix(ptm, P))
+        P = inverse_2x2(apply_channel_matrix(ptm.T, Q))
+        root_q, root_p = _matrix_sqrt(Q), _matrix_sqrt(P)
+        res_unital = np.abs(root_q @ apply_channel_matrix(ptm, P) @ root_q - eye).max()
+        res_tp = np.abs(root_p @ apply_channel_matrix(ptm.T, Q) @ root_p - eye).max()
+        residuals.append(max(res_unital, res_tp))
+        if residuals[-1] < tol:
+            gauge = (np.linalg.det(root_q).real / np.linalg.det(root_p).real) ** 0.25
+            return ScalingPair.from_operators(root_q / gauge, gauge * root_p), residuals
+    raise AssertionError("reference loop did not converge")
+
+
+def _assert_matches_matrix_form(ptm, tol=1e-12):
+    pair = sinkhorn_iterate(ptm, tol=tol)
+    ref, residuals = _matrix_form_iterate(ptm, tol=tol)
+    stop = min(pair.iterations, len(residuals))
+    # the residuals of the two forms differ by round-off, so a residual
+    # within 1% of tol may stop either form one sweep earlier
+    if pair.iterations != len(residuals):
+        assert abs(pair.iterations - len(residuals)) == 1
+        assert abs(residuals[stop - 1] / tol - 1.0) < 1e-2
+        return False
+    for got, expected in ((pair.a, ref.a), (pair.b, ref.b)):
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
+    return True
+
+
+def test_iteration_matches_the_matrix_form_loop():
+    rng = np.random.default_rng(53)
+    ptms = [ptm_from_params(_random_interior_params(rng)).ptm for _ in range(100)]
+    while len(ptms) < 200:
+        ch = random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5)))
+        if is_interior(ch):
+            ptms.append(ch.ptm)
+    ptms += [ptm_from_params(gad_params(p, 1.0)).ptm for p in (0.3, 1e-3, 1e-4)]
+    same = [_assert_matches_matrix_form(ptm) for ptm in ptms]
+    assert sum(same) >= len(ptms) - 2
+    assert all(same[-3:])
+
+
+def test_iteration_sweeps_near_amplitude_damping():
+    sweeps = [sinkhorn_iterate(ptm_from_params(gad_params(p, 1.0))).iterations
+              for p in (0.3, 1e-3, 1e-4)]
+    assert sweeps == [8, 89, 269]
+
+
+def test_iteration_with_no_sweeps_reports_an_infinite_residual():
+    with pytest.raises(NoConvergence, match="residual inf"):
+        sinkhorn_iterate(ptm_from_params(PauliChannelParams(0.5, 0.4, 0.3, 0.3)), max_iter=0)
+
+
+def test_iteration_preflight_rejects_a_pole_boundary_channel():
+    # |t3| + |lambda3| = 1 with the farthest output at the pole
+    with pytest.raises(NotInterior, match="touches the Bloch sphere"):
+        sinkhorn_iterate(ptm_from_params(PauliChannelParams(0.3, 0.3, 0.7, 0.3)))
+
+
+def test_pauli_coefficient_helpers_match_the_matrices():
+    rng = np.random.default_rng(59)
+    for _ in range(200):
+        c = (rng.uniform(1.0, 3.0), *rng.uniform(-0.5, 0.5, 3))
+        f = (rng.uniform(1.0, 3.0), *rng.uniform(-0.5, 0.5, 3))
+        X, F = sinkhorn._pauli_matrix(c), sinkhorn._pauli_matrix(f)
+        np.testing.assert_allclose(sinkhorn._pauli_matrix(sinkhorn._pauli_inverse(c)),
+                                   np.linalg.inv(X), atol=1e-14)
+        root = sinkhorn._pauli_sqrt(c)
+        np.testing.assert_allclose(sinkhorn._pauli_matrix(root), _matrix_sqrt(X), atol=1e-14)
+        np.testing.assert_allclose(sinkhorn._pauli_matrix(sinkhorn._pauli_sandwich(c, f)),
+                                   X @ F @ X, atol=1e-13)
+        assert sinkhorn._pauli_det(c) == pytest.approx(np.linalg.det(X).real, rel=1e-13)
+        assert sinkhorn._identity_residual(f) == pytest.approx(
+            np.abs(F - np.eye(2)).max(), rel=1e-13, abs=1e-16)
