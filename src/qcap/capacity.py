@@ -9,14 +9,14 @@ sandwiches it between
 
 The chi-capacity (a lower bound on C, equal to it in the unital case)
 of a family channel is solved exactly by the family's one-dimensional
-reduction: a lower convex hull on a grid of input heights, polished by
-Newton on its tangent conditions, gives the maximizing ensemble of at
-most four pure states.  Any other channel, or an explicit ``ChiConfig``,
-gets a multistart quasi-Newton (BFGS) search from seeded random starts
-over ensembles of two to four pure states, using the closed-form
-gradient of the Holevo quantity.  Each ensemble size's starts run as
-one lockstep batch, and each iteration's gradient is taken from its
-line-search evaluation.
+reduction: a closed-form case split on the shape of the least output
+entropy and at most two scalar Newton solves give the maximizing
+ensemble of at most four pure states.  Any other channel, or an
+explicit ``ChiConfig``, gets a multistart quasi-Newton (BFGS) search
+from seeded random starts over ensembles of two to four pure states,
+using the closed-form gradient of the Holevo quantity.  Each ensemble
+size's starts run as one lockstep batch, and each iteration's gradient
+is taken from its line-search evaluation.
 A dense-grid evaluation of the reduction is the independent cross-check
 oracle of both.
 """
@@ -505,10 +505,6 @@ def _lower_hull(z: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array(hx), np.array(hy)
 
 
-_GRID_POINTS = 257  # heights of the first pass
-_GRID = np.linspace(-1.0, 1.0, _GRID_POINTS)
-_GRID.flags.writeable = False  # _lower_hull may hand it back as the hull
-_GRID_STEP = 2.0 / (_GRID_POINTS - 1)
 _NEWTON_CAP = 50     # Newton steps per solve, far above the few it takes
 _TANGENT_TOL = 1e-11  # tangent residual below which a solve counts as converged
 
@@ -537,14 +533,6 @@ def _least_entropy(params: PauliChannelParams, z: float) -> tuple[float, float, 
     return s, _Q0 * q * g, _Q0 * (dq_r * g * g + q * curve)
 
 
-def _average_slope(params: PauliChannelParams, z: float) -> tuple[float, float]:
-    # the first two derivatives of S(|lambda3 z + t3|), the entropy of a
-    # +- pair's average output at height z: with u = lambda3 z + t3,
-    # -lambda3 atanh(u)/ln 2 and -lambda3^2/((1 - u^2) ln 2)
-    u = min(max(params.lambda3 * z + params.t3, -_R_MAX), _R_MAX)
-    return _Q0 * params.lambda3 * math.atanh(u), _Q0 * params.lambda3 ** 2 / (1.0 - u * u)
-
-
 class _Heights(NamedTuple):
     """The exact family solution: +- pairs at heights a <= b (a == b for
     a single pair), the average height z between them, the envelope's
@@ -558,68 +546,25 @@ class _Heights(NamedTuple):
     residual: float
 
 
-def _newton_done(residual: float, last: float, steps: int) -> bool:
-    # stop at an exact root, at the cap, or once a converged residual
-    # stops falling: it has reached the rounding floor
-    return (residual == 0.0 or steps == _NEWTON_CAP
-            or residual <= _TANGENT_TOL and residual >= last)
-
-
-def _bitangent(params: PauliChannelParams, a: float, b: float):
-    """Newton on the tangent conditions s'(a) = m = s'(b), with m the
-    chord slope (s(b) - s(a))/(b - a), from a hull segment; an end at
-    z = +-1 stays pinned.  Steps are halved until they keep
-    -1 <= a < b <= 1.  Returns a, b, m, the steps and the residual."""
-    free_a, free_b = a > -1.0, b < 1.0
+def _rising_root(f, lo: float, hi: float, z: float):
+    """Newton from z on an f that rises through one root in (lo, hi):
+    ``f(z)`` gives the value, the derivative and a by-product.  Steps
+    that leave the shrinking bracket, or a slope <= 0, bisect instead.
+    Returns the last z, its by-product, the steps and |f(z)|."""
     steps, last = 0, math.inf
     while True:
-        sa, da, ha = _least_entropy(params, a)
-        sb, db, hb = _least_entropy(params, b)
-        width = b - a
-        m = (sb - sa) / width
-        fa = da - m if free_a else 0.0
-        fb = db - m if free_b else 0.0
-        residual = max(abs(fa), abs(fb))
-        if _newton_done(residual, last, steps):
-            break
+        value, slope, extra = f(z)
+        residual = abs(value)
+        # stop at a root, at the cap, or once a converged residual stops
+        # falling: it has reached the rounding floor
+        if (residual == 0.0 or steps == _NEWTON_CAP
+                or residual <= _TANGENT_TOL and residual >= last):
+            return z, extra, steps, residual
         last = residual
-        # the Jacobian of (fa, fb), with dm/da = -fa/w and dm/db = fb/w
-        j00, j01 = ha + fa / width, -fb / width
-        j10, j11 = fa / width, hb - fb / width
-        if free_a and free_b:
-            det = j00 * j11 - j01 * j10
-            step_a = (j11 * fa - j01 * fb) / det
-            step_b = (j00 * fb - j10 * fa) / det
-        else:
-            step_a = fa / j00 if free_a else 0.0
-            step_b = fb / j11 if free_b else 0.0
-        if not (math.isfinite(step_a) and math.isfinite(step_b)):
-            break
-        while not -1.0 <= a - step_a < b - step_b <= 1.0:
-            step_a *= 0.5
-            step_b *= 0.5
-        a, b = a - step_a, b - step_b
+        lo, hi = (lo, z) if value > 0.0 else (z, hi)
+        step = value / slope if slope > 0.0 else math.inf
+        z = z - step if lo < z - step < hi else 0.5 * (lo + hi)
         steps += 1
-    return a, b, m, steps, residual
-
-
-def _single_pair(params: PauliChannelParams, z: float) -> tuple[_Heights, float]:
-    """Newton on S_avg'(z) = s'(z), the best height where the envelope
-    equals s, kept in [-1, 1].  Returns the single pair and s''(z)."""
-    steps, last = 0, math.inf
-    while True:
-        _, ds, hs = _least_entropy(params, z)
-        dv, hv = _average_slope(params, z)
-        residual = abs(dv - ds)
-        if _newton_done(residual, last, steps):
-            break
-        last = residual
-        step = (dv - ds) / (hv - hs)
-        if not math.isfinite(step):
-            break
-        z = min(max(z - step, -1.0), 1.0)
-        steps += 1
-    return _Heights(z, z, z, ds, steps, residual), hs
 
 
 def _best_height(params: PauliChannelParams, m: float) -> float:
@@ -632,42 +577,70 @@ def _best_height(params: PauliChannelParams, m: float) -> float:
 
 
 def _family_heights(params: PauliChannelParams) -> _Heights:
-    """The heights of the family chi's ensemble: a coarse pass, polished
-    by Newton.
+    """The heights of the family chi's ensemble, from a closed-form case
+    split on the shape of s and at most two scalar Newton solves.
 
-    The lower hull of s on a fixed grid of 257 heights and the height
-    zbar of the largest gap between S_avg and the hull pick the hull
-    segment [a, b] holding the best average height.  On every figure
-    point s is strictly convex on the grid, so the hull is the grid
-    itself and costs one vectorized test (``_lower_hull``).  Where
-    [a, b] is one grid step, the envelope equals s around zbar and the
-    best height solves S_avg' = s' (a single pair).  Otherwise, or where
-    s'' < 0 at that root, [a, b] is a bitangent of the envelope: Newton
-    polishes its ends and the best height is ``_best_height`` clipped to
-    [a, b].  A best height past a free end of the bitangent lies where
-    the envelope equals s again, so the single pair is solved from that
-    end.
+    With l = max(|lambda1|, |lambda2|), x = r(z)^2 is a quadratic in z
+    with leading coefficient C = lambda3^2 - l^2, and s = F(x) for the
+    concave, falling F(x) = S(sqrt(x)): s'' = 2C (F' + 2F''(x - x_v)), x_v
+    the quadratic's vertex value.  So s is concave if C >= 0; if C < 0,
+    s'' < 0 exactly where 2(x_v - x) > rho(x) = F'/F'', and rho' < -2 on
+    [0, 1): with r = sqrt(x), A = atanh(r) and a = A(1 - x)/r < 1,
+    rho' + 2 = -G(r)/(r (1 - a)^2) for
+    G(r) = (3 - r^2) A - 3r = sum_{k >= 2} 4(k - 1)/(4k^2 - 1) r^(2k + 1) > 0.
+    So s is concave on at most one interval, which touches the end of
+    [-1, 1] where x is larger, and the signs of s'' at the ends fix the
+    lower convex envelope: the chord from -1 to 1 if C >= 0 or both are
+    negative; s itself if both are >= 0, where the best height is a
+    single pair with S_avg' = s'; else the bitangent pinned at the
+    concave end, or the chord if that supports s at the other end.  On a
+    chord or bitangent of slope m the best height is where S_avg' = m
+    (``_best_height``), clipped to the segment; past the bitangent's free
+    end it is a single pair again.
     """
-    s, s_avg = _family_profile(params, _GRID)
-    hx, hy = _lower_hull(_GRID, s)
-    zbar = float(_GRID[int(np.argmax(s_avg - np.interp(_GRID, hx, hy)))])
-    j = min(int(np.searchsorted(hx, zbar, side="right")), len(hx) - 1)
-    a, b = float(hx[j - 1]), float(hx[j])
-    spent = 0
-    if b - a < 1.5 * _GRID_STEP:
-        pair, curvature = _single_pair(params, zbar)
-        if curvature >= 0.0:
-            return pair
-        spent = pair.steps
-    a, b, m, steps, residual = _bitangent(params, a, b)
-    spent += steps
+
+    def gap(z):
+        # s' - S_avg' and its derivative, where S_avg(z) = S(|u|) for
+        # u = lambda3 z + t3 has S_avg' = -lambda3 atanh(u)/ln 2; it rises
+        # where the envelope is s, as S_avg - s is concave there
+        _, ds, hs = _least_entropy(params, z)
+        u = min(max(params.lambda3 * z + params.t3, -_R_MAX), _R_MAX)
+        return (ds - _Q0 * params.lambda3 * math.atanh(u),
+                hs - _Q0 * params.lambda3 ** 2 / (1.0 - u * u), ds)
+
+    def pair(lo, hi, z):
+        z, slope, steps, residual = _rising_root(gap, lo, hi, z)
+        return _Heights(z, z, z, slope, steps, residual)
+
+    s_lo, ds_lo, hs_lo = _least_entropy(params, -1.0)
+    s_hi, ds_hi, hs_hi = _least_entropy(params, 1.0)
+    lam = max(abs(params.lambda1), abs(params.lambda2))
+    concave = params.lambda3 * params.lambda3 >= lam * lam
+    chord = 0.5 * (s_hi - s_lo)
+    best = min(max(_best_height(params, chord), -1.0), 1.0)
+    if not concave and hs_lo >= 0.0 and hs_hi >= 0.0:
+        # with lambda3 = 0, s is even and the root is z = 0
+        return pair(-1.0, 1.0, best if params.lambda3 else 0.0)
+    # s'' < 0 at the end e only: the bitangent pinned at e touches s where
+    # phi(y) = s'(y) - (s(e) - s(y))/(e - y) = 0.  (e - y) phi(y) vanishes
+    # at e and has derivative s''(y)(e - y), so phi rises through one root
+    # in (-1, 1), unless the chord supports s at the far end
+    e, s_e, ds_far = (1.0, s_hi, ds_lo) if hs_hi < 0.0 else (-1.0, s_lo, ds_hi)
+    if concave or hs_lo < 0.0 and hs_hi < 0.0 or (ds_far - chord) * e >= 0.0:
+        return _Heights(-1.0, 1.0, best, chord, 0, 0.0)
+
+    def tangent(y):
+        s, ds, hs = _least_entropy(params, y)
+        m = (s_e - s) / (e - y)
+        return ds - m, hs + (ds - m) / (e - y), m
+
+    y, m, steps, residual = _rising_root(tangent, -1.0, 1.0, 0.0)
+    a, b = (y, 1.0) if e > 0.0 else (-1.0, y)
     best = _best_height(params, m)
-    if best < a and a > -1.0 or best > b and b < 1.0:
-        pair, curvature = _single_pair(params, a if best < a else b)
-        if curvature >= 0.0:
-            return pair._replace(steps=spent + pair.steps)
-        spent += pair.steps
-    return _Heights(a, b, min(max(best, a), b), m, spent, residual)
+    if best < a and e > 0.0 or best > b and e < 0.0:
+        single = pair(-1.0, a, a) if e > 0.0 else pair(b, 1.0, b)
+        return single._replace(steps=steps + single.steps)
+    return _Heights(a, b, min(max(best, a), b), m, steps, residual)
 
 
 def _family_chi(params: PauliChannelParams) -> ChiResult:
@@ -675,26 +648,31 @@ def _family_chi(params: PauliChannelParams) -> ChiResult:
     reduction (see ``chi_capacity_grid_oracle``), with its ensemble.
 
     ``_family_heights`` gives the heights a <= b and the best average
-    height z between them: a coarse lower hull on 257 heights, polished
-    by Newton on the tangent conditions.  The ensemble is a +- pair of
-    states at height a with weight w = (b - z)/(b - a) and one at height
-    b with weight 1 - w (a single pair when a = b), each in the plane of
-    the z axis and the axis of l.  The value is the Holevo quantity of
-    that ensemble, a lower bound on chi whose error is second order in
-    the Newton residual; ``iterations`` counts the Newton steps, and
-    ``converged`` says whether the tangent residual met its tolerance.
+    height z between them, by a case split and Newton on the tangent
+    conditions.  The ensemble is a +- pair of states at height a with
+    weight w = (b - z)/(b - a) and one at height b with weight 1 - w (a
+    single pair when a = b), each in the plane of the z axis and the
+    axis of l.  The value is the Holevo quantity of that ensemble, a
+    lower bound on chi whose error is second order in the Newton
+    residual; ``iterations`` counts the Newton steps, and ``converged``
+    says whether the tangent residual met its tolerance.
     """
     a, b, z, _, steps, residual = _family_heights(params)
     w = (b - z) / (b - a) if b > a else 1.0
-    pairs = [(height, weight) for height, weight in ((a, w), (b, 1.0 - w)) if weight > 0.0]
-    axis = 0 if abs(params.lambda1) >= abs(params.lambda2) else 1
-    states = np.zeros((2 * len(pairs), 3))
-    for k, (height, _) in enumerate(pairs):
-        side = math.sqrt(max(1.0 - height * height, 0.0))
-        states[2 * k: 2 * k + 2, axis] = (side, -side)
-        states[2 * k: 2 * k + 2, 2] = height
-    weights = np.repeat([0.5 * weight for _, weight in pairs], 2)
-    ensemble = Ensemble(weights, states)
+    rows, weights = [], []
+    for height, weight in ((a, w), (b, 1.0 - w)):
+        if weight > 0.0:
+            side = math.sqrt(max(1.0 - height * height, 0.0))
+            rows += [[side, 0.0, height], [-side, 0.0, height]]
+            weights += [0.5 * weight] * 2
+    states = np.array(rows)
+    if abs(params.lambda1) < abs(params.lambda2):
+        states = states[:, [1, 0, 2]]  # the states lie in the plane of l's axis
+    # the solver's own unit states: Ensemble's copies and checks are skipped
+    ensemble = object.__new__(Ensemble)
+    for name, array in (("weights", np.array(weights)), ("states", states)):
+        array.flags.writeable = False
+        object.__setattr__(ensemble, name, array)
     return ChiResult(holevo_quantity(params, ensemble), ensemble,
                      residual <= _TANGENT_TOL, steps)
 

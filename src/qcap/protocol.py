@@ -62,17 +62,18 @@ def _scaling_operator(scaling) -> np.ndarray:
 class Code:
     """Codewords as explicit tensor products of single-qubit states.
 
-    ``factors`` has shape (size, n, 2, 2) with 1 <= n <= MAX_BLOCK_LENGTH;
-    codeword i is the Kronecker product of its n factors, each a trace-1
-    PSD matrix.
+    ``factors`` has shape (size, n, 2, 2) with size >= 1 and
+    1 <= n <= MAX_BLOCK_LENGTH; codeword i is the Kronecker product of its
+    n factors, each a trace-1 PSD matrix.
     """
 
     factors: np.ndarray
 
     def __post_init__(self):
         f = np.array(self.factors, dtype=complex)
-        if f.ndim != 4 or f.shape[2:] != (2, 2):
-            raise ValueError(f"factors must have shape (size, n, 2, 2), got {f.shape}")
+        if f.ndim != 4 or f.shape[2:] != (2, 2) or f.shape[0] == 0:
+            raise ValueError(f"factors must have shape (size, n, 2, 2) with size >= 1, "
+                             f"got {f.shape}")
         if not 1 <= f.shape[1] <= MAX_BLOCK_LENGTH:
             raise ValueError(f"block length n must be 1..{MAX_BLOCK_LENGTH}, "
                              f"got factors of shape {f.shape}")
@@ -158,6 +159,11 @@ def _check_pairing(code: Code, povm: Povm) -> None:
         )
 
 
+def _check_index(name: str, index: int, stop: int) -> None:
+    if not 0 <= index < stop:  # a negative index would count from the end
+        raise ValueError(f"{name} = {index} is outside 0..{stop - 1}")
+
+
 def modify_code(code: Code, scaling: np.ndarray) -> Code:
     """Conjugate every codeword factor by ``scaling`` and renormalize.
 
@@ -223,14 +229,16 @@ def modify_povm(povm: Povm, scaling: np.ndarray) -> Povm:
 def apply_channel_blockwise(channel: ChannelLike, code: Code, i: int) -> np.ndarray:
     """Phi^(x)n acting on codeword i (factor by factor, since both the
     channel action and the codeword factorize)."""
+    _check_index("codeword index i", i, code.size)
     return _kron_stack(apply_channel_matrix(_as_ptm(channel), code.factors[i]))
 
 
 def outcome_probability(channel: ChannelLike, code: Code, i: int,
                         povm: Povm, j: int) -> float:
     """Born probability tr[Phi^(x)n[rho_i] M_j]; j = 0 addresses the
-    completion element."""
+    completion element and j = 1..N the N elements."""
     _check_pairing(code, povm)
+    _check_index("outcome index j", j, povm.size + 1)
     out = apply_channel_blockwise(channel, code, i)
     element = povm.completion if j == 0 else povm.elements[j - 1]
     return float(np.trace(out @ element).real)
@@ -260,16 +268,25 @@ def verify_rescaling_identity(phi: ChannelLike, psi: ChannelLike,
     return float(np.abs(modified * denom[:, None] - original).max())
 
 
+def success_probabilities(code: Code, a_op: np.ndarray,
+                          b_op: np.ndarray) -> tuple[np.ndarray, float]:
+    """Every codeword's probability 1/(tr[B^(x)n rho_i B'^(x)n] |A|^(2n)) of a
+    nonzero outcome in the modified protocol, and their lower bound
+    (|A||B|)^(-2n); the first codeword below it raises AssertionError."""
+    n = code.n
+    norm_a = operator_norm(a_op)
+    probs = 1.0 / (code_scaling_traces(code, b_op) * norm_a ** (2 * n))
+    bound = (norm_a * operator_norm(b_op)) ** (-2 * n)
+    for i, prob in enumerate(probs):
+        if prob < bound - 1e-12:
+            raise AssertionError(f"codeword {i}: success probability {prob:.12g} "
+                                 f"fell below bound {bound:.12g}")
+    return probs, bound
+
+
 def success_probability(code: Code, i: int, a_op: np.ndarray,
                         b_op: np.ndarray) -> tuple[float, float]:
-    """Probability of a nonzero outcome in the modified protocol and its
-    lower bound (|A||B|)^(-2n)."""
-    n = code.n
-    denom = code_scaling_traces(code, b_op)[i] * operator_norm(a_op) ** (2 * n)
-    prob = 1.0 / denom
-    bound = (operator_norm(a_op) * operator_norm(b_op)) ** (-2 * n)
-    if prob < bound - 1e-12:
-        raise AssertionError(
-            f"success probability {prob:.12g} fell below bound {bound:.12g}"
-        )
-    return prob, bound
+    """Codeword i's entry of ``success_probabilities``, and the bound."""
+    _check_index("codeword index i", i, code.size)
+    probs, bound = success_probabilities(code, a_op, b_op)
+    return probs[i], bound

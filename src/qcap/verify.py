@@ -325,14 +325,14 @@ def _check_rate_penalty(rng) -> CheckResult:
     for n in (1, 2, 3):
         for _ in range(50):
             _, _, pair, code, _ = _protocol_instance(rng, n)
-            for i in range(code.size):
-                try:
-                    prob, _ = protocol.success_probability(code, i, pair.a, pair.b)
-                except AssertionError as exc:
-                    error = error or f"n={n}, codeword {i}: {exc}"
-                    continue
+            try:
+                probs, _ = protocol.success_probabilities(code, pair.a, pair.b)
+            except AssertionError as exc:
+                error = error or f"n={n}, {exc}"
+                continue
+            rhs = -2.0 * np.log2(pair.norm_ab)
+            for prob in probs:
                 lhs = np.log2(prob) / n
-                rhs = -2.0 * np.log2(pair.norm_ab)
                 slack = min(slack, lhs - rhs)
                 ok = ok and lhs >= rhs - 1e-9
     if error:

@@ -504,24 +504,86 @@ def test_family_chi_meets_its_tangent_conditions():
     assert shapes == {"pair", "one pinned", "both pinned"}
 
 
-@pytest.mark.parametrize("start", [(-0.45, 0.56), (-0.3, 0.9)], ids=["near", "far"])
-def test_bitangent_with_both_ends_free(monkeypatch, start):
-    # no family channel tried (30 000 random ones) has a bitangent with
-    # both ends inside (-1, 1), so the two-end Newton step is checked on
-    # a tilted double well s = (z^2 - 1/4)^2 + z/10, whose bitangent
-    # touches at z = +-1/2 with slope 1/10.  From the far start the first
-    # full step would put a at -10.2; the halved steps stay in [-1, 1]
-    heights = []
+def _rho_prime_upper(mpmath, x0, x1):
+    # an upper bound on rho' over [x0, x1] by interval arithmetic, for
+    # rho = F'/F'' and F(x) = S(sqrt(x)) (S in nats: the scale cancels).
+    # With r = sqrt(x) and A = atanh(r), F' = -A/(2r), and
+    # rho = 2xA/(r/(1 - x) - A) = P/Q for the positive-coefficient series
+    # P = 2 sum x^k/(2k + 1) and Q = sum 2(k + 1) x^k/(2k + 3).  Up to
+    # x = 1/2 the series, cut after 80 terms, with every tail below
+    # 81 2^-77, avoid the cancellation of r/(1 - x) - A near x = 0
+    iv = mpmath.iv
+    x = iv.mpf([x0, x1])
+    if x1 <= 0.5:
+        tail = iv.mpf([0, 81 * mpmath.mpf(2) ** -77])
+        p = sum(2 * x ** k / (2 * k + 1) for k in range(80)) + tail
+        dp = sum(2 * k * x ** (k - 1) / (2 * k + 1) for k in range(1, 80)) + tail
+        q = sum(2 * (k + 1) * x ** k / (2 * k + 3) for k in range(80)) + tail
+        dq = sum(2 * k * (k + 1) * x ** (k - 1) / (2 * k + 3) for k in range(1, 80)) + tail
+        return ((dp * q - p * dq) / (q * q)).b
+    r = iv.sqrt(x)
+    A = iv.log((1 + r) / (1 - r)) / 2
+    ratio = r / (1 - x)
+    n, dn = 2 * x * A, 2 * A + ratio
+    d, dd = ratio - A, ratio / (1 - x)
+    return ((dn * d - n * dd) / (d * d)).b
 
-    def well(params, z):
-        heights.append(z)
-        return (z * z - 0.25) ** 2 + 0.1 * z, 4.0 * z * (z * z - 0.25) + 0.1, 12.0 * z * z - 1.0
 
-    monkeypatch.setattr(capacity, "_least_entropy", well)
-    a, b, m, steps, residual = capacity._bitangent(None, *start)
-    assert abs(a + 0.5) <= 1e-15 and abs(b - 0.5) <= 1e-15 and abs(m - 0.1) <= 1e-15
-    assert 0 < steps <= 10 and residual <= 1e-15
-    assert all(-1.0 <= z <= 1.0 for z in heights)
+def test_rho_falls_faster_than_two():
+    # the lemma behind _family_heights' case split: rho' < -2 on [0, 1).
+    # Interval arithmetic on a partition of [0, 1 - 2^-60], split where a
+    # piece is inconclusive; every double below 1 is at most 1 - 2^-53
+    mpmath = pytest.importorskip("mpmath")
+    iv, mpf = mpmath.iv, mpmath.mpf
+    saved = iv.dps
+    iv.dps = 30
+    try:
+        with mpmath.workdps(30):
+            top = 1 - mpf(2) ** -60
+            todo = [(mpf(k) / 16, mpf(k + 1) / 16) for k in range(8)] + [(mpf(0.5), top)]
+            pieces = 0
+            while todo:
+                x0, x1 = todo.pop()
+                if _rho_prime_upper(mpmath, x0, x1) < -2:
+                    pieces += 1
+                    continue
+                # halve [0, 1/2] evenly, and the rest evenly in log(1 - x)
+                mid = (x0 + x1) / 2 if x1 <= 0.5 else 1 - mpmath.sqrt((1 - x0) * (1 - x1))
+                assert x1 - x0 > mpf(2) ** -80 * (1 - x1)
+                todo += [(x0, mid), (mid, x1)]
+            assert pieces < 1000
+    finally:
+        iv.dps = saved
+    with mpmath.workdps(50):
+        # pointwise, from derivatives of F itself: rho' = 1 - F' F'''/F''^2
+        def entropy(r):
+            return -sum(p * mpmath.log(p) for p in ((1 - r) / 2, (1 + r) / 2))
+
+        def rho_and_slope(x):
+            d1, d2, d3 = (mpmath.diff(lambda y: entropy(mpmath.sqrt(y)), x, n) for n in (1, 2, 3))
+            return d1 / d2, 1 - d1 * d3 / (d2 * d2)
+
+        for x, slope in [("0.7", "-3.02"), ("0.999999", "-14.2")]:
+            rho, drho = rho_and_slope(mpf(x))
+            assert mpmath.nstr(drho, 3) == slope
+            r = mpmath.sqrt(mpf(x))
+            atanh = mpmath.atanh(r)
+            assert abs(rho - 2 * mpf(x) * atanh / (r / (1 - mpf(x)) - atanh)) < mpf(10) ** -30
+        # the series limits: rho(0) = P(0)/Q(0) = 2/(2/3) = 3, and
+        # rho'(0) = (P'(0) Q(0) - P(0) Q'(0))/Q(0)^2 = -13/5
+        rho, drho = rho_and_slope(mpf(10) ** -12)
+        assert abs(rho - 3) < mpf(10) ** -11 and abs(drho + mpf(13) / 5) < mpf(10) ** -11
+        # rho -> 0 as x -> 1, falling all the way
+        tops = [rho_and_slope(1 - mpf(10) ** -k)[0] for k in range(2, 14, 2)]
+        assert all(later < earlier for earlier, later in zip(tops, tops[1:]))
+        assert 0 < tops[-1] < mpf(10) ** -10
+        # the closed form proof in _family_heights: (3 - r^2) atanh(r) - 3r
+        # is the series sum_{k >= 2} 4(k - 1)/(4k^2 - 1) r^(2k + 1)
+        coeffs = mpmath.taylor(lambda r: (3 - r * r) * mpmath.atanh(r) - 3 * r, 0, 25)
+        for n, c in enumerate(coeffs):
+            k = (n - 1) // 2
+            expected = 4 * (k - 1) / mpf(4 * k * k - 1) if n % 2 and k >= 2 else 0
+            assert abs(c - expected) < mpf(10) ** -30
 
 
 @pytest.mark.parametrize("channel", [
@@ -537,7 +599,7 @@ def test_family_chi_meets_the_grid_oracle(channel):
 
 def test_family_chi_reports_its_newton_steps(monkeypatch):
     # iterations counts the Newton steps and converged the tangent
-    # residual: with no steps allowed the grid's tangents miss it
+    # residual: with no steps allowed the starting height misses it
     channel = gad_params(0.475, 1.0)
     result = chi_capacity_numeric(channel)
     assert result.converged and 0 < result.iterations <= 10
@@ -546,43 +608,31 @@ def test_family_chi_reports_its_newton_steps(monkeypatch):
     assert not result.converged and result.iterations == 0
 
 
-def test_exact_chi_takes_one_coarse_hull(monkeypatch):
-    # a timing-free guard for the exact solver's work: one lower hull on
-    # the first pass's 257 heights, and the polish takes no other
-    sizes = []
-    hull = capacity._lower_hull
-
-    def counting_hull(z, s):
-        sizes.append(len(z))
-        return hull(z, s)
-
-    monkeypatch.setattr(capacity, "_lower_hull", counting_hull)
-    for channel in [*ORACLE_CHANNELS.values(), *EDGE_CHANNELS.values()]:
-        sizes.clear()
-        chi_capacity_numeric(channel)
-        assert len(sizes) == 1 and sizes[0] <= 257
-
-
 FIG_CHANNELS = ([gad_params(0.475, float(gt)) for gt in np.linspace(0.05, 3.0, 60)]
                 + [mix_params(float(p)) for p in np.linspace(0.02, 0.98, 49)])
 
 
-def test_figure_hulls_keep_the_whole_grid(monkeypatch):
-    # a timing-free guard for the first pass: on every figure point the
-    # profile is strictly convex, so the hull is the whole 257-point grid
-    # and comes back as the input arrays, with no per-point Python loop
-    calls = []
-    hull = capacity._lower_hull
+def test_exact_chi_takes_no_hull_and_few_evaluations(monkeypatch):
+    # a timing-free guard for the exact solver's work: no lower hull, and
+    # at most 12 evaluations of s per solve, two at the ends and one per
+    # Newton step (at most 9 on the figure points, 7 on the others)
+    def refuse(z, s):
+        raise AssertionError("_lower_hull called")
 
-    def checking_hull(z, s):
-        hx, hy = hull(z, s)
-        calls.append(len(z) == 257 and hx is z and hy is s)
-        return hx, hy
+    heights = []
+    least = capacity._least_entropy
 
-    monkeypatch.setattr(capacity, "_lower_hull", checking_hull)
-    for channel in FIG_CHANNELS:
+    def counting(params, z):
+        heights.append(z)
+        return least(params, z)
+
+    monkeypatch.setattr(capacity, "_lower_hull", refuse)
+    monkeypatch.setattr(capacity, "_least_entropy", counting)
+    for channel in [*FIG_CHANNELS, *ORACLE_CHANNELS.values(), *EDGE_CHANNELS.values(),
+                    *RANDOM_FAMILY]:
+        heights.clear()
         chi_capacity_numeric(channel)
-    assert len(calls) == 109 and all(calls)
+        assert 2 <= len(heights) <= 12
 
 
 def _reference_hull(z, s):
@@ -611,16 +661,17 @@ def test_lower_hull_matches_the_monotone_chain():
     # l = 0 or t3 = 0
     rng = np.random.default_rng(5)
     channels = FIG_CHANNELS + [_random_cp_family(rng, k % 4) for k in range(2000)]
+    grid = np.linspace(-1.0, 1.0, 257)
     looped = 0
     for channel in channels:
-        s, _ = capacity._family_profile(channel, capacity._GRID)
-        hx, _ = _assert_same_hull(capacity._GRID, s)
-        looped += hx is not capacity._GRID
+        s, _ = capacity._family_profile(channel, grid)
+        hx, _ = _assert_same_hull(grid, s)
+        looped += hx is not grid
     assert looped > 0
     # a constant profile keeps only its two ends
-    s, _ = capacity._family_profile(PauliChannelParams(0.6, 0.6, 0.6, 0), capacity._GRID)
+    s, _ = capacity._family_profile(PauliChannelParams(0.6, 0.6, 0.6, 0), grid)
     assert np.all(s == s[0])
-    hx, hy = _assert_same_hull(capacity._GRID, s)
+    hx, hy = _assert_same_hull(grid, s)
     assert hx.tolist() == [-1.0, 1.0] and hy.tolist() == [s[0], s[0]]
     # a concave profile pops at the third point already
     z = np.linspace(-1.0, 1.0, 9)

@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from qcap import protocol, verify
 from qcap.capacity import gad_params
 from qcap.core import (
     PauliChannelParams,
@@ -25,6 +26,7 @@ from qcap.protocol import (
     modify_povm,
     outcome_probabilities,
     outcome_probability,
+    success_probabilities,
     success_probability,
     verify_rescaling_identity,
 )
@@ -227,6 +229,49 @@ def test_success_probability_gad_worst_codeword():
         assert prob >= bound - 1e-12
 
 
+def test_success_probabilities_are_the_per_codeword_formula():
+    # one stacked call gives each codeword's 1/(tr[B^n rho_i B'^n] |A|^2n)
+    # and the bound (|A||B|)^(-2n), bit for bit
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3):
+        _, _, pair, code, _ = _instance(rng, n)
+        probs, bound = success_probabilities(code, pair.a, pair.b)
+        traces = code_scaling_traces(code, pair.b)
+        assert bound == (operator_norm(pair.a) * operator_norm(pair.b)) ** (-2 * n)
+        for i in range(code.size):
+            assert probs[i] == 1.0 / (traces[i] * operator_norm(pair.a) ** (2 * n))
+            assert success_probability(code, i, pair.a, pair.b) == (probs[i], bound)
+
+
+def test_success_probabilities_name_the_codeword_below_the_bound():
+    # a factor of trace 2, not a state, halves its codeword's probability
+    # below the bound 1 of identity scalings
+    factors = np.array(Code.random(np.random.default_rng(15), size=3, n=2).factors)
+    factors[1, 1] = np.diag([2.0, 0.0])
+    with pytest.raises(AssertionError, match="^codeword 1: success probability 0.5 "
+                                             "fell below bound 1$"):
+        success_probabilities(Code(factors), np.eye(2), np.eye(2))
+
+
+def test_rate_penalty_takes_one_stacked_call_per_instance(monkeypatch):
+    # the per-use rate penalty check computes each instance's codeword
+    # traces once and its two operator norms once (50 instances per n)
+    calls = []
+    traces, norm = protocol.code_scaling_traces, protocol.operator_norm
+
+    def counted(name, func):
+        def wrapper(*args):
+            calls.append(name)
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(protocol, "code_scaling_traces", counted("traces", traces))
+    monkeypatch.setattr(protocol, "operator_norm", counted("norm", norm))
+    result = verify._check_rate_penalty(np.random.default_rng(7))
+    assert result.passed
+    assert calls.count("traces") == 150 and calls.count("norm") == 300
+
+
 def test_rate_penalty_consistency():
     rng = np.random.default_rng(13)
     for n in (1, 2, 3):
@@ -356,6 +401,39 @@ def test_stacked_kernels_match_the_per_element_loops():
 
 # ---------------------------------------------------------------------------
 # shape errors name the shapes instead of failing inside numpy
+
+
+def test_code_rejects_an_empty_code():
+    # a code of no codewords used to fail later, inside a numpy reduction
+    with pytest.raises(ValueError, match=r"size >= 1, got \(0, 2, 2, 2\)"):
+        Code.random(np.random.default_rng(65), 0, 2)
+    with pytest.raises(ValueError, match="size >= 1"):
+        Code(np.zeros((0, 1, 2, 2)))
+
+
+@pytest.mark.parametrize("i, j, message", [
+    (0, -1, r"outcome index j = -1 is outside 0\.\.3"),
+    (0, 4, r"outcome index j = 4 is outside 0\.\.3"),
+    (-1, 1, r"codeword index i = -1 is outside 0\.\.1"),
+    (2, 1, r"codeword index i = 2 is outside 0\.\.1"),
+], ids=["j=-1", "j=N+1", "i=-1", "i=size"])
+def test_outcome_probability_rejects_indices_out_of_range(i, j, message):
+    # j = 0 is the completion and 1..N the N = 3 elements; a negative
+    # index once read an element from the end
+    rng = np.random.default_rng(66)
+    phi, _, _, _, _ = _instance(rng, 1)
+    code = Code.random(rng, size=2, n=1)
+    povm = Povm.random(rng, size=3, dim=2)
+    with pytest.raises(ValueError, match=message):
+        outcome_probability(phi, code, i, povm, j)
+
+
+def test_success_probability_rejects_a_codeword_out_of_range():
+    rng = np.random.default_rng(67)
+    code = Code.random(rng, size=2, n=1)
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match=r"codeword index i = .* is outside 0\.\.1"):
+            success_probability(code, i, np.eye(2), np.eye(2))
 
 
 def test_code_rejects_block_length_zero():
