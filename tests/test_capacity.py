@@ -635,6 +635,24 @@ def test_exact_chi_takes_no_hull_and_few_evaluations(monkeypatch):
         assert 2 <= len(heights) <= 12
 
 
+def test_figure_hulls_keep_the_whole_grid(monkeypatch):
+    # a timing-free guard for the grid oracle: on every figure point the
+    # profile is strictly convex, so the hull is the whole 200 001-point
+    # grid and comes back as the input arrays, with no per-point Python loop
+    calls = []
+    hull = capacity._lower_hull
+
+    def checking_hull(z, s):
+        hx, hy = hull(z, s)
+        calls.append(len(z) == 200_001 and hx is z and hy is s)
+        return hx, hy
+
+    monkeypatch.setattr(capacity, "_lower_hull", checking_hull)
+    for channel in FIG_CHANNELS:
+        chi_capacity_grid_oracle(channel)
+    assert len(calls) == 109 and all(calls)
+
+
 def _reference_hull(z, s):
     # the plain monotone chain, one point at a time
     hx, hy = [], []
