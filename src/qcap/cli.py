@@ -106,6 +106,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = _finite_float(text)
+    if not value > 0.0:
+        raise argparse.ArgumentTypeError(f"must be greater than 0, got {text!r}")
+    return value
+
+
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("channel selection")
     group.add_argument("--gad", action="store_true",
@@ -467,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_args(pk)
     pk.add_argument("--method", choices=("closed-form", "iterate", "both"),
                     default="both")
-    pk.add_argument("--tol", type=float, default=1e-12)
+    pk.add_argument("--tol", type=_positive_float, default=1e-12)
     pk.add_argument("--max-iter", type=int, default=10_000)
     pk.add_argument("--out")
     pk.set_defaults(func=cmd_sinkhorn)

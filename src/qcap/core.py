@@ -170,8 +170,14 @@ def bloch_to_density(b) -> np.ndarray:
     return 0.5 * np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
-def density_to_bloch(rho) -> BlochVector:
+def density_to_bloch(rho) -> Union[BlochVector, np.ndarray]:
+    """Bloch vector of a 2x2 rho; a (..., 2, 2) stack with more than two
+    axes gives a (..., 3) array of the same coordinates, bit for bit."""
     rho = np.asarray(rho, dtype=complex)
+    if rho.ndim > 2:
+        upper, lower = rho[..., 0, 1], rho[..., 1, 0]
+        return np.stack([np.real(upper + lower), np.real(1j * (upper - lower)),
+                         np.real(rho[..., 0, 0] - rho[..., 1, 1])], axis=-1)
     return BlochVector(
         float(np.real(rho[0, 1] + rho[1, 0])),
         float(np.real(1j * (rho[0, 1] - rho[1, 0]))),
@@ -387,10 +393,18 @@ def binary_entropy(x) -> Union[float, np.ndarray]:
     return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def von_neumann_entropy(rho) -> float:
-    """S(rho) = -tr(rho log2 rho) in bits, via eigenvalues."""
-    w = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    w = np.clip(w, 0.0, 1.0)
+def von_neumann_entropy(rho) -> Union[float, np.ndarray]:
+    """S(rho) = -tr(rho log2 rho) in bits, via eigenvalues.
+
+    A (..., d, d) stack with more than two axes gives a (...) array.  Its
+    zero eigenvalues add a 0.0 term where a single matrix drops them, so
+    for d < 8, where numpy sums a row from the left, each entry has the
+    bits of the single call.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    w = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
+    if rho.ndim > 2:
+        return -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
     nz = w[w > 0.0]
     return float(-(nz * np.log2(nz)).sum())
 
@@ -402,15 +416,36 @@ def apply_scaling(K, X) -> np.ndarray:
     return K @ np.asarray(X, dtype=complex) @ _dagger(K)
 
 
-def operator_norm(K) -> float:
+def operator_norm(K) -> Union[float, np.ndarray]:
     """Largest singular value; for a positive diagonal operator this is
-    the maximum diagonal entry."""
+    the maximum diagonal entry.  A (..., 2, 2) stack gives a (...) array
+    with the bits of the single 2x2 calls."""
     K = np.asarray(K, dtype=complex)
     if K.shape == (2, 2):
         g = K.conj().T @ K
         return gram_norm_2x2(g[0, 0].real + g[1, 1].real,
                              (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real)
+    if K.ndim > 2 and K.shape[-2:] == (2, 2):
+        g = _dagger(K) @ K
+        det = np.maximum(_det_2x2(g).real, 0.0)
+        tr = g[..., 0, 0].real + g[..., 1, 1].real
+        return np.sqrt(0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))))
     return float(np.linalg.norm(K, 2))
+
+
+def _det_2x2(M: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., 2, 2) complex stack, with the bits of numpy's
+    scalar ``M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]``.
+
+    Array products of complex numbers may take a fused multiply-add, and
+    so round differently from scalar ones; the real and imaginary parts
+    are therefore multiplied out here in real arithmetic.
+    """
+    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
+    det = np.empty(a.shape, dtype=complex)
+    det.real = (a.real * d.real - a.imag * d.imag) - (b.real * c.real - b.imag * c.imag)
+    det.imag = (a.real * d.imag + a.imag * d.real) - (b.real * c.imag + b.imag * c.real)
+    return det
 
 
 def gram_norm_2x2(tr: float, det: float) -> float:
@@ -423,8 +458,15 @@ def gram_norm_2x2(tr: float, det: float) -> float:
 
 
 def inverse_2x2(M) -> np.ndarray:
-    """Closed-form (adjugate / determinant) inverse of a 2x2 matrix."""
+    """Closed-form (adjugate / determinant) inverse of a 2x2 matrix, or of
+    each matrix in a (..., 2, 2) stack, bit for bit."""
     M = np.asarray(M, dtype=complex)
+    if M.ndim > 2:
+        det = _det_2x2(M)
+        if np.any(det == 0):
+            raise ValueError("matrix is singular")
+        adj = np.stack([M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0]], axis=-1)
+        return adj.reshape(M.shape) / det[..., None, None]
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     if det == 0:
         raise ValueError("matrix is singular")
@@ -436,11 +478,21 @@ def inverse_2x2(M) -> np.ndarray:
 
 
 def random_bloch(rng: np.random.Generator, pure: bool = False) -> BlochVector:
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    if not pure:
-        v *= rng.uniform() ** (1.0 / 3.0)
-    return BlochVector.from_array(v)
+    return BlochVector.from_array(random_blochs(rng, 1, pure)[0])
+
+
+def random_blochs(rng: np.random.Generator, count: int, pure: bool = False) -> np.ndarray:
+    """(count, 3) Bloch vectors, uniform in the ball (on the sphere if
+    ``pure``), drawn one at a time: three normals for the direction, then
+    a uniform for the radius."""
+    out = np.empty((count, 3))
+    for k in range(count):
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        if not pure:
+            v *= rng.uniform() ** (1.0 / 3.0)
+        out[k] = v
+    return out
 
 
 def random_ginibre(rng: np.random.Generator, count: int, dim: int = 2) -> np.ndarray:
@@ -462,9 +514,16 @@ def random_density(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
 
 def random_densities(rng: np.random.Generator, count: int, dim: int = 2) -> np.ndarray:
     """(count, dim, dim) stack of ``random_density`` draws, bit for bit."""
-    g = random_ginibre(rng, count, dim)
+    return densities_from_ginibre(random_ginibre(rng, count, dim))
+
+
+def densities_from_ginibre(g) -> np.ndarray:
+    """Normalized Wishart states G G' / tr(G G') for a (..., dim, dim)
+    stack of Ginibre matrices, so draws made one at a time can be
+    normalized in one call."""
+    g = np.asarray(g, dtype=complex)
     rho = g @ _dagger(g)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

@@ -3,7 +3,8 @@
 Self-contained SVG 1.1 output with a fixed 800x500 viewBox and 10%
 margins so that identical inputs give byte-identical files.  Empty or
 NaN cells break a polyline into separate runs instead of interpolating;
-runs of a single point are drawn as markers.
+runs of a single point are drawn as markers.  Axis and series labels
+are XML-escaped, so any text gives a well-formed file.
 """
 
 from __future__ import annotations
@@ -98,6 +99,11 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _escape(text: str) -> str:
+    """Label text as XML character data."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _runs(points: list[tuple[Optional[float], Optional[float]]]):
     """Split into maximal runs of consecutive finite points."""
     run: list[tuple[float, float]] = []
@@ -158,11 +164,11 @@ def render_svg(spec: ChartSpec) -> str:
 
     parts.append(f'<text x="{(px_lo + px_hi) / 2:.2f}" y="{VIEW_H - 8:.2f}" '
                  f'font-size="14" text-anchor="middle" '
-                 f'font-family="sans-serif">{spec.x_label}</text>')
+                 f'font-family="sans-serif">{_escape(spec.x_label)}</text>')
     parts.append(f'<text x="16" y="{(py_lo + py_hi) / 2:.2f}" font-size="14" '
                  f'text-anchor="middle" font-family="sans-serif" '
                  f'transform="rotate(-90 16 {(py_lo + py_hi) / 2:.2f})">'
-                 f'{spec.y_label}</text>')
+                 f'{_escape(spec.y_label)}</text>')
 
     for idx, series in enumerate(spec.series):
         color = PALETTE[idx % len(PALETTE)]
@@ -191,7 +197,7 @@ def render_svg(spec: ChartSpec) -> str:
                      f'x2="{legend_x + 30:.2f}" y2="{y:.2f}" stroke="{color}" '
                      f'stroke-width="1.5"{dash_attr}/>')
         parts.append(f'<text x="{legend_x + 36:.2f}" y="{y + 4:.2f}" font-size="12" '
-                     f'font-family="sans-serif">{series.label}</text>')
+                     f'font-family="sans-serif">{_escape(series.label)}</text>')
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import (
+    ChannelLike,
     ChannelOrParams,
     NoConvergence,
     NotInterior,
@@ -41,7 +42,11 @@ from .core import (
 
 @dataclass(frozen=True)
 class ScalingPair:
-    """Positive definite scaling operators with cached operator norms."""
+    """Positive definite scaling operators with cached operator norms.
+
+    A stacked pair holds (..., 2, 2) operators and (...) arrays of norms,
+    one entry per instance (see ``from_operators`` and ``stack``).
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -66,6 +71,18 @@ class ScalingPair:
             norm_b_inv=operator_norm(inverse_2x2(b)),
             iterations=iterations,
         )
+
+    @classmethod
+    def stack(cls, pairs: Sequence["ScalingPair"]) -> "ScalingPair":
+        """One stacked pair from k pairs: (k, 2, 2) operators and (k,)
+        norms, each slice the bits of its pair."""
+        a = np.stack([p.a for p in pairs])
+        b = np.stack([p.b for p in pairs])
+        a.flags.writeable = False
+        b.flags.writeable = False
+        norms = (np.array([getattr(p, name) for p in pairs])
+                 for name in ("norm_a", "norm_b", "norm_a_inv", "norm_b_inv"))
+        return cls(a, b, *norms)
 
     @property
     def norm_ab(self) -> float:
@@ -98,13 +115,18 @@ class UnitalForm:
 
 @dataclass(frozen=True)
 class DecompositionResiduals:
+    """Floats for one channel, (...) arrays for a stack of channels."""
+
     unitality: float
     trace_preservation: float
     reconstruction: float
 
     @property
     def max_residual(self) -> float:
-        return max(self.unitality, self.trace_preservation, self.reconstruction)
+        if np.ndim(self.unitality) == 0:
+            return max(self.unitality, self.trace_preservation, self.reconstruction)
+        return np.maximum(np.maximum(self.unitality, self.trace_preservation),
+                          self.reconstruction)
 
 
 def _family_roots(params: PauliChannelParams) -> tuple[float, float, float, float]:
@@ -171,24 +193,34 @@ def family_unital_params(params: PauliChannelParams) -> UnitalForm:
     return UnitalForm(lt1, lt2, lt3, sv)
 
 
-def upsilon_ptm(channel: ChannelOrParams, pair: ScalingPair) -> np.ndarray:
-    """Raw PTM of the sandwiched map A . Phi . B (not canonicalized)."""
-    return kraus_ptm(pair.a) @ _as_ptm(channel) @ kraus_ptm(pair.b)
+def upsilon_ptm(channel: ChannelLike, pair: ScalingPair) -> np.ndarray:
+    """Raw PTM of the sandwiched map A . Phi . B (not canonicalized).
+
+    A (..., 4, 4) stack of PTMs and a stacked pair give the (..., 4, 4)
+    stack, each slice with the bits of the single call.
+    """
+    return kraus_ptm(pair.a) @ _as_ptm(channel, stacked=True) @ kraus_ptm(pair.b)
 
 
 def unital_channel(channel: ChannelOrParams, pair: ScalingPair) -> QubitChannel:
     return QubitChannel(upsilon_ptm(channel, pair))
 
 
-def verify_decomposition(channel: ChannelOrParams, pair: ScalingPair) -> DecompositionResiduals:
-    """Residuals of the decomposition (pure diagnostic, never raises)."""
-    ptm = _as_ptm(channel)
-    ups = kraus_ptm(pair.a) @ ptm @ kraus_ptm(pair.b)
+def verify_decomposition(channel: ChannelLike, pair: ScalingPair) -> DecompositionResiduals:
+    """Residuals of the decomposition (pure diagnostic, never raises).
+
+    A (..., 4, 4) stack of PTMs and a stacked pair give (...) arrays of
+    residuals, each entry the single call's.
+    """
+    ptm = _as_ptm(channel, stacked=True)
+    ups = upsilon_ptm(ptm, pair)
     ups_of_identity = apply_channel_matrix(ups, np.eye(2))
-    unitality = float(np.abs(ups_of_identity - np.eye(2)).max())
-    tp = float(np.abs(ups[0, :] - np.array([1.0, 0, 0, 0])).max())
+    unitality = np.abs(ups_of_identity - np.eye(2)).max(axis=(-2, -1))
+    tp = np.abs(ups[..., 0, :] - np.array([1.0, 0, 0, 0])).max(axis=-1)
     recon = kraus_ptm(inverse_2x2(pair.a)) @ ups @ kraus_ptm(inverse_2x2(pair.b))
-    reconstruction = float(np.abs(recon - ptm).max())
+    reconstruction = np.abs(recon - ptm).max(axis=(-2, -1))
+    if ptm.ndim == 2:
+        return DecompositionResiduals(float(unitality), float(tp), float(reconstruction))
     return DecompositionResiduals(unitality, tp, reconstruction)
 
 

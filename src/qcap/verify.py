@@ -5,6 +5,13 @@ to guarantee (round trips, dual code paths agreeing, identity checks on
 random instances) and reports one named pass/fail result per property.
 The same checks back the `qcap verify` command and parts of the pytest
 suite.
+
+A check on random instances first draws all of them, one by one in a
+fixed order, keeping only the raw draws; then it runs the production
+functions once on the stack of all instances, or once per group of
+instances that share a shape.  Every stacked function gives each
+instance the bits of its single call, so the results do not depend on
+the grouping.
 """
 
 from __future__ import annotations
@@ -40,16 +47,38 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
 
 def _random_family_interior(rng: np.random.Generator) -> core.PauliChannelParams:
     """Rejection-sample strictly interior CP family parameters."""
-    while True:
-        l1, l2, l3 = rng.uniform(-1.0, 1.0, 3)
-        t3 = rng.uniform(-1.0, 1.0)
-        if abs(t3) + abs(l3) >= 0.98:
-            continue
-        if 1.0 + l3 < np.hypot(t3, l1 + l2) + 1e-6:
-            continue
-        if 1.0 - l3 < np.hypot(t3, l1 - l2) + 1e-6:
-            continue
-        return core.PauliChannelParams(l1, l2, l3, t3)
+    return _random_family_interiors(rng, 1)[0]
+
+
+def _random_family_interiors(rng: np.random.Generator,
+                             count: int) -> list[core.PauliChannelParams]:
+    """``count`` draws of strictly interior CP family parameters.
+
+    Each attempt takes four uniforms on [-1, 1), (lambda1, lambda2,
+    lambda3) and then t3, and is kept if |t3| + |lambda3| < 0.98 and both
+    CP margins exceed 1e-6.  The attempts are judged as rows of block
+    draws; then the generator is rewound and draws exactly the rows used
+    once more, so the draws and the generator state afterwards are those
+    of rejecting one attempt at a time.
+    """
+    start = rng.bit_generator.state
+    kept: list[int] = []
+    tried = 0
+    while len(kept) < count:  # about one attempt in seven is kept
+        block = rng.uniform(-1.0, 1.0, size=(8 * (count - len(kept)) + 8, 4))
+        l1, l2, l3, t3 = block.T
+        ok = ((np.abs(t3) + np.abs(l3) < 0.98)
+              & (1.0 + l3 >= np.hypot(t3, l1 + l2) + 1e-6)
+              & (1.0 - l3 >= np.hypot(t3, l1 - l2) + 1e-6))
+        kept += (tried + np.flatnonzero(ok)).tolist()
+        tried += len(block)
+    kept = kept[:count]
+    rng.bit_generator.state = start
+    rows = rng.uniform(-1.0, 1.0, size=(kept[-1] + 1, 4))
+    # t3 as a Python float, l1..l3 as numpy floats, as the draws
+    # rng.uniform(-1, 1) and rng.uniform(-1, 1, 3) return them
+    return [core.PauliChannelParams(l1, l2, l3, float(t3))
+            for l1, l2, l3, t3 in rows[kept]]
 
 
 # ---------------------------------------------------------------------------
@@ -57,11 +86,9 @@ def _random_family_interior(rng: np.random.Generator) -> core.PauliChannelParams
 
 
 def _check_bloch_roundtrip(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(1000):
-        b = core.random_bloch(rng)
-        back = core.density_to_bloch(core.bloch_to_density(b))
-        worst = max(worst, abs(back.x - b.x), abs(back.y - b.y), abs(back.z - b.z))
+    blochs = core.random_blochs(rng, 1000)
+    back = core.density_to_bloch(core.bloch_to_density(blochs))
+    worst = float(np.abs(back - blochs).max())
     return _result("bloch_density_roundtrip", worst <= 1e-14,
                    f"max deviation {worst:.2e} over 1000 states (tol 1e-14)")
 
@@ -74,7 +101,7 @@ def _ptm_vs_kraus_draws(rng, count: int = 1000):
     for k in range(count):
         rank = int(rng.integers(1, 5))
         ops[k, :rank] = core.random_ginibre(rng, rank)
-        blochs[k] = core.random_bloch(rng).as_array()
+        blochs[k] = core.random_blochs(rng, 1)[0]
     return ops, blochs
 
 
@@ -127,27 +154,22 @@ def _check_cp_grid(rng) -> CheckResult:
 
 
 def _check_entropy_consistency(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(500):
-        b = core.random_bloch(rng)
-        s = core.von_neumann_entropy(core.bloch_to_density(b))
-        via_bloch = core.binary_entropy((1.0 - b.norm) / 2.0)
-        worst = max(worst, abs(s - via_bloch))
+    blochs = core.random_blochs(rng, 500)
+    s = core.von_neumann_entropy(core.bloch_to_density(blochs))
+    x, y, z = blochs.T
+    via_bloch = core.binary_entropy((1.0 - np.sqrt(x * x + y * y + z * z)) / 2.0)
+    worst = float(np.abs(s - via_bloch).max())
     return _result("entropy_matches_bloch_formula", worst <= 1e-12,
                    f"max deviation {worst:.2e} over 500 states (tol 1e-12)")
 
 
 def _check_norm_inverse_product(rng) -> CheckResult:
-    ok = True
-    low = np.inf
-    for _ in range(500):
-        K = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        if abs(np.linalg.det(K)) < 1e-6:
-            continue
-        prod = core.operator_norm(K) * core.operator_norm(core.inverse_2x2(K))
-        low = min(low, prod)
-        ok = ok and prod >= 1.0 - 1e-12
-    return _result("norm_times_inverse_norm_at_least_one", ok,
+    ops = core.random_ginibre(rng, 500)
+    ops = ops[np.abs(np.linalg.det(ops)) >= 1e-6]
+    prods = core.operator_norm(ops) * core.operator_norm(core.inverse_2x2(ops))
+    low = float(prods.min(initial=np.inf))
+    return _result("norm_times_inverse_norm_at_least_one",
+                   bool(np.all(prods >= 1.0 - 1e-12)),
                    f"min product {low:.6f} over random invertible operators")
 
 
@@ -165,18 +187,30 @@ def core_suite(rng: np.random.Generator) -> list[CheckResult]:
 # sinkhorn suite
 
 
+def _family_stack(params) -> tuple[np.ndarray, sinkhorn.ScalingPair]:
+    """The channels' PTMs and closed-form scaling pairs, stacked."""
+    ptms = np.array([core.ptm_from_params(p).ptm for p in params])
+    pairs = [sinkhorn.family_scaling_pair(p) for p in params]
+    return ptms, sinkhorn.ScalingPair.stack(pairs)
+
+
+def _gauge_draws(rng, count: int = 50):
+    """Family channels and gauge factors, drawn in turn."""
+    params, factors = [], []
+    for _ in range(count):
+        params.append(_random_family_interior(rng))
+        factors.append(rng.uniform(0.2, 5.0))
+    return params, np.array(factors)
+
+
 def _check_gauge_invariance(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(50):
-        params = _random_family_interior(rng)
-        pair = sinkhorn.family_scaling_pair(params)
-        c = rng.uniform(0.2, 5.0)
-        scaled = sinkhorn.ScalingPair.from_operators(pair.a / c, c * pair.b)
-        ups = sinkhorn.upsilon_ptm(params, pair)
-        ups_scaled = sinkhorn.upsilon_ptm(params, scaled)
-        worst = max(worst, float(np.abs(ups - ups_scaled).max()),
-                    abs(pair.norm_ab * pair.norm_ab_inv
-                        - scaled.norm_ab * scaled.norm_ab_inv))
+    params, c = _gauge_draws(rng)
+    ptms, pair = _family_stack(params)
+    c = c[:, None, None]
+    scaled = sinkhorn.ScalingPair.from_operators(pair.a / c, c * pair.b)
+    drift = np.abs(sinkhorn.upsilon_ptm(ptms, pair) - sinkhorn.upsilon_ptm(ptms, scaled))
+    products = np.abs(pair.norm_ab * pair.norm_ab_inv - scaled.norm_ab * scaled.norm_ab_inv)
+    worst = float(max(drift.max(), products.max()))
     return _result("gauge_rescaling_invariance", worst <= 1e-9,
                    f"max drift {worst:.2e} under scalar gauge changes (tol 1e-9)")
 
@@ -198,20 +232,16 @@ def _check_two_path_agreement(rng) -> CheckResult:
 
 
 def _check_decomposition_residuals(rng) -> CheckResult:
-    worst = 0.0
-    for _ in range(200):
-        params = _random_family_interior(rng)
-        res = sinkhorn.verify_decomposition(params, sinkhorn.family_scaling_pair(params))
-        worst = max(worst, res.max_residual)
+    res = sinkhorn.verify_decomposition(*_family_stack(_random_family_interiors(rng, 200)))
+    worst = float(res.max_residual.max())
     return _result("decomposition_residuals", worst <= 1e-9,
                    f"max residual {worst:.2e} over 200 channels (tol 1e-9)")
 
 
 def _check_upsilon_is_channel(rng) -> CheckResult:
     ok = True
-    for _ in range(50):
-        params = _random_family_interior(rng)
-        ups = sinkhorn.unital_channel(params, sinkhorn.family_scaling_pair(params))
+    for ptm in sinkhorn.upsilon_ptm(*_family_stack(_random_family_interiors(rng, 50))):
+        ups = core.QubitChannel(ptm)
         report = core.is_completely_positive(ups)
         ok = ok and report.is_cp and core.is_unital(ups, 1e-10) \
             and core.is_trace_preserving(ups, 1e-10)
@@ -257,20 +287,51 @@ def sinkhorn_suite(rng: np.random.Generator) -> list[CheckResult]:
 # protocol suite
 
 
-def _protocol_instance(rng, n):
-    params = _random_family_interior(rng)
-    pair = sinkhorn.family_scaling_pair(params)
-    phi = core.ptm_from_params(params)
-    psi = sinkhorn.upsilon_ptm(params, pair)
-    code = protocol.Code.random(rng, size=int(rng.integers(2, 5)), n=n)
-    povm = protocol.Povm.random(rng, size=int(rng.integers(2, 5)), dim=2**n)
-    return phi, psi, pair, code, povm
+def _protocol_draws(rng, n: int, count: int) -> list[tuple]:
+    """Raw draws of ``count`` protocol instances at block length n, each
+    in turn: the channel, the code size and the Ginibre matrices of its
+    (size, n) factors, then the POVM size and its Ginibre matrices."""
+    draws = []
+    for _ in range(count):
+        params = _random_family_interior(rng)
+        code = core.random_ginibre(rng, int(rng.integers(2, 5)) * n).reshape(-1, n, 2, 2)
+        povm = core.random_ginibre(rng, int(rng.integers(2, 5)), 2**n)
+        draws.append((params, code, povm))
+    return draws
+
+
+def _shape_groups(keys) -> list[list[int]]:
+    """Draw indices grouped by key, each group in draw order."""
+    groups: dict = {}
+    for k, key in enumerate(keys):
+        groups.setdefault(key, []).append(k)
+    return list(groups.values())
+
+
+def _code_stack(draws, idx) -> protocol.Code:
+    return protocol.Code(core.densities_from_ginibre(np.stack([draws[k][1] for k in idx])))
+
+
+def _povm_stack(draws, idx) -> protocol.Povm:
+    return protocol.Povm.from_ginibre(np.stack([draws[k][2] for k in idx]))
+
+
+def _first_failure(exc: Exception, idx, single) -> tuple[int, str]:
+    """Draw index and message of the group's first instance, in draw order,
+    whose single call ``single(j)`` raises as the stacked call did."""
+    for j, k in enumerate(idx):
+        try:
+            single(j)
+        except type(exc) as one:
+            return k, str(one)
+    return idx[0], str(exc)
 
 
 # The protocol functions raise when an identity they rely on breaks
-# (ValueError from modify_povm, AssertionError from success_probability).
-# The checks below report the first such error as a failed check, and
-# still draw all their instances, so the later checks see the same ones.
+# (ValueError from modify_povm, AssertionError from success_probabilities).
+# The checks below report the first such error, in draw order, as a failed
+# check, and still draw all their instances, so the later checks see the
+# same ones.
 
 
 def _check_rescaling_identity(rng, instances: int = 100) -> CheckResult:
@@ -278,15 +339,24 @@ def _check_rescaling_identity(rng, instances: int = 100) -> CheckResult:
     worst = 0.0
     error = None
     for n in (1, 2, 3):
-        for _ in range(instances):
-            phi, psi, pair, code, povm = _protocol_instance(rng, n)
+        draws = _protocol_draws(rng, n, instances)
+        phis, pairs = _family_stack([params for params, _, _ in draws])
+        psis = sinkhorn.upsilon_ptm(phis, pairs)
+        failures = []
+        for idx in _shape_groups((len(c), len(m)) for _, c, m in draws):
+            phi, psi, a, b = phis[idx], psis[idx], pairs.a[idx], pairs.b[idx]
+            code, povm = _code_stack(draws, idx), _povm_stack(draws, idx)
             try:
-                dev = protocol.verify_rescaling_identity(phi, psi, pair.a, pair.b,
-                                                         code, povm)
+                dev = protocol.verify_rescaling_identity(phi, psi, a, b, code, povm)
             except ValueError as exc:
-                error = error or f"n={n}: {exc}"
+                failures.append(_first_failure(exc, idx, lambda j: (
+                    protocol.verify_rescaling_identity(
+                        phi[j], psi[j], a[j], b[j],
+                        protocol.Code(code.factors[j]), protocol.Povm(povm.elements[j])))))
                 continue
-            worst = max(worst, dev)
+            worst = max(worst, float(dev.max()))
+        if failures and error is None:
+            error = f"n={n}: {min(failures)[1]}"
     if error:
         return _result(name, False, error)
     return _result(name, worst <= 1e-11,
@@ -300,18 +370,24 @@ def _check_modified_povm(rng) -> CheckResult:
     low = np.inf
     error = None
     for n in (1, 2, 3):
-        for _ in range(30):
-            _, _, pair, _, povm = _protocol_instance(rng, n)
+        draws = _protocol_draws(rng, n, 30)
+        _, pairs = _family_stack([params for params, _, _ in draws])
+        failures = []
+        for idx in _shape_groups(len(m) for _, _, m in draws):
+            a, povm = pairs.a[idx], _povm_stack(draws, idx)
             try:
-                modified = protocol.modify_povm(povm, pair.a)
+                modified = protocol.modify_povm(povm, a)
             except ValueError as exc:
-                error = error or f"n={n}: {exc}"
+                failures.append(_first_failure(exc, idx, lambda j: protocol.modify_povm(
+                    protocol.Povm(povm.elements[j]), a[j])))
                 continue
-            total = modified.elements.sum(axis=0) + modified.completion
+            total = modified.elements.sum(axis=-3) + modified.completion
             ok = ok and np.abs(total - np.eye(2**n)).max() <= 1e-12
             eig = modified.min_eigenvalue()
-            low = min(low, eig)
-            ok = ok and eig >= -protocol.completion_tolerance(pair.a, n)
+            low = min(low, float(eig.min()))
+            ok = ok and bool(np.all(eig >= -protocol.completion_tolerance(a, n)))
+        if failures and error is None:
+            error = f"n={n}: {min(failures)[1]}"
     if error:
         return _result(name, False, error)
     return _result(name, ok, f"elements resolve identity; min eigenvalue {low:.2e}")
@@ -323,18 +399,24 @@ def _check_rate_penalty(rng) -> CheckResult:
     slack = np.inf
     error = None
     for n in (1, 2, 3):
-        for _ in range(50):
-            _, _, pair, code, _ = _protocol_instance(rng, n)
+        draws = _protocol_draws(rng, n, 50)
+        _, pairs = _family_stack([params for params, _, _ in draws])
+        failures = []
+        for idx in _shape_groups(len(c) for _, c, _ in draws):
+            a, b, code = pairs.a[idx], pairs.b[idx], _code_stack(draws, idx)
             try:
-                probs, _ = protocol.success_probabilities(code, pair.a, pair.b)
+                probs, _ = protocol.success_probabilities(code, a, b)
             except AssertionError as exc:
-                error = error or f"n={n}, {exc}"
+                failures.append(_first_failure(exc, idx, lambda j: (
+                    protocol.success_probabilities(protocol.Code(code.factors[j]),
+                                                   a[j], b[j]))))
                 continue
-            rhs = -2.0 * np.log2(pair.norm_ab)
-            for prob in probs:
-                lhs = np.log2(prob) / n
-                slack = min(slack, lhs - rhs)
-                ok = ok and lhs >= rhs - 1e-9
+            rhs = (-2.0 * np.log2(pairs.norm_ab[idx]))[:, None]
+            lhs = np.log2(probs) / n
+            slack = min(slack, float((lhs - rhs).min()))
+            ok = ok and bool(np.all(lhs >= rhs - 1e-9))
+        if failures and error is None:
+            error = f"n={n}, {min(failures)[1]}"
     if error:
         return _result(name, False, error)
     return _result(name, ok,

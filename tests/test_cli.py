@@ -516,6 +516,11 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
     (["render", "--in", "sweep.csv", "--out", "chart.svg", "--x", "x", "--series", "c_chi"],
      1, "COLUMN:STYLE:LABEL"),
     (["analyze", *GAD_ARGS, "--chi", "--seed", "1"], 2, "unrecognized arguments: --seed"),
+    # a tolerance that is not finite and above 0 never ends the iteration right
+    (["sinkhorn", *CHANNEL, "--method", "iterate", "--tol", "nan"], 2, "--tol"),
+    (["sinkhorn", *CHANNEL, "--method", "iterate", "--tol", "-1"], 2, "--tol"),
+    (["sinkhorn", *CHANNEL, "--method", "iterate", "--tol", "0"], 2, "--tol"),
+    (["sinkhorn", *CHANNEL, "--method", "iterate", "--tol", "inf"], 2, "--tol"),
 ])
 def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
     while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell

@@ -435,6 +435,64 @@ def test_stacked_core_functions_match_the_single_calls():
         core.is_unital(ptms)
 
 
+def _sequential_blochs(rng, count, pure=False):
+    # random_bloch's draw, one vector at a time, before the draws were stacked
+    out = []
+    for _ in range(count):
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        if not pure:
+            v *= rng.uniform() ** (1.0 / 3.0)
+        out.append(v)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_bloch_draws_match_the_sequential_draws(pure):
+    fast, slow = np.random.default_rng(26), np.random.default_rng(26)
+    blochs = core.random_blochs(fast, 400, pure=pure)
+    assert blochs.tobytes() == _sequential_blochs(slow, 400, pure=pure).tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert core.random_bloch(fast, pure).as_array().tobytes() == \
+        _sequential_blochs(slow, 1, pure)[0].tobytes()
+
+
+def test_operator_draws_match_the_sequential_draws():
+    # the norm-inverse check takes its operators from one random_ginibre call
+    fast, slow = np.random.default_rng(27), np.random.default_rng(27)
+    ops = core.random_ginibre(fast, 500)
+    ref = np.array([slow.normal(size=(2, 2)) + 1j * slow.normal(size=(2, 2))
+                    for _ in range(500)])
+    assert ops.tobytes() == ref.tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_stacked_state_and_operator_functions_match_the_single_calls():
+    rng = np.random.default_rng(28)
+    mixed = bloch_to_density(core.random_blochs(rng, 300))
+    pure = bloch_to_density(core.random_blochs(rng, 100, pure=True))  # a zero eigenvalue
+    wide = core.densities_from_ginibre(core.random_ginibre(rng, 100, 4))
+    for rhos in (mixed, pure, wide):
+        entropies = von_neumann_entropy(rhos)
+        for k in range(len(rhos)):
+            assert entropies[k].tobytes() == np.float64(von_neumann_entropy(rhos[k])).tobytes()
+    back = density_to_bloch(mixed.reshape(3, 100, 2, 2))
+    assert back.shape == (3, 100, 3)
+    for k, rho in enumerate(mixed):
+        assert back.reshape(-1, 3)[k].tobytes() == density_to_bloch(rho).as_array().tobytes()
+
+    ginibre = core.random_ginibre(rng, 600).reshape(3, 200, 2, 2)
+    norms, inverses = operator_norm(ginibre), core.inverse_2x2(ginibre)
+    wishart = core.densities_from_ginibre(ginibre)
+    for k, K in enumerate(ginibre.reshape(-1, 2, 2)):
+        assert norms.reshape(-1)[k].tobytes() == np.float64(operator_norm(K)).tobytes()
+        assert inverses.reshape(-1, 2, 2)[k].tobytes() == core.inverse_2x2(K).tobytes()
+        assert wishart.reshape(-1, 2, 2)[k].tobytes() == \
+            core.densities_from_ginibre(K[None])[0].tobytes()
+    with pytest.raises(ValueError, match="singular"):
+        core.inverse_2x2(np.stack([np.eye(2), np.zeros((2, 2))]))
+
+
 def test_choi_trace_and_hermiticity_random():
     rng = np.random.default_rng(29)
     for _ in range(100):

@@ -15,6 +15,7 @@ from qcap.core import (
     operator_norm,
     ptm_from_params,
     random_density,
+    random_ginibre,
 )
 from qcap.protocol import (
     POVM_PSD_TOL,
@@ -253,9 +254,14 @@ def test_success_probabilities_name_the_codeword_below_the_bound():
         success_probabilities(Code(factors), np.eye(2), np.eye(2))
 
 
-def test_rate_penalty_takes_one_stacked_call_per_instance(monkeypatch):
-    # the per-use rate penalty check computes each instance's codeword
-    # traces once and its two operator norms once (50 instances per n)
+def test_rate_penalty_takes_one_stacked_call_per_shape_group(monkeypatch):
+    # the per-use rate penalty check computes the codeword traces once and
+    # the two operator norms once for each group of its 50 instances per n
+    # that share a code size
+    rng = np.random.default_rng(7)
+    groups = sum(len({len(code) for _, code, _ in verify._protocol_draws(rng, n, 50)})
+                 for n in (1, 2, 3))
+    assert groups == 9
     calls = []
     traces, norm = protocol.code_scaling_traces, protocol.operator_norm
 
@@ -269,7 +275,7 @@ def test_rate_penalty_takes_one_stacked_call_per_instance(monkeypatch):
     monkeypatch.setattr(protocol, "operator_norm", counted("norm", norm))
     result = verify._check_rate_penalty(np.random.default_rng(7))
     assert result.passed
-    assert calls.count("traces") == 150 and calls.count("norm") == 300
+    assert calls.count("traces") == groups and calls.count("norm") == 2 * groups
 
 
 def test_rate_penalty_consistency():
@@ -397,6 +403,118 @@ def test_stacked_kernels_match_the_per_element_loops():
             for i in range(code.size):
                 np.testing.assert_allclose(code.codeword(i),
                                            reduce(np.kron, code.factors[i]), rtol=0, atol=0)
+
+
+def _general_scalings(rng, count):
+    # invertible, with complex off-diagonal entries
+    return (rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
+            + 2 * np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_protocol_functions_match_the_single_calls(n):
+    # every (code size, POVM size) the verify suite draws, and size-1 codes
+    # and POVMs, where einsum sums a single instance in another order
+    rng = np.random.default_rng(68 + n)
+    for size, outcomes in [(1, 1), (1, 3), (2, 1), (2, 2), (3, 4), (4, 3)]:
+        count = 6
+        params = [_random_interior_params(rng) for _ in range(count)]
+        pairs = [family_scaling_pair(p) for p in params]
+        phis = np.array([ptm_from_params(p).ptm for p in params])
+        psis = np.array([upsilon_ptm(p, pair) for p, pair in zip(params, pairs)])
+        code = Code(np.array([Code.random(rng, size, n).factors for _ in range(count)]))
+        ginibre = np.array([random_ginibre(rng, outcomes, 2**n) for _ in range(count)])
+        povm = Povm.from_ginibre(ginibre)
+        a = np.array([p.a for p in pairs])
+        b = np.array([p.b for p in pairs])
+        a_gen, b_gen = _general_scalings(rng, count), _general_scalings(rng, count)
+        singles = [(Code(code.factors[k]), Povm.from_ginibre(ginibre[k]))
+                   for k in range(count)]
+        stacked = {
+            "elements": povm.elements,
+            "codeword": code.codeword(size - 1),
+            "min_eigenvalue": povm.min_eigenvalue(),
+            "with_completion": povm.with_completion(),
+            "outcome_phi": outcome_probabilities(phis, code, povm),
+            "outcome_psi": outcome_probabilities(psis, code, povm),
+            "outcome_one": outcome_probability(phis, code, 0, povm, outcomes),
+        }
+        single = {
+            "elements": [m.elements for _, m in singles],
+            "codeword": [c.codeword(size - 1) for c, _ in singles],
+            "min_eigenvalue": [m.min_eigenvalue() for _, m in singles],
+            "with_completion": [m.with_completion() for _, m in singles],
+            "outcome_phi": [outcome_probabilities(phis[k], c, m)
+                            for k, (c, m) in enumerate(singles)],
+            "outcome_psi": [outcome_probabilities(psis[k], c, m)
+                            for k, (c, m) in enumerate(singles)],
+            "outcome_one": [outcome_probability(phis[k], c, 0, m, outcomes)
+                            for k, (c, m) in enumerate(singles)],
+        }
+        for tag, A, B in (("family", a, b), ("general", a_gen, b_gen)):
+            probs, bound = success_probabilities(code, A, B)
+            stacked |= {
+                f"modify_code_{tag}": modify_code(code, B).factors,
+                f"traces_{tag}": code_scaling_traces(code, B),
+                f"modify_povm_{tag}": modify_povm(povm, A).elements,
+                f"tolerance_{tag}": completion_tolerance(A, n),
+                f"rescaling_{tag}": verify_rescaling_identity(phis, psis, A, B, code, povm),
+                f"success_{tag}": probs,
+                f"bound_{tag}": bound,
+                f"success_one_{tag}": success_probability(code, 0, A, B)[0],
+            }
+            each = list(zip(singles, phis, psis, A, B))
+            single |= {
+                f"modify_code_{tag}": [modify_code(c, Bk).factors
+                                       for (c, _), _, _, _, Bk in each],
+                f"traces_{tag}": [code_scaling_traces(c, Bk) for (c, _), _, _, _, Bk in each],
+                f"modify_povm_{tag}": [modify_povm(m, Ak).elements
+                                       for (_, m), _, _, Ak, _ in each],
+                f"tolerance_{tag}": [completion_tolerance(Ak, n) for Ak in A],
+                f"rescaling_{tag}": [verify_rescaling_identity(phi, psi, Ak, Bk, c, m)
+                                     for (c, m), phi, psi, Ak, Bk in each],
+                f"success_{tag}": [success_probabilities(c, Ak, Bk)[0]
+                                   for (c, _), _, _, Ak, Bk in each],
+                f"bound_{tag}": [success_probabilities(c, Ak, Bk)[1]
+                                 for (c, _), _, _, Ak, Bk in each],
+                f"success_one_{tag}": [success_probability(c, 0, Ak, Bk)[0]
+                                       for (c, _), _, _, Ak, Bk in each],
+            }
+        for name, value in stacked.items():
+            assert len(value) == count
+            for k in range(count):
+                assert value[k].tobytes() == np.asarray(single[name][k]).tobytes(), name
+
+
+def test_stacked_calls_name_the_failing_instance():
+    rng = np.random.default_rng(72)
+    code = Code(np.array([Code.random(rng, size=2, n=1).factors for _ in range(3)]))
+    povm = Povm(np.array([Povm.random(rng, size=2, dim=2).elements for _ in range(3)]))
+    # instance 1 doubles its elements, so its completion is -I
+    povm = Povm(povm.elements * np.array([1.0, 2.0, 1.0])[:, None, None, None])
+    identities = np.stack([np.eye(2)] * 3)
+    with pytest.raises(ValueError, match=r"^instance 1: modified completion element "
+                                         r"has eigenvalue -1\.000e\+00"):
+        modify_povm(povm, identities)
+    factors = np.array(code.factors)
+    factors[2, 1, 0] = np.diag([2.0, 0.0])
+    with pytest.raises(AssertionError, match=r"^instance 2: codeword 1: success "
+                                             r"probability 0.5 fell below bound 1$"):
+        success_probabilities(Code(factors), identities, identities)
+
+
+def test_stacks_must_pair_instance_for_instance():
+    rng = np.random.default_rng(73)
+    code = Code(np.array([Code.random(rng, size=2, n=1).factors for _ in range(3)]))
+    povm = Povm(np.array([Povm.random(rng, size=2, dim=2).elements for _ in range(2)]))
+    with pytest.raises(ValueError, match=r"\(2, 2, 2, 2\).*\(3, 2, 1, 2, 2\)"):
+        outcome_probabilities(np.stack([np.eye(4)] * 3), code, povm)
+    for scalings in (np.eye(2), np.stack([np.eye(2)] * 2)):
+        with pytest.raises(ValueError, match=r"2x2.*\(3, 2, 2\)"):
+            code_scaling_traces(code, scalings)
+    for channels in (np.eye(4), np.stack([np.eye(4)] * 2)):
+        with pytest.raises(ValueError, match=r"4x4.*\(3, 4, 4\)"):
+            outcome_probabilities(channels, code, Povm(np.array([povm.elements[0]] * 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import re
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -113,3 +114,14 @@ def test_presets(tmp_path):
         assert svg.count("<polyline") == 3
     with pytest.raises(ValueError):
         preset_spec("fig3", path, "x.svg")
+
+
+def test_labels_with_markup_characters_give_well_formed_svg(tmp_path):
+    # &, < and > in axis and series labels are escaped, not written raw
+    path = _write_csv(tmp_path / "m.csv", BASIC)
+    spec = ChartSpec(path, "x", (Series("a", "dotted", "a & b <c>"),), "p<0.5",
+                     "y > 0 & y < 1", (0.0, 1.0), str(tmp_path / "m.svg"))
+    render_chart(spec)
+    root = ET.parse(tmp_path / "m.svg").getroot()
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert {"p<0.5", "y > 0 & y < 1", "a & b <c>"} <= set(texts)

@@ -245,6 +245,40 @@ def test_verify_decomposition_detects_corruption():
     assert 1e-4 < res.max_residual < 1e-2
 
 
+def test_stacked_pairs_match_the_single_calls():
+    # family pairs, gauge-rescaled ones, and generic pairs with complex
+    # off-diagonal entries, each stacked over random channels
+    rng = np.random.default_rng(44)
+    params = [_random_interior_params(rng) for _ in range(60)]
+    ptms = np.array([ptm_from_params(p).ptm for p in params])
+    family = [family_scaling_pair(p) for p in params]
+    c = rng.uniform(0.2, 5.0, size=(60, 1, 1))
+    a = rng.normal(size=(60, 2, 2)) + 1j * rng.normal(size=(60, 2, 2)) + 2 * np.eye(2)
+    b = rng.normal(size=(60, 2, 2)) + 1j * rng.normal(size=(60, 2, 2)) + 2 * np.eye(2)
+    stacked = ScalingPair.stack(family)
+    cases = [
+        (stacked, family),
+        (ScalingPair.from_operators(stacked.a / c, c * stacked.b),
+         [ScalingPair.from_operators(p.a / ck, ck * p.b) for p, ck in zip(family, c[:, 0, 0])]),
+        (ScalingPair.from_operators(a, b),
+         [ScalingPair.from_operators(ak, bk) for ak, bk in zip(a, b)]),
+    ]
+    names = ("a", "b", "norm_a", "norm_b", "norm_a_inv", "norm_b_inv")
+    for pair, singles in cases:
+        ups = upsilon_ptm(ptms, pair)
+        res = verify_decomposition(ptms, pair)
+        for k, (p, single) in enumerate(zip(params, singles)):
+            for name in names:
+                assert getattr(pair, name)[k].tobytes() == \
+                    np.asarray(getattr(single, name)).tobytes()
+            assert ups[k].tobytes() == upsilon_ptm(p, single).tobytes()
+            one = verify_decomposition(p, single)
+            assert [res.unitality[k], res.trace_preservation[k], res.reconstruction[k],
+                    res.max_residual[k]] == [one.unitality, one.trace_preservation,
+                                             one.reconstruction, one.max_residual]
+            assert isinstance(one.max_residual, float)
+
+
 def test_unital_diagonalize_diagonal_and_rotated():
     ch = ptm_from_params(PauliChannelParams(0.5, -0.4, 0.3, 0.0))
     form = unital_diagonalize(ch)
