@@ -11,7 +11,6 @@ outputs.
 """
 
 from .core import (
-    BlochVector,
     CPReport,
     NoConvergence,
     NotInterior,
@@ -74,7 +73,6 @@ from .protocol import (
     modify_code,
     modify_povm,
     outcome_probabilities,
-    outcome_probability,
     success_probability,
     verify_rescaling_identity,
 )

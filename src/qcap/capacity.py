@@ -24,13 +24,14 @@ oracle of both.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
 from .core import (
-    ChannelOrParams,
+    ChannelLike,
     NotInterior,
     PauliChannelParams,
     _as_ptm,
@@ -91,10 +92,11 @@ class Ensemble:
             raise ValueError("ensemble must hold 1 to 4 states")
         if s.shape != (len(w), 3):
             raise ValueError(f"states shape {s.shape} does not match {len(w)} weights")
-        if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-12:
+        # written so that NaN fails each test
+        if not (w.min() >= -1e-12 and abs(w.sum() - 1.0) <= 1e-12):
             raise ValueError("weights must be nonnegative and sum to 1")
         norms = np.linalg.norm(s, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-9:
+        if not np.abs(norms - 1.0).max() <= 1e-9:
             raise ValueError("ensemble states must be pure (unit Bloch norm)")
         w.flags.writeable = False
         s.flags.writeable = False
@@ -117,8 +119,8 @@ class ChiConfig:
     ``sizes`` order.  Each start is refined by BFGS
     until its step is at most ``xatol`` in every coordinate, its
     decrease is at most ``fatol``, or no trial step is accepted;
-    ``xatol`` and ``fatol`` must be at least 0, and ``max_iter``, at
-    least 1, caps the iterations (200 when ``None``).
+    ``xatol`` and ``fatol`` must be at least 0, and ``max_iter``, an
+    integer of at least 1, caps the iterations.
     Identical configs give bit-identical results.
     """
 
@@ -127,15 +129,15 @@ class ChiConfig:
     seed: Union[int, tuple[int, ...]] = DEFAULT_SEED
     xatol: float = 1e-9
     fatol: float = 0.0
-    max_iter: Optional[int] = None
+    max_iter: int = 200
 
     def __post_init__(self):
         if not self.sizes or not set(self.sizes) <= {2, 3, 4}:
             raise ValueError(f"chi ensemble sizes must be 2 to 4, got {self.sizes}")
-        if self.starts < 1:
-            raise ValueError(f"chi starts = {self.starts} must be at least 1")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError(f"chi max_iter = {self.max_iter} must be at least 1")
+        for name in ("starts", "max_iter"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"chi {name} = {value!r} must be an integer of at least 1")
         for name in ("xatol", "fatol"):
             if not getattr(self, name) >= 0.0:  # also rejects NaN
                 raise ValueError(f"chi {name} = {getattr(self, name)} must be >= 0")
@@ -273,7 +275,7 @@ def mix_params(p: float) -> PauliChannelParams:
 # chi-capacity
 
 
-def holevo_quantity(channel: ChannelOrParams, ensemble: Ensemble) -> float:
+def holevo_quantity(channel: ChannelLike, ensemble: Ensemble) -> float:
     """S(sum_k p_k Phi[rho_k]) - sum_k p_k S(Phi[rho_k]) in bits."""
     ptm = _as_ptm(channel)
     out = ensemble.states @ ptm[1:, 1:].T + ptm[1:, 0]
@@ -427,7 +429,7 @@ def _params_to_ensemble(params: np.ndarray, m: int) -> Ensemble:
     return Ensemble(weights, states)
 
 
-def chi_capacity_numeric(channel: ChannelOrParams,
+def chi_capacity_numeric(channel: ChannelLike,
                          config: Optional[ChiConfig] = None) -> ChiResult:
     """Maximize the Holevo quantity over ensembles of pure states.
 

@@ -115,16 +115,17 @@ def _positive_float(text: str) -> float:
 
 def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("channel selection")
-    group.add_argument("--gad", action="store_true",
-                       help="generalized amplitude damping (needs --p, --gamma-t)")
-    group.add_argument("--mix", action="store_true",
-                       help="amplitude-damping/depolarizing mixture (needs --p)")
+    family = group.add_mutually_exclusive_group()  # one channel per command
+    family.add_argument("--gad", action="store_true",
+                        help="generalized amplitude damping (needs --p, --gamma-t)")
+    family.add_argument("--mix", action="store_true",
+                        help="amplitude-damping/depolarizing mixture (needs --p)")
     group.add_argument("--p", type=_finite_float, help="family parameter p")
     group.add_argument("--gamma-t", type=_finite_float, dest="gamma_t",
                        help="dimensionless time for --gad")
-    group.add_argument("--lambda", type=_finite_float, nargs=3, dest="lambdas",
-                       metavar=("L1", "L2", "L3"),
-                       help="custom channel lambda parameters")
+    family.add_argument("--lambda", type=_finite_float, nargs=3, dest="lambdas",
+                        metavar=("L1", "L2", "L3"),
+                        help="custom channel lambda parameters")
     group.add_argument("--t3", type=_finite_float, default=0.0,
                        help="custom channel translation")
 

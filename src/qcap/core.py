@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -49,30 +49,6 @@ class NotUnital(ValueError):
 
 class NoConvergence(RuntimeError):
     """Iterative scheme failed to reach the requested tolerance."""
-
-
-@dataclass(frozen=True)
-class BlochVector:
-    """Bloch coordinates of a qubit state; norm 1 means pure."""
-
-    x: float
-    y: float
-    z: float
-
-    @classmethod
-    def from_array(cls, arr) -> "BlochVector":
-        x, y, z = np.asarray(arr, dtype=float)
-        return cls(float(x), float(y), float(z))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def __iter__(self):
-        return iter((self.x, self.y, self.z))
 
 
 @dataclass(frozen=True)
@@ -120,12 +96,6 @@ class QubitChannel:
         ptm[1:, 0] = np.asarray(translation, dtype=float)
         return cls(ptm)
 
-    @classmethod
-    def from_kraus(cls, ops: Sequence[np.ndarray]) -> "QubitChannel":
-        """Build from a complete Kraus set (sum K'K = I)."""
-        total = sum(kraus_ptm(K) for K in ops)
-        return cls(total)
-
     @property
     def linear_part(self) -> np.ndarray:
         return self.ptm[1:, 1:]
@@ -136,7 +106,6 @@ class QubitChannel:
 
 
 ChannelLike = Union[QubitChannel, PauliChannelParams, np.ndarray]
-ChannelOrParams = Union[QubitChannel, PauliChannelParams]
 
 
 class CPReport(NamedTuple):
@@ -159,30 +128,21 @@ def _as_ptm(channel: ChannelLike, stacked: bool = False) -> np.ndarray:
 
 
 def bloch_to_density(b) -> np.ndarray:
-    """rho = (I + x sx + y sy + z sz) / 2, or a (..., 2, 2) stack of them
-    for a (..., 3) array.  Norms above 1 are accepted here; physicality
-    is a separate check."""
-    if isinstance(b, BlochVector):
-        x, y, z = b.x, b.y, b.z
-    else:
-        x, y, z = np.moveaxis(np.asarray(b, float), -1, 0)
+    """rho = (I + x sx + y sy + z sz) / 2 for a Bloch vector b = (x, y, z),
+    or a (..., 2, 2) stack of them for a (..., 3) array.  Norms above 1
+    are accepted here; physicality is a separate check."""
+    x, y, z = np.moveaxis(np.asarray(b, float), -1, 0)
     rows = [[1.0 + z, x - 1j * y], [x + 1j * y, 1.0 - z]]
     return 0.5 * np.moveaxis(np.array(rows), (0, 1), (-2, -1))
 
 
-def density_to_bloch(rho) -> Union[BlochVector, np.ndarray]:
-    """Bloch vector of a 2x2 rho; a (..., 2, 2) stack with more than two
-    axes gives a (..., 3) array of the same coordinates, bit for bit."""
+def density_to_bloch(rho) -> np.ndarray:
+    """(3,) Bloch vector of a 2x2 rho, or a (..., 3) array of them for a
+    (..., 2, 2) stack."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim > 2:
-        upper, lower = rho[..., 0, 1], rho[..., 1, 0]
-        return np.stack([np.real(upper + lower), np.real(1j * (upper - lower)),
-                         np.real(rho[..., 0, 0] - rho[..., 1, 1])], axis=-1)
-    return BlochVector(
-        float(np.real(rho[0, 1] + rho[1, 0])),
-        float(np.real(1j * (rho[0, 1] - rho[1, 0]))),
-        float(np.real(rho[0, 0] - rho[1, 1])),
-    )
+    upper, lower = rho[..., 0, 1], rho[..., 1, 0]
+    return np.stack([np.real(upper + lower), np.real(1j * (upper - lower)),
+                     np.real(rho[..., 0, 0] - rho[..., 1, 1])], axis=-1)
 
 
 def ptm_from_params(params: PauliChannelParams) -> QubitChannel:
@@ -194,18 +154,11 @@ def ptm_from_params(params: PauliChannelParams) -> QubitChannel:
     return QubitChannel(ptm)
 
 
-def apply_channel(channel: ChannelLike, b) -> BlochVector:
-    """Affine Bloch action b -> M b + t."""
-    if isinstance(channel, PauliChannelParams):
-        x, y, z = (b.x, b.y, b.z) if isinstance(b, BlochVector) else np.asarray(b, float)
-        return BlochVector(
-            channel.lambda1 * x,
-            channel.lambda2 * y,
-            channel.lambda3 * z + channel.t3,
-        )
+def apply_channel(channel: ChannelLike, b) -> np.ndarray:
+    """Affine Bloch action b -> M b + t on a (..., 3) array of Bloch
+    vectors."""
     ptm = _as_ptm(channel)
-    vec = b.as_array() if isinstance(b, BlochVector) else np.asarray(b, float)
-    return BlochVector.from_array(ptm[1:, 1:] @ vec + ptm[1:, 0])
+    return np.asarray(b, dtype=float) @ ptm[1:, 1:].T + ptm[1:, 0]
 
 
 def apply_channel_matrix(channel: ChannelLike, X) -> np.ndarray:
@@ -394,19 +347,13 @@ def binary_entropy(x) -> Union[float, np.ndarray]:
 
 
 def von_neumann_entropy(rho) -> Union[float, np.ndarray]:
-    """S(rho) = -tr(rho log2 rho) in bits, via eigenvalues.
-
-    A (..., d, d) stack with more than two axes gives a (...) array.  Its
-    zero eigenvalues add a 0.0 term where a single matrix drops them, so
-    for d < 8, where numpy sums a row from the left, each entry has the
-    bits of the single call.
-    """
+    """S(rho) = -tr(rho log2 rho) in bits, via eigenvalues, for a d x d
+    rho; a (..., d, d) stack gives a (...) array.  A zero eigenvalue adds
+    a 0.0 term."""
     rho = np.asarray(rho, dtype=complex)
     w = np.clip(np.linalg.eigvalsh(rho), 0.0, 1.0)
-    if rho.ndim > 2:
-        return -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
-    nz = w[w > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    s = -(w * np.log2(np.where(w > 0.0, w, 1.0))).sum(axis=-1)
+    return float(s) if rho.ndim == 2 else s
 
 
 def apply_scaling(K, X) -> np.ndarray:
@@ -477,10 +424,6 @@ def inverse_2x2(M) -> np.ndarray:
 # random instances for tests and verification suites
 
 
-def random_bloch(rng: np.random.Generator, pure: bool = False) -> BlochVector:
-    return BlochVector.from_array(random_blochs(rng, 1, pure)[0])
-
-
 def random_blochs(rng: np.random.Generator, count: int, pure: bool = False) -> np.ndarray:
     """(count, 3) Bloch vectors, uniform in the ball (on the sphere if
     ``pure``), drawn one at a time: three normals for the direction, then
@@ -507,13 +450,9 @@ def random_ginibre(rng: np.random.Generator, count: int, dim: int = 2) -> np.nda
     return g[:, 0] + 1j * g[:, 1]
 
 
-def random_density(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Random mixed state: normalized Wishart G G' / tr."""
-    return random_densities(rng, 1, dim)[0]
-
-
 def random_densities(rng: np.random.Generator, count: int, dim: int = 2) -> np.ndarray:
-    """(count, dim, dim) stack of ``random_density`` draws, bit for bit."""
+    """(count, dim, dim) random mixed states: normalized Wishart G G' / tr
+    from ``random_ginibre`` draws."""
     return densities_from_ginibre(random_ginibre(rng, count, dim))
 
 

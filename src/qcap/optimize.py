@@ -22,7 +22,6 @@ import numpy as np
 # nonconvex start region of the Holevo objective
 _LADDER = 2.0 ** np.arange(8, -12, -1)
 _ARMIJO = 1e-4
-_BFGS_MAX_ITER = 200
 
 
 class BatchResult(NamedTuple):
@@ -40,7 +39,7 @@ def bfgs_batch(
     x0: np.ndarray,
     xatol: float = 1e-9,
     fatol: float = 0.0,
-    max_iter: int | None = None,
+    max_iter: int = 200,
 ) -> BatchResult:
     """Minimize a smooth ``func`` independently for every row of ``x0``.
 
@@ -58,12 +57,10 @@ def bfgs_batch(
     ``s.y <= 0``.  A member stops when no trial step is accepted, when
     its step is at most ``xatol`` in every coordinate, or when its
     decrease is at most ``fatol``; otherwise it runs for ``max_iter``
-    iterations (200 when ``None``).
+    iterations.
     """
     x_best = np.array(np.atleast_2d(x0), dtype=float)
     batch, n = x_best.shape
-    if max_iter is None:
-        max_iter = _BFGS_MAX_ITER
     steps = len(_LADDER)
 
     # working arrays: open members only

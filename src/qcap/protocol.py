@@ -126,7 +126,7 @@ class Code:
 
     @classmethod
     def random(cls, rng: np.random.Generator, size: int, n: int) -> "Code":
-        """Factors drawn by ``random_density``, codeword by codeword."""
+        """Factors drawn by ``random_densities``, codeword by codeword."""
         return cls(random_densities(rng, size * n).reshape(size, n, 2, 2))
 
 
@@ -190,8 +190,11 @@ class Povm:
     @classmethod
     def from_ginibre(cls, g) -> "Povm":
         """The POVM ``random`` builds from its (N, d, d) Ginibre draw, or
-        a stack of them from a (..., N, d, d) stack of draws."""
+        a stack of them from a (..., N, d, d) stack of draws, N >= 1."""
         g = np.asarray(g, dtype=complex)
+        if g.ndim >= 3 and g.shape[-3] == 0:
+            raise ValueError(f"a random POVM needs size N >= 1, got N = 0 "
+                             f"(draws of shape {g.shape})")
         raws = g @ _dagger(g)
         w, V = np.linalg.eigh(raws.sum(axis=-3))
         inv_sqrt = ((V / np.sqrt(w)[..., None, :]) @ _dagger(V))[..., None, :, :]
@@ -293,29 +296,10 @@ def modify_povm(povm: Povm, scaling: np.ndarray) -> Povm:
     return modified
 
 
-def apply_channel_blockwise(channel: ChannelLike, code: Code, i: int) -> np.ndarray:
-    """Phi^(x)n acting on codeword i (factor by factor, since both the
-    channel action and the codeword factorize)."""
-    _check_index("codeword index i", i, code.size)
-    ptm = _channel_ptm(channel, code.batch_shape)[..., None, :, :]
-    return _kron_stack(apply_channel_matrix(ptm, code.factors[..., i, :, :, :]))
-
-
-def outcome_probability(channel: ChannelLike, code: Code, i: int,
-                        povm: Povm, j: int):
-    """Born probability tr[Phi^(x)n[rho_i] M_j]; j = 0 addresses the
-    completion element and j = 1..N the N elements."""
-    _check_pairing(code, povm)
-    _check_index("outcome index j", j, povm.size + 1)
-    out = apply_channel_blockwise(channel, code, i)
-    element = povm.completion if j == 0 else povm.elements[..., j - 1, :, :]
-    prob = np.trace(out @ element, axis1=-2, axis2=-1).real
-    return float(prob) if prob.ndim == 0 else prob
-
-
 def outcome_probabilities(channel: ChannelLike, code: Code, povm: Povm) -> np.ndarray:
-    """(..., size, N+1) outcome probabilities, column 0 the completion
-    element; each row sums to 1."""
+    """(..., size, N+1) Born probabilities tr[Phi^(x)n[rho_i] M_j], row i
+    the codeword and column j the outcome: column 0 the completion
+    element and columns 1..N the N elements.  Each row sums to 1."""
     _check_pairing(code, povm)
     # the channel acts on every factor of every codeword in one contraction
     ptm = _channel_ptm(channel, code.batch_shape)[..., None, None, :, :]

@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     ChannelLike,
-    ChannelOrParams,
     NoConvergence,
     NotInterior,
     NotUnital,
@@ -123,8 +122,6 @@ class DecompositionResiduals:
 
     @property
     def max_residual(self) -> float:
-        if np.ndim(self.unitality) == 0:
-            return max(self.unitality, self.trace_preservation, self.reconstruction)
         return np.maximum(np.maximum(self.unitality, self.trace_preservation),
                           self.reconstruction)
 
@@ -202,7 +199,7 @@ def upsilon_ptm(channel: ChannelLike, pair: ScalingPair) -> np.ndarray:
     return kraus_ptm(pair.a) @ _as_ptm(channel, stacked=True) @ kraus_ptm(pair.b)
 
 
-def unital_channel(channel: ChannelOrParams, pair: ScalingPair) -> QubitChannel:
+def unital_channel(channel: ChannelLike, pair: ScalingPair) -> QubitChannel:
     return QubitChannel(upsilon_ptm(channel, pair))
 
 
@@ -225,7 +222,7 @@ def verify_decomposition(channel: ChannelLike, pair: ScalingPair) -> Decompositi
 
 
 def sinkhorn_iterate(
-    channel: ChannelOrParams,
+    channel: ChannelLike,
     tol: float = 1e-12,
     max_iter: int = 10_000,
 ) -> ScalingPair:
@@ -332,7 +329,7 @@ def _pauli_matrix(c) -> np.ndarray:
     return 0.5 * np.array([[c0 + c3, complex(c1, -c2)], [complex(c1, c2), c0 - c3]])
 
 
-def unital_diagonalize(channel: ChannelOrParams, tol: float = 1e-9) -> UnitalForm:
+def unital_diagonalize(channel: ChannelLike, tol: float = 1e-9) -> UnitalForm:
     """Singular values of the unital 3x3 block, sorted descending.
 
     The diagonal entries are reported as the signed lt parameters;

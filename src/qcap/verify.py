@@ -95,7 +95,8 @@ def _check_bloch_roundtrip(rng) -> CheckResult:
 
 def _ptm_vs_kraus_draws(rng, count: int = 1000):
     """Raw Kraus sets, zero-padded to rank 4, and Bloch vectors, drawn in
-    the order of ``random_cptp_channel`` then ``random_bloch`` per pair."""
+    the order of ``random_cptp_channel`` then a one-vector
+    ``random_blochs`` per pair."""
     ops = np.zeros((count, 4, 2, 2), dtype=complex)
     blochs = np.empty((count, 3))
     for k in range(count):

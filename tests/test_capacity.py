@@ -255,6 +255,15 @@ def test_ensemble_validation():
         Ensemble(np.ones(5) / 5, np.tile([0.0, 0.0, 1.0], (5, 1)))
 
 
+@pytest.mark.parametrize("weights, states", [
+    ([math.nan, 1.0], [[0, 0, 1], [0, 0, -1]]),
+    ([0.5, 0.5], [[0, 0, math.nan], [0, 0, 1]]),
+], ids=["nan-weight", "nan-state"])
+def test_ensemble_rejects_nan(weights, states):
+    with pytest.raises(ValueError):
+        Ensemble(weights, states)
+
+
 def test_chi_identity_and_tracing():
     r = chi_capacity_numeric(PauliChannelParams(1, 1, 1, 0), LIGHT_CFG)
     assert r.value == pytest.approx(1.0, abs=1e-9)
@@ -758,13 +767,23 @@ def test_chi_converges_before_the_iteration_cap():
     lambda: ChiConfig(fatol=-1.0),
     lambda: ChiConfig(sizes=(1,)),
     lambda: ChiConfig(starts=0),
+    lambda: ChiConfig(starts=2.5),
+    lambda: ChiConfig(max_iter=2.5),
 ], ids=["gad-p-nan", "gad-gt-nan", "chi-no-sizes", "chi-size-5",
         "chi-negative-starts", "chi-size-1-no-start",
         "chi-max-iter-0", "chi-xatol-nan", "chi-xatol-negative", "chi-fatol-nan",
-        "chi-fatol-negative", "chi-size-1", "chi-no-starts"])
+        "chi-fatol-negative", "chi-size-1", "chi-no-starts", "chi-fractional-starts",
+        "chi-fractional-max-iter"])
 def test_bad_settings_raise_value_error(make):
     with pytest.raises(ValueError):
         make()
+
+
+@pytest.mark.parametrize("name", ["starts", "max_iter"])
+def test_chi_config_names_a_non_integer_field(name):
+    with pytest.raises(ValueError, match=f"chi {name} = 2.5 must be an integer"):
+        ChiConfig(**{name: 2.5})
+    assert ChiConfig(**{name: np.int64(3)}) == ChiConfig(**{name: 3})
 
 
 def _ptm_parts(channel):

@@ -521,6 +521,11 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
     (["sinkhorn", *CHANNEL, "--method", "iterate", "--tol", "-1"], 2, "--tol"),
     (["sinkhorn", *CHANNEL, "--method", "iterate", "--tol", "0"], 2, "--tol"),
     (["sinkhorn", *CHANNEL, "--method", "iterate", "--tol", "inf"], 2, "--tol"),
+    # one channel selector per command
+    (["analyze", "--gad", "--mix", "--p", "0.3", "--gamma-t", "1"], 2, "not allowed with"),
+    (["analyze", "--mix", "--p", "0.3", "--lambda", "1", "1", "1"], 2, "not allowed with"),
+    (["sweep", "--gad", "--p", "0.3", "--lambda", "0.5", "0.4", "0.3", "--x", "gamma_t",
+      "--min", "0.2", "--max", "1.0", "--steps", "3"], 2, "not allowed with"),
 ])
 def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
     while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell

@@ -5,7 +5,6 @@ import pytest
 
 from qcap import core, verify
 from qcap.core import (
-    BlochVector,
     PauliChannelParams,
     QubitChannel,
     apply_channel,
@@ -43,21 +42,20 @@ def test_bloch_to_density_trivials():
 def test_bloch_density_roundtrip_random():
     rng = np.random.default_rng(0)
     for _ in range(1000):
-        b = core.random_bloch(rng)
+        b = core.random_blochs(rng, 1)[0]
         back = density_to_bloch(bloch_to_density(b))
-        assert abs(back.x - b.x) <= 1e-14
-        assert abs(back.y - b.y) <= 1e-14
-        assert abs(back.z - b.z) <= 1e-14
+        assert back.shape == (3,)
+        assert np.abs(back - b).max() <= 1e-14
 
 
 def test_apply_channel_identity_and_constant():
     ident = PauliChannelParams(1, 1, 1, 0)
-    out = apply_channel(ident, BlochVector(0.3, 0.4, 0.5))
-    assert (out.x, out.y, out.z) == (0.3, 0.4, 0.5)
+    out = apply_channel(ident, [0.3, 0.4, 0.5])
+    assert out.tolist() == [0.3, 0.4, 0.5]
 
     collapse = PauliChannelParams(0, 0, 0, 0.2)
-    out = apply_channel(collapse, BlochVector(-0.7, 0.1, 0.9))
-    assert (out.x, out.y, out.z) == (0.0, 0.0, 0.2)
+    out = apply_channel(collapse, [-0.7, 0.1, 0.9])
+    assert out.tolist() == [0.0, 0.0, 0.2]
 
 
 def test_apply_channel_gad_point():
@@ -65,10 +63,10 @@ def test_apply_channel_gad_point():
     lam = math.exp(-0.5)
     t3 = (2 * 0.25 - 1) * (1 - math.exp(-1))
     ch = PauliChannelParams(lam, lam, math.exp(-1), t3)
-    out = apply_channel(ch, BlochVector(1, 0, 0))
-    assert out.x == pytest.approx(math.exp(-0.5), abs=1e-15)
-    assert out.y == 0.0
-    assert out.z == pytest.approx(-0.5 * (1 - math.exp(-1)), abs=1e-15)
+    x, y, z = apply_channel(ch, [1, 0, 0])
+    assert x == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert y == 0.0
+    assert z == pytest.approx(-0.5 * (1 - math.exp(-1)), abs=1e-15)
 
 
 def test_ptm_from_params_trivials_and_roundtrip():
@@ -80,11 +78,11 @@ def test_ptm_from_params_trivials_and_roundtrip():
     for _ in range(20):
         params = PauliChannelParams(*rng.uniform(-1, 1, 4))
         ch = ptm_from_params(params)
-        for basis in (BlochVector(1, 0, 0), BlochVector(0, 1, 0),
-                      BlochVector(0, 0, 1), BlochVector(0, 0, 0)):
-            via_ptm = apply_channel(ch, basis)
-            direct = apply_channel(params, basis)
-            assert via_ptm.as_array() == pytest.approx(direct.as_array(), abs=1e-15)
+        for x, y, z in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)):
+            via_ptm = apply_channel(ch, [x, y, z])
+            direct = [params.lambda1 * x, params.lambda2 * y,
+                      params.lambda3 * z + params.t3]
+            assert via_ptm == pytest.approx(direct, abs=1e-15)
 
 
 def test_ptm_first_row_canonical():
@@ -333,9 +331,10 @@ def test_von_neumann_entropy():
 
     rng = np.random.default_rng(11)
     for _ in range(200):
-        b = core.random_bloch(rng)
+        b = core.random_blochs(rng, 1)[0]
         s = von_neumann_entropy(bloch_to_density(b))
-        assert s == pytest.approx(binary_entropy((1 - b.norm) / 2), abs=1e-12)
+        assert isinstance(s, float)
+        assert s == pytest.approx(binary_entropy((1 - np.linalg.norm(b)) / 2), abs=1e-12)
 
 
 def test_operator_norm():
@@ -365,10 +364,16 @@ def test_apply_scaling_and_compose():
     inner = PauliChannelParams(0.5, 0.4, 0.3, 0.2)
     outer = PauliChannelParams(0.9, 0.8, 0.7, -0.1)
     chained = compose(outer, inner)
-    b = BlochVector(0.2, -0.3, 0.6)
+    b = np.array([0.2, -0.3, 0.6])
     two_step = apply_channel(outer, apply_channel(inner, b))
-    np.testing.assert_allclose(apply_channel(chained, b).as_array(),
-                               two_step.as_array(), atol=1e-14)
+    np.testing.assert_allclose(apply_channel(chained, b), two_step, atol=1e-14)
+    # a (..., 3) stack of vectors maps row by row
+    stack = np.stack([b, -b, np.zeros(3)]).reshape(3, 1, 3)
+    mapped = apply_channel(chained, stack)
+    assert mapped.shape == (3, 1, 3)
+    for k in range(3):
+        np.testing.assert_allclose(mapped[k, 0], apply_channel(chained, stack[k, 0]),
+                                   atol=1e-15)
 
 
 def test_kraus_ptm_matches_matrix_action():
@@ -376,7 +381,7 @@ def test_kraus_ptm_matches_matrix_action():
     for _ in range(50):
         K = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         ptm = kraus_ptm(K)
-        X = core.random_density(rng)
+        X = core.random_densities(rng, 1)[0]
         np.testing.assert_allclose(apply_channel_matrix(ptm, X),
                                    apply_scaling(K, X), atol=1e-12)
 
@@ -385,7 +390,7 @@ def test_ptm_path_matches_kraus_path():
     rng = np.random.default_rng(23)
     for _ in range(300):
         ch = core.random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5)))
-        rho = bloch_to_density(core.random_bloch(rng))
+        rho = bloch_to_density(core.random_blochs(rng, 1)[0])
         via_ptm = apply_channel_matrix(ch, rho)
         ops = kraus_from_choi(choi_from_channel(ch))
         via_kraus = sum(apply_scaling(K, rho) for K in ops)
@@ -397,7 +402,7 @@ def _sequential_ptm_vs_kraus_draws(rng, count):
     channels, rhos = [], []
     for _ in range(count):
         channels.append(core.random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5))))
-        rhos.append(bloch_to_density(core.random_bloch(rng)))
+        rhos.append(bloch_to_density(core.random_blochs(rng, 1)[0]))
     return channels, rhos
 
 
@@ -436,7 +441,7 @@ def test_stacked_core_functions_match_the_single_calls():
 
 
 def _sequential_blochs(rng, count, pure=False):
-    # random_bloch's draw, one vector at a time, before the draws were stacked
+    # the Bloch draw, one vector at a time, before the draws were stacked
     out = []
     for _ in range(count):
         v = rng.normal(size=3)
@@ -453,7 +458,7 @@ def test_bloch_draws_match_the_sequential_draws(pure):
     blochs = core.random_blochs(fast, 400, pure=pure)
     assert blochs.tobytes() == _sequential_blochs(slow, 400, pure=pure).tobytes()
     assert fast.bit_generator.state == slow.bit_generator.state
-    assert core.random_bloch(fast, pure).as_array().tobytes() == \
+    assert core.random_blochs(fast, 1, pure)[0].tobytes() == \
         _sequential_blochs(slow, 1, pure)[0].tobytes()
 
 
@@ -479,7 +484,7 @@ def test_stacked_state_and_operator_functions_match_the_single_calls():
     back = density_to_bloch(mixed.reshape(3, 100, 2, 2))
     assert back.shape == (3, 100, 3)
     for k, rho in enumerate(mixed):
-        assert back.reshape(-1, 3)[k].tobytes() == density_to_bloch(rho).as_array().tobytes()
+        assert back.reshape(-1, 3)[k].tobytes() == density_to_bloch(rho).tobytes()
 
     ginibre = core.random_ginibre(rng, 600).reshape(3, 200, 2, 2)
     norms, inverses = operator_norm(ginibre), core.inverse_2x2(ginibre)

@@ -14,7 +14,7 @@ from qcap.core import (
     apply_scaling,
     operator_norm,
     ptm_from_params,
-    random_density,
+    random_densities,
     random_ginibre,
 )
 from qcap.protocol import (
@@ -26,7 +26,6 @@ from qcap.protocol import (
     modify_code,
     modify_povm,
     outcome_probabilities,
-    outcome_probability,
     success_probabilities,
     success_probability,
     verify_rescaling_identity,
@@ -157,11 +156,11 @@ def test_outcome_probability_kronecker_delta():
     code = Code(np.array([[basis[0]], [basis[1]]]))
     povm = Povm(np.array(basis))
     ident = ptm_from_params(PauliChannelParams(1, 1, 1, 0))
+    probs = outcome_probabilities(ident, code, povm)
     for i in range(2):
         for j in (1, 2):
             expected = 1.0 if j - 1 == i else 0.0
-            assert outcome_probability(ident, code, i, povm, j) \
-                == pytest.approx(expected, abs=1e-14)
+            assert probs[i, j] == pytest.approx(expected, abs=1e-14)
 
 
 def test_outcome_probability_tracing_channel_uniform():
@@ -169,11 +168,11 @@ def test_outcome_probability_tracing_channel_uniform():
     tracing = ptm_from_params(PauliChannelParams(0, 0, 0, 0))
     code = Code.random(rng, size=2, n=2)
     povm = Povm.random(rng, size=3, dim=4)
+    probs = outcome_probabilities(tracing, code, povm)
     for i in range(code.size):
         for j in range(1, povm.size + 1):
             expected = np.trace(povm.elements[j - 1]).real / 4.0
-            assert outcome_probability(tracing, code, i, povm, j) \
-                == pytest.approx(expected, abs=1e-12)
+            assert probs[i, j] == pytest.approx(expected, abs=1e-12)
 
 
 def test_outcome_probabilities_sum_to_one():
@@ -337,7 +336,7 @@ def _ref_min_eigenvalue(povm):
 
 
 def _ref_code_factors(rng, size, n):
-    return np.array([[random_density(rng) for _ in range(n)] for _ in range(size)])
+    return np.array([[random_densities(rng, 1)[0] for _ in range(n)] for _ in range(size)])
 
 
 def _ref_povm_elements(rng, size, dim):
@@ -437,7 +436,6 @@ def test_stacked_protocol_functions_match_the_single_calls(n):
             "with_completion": povm.with_completion(),
             "outcome_phi": outcome_probabilities(phis, code, povm),
             "outcome_psi": outcome_probabilities(psis, code, povm),
-            "outcome_one": outcome_probability(phis, code, 0, povm, outcomes),
         }
         single = {
             "elements": [m.elements for _, m in singles],
@@ -447,8 +445,6 @@ def test_stacked_protocol_functions_match_the_single_calls(n):
             "outcome_phi": [outcome_probabilities(phis[k], c, m)
                             for k, (c, m) in enumerate(singles)],
             "outcome_psi": [outcome_probabilities(psis[k], c, m)
-                            for k, (c, m) in enumerate(singles)],
-            "outcome_one": [outcome_probability(phis[k], c, 0, m, outcomes)
                             for k, (c, m) in enumerate(singles)],
         }
         for tag, A, B in (("family", a, b), ("general", a_gen, b_gen)):
@@ -529,23 +525,6 @@ def test_code_rejects_an_empty_code():
         Code(np.zeros((0, 1, 2, 2)))
 
 
-@pytest.mark.parametrize("i, j, message", [
-    (0, -1, r"outcome index j = -1 is outside 0\.\.3"),
-    (0, 4, r"outcome index j = 4 is outside 0\.\.3"),
-    (-1, 1, r"codeword index i = -1 is outside 0\.\.1"),
-    (2, 1, r"codeword index i = 2 is outside 0\.\.1"),
-], ids=["j=-1", "j=N+1", "i=-1", "i=size"])
-def test_outcome_probability_rejects_indices_out_of_range(i, j, message):
-    # j = 0 is the completion and 1..N the N = 3 elements; a negative
-    # index once read an element from the end
-    rng = np.random.default_rng(66)
-    phi, _, _, _, _ = _instance(rng, 1)
-    code = Code.random(rng, size=2, n=1)
-    povm = Povm.random(rng, size=3, dim=2)
-    with pytest.raises(ValueError, match=message):
-        outcome_probability(phi, code, i, povm, j)
-
-
 def test_success_probability_rejects_a_codeword_out_of_range():
     rng = np.random.default_rng(67)
     code = Code.random(rng, size=2, n=1)
@@ -564,6 +543,15 @@ def test_povm_rejects_a_dimension_that_is_not_a_power_of_two():
         Povm(np.zeros((2, 3, 3)))
 
 
+def test_random_povm_rejects_size_zero():
+    # the normalization would divide by the eigenvalues of an empty sum
+    rng = np.random.default_rng(69)
+    with pytest.raises(ValueError, match=r"N >= 1, got N = 0"):
+        Povm.random(rng, 0, 2)
+    with pytest.raises(ValueError, match=r"\(3, 0, 4, 4\)"):
+        Povm.from_ginibre(np.zeros((3, 0, 4, 4)))
+
+
 def test_povm_rejects_a_dimension_above_the_block_length_cap():
     with pytest.raises(ValueError, match=r"2\^n.*\(2, 16, 16\)"):
         Povm(np.zeros((2, 16, 16)))
@@ -575,8 +563,6 @@ def test_outcome_probabilities_reject_a_mismatched_povm():
     povm = Povm.random(rng, size=3, dim=8)
     with pytest.raises(ValueError, match=r"\(3, 8, 8\).*\(3, 2, 2, 2\)"):
         outcome_probabilities(phi, code, povm)
-    with pytest.raises(ValueError, match=r"\(3, 8, 8\).*\(3, 2, 2, 2\)"):
-        outcome_probability(phi, code, 0, povm, 1)
 
 
 def test_rescaling_identity_rejects_a_mismatched_povm():
