@@ -16,7 +16,6 @@ from .core import (
     NotInterior,
     NotUnital,
     PauliChannelParams,
-    QubitChannel,
     apply_channel,
     apply_channel_matrix,
     apply_scaling,
@@ -43,7 +42,6 @@ from .sinkhorn import (
     family_scaling_pair,
     family_unital_params,
     sinkhorn_iterate,
-    unital_channel,
     unital_diagonalize,
     upsilon_ptm,
     verify_decomposition,

@@ -116,7 +116,8 @@ class ChiConfig:
     for a family channel, which is otherwise solved exactly.
     Each ensemble size in ``sizes`` (2 to 4) gets ``starts`` (at least
     1) random starts, drawn from one generator seeded with ``seed`` in
-    ``sizes`` order.  Each start is refined by BFGS
+    ``sizes`` order; ``seed`` is a non-negative integer or a tuple of
+    them.  Each start is refined by BFGS
     until its step is at most ``xatol`` in every coordinate, its
     decrease is at most ``fatol``, or no trial step is accepted;
     ``xatol`` and ``fatol`` must be at least 0, and ``max_iter``, an
@@ -141,6 +142,10 @@ class ChiConfig:
         for name in ("xatol", "fatol"):
             if not getattr(self, name) >= 0.0:  # also rejects NaN
                 raise ValueError(f"chi {name} = {getattr(self, name)} must be >= 0")
+        seeds = self.seed if isinstance(self.seed, tuple) else (self.seed,)
+        if not all(isinstance(v, numbers.Integral) and v >= 0 for v in seeds):
+            raise ValueError(f"chi seed = {self.seed!r} must be an integer of at least 0 "
+                             "or a tuple of them")
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 scaling decomposition, verify invariants, and render charts.
 
 Exit codes: 0 success, 1 verification failure or render error,
-2 bad flag value or channel not interior (or outside the family
-domain), 3 channel not completely positive, 4 no convergence.
+2 bad flag value, a channel value the family does not take or the
+sweep sweeps, or channel not interior (or outside the family domain),
+3 channel not completely positive, 4 no convergence.
 """
 
 from __future__ import annotations
@@ -126,18 +127,32 @@ def _add_channel_args(parser: argparse.ArgumentParser) -> None:
     family.add_argument("--lambda", type=_finite_float, nargs=3, dest="lambdas",
                         metavar=("L1", "L2", "L3"),
                         help="custom channel lambda parameters")
-    group.add_argument("--t3", type=_finite_float, default=0.0,
-                       help="custom channel translation")
+    group.add_argument("--t3", type=_finite_float,
+                       help="custom channel translation (default 0)")
 
 
-def _channel_values(args) -> tuple[str, dict]:
-    """The family the flags select and its values (None where not given)."""
+def _channel_values(args, swept: Optional[str] = None) -> tuple[str, dict]:
+    """The family the flags select and its values (None where not given),
+    less the swept one.  A --p, --gamma-t or --t3 that the family does not
+    take, or that names the swept variable, is refused."""
     if args.gad or args.mix:
         family = "gad" if args.gad else "mix"
-        return family, {name: getattr(args, name) for name in _FAMILIES[family][0]}
-    if args.lambdas is not None:
-        return "custom", dict(zip(_FAMILIES["custom"][0], (*args.lambdas, args.t3)))
-    raise ValueError("select a channel with --gad, --mix, or --lambda/--t3")
+    elif args.lambdas is not None:
+        family = "custom"
+    else:
+        raise ValueError("select a channel with --gad, --mix, or --lambda/--t3")
+    names = _FAMILIES[family][0]
+    for name in ("p", "gamma_t", "t3"):
+        if getattr(args, name) is not None and (name not in names or name == swept):
+            flag = f"--{name.replace('_', '-')}"
+            raise ValueError(f"{flag} is the swept variable" if name in names
+                             else f"the {family} family does not take {flag}")
+    if family == "custom":
+        values = dict(zip(names, (*args.lambdas, 0.0 if args.t3 is None else args.t3)))
+    else:
+        values = {name: getattr(args, name) for name in names}
+    values.pop(swept, None)
+    return family, values
 
 
 def _require_values(family: str, values: dict) -> None:
@@ -280,8 +295,7 @@ def _rows_to_json(rows: list[dict], family: str, x_name: str, seed: int, chi: bo
 def cmd_sweep(args) -> int:
     try:
         seed = _resolve_seed(args.seed)
-        family, fixed = _channel_values(args)
-        fixed.pop(args.x, None)
+        family, fixed = _channel_values(args, args.x)
         if args.steps < 2:
             raise ValueError("sweep needs at least 2 steps")
         if not args.min < args.max:

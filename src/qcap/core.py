@@ -3,11 +3,12 @@
 Conventions used throughout the package:
 
 * Bloch coordinates: rho = (I + x sx + y sy + z sz) / 2.
-* A channel is stored as its 4x4 real Pauli transfer matrix (PTM)
-  T[a, b] = tr(sigma_a Phi[sigma_b]) / 2 with sigma_0 = I.  For trace
-  preserving maps the first row is (1, 0, 0, 0); the first column holds
-  the Bloch translation t and the lower-right 3x3 block the linear part
-  M, so Bloch vectors map as b -> M b + t.
+* A channel is a ``PauliChannelParams`` or its 4x4 real Pauli transfer
+  matrix (PTM) T[a, b] = tr(sigma_a Phi[sigma_b]) / 2 with sigma_0 = I,
+  as an array.  For trace preserving maps the first row is (1, 0, 0, 0),
+  which is checked, never imposed; the first column holds the Bloch
+  translation t and the lower-right 3x3 block the linear part M, so
+  Bloch vectors map as b -> M b + t.
 * Choi matrix: C = sum_ij Phi[E_ij] (x) E_ij.  C is Hermitian for any
   PTM, has trace 2 for trace preserving maps, and is positive
   semidefinite exactly when Phi is completely positive.
@@ -67,45 +68,7 @@ class PauliChannelParams:
         return 1.0 - abs(self.t3) - abs(self.lambda3)
 
 
-@dataclass(frozen=True)
-class QubitChannel:
-    """Trace preserving qubit map stored as its 4x4 real PTM.
-
-    The first row is canonicalized to exactly (1, 0, 0, 0); trace
-    preservation is structural, not numerical.
-    """
-
-    ptm: np.ndarray
-
-    def __post_init__(self):
-        ptm = np.array(self.ptm, dtype=float)
-        if ptm.shape != (4, 4):
-            raise ValueError(f"PTM must be 4x4, got {ptm.shape}")
-        ptm[0, :] = (1.0, 0.0, 0.0, 0.0)
-        ptm.flags.writeable = False
-        object.__setattr__(self, "ptm", ptm)
-
-    @classmethod
-    def identity(cls) -> "QubitChannel":
-        return cls(np.eye(4))
-
-    @classmethod
-    def from_affine(cls, linear, translation) -> "QubitChannel":
-        ptm = np.eye(4)
-        ptm[1:, 1:] = np.asarray(linear, dtype=float)
-        ptm[1:, 0] = np.asarray(translation, dtype=float)
-        return cls(ptm)
-
-    @property
-    def linear_part(self) -> np.ndarray:
-        return self.ptm[1:, 1:]
-
-    @property
-    def translation(self) -> np.ndarray:
-        return self.ptm[1:, 0]
-
-
-ChannelLike = Union[QubitChannel, PauliChannelParams, np.ndarray]
+ChannelLike = Union[PauliChannelParams, np.ndarray]
 
 
 class CPReport(NamedTuple):
@@ -116,10 +79,8 @@ class CPReport(NamedTuple):
 def _as_ptm(channel: ChannelLike, stacked: bool = False) -> np.ndarray:
     """The 4x4 PTM of ``channel``; with ``stacked``, an array may also be a
     (..., 4, 4) stack of PTMs."""
-    if isinstance(channel, QubitChannel):
-        return channel.ptm
     if isinstance(channel, PauliChannelParams):
-        return ptm_from_params(channel).ptm
+        return ptm_from_params(channel)
     ptm = np.asarray(channel, dtype=float)
     if ptm.shape[-2:] != (4, 4) or (ptm.ndim != 2 and not stacked):
         expected = "a (..., 4, 4) stack of PTMs" if stacked else "a 4x4 PTM"
@@ -145,13 +106,13 @@ def density_to_bloch(rho) -> np.ndarray:
                      np.real(rho[..., 0, 0] - rho[..., 1, 1])], axis=-1)
 
 
-def ptm_from_params(params: PauliChannelParams) -> QubitChannel:
+def ptm_from_params(params: PauliChannelParams) -> np.ndarray:
     ptm = np.eye(4)
     ptm[1, 1] = params.lambda1
     ptm[2, 2] = params.lambda2
     ptm[3, 3] = params.lambda3
     ptm[3, 0] = params.t3
-    return QubitChannel(ptm)
+    return ptm
 
 
 def apply_channel(channel: ChannelLike, b) -> np.ndarray:
@@ -189,9 +150,9 @@ def kraus_ptm(K) -> np.ndarray:
     return np.ascontiguousarray(ptm.real)
 
 
-def compose(outer: ChannelLike, inner: ChannelLike) -> QubitChannel:
-    """Channel applying ``inner`` first, then ``outer``."""
-    return QubitChannel(_as_ptm(outer) @ _as_ptm(inner))
+def compose(outer: ChannelLike, inner: ChannelLike) -> np.ndarray:
+    """PTM of the map applying ``inner`` first, then ``outer``."""
+    return _as_ptm(outer) @ _as_ptm(inner)
 
 
 def choi_from_channel(channel: ChannelLike) -> np.ndarray:
@@ -471,9 +432,9 @@ def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_cptp_channel(rng: np.random.Generator, kraus_rank: int = 2) -> QubitChannel:
-    """Random CPTP qubit channel from a normalized random Kraus set."""
-    return QubitChannel(normalized_kraus_ptm(random_ginibre(rng, kraus_rank)))
+def random_cptp_channel(rng: np.random.Generator, kraus_rank: int = 2) -> np.ndarray:
+    """PTM of a random CPTP qubit channel from a normalized random Kraus set."""
+    return normalized_kraus_ptm(random_ginibre(rng, kraus_rank))
 
 
 def normalized_kraus_ptm(ops) -> np.ndarray:
@@ -481,8 +442,8 @@ def normalized_kraus_ptm(ops) -> np.ndarray:
 
     ``ops`` is an (r, 2, 2) set, or a (..., r, 2, 2) stack of sets that
     gives a (..., 4, 4) stack; all-zero operators may pad the sets to a
-    common r.  The first row is set to (1, 0, 0, 0), as ``QubitChannel``
-    does.
+    common r.  The first row is set to (1, 0, 0, 0), which the
+    normalization makes it up to rounding.
     """
     ops = np.asarray(ops, dtype=complex)
     total = (_dagger(ops) @ ops).sum(axis=-3)

@@ -25,7 +25,6 @@ from .core import (
     NotInterior,
     NotUnital,
     PauliChannelParams,
-    QubitChannel,
     _as_ptm,
     apply_channel_matrix,
     gram_norm_2x2,
@@ -197,10 +196,6 @@ def upsilon_ptm(channel: ChannelLike, pair: ScalingPair) -> np.ndarray:
     stack, each slice with the bits of the single call.
     """
     return kraus_ptm(pair.a) @ _as_ptm(channel, stacked=True) @ kraus_ptm(pair.b)
-
-
-def unital_channel(channel: ChannelLike, pair: ScalingPair) -> QubitChannel:
-    return QubitChannel(upsilon_ptm(channel, pair))
 
 
 def verify_decomposition(channel: ChannelLike, pair: ScalingPair) -> DecompositionResiduals:

@@ -190,7 +190,7 @@ def core_suite(rng: np.random.Generator) -> list[CheckResult]:
 
 def _family_stack(params) -> tuple[np.ndarray, sinkhorn.ScalingPair]:
     """The channels' PTMs and closed-form scaling pairs, stacked."""
-    ptms = np.array([core.ptm_from_params(p).ptm for p in params])
+    ptms = np.array([core.ptm_from_params(p) for p in params])
     pairs = [sinkhorn.family_scaling_pair(p) for p in params]
     return ptms, sinkhorn.ScalingPair.stack(pairs)
 
@@ -223,7 +223,7 @@ def _check_two_path_agreement(rng) -> CheckResult:
         closed = sinkhorn.family_unital_params(params)
         pair = sinkhorn.sinkhorn_iterate(core.ptm_from_params(params))
         iterated = sinkhorn.unital_diagonalize(
-            sinkhorn.unital_channel(params, pair), tol=1e-7)
+            sinkhorn.upsilon_ptm(params, pair), tol=1e-7)
         worst = max(worst,
                     abs(closed.lt1 - iterated.lt1),
                     abs(closed.lt2 - iterated.lt2),
@@ -241,8 +241,7 @@ def _check_decomposition_residuals(rng) -> CheckResult:
 
 def _check_upsilon_is_channel(rng) -> CheckResult:
     ok = True
-    for ptm in sinkhorn.upsilon_ptm(*_family_stack(_random_family_interiors(rng, 50))):
-        ups = core.QubitChannel(ptm)
+    for ups in sinkhorn.upsilon_ptm(*_family_stack(_random_family_interiors(rng, 50))):
         report = core.is_completely_positive(ups)
         ok = ok and report.is_cp and core.is_unital(ups, 1e-10) \
             and core.is_trace_preserving(ups, 1e-10)

@@ -27,7 +27,6 @@ from qcap.sinkhorn import (
     family_scaling_pair,
     family_unital_params,
     sinkhorn_iterate,
-    unital_channel,
     unital_diagonalize,
     upsilon_ptm,
     verify_decomposition,
@@ -122,7 +121,7 @@ def test_criterion_3_closed_form_matches_iteration_on_grid():
     for params in grid:
         closed = family_unital_params(params)
         pair = sinkhorn_iterate(params, tol=1e-12)
-        iterated = unital_diagonalize(unital_channel(params, pair), tol=1e-6)
+        iterated = unital_diagonalize(upsilon_ptm(params, pair), tol=1e-6)
         worst_lt = max(worst_lt, abs(closed.lt1 - iterated.lt1),
                        abs(closed.lt2 - iterated.lt2),
                        abs(closed.lt3 - iterated.lt3))

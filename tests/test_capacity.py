@@ -26,7 +26,6 @@ from qcap.capacity import (
 from qcap.core import (
     NotInterior,
     PauliChannelParams,
-    QubitChannel,
     _as_ptm,
     binary_entropy,
     entropy_kernel,
@@ -228,9 +227,7 @@ def test_holevo_quantity_matches_its_reference_bit_for_bit():
         params = _random_cp_family(rng, k % 4)
         channel = params
         if k % 2:
-            ptm = _as_ptm(params)
-            out, inp = _random_rotation(rng), _random_rotation(rng)
-            channel = QubitChannel.from_affine(out @ ptm[1:, 1:] @ inp, out @ ptm[1:, 0])
+            channel = _rotated_ptm(params, _random_rotation(rng), _random_rotation(rng))
         m = 1 + k % 4
         states = rng.normal(size=(m, 3))
         states /= np.linalg.norm(states, axis=1, keepdims=True)
@@ -375,6 +372,15 @@ def _random_rotation(rng):
     return q * np.linalg.det(q)
 
 
+def _rotated_ptm(params, out, inp):
+    # PTM of b -> out (M inp b + t) for the family channel b -> M b + t
+    ptm = _as_ptm(params)
+    rotated = np.eye(4)
+    rotated[1:, 1:] = out @ ptm[1:, 1:] @ inp
+    rotated[1:, 0] = out @ ptm[1:, 0]
+    return rotated
+
+
 ROTATED_CHANNELS = {
     **ORACLE_CHANNELS,
     **{name: EDGE_CHANNELS[name] for name in ("identity", "l-zero", "opposite", "lambda3-zero")},
@@ -388,9 +394,7 @@ def test_search_finds_chi_of_a_rotated_family_channel(seed, params):
     # rotations on input and output keep chi but move the optimal
     # states off the coordinate axes
     rng = np.random.default_rng(seed)
-    ptm = _as_ptm(params)
-    out, inp = _random_rotation(rng), _random_rotation(rng)
-    channel = QubitChannel.from_affine(out @ ptm[1:, 1:] @ inp, out @ ptm[1:, 0])
+    channel = _rotated_ptm(params, _random_rotation(rng), _random_rotation(rng))
     assert abs(chi_capacity_numeric(channel).value - capacity._family_chi(params).value) <= 1e-12
 
 
@@ -769,17 +773,22 @@ def test_chi_converges_before_the_iteration_cap():
     lambda: ChiConfig(starts=0),
     lambda: ChiConfig(starts=2.5),
     lambda: ChiConfig(max_iter=2.5),
+    lambda: ChiConfig(seed=-1),
+    lambda: ChiConfig(seed=2.5),
+    lambda: ChiConfig(seed=(1, -2)),
+    lambda: ChiConfig(seed="7"),
 ], ids=["gad-p-nan", "gad-gt-nan", "chi-no-sizes", "chi-size-5",
         "chi-negative-starts", "chi-size-1-no-start",
         "chi-max-iter-0", "chi-xatol-nan", "chi-xatol-negative", "chi-fatol-nan",
         "chi-fatol-negative", "chi-size-1", "chi-no-starts", "chi-fractional-starts",
-        "chi-fractional-max-iter"])
+        "chi-fractional-max-iter", "chi-negative-seed", "chi-fractional-seed",
+        "chi-negative-seed-entry", "chi-string-seed"])
 def test_bad_settings_raise_value_error(make):
     with pytest.raises(ValueError):
         make()
 
 
-@pytest.mark.parametrize("name", ["starts", "max_iter"])
+@pytest.mark.parametrize("name", ["starts", "max_iter", "seed"])
 def test_chi_config_names_a_non_integer_field(name):
     with pytest.raises(ValueError, match=f"chi {name} = 2.5 must be an integer"):
         ChiConfig(**{name: 2.5})

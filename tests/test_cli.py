@@ -95,7 +95,7 @@ def test_sweep_config_validation(capsys):
 
 def test_sweep_interior_violation_mid_grid_exit_2(capsys):
     # t3 sweep crosses |t3| + |lambda3| = 1 in the middle of the range
-    code, out, err = run(["sweep", "--lambda", "0.5", "0.4", "0.3", "--t3", "0",
+    code, out, err = run(["sweep", "--lambda", "0.5", "0.4", "0.3",
                           "--x", "t3", "--min", "0.0", "--max", "0.9",
                           "--steps", "7"], capsys)
     assert code == 2
@@ -526,6 +526,16 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
     (["analyze", "--mix", "--p", "0.3", "--lambda", "1", "1", "1"], 2, "not allowed with"),
     (["sweep", "--gad", "--p", "0.3", "--lambda", "0.5", "0.4", "0.3", "--x", "gamma_t",
       "--min", "0.2", "--max", "1.0", "--steps", "3"], 2, "not allowed with"),
+    # a channel value the family does not take, or that the sweep sweeps
+    (["analyze", *GAD_ARGS, "--t3", "0.5"], 2, "does not take --t3"),
+    (["analyze", "--mix", "--p", "0.3", "--gamma-t", "7"], 2, "does not take --gamma-t"),
+    (["analyze", "--lambda", "0.5", "0.4", "0.3", "--p", "0.3"], 2, "does not take --p"),
+    (["sinkhorn", *CHANNEL, "--gamma-t", "1"], 2, "does not take --gamma-t"),
+    (["sweep", "--mix", "--p", "0.3", "--x", "p", "--min", "0.1", "--max", "0.9",
+      "--steps", "3"], 2, "--p is the swept variable"),
+    (["sweep", *GAD_SWEEP, "--gamma-t", "1"], 2, "--gamma-t is the swept variable"),
+    (["sweep", *CHANNEL, "--x", "t3", "--min", "0", "--max", "0.5", "--steps", "3"], 2,
+     "--t3 is the swept variable"),
 ])
 def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
     while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell

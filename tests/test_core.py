@@ -6,7 +6,6 @@ import pytest
 from qcap import core, verify
 from qcap.core import (
     PauliChannelParams,
-    QubitChannel,
     apply_channel,
     apply_channel_matrix,
     apply_scaling,
@@ -70,9 +69,9 @@ def test_apply_channel_gad_point():
 
 
 def test_ptm_from_params_trivials_and_roundtrip():
-    assert np.array_equal(ptm_from_params(PauliChannelParams(1, 1, 1, 0)).ptm, np.eye(4))
+    assert np.array_equal(ptm_from_params(PauliChannelParams(1, 1, 1, 0)), np.eye(4))
     tracing = ptm_from_params(PauliChannelParams(0, 0, 0, 0))
-    assert np.array_equal(tracing.ptm, np.diag([1.0, 0, 0, 0]))
+    assert np.array_equal(tracing, np.diag([1.0, 0, 0, 0]))
 
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -85,20 +84,12 @@ def test_ptm_from_params_trivials_and_roundtrip():
             assert via_ptm == pytest.approx(direct, abs=1e-15)
 
 
-def test_ptm_first_row_canonical():
-    raw = np.eye(4)
-    raw[0, :] = [1.0 + 1e-13, 1e-13, 0, 0]
-    ch = QubitChannel(raw)
-    assert np.array_equal(ch.ptm[0], [1.0, 0.0, 0.0, 0.0])
-    assert not ch.ptm.flags.writeable
-
-
 def test_choi_identity_and_tracing():
     bell2 = np.zeros((4, 4), dtype=complex)  # 2 |Omega><Omega|
     for i in (0, 3):
         for j in (0, 3):
             bell2[i, j] = 1.0
-    np.testing.assert_allclose(choi_from_channel(QubitChannel.identity()), bell2,
+    np.testing.assert_allclose(choi_from_channel(np.eye(4)), bell2,
                                atol=1e-15)
     tracing = ptm_from_params(PauliChannelParams(0, 0, 0, 0))
     np.testing.assert_allclose(choi_from_channel(tracing), np.eye(4) / 2, atol=1e-15)
@@ -187,7 +178,7 @@ def test_unital_and_trace_preserving_flags():
 
 def test_is_interior():
     assert not is_interior(PauliChannelParams(1, 1, 1, 0))      # identity: boundary
-    assert not is_interior(QubitChannel.identity())             # image touches sphere
+    assert not is_interior(np.eye(4))                           # image touches sphere
     # amplitude damping: |t3| + |lambda3| = gamma + (1 - gamma) = 1
     gamma = 0.3
     ad = PauliChannelParams(math.sqrt(1 - gamma), math.sqrt(1 - gamma),
@@ -222,12 +213,20 @@ def test_image_radius_matches_family_geometry():
         assert image_radius(ch) == pytest.approx(expected, abs=1e-9)
 
 
+def _affine_ptm(linear, translation):
+    # PTM of the trace preserving map b -> linear b + translation
+    ptm = np.eye(4)
+    ptm[1:, 1:] = linear
+    ptm[1:, 0] = translation
+    return ptm
+
+
 def _rotated(params, rng):
     # the same image geometry in a random orthonormal frame, so that the
     # eigenbasis of M'M is no longer the coordinate axes
     q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    ch = ptm_from_params(params)
-    return QubitChannel.from_affine(q @ ch.linear_part @ q.T, q @ ch.translation)
+    ptm = ptm_from_params(params)
+    return _affine_ptm(q @ ptm[1:, 1:] @ q.T, q @ ptm[1:, 0])
 
 
 def test_image_radius_is_exact_at_a_pole_of_the_boundary():
@@ -272,7 +271,7 @@ def test_image_radius_bounds_a_fine_grid_on_random_channels():
     rng = np.random.default_rng(41)
     for _ in range(200):
         ch = core.random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5)))
-        grid_max = np.linalg.norm(pts @ ch.linear_part.T + ch.translation, axis=1).max()
+        grid_max = np.linalg.norm(pts @ ch[1:, 1:].T + ch[1:, 0], axis=1).max()
         radius = image_radius(ch)
         assert grid_max - 1e-15 <= radius <= grid_max + 1e-4
 
@@ -412,7 +411,7 @@ def test_ptm_vs_kraus_draws_match_the_sequential_draws():
     channels, rhos = _sequential_ptm_vs_kraus_draws(slow, 300)
     assert fast.bit_generator.state["state"] == slow.bit_generator.state["state"]
     ptms = core.normalized_kraus_ptm(ops)
-    assert ptms.tobytes() == np.array([ch.ptm for ch in channels]).tobytes()
+    assert ptms.tobytes() == np.array(channels).tobytes()
     assert bloch_to_density(blochs).tobytes() == np.array(rhos).tobytes()
 
 

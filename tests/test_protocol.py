@@ -419,7 +419,7 @@ def test_stacked_protocol_functions_match_the_single_calls(n):
         count = 6
         params = [_random_interior_params(rng) for _ in range(count)]
         pairs = [family_scaling_pair(p) for p in params]
-        phis = np.array([ptm_from_params(p).ptm for p in params])
+        phis = np.array([ptm_from_params(p) for p in params])
         psis = np.array([upsilon_ptm(p, pair) for p, pair in zip(params, pairs)])
         code = Code(np.array([Code.random(rng, size, n).factors for _ in range(count)]))
         ginibre = np.array([random_ginibre(rng, outcomes, 2**n) for _ in range(count)])

@@ -10,7 +10,6 @@ from qcap.core import (
     NotInterior,
     NotUnital,
     PauliChannelParams,
-    QubitChannel,
     apply_channel_matrix,
     inverse_2x2,
     is_completely_positive,
@@ -28,7 +27,6 @@ from qcap.sinkhorn import (
     family_scaling_pair,
     family_unital_params,
     sinkhorn_iterate,
-    unital_channel,
     unital_diagonalize,
     upsilon_ptm,
     verify_decomposition,
@@ -112,9 +110,9 @@ def test_scaling_pair_invariants():
         assert np.linalg.eigvalsh(pair.a)[0] > 0
         assert np.linalg.eigvalsh(pair.b)[0] > 0
         assert pair.norm_ab * pair.norm_ab_inv >= 1.0 - 1e-12
-        ups = unital_channel(params, pair)
+        ups = upsilon_ptm(params, pair)
         assert is_unital(ups, 1e-9)
-        assert is_trace_preserving(upsilon_ptm(params, pair), 1e-9)
+        assert is_trace_preserving(ups, 1e-9)
         assert is_completely_positive(ups).is_cp
 
 
@@ -122,7 +120,7 @@ def test_closed_form_matches_iteration():
     params = PauliChannelParams(0.5, 0.4, 0.3, 0.3)
     closed = family_unital_params(params)
     pair = sinkhorn_iterate(ptm_from_params(params))
-    iterated = unital_diagonalize(unital_channel(params, pair), tol=1e-7)
+    iterated = unital_diagonalize(upsilon_ptm(params, pair), tol=1e-7)
     assert iterated.lt1 == pytest.approx(closed.lt1, abs=1e-8)
     assert iterated.lt2 == pytest.approx(closed.lt2, abs=1e-8)
     assert iterated.lt3 == pytest.approx(closed.lt3, abs=1e-8)
@@ -139,7 +137,7 @@ def test_iteration_on_unital_channel_gives_scalars():
     pair = sinkhorn_iterate(ch)
     assert np.abs(pair.a - pair.a[0, 0] * np.eye(2)).max() < 1e-10
     assert np.abs(pair.b - pair.b[0, 0] * np.eye(2)).max() < 1e-10
-    form = unital_diagonalize(unital_channel(ch, pair))
+    form = unital_diagonalize(upsilon_ptm(ch, pair))
     assert form.lt1 == pytest.approx(0.5, abs=1e-10)
     assert form.lt2 == pytest.approx(-0.3, abs=1e-10)
     assert form.lt3 == pytest.approx(0.2, abs=1e-10)
@@ -177,7 +175,7 @@ def test_iteration_deterministic():
 
 def test_iteration_rejects_non_interior():
     with pytest.raises(NotInterior):
-        sinkhorn_iterate(QubitChannel.identity())
+        sinkhorn_iterate(np.eye(4))
     with pytest.raises(NotInterior):
         sinkhorn_iterate(PauliChannelParams(0.5, 0.5, 0.6, 0.4))
 
@@ -227,7 +225,7 @@ def test_iteration_near_boundary():
 
 def test_verify_decomposition_trivial_and_scaled():
     identity_pair = ScalingPair.from_operators(np.eye(2), np.eye(2))
-    res = verify_decomposition(QubitChannel.identity(), identity_pair)
+    res = verify_decomposition(np.eye(4), identity_pair)
     assert res.max_residual == 0.0
 
     rng = np.random.default_rng(43)
@@ -250,7 +248,7 @@ def test_stacked_pairs_match_the_single_calls():
     # off-diagonal entries, each stacked over random channels
     rng = np.random.default_rng(44)
     params = [_random_interior_params(rng) for _ in range(60)]
-    ptms = np.array([ptm_from_params(p).ptm for p in params])
+    ptms = np.array([ptm_from_params(p) for p in params])
     family = [family_scaling_pair(p) for p in params]
     c = rng.uniform(0.2, 5.0, size=(60, 1, 1))
     a = rng.normal(size=(60, 2, 2)) + 1j * rng.normal(size=(60, 2, 2)) + 2 * np.eye(2)
@@ -279,6 +277,15 @@ def test_stacked_pairs_match_the_single_calls():
             assert isinstance(one.max_residual, float)
 
 
+def test_non_trace_preserving_ptm_is_refused():
+    # trace preservation is checked on the raw first row, never imposed
+    ptm = ptm_from_params(PauliChannelParams(0.5, -0.4, 0.3, 0.0))
+    ptm[0, 0] += 1e-3
+    assert not is_trace_preserving(ptm)
+    with pytest.raises(NotUnital, match="not trace preserving"):
+        unital_diagonalize(ptm)
+
+
 def test_unital_diagonalize_diagonal_and_rotated():
     ch = ptm_from_params(PauliChannelParams(0.5, -0.4, 0.3, 0.0))
     form = unital_diagonalize(ch)
@@ -289,7 +296,7 @@ def test_unital_diagonalize_diagonal_and_rotated():
     for _ in range(20):
         u = random_unitary(rng)
         w = random_unitary(rng)
-        rotated = QubitChannel(kraus_ptm(u) @ ch.ptm @ kraus_ptm(w))
+        rotated = kraus_ptm(u) @ ch @ kraus_ptm(w)
         got = unital_diagonalize(rotated)
         assert np.asarray(got.singular_values) == pytest.approx(
             np.asarray(form.singular_values), abs=1e-12)
@@ -354,12 +361,12 @@ def _assert_matches_matrix_form(ptm, tol=1e-12):
 
 def test_iteration_matches_the_matrix_form_loop():
     rng = np.random.default_rng(53)
-    ptms = [ptm_from_params(_random_interior_params(rng)).ptm for _ in range(100)]
+    ptms = [ptm_from_params(_random_interior_params(rng)) for _ in range(100)]
     while len(ptms) < 200:
         ch = random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5)))
         if is_interior(ch):
-            ptms.append(ch.ptm)
-    ptms += [ptm_from_params(gad_params(p, 1.0)).ptm for p in (0.3, 1e-3, 1e-4)]
+            ptms.append(ch)
+    ptms += [ptm_from_params(gad_params(p, 1.0)) for p in (0.3, 1e-3, 1e-4)]
     same = [_assert_matches_matrix_form(ptm) for ptm in ptms]
     assert sum(same) >= len(ptms) - 2
     assert all(same[-3:])

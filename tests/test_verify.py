@@ -101,7 +101,7 @@ def _sequential_upsilon_is_channel(rng):
     ok = True
     for _ in range(50):
         params = _sequential_family_interior(rng)
-        ups = sinkhorn.unital_channel(params, sinkhorn.family_scaling_pair(params))
+        ups = sinkhorn.upsilon_ptm(params, sinkhorn.family_scaling_pair(params))
         report = core.is_completely_positive(ups)
         ok = ok and report.is_cp and core.is_unital(ups, 1e-10) \
             and core.is_trace_preserving(ups, 1e-10)
@@ -205,6 +205,21 @@ def test_stacked_check_matches_the_sequential_check(stacked, sequential, seed):
     assert result == reference
 
 
+def test_non_trace_preserving_sandwich_fails_the_channel_check(monkeypatch):
+    # the check tests the raw sandwiched PTMs, so a first row off by 1e-3
+    # fails trace preservation instead of being overwritten
+    original = sinkhorn.upsilon_ptm
+
+    def off_trace(channel, pair):
+        ups = original(channel, pair)
+        ups[..., 0, 0] += 1e-3
+        return ups
+
+    monkeypatch.setattr(sinkhorn, "upsilon_ptm", off_trace)
+    for check in (verify._check_upsilon_is_channel, _sequential_upsilon_is_channel):
+        assert not check(np.random.default_rng(7)).passed
+
+
 # ---------------------------------------------------------------------------
 # the pre-drawn instances, bit for bit
 
@@ -233,7 +248,7 @@ def test_gauge_draws_match_the_sequential_draws():
         ref_pair = sinkhorn.family_scaling_pair(ref_params)
         assert _params_bits(params[k]) == _params_bits(ref_params)
         assert factors[k] == slow.uniform(0.2, 5.0)
-        assert ptms[k].tobytes() == core.ptm_from_params(ref_params).ptm.tobytes()
+        assert ptms[k].tobytes() == core.ptm_from_params(ref_params).tobytes()
         assert pair.a[k].tobytes() == ref_pair.a.tobytes()
         assert pair.b[k].tobytes() == ref_pair.b.tobytes()
     assert fast.bit_generator.state == slow.bit_generator.state
@@ -255,7 +270,7 @@ def test_protocol_draws_match_the_sequential_draws(n):
         code, povm = verify._code_stack(draws, idx), verify._povm_stack(draws, idx)
         for j, k in enumerate(idx):
             ref_phi, ref_psi, ref_pair, ref_code, ref_povm = reference[k]
-            assert phi[j].tobytes() == ref_phi.ptm.tobytes()
+            assert phi[j].tobytes() == ref_phi.tobytes()
             assert psi[j].tobytes() == ref_psi.tobytes()
             assert pair.a[j].tobytes() == ref_pair.a.tobytes()
             assert pair.b[j].tobytes() == ref_pair.b.tobytes()
