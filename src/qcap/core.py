@@ -443,11 +443,16 @@ def normalized_kraus_ptm(ops) -> np.ndarray:
     ``ops`` is an (r, 2, 2) set, or a (..., r, 2, 2) stack of sets that
     gives a (..., 4, 4) stack; all-zero operators may pad the sets to a
     common r.  The first row is set to (1, 0, 0, 0), which the
-    normalization makes it up to rounding.
+    normalization makes it up to rounding.  Raises ValueError when S is
+    singular to working precision for the set or any set of the stack.
     """
     ops = np.asarray(ops, dtype=complex)
     total = (_dagger(ops) @ ops).sum(axis=-3)
     w, V = np.linalg.eigh(total)
+    singular = w[..., 0] <= np.finfo(float).eps * w[..., -1]
+    if np.any(singular):
+        at = f" for set {tuple(np.argwhere(singular)[0].tolist())}" if singular.ndim else ""
+        raise ValueError(f"S = sum K'K is singular{at}; the Kraus set cannot be normalized")
     inv_sqrt = (V / np.sqrt(w)[..., None, :]) @ _dagger(V)
     ptm = kraus_ptm(ops @ inv_sqrt[..., None, :, :]).sum(axis=-3)
     ptm[..., 0, :] = (1.0, 0.0, 0.0, 0.0)

@@ -118,25 +118,56 @@ def _check_ptm_vs_kraus(rng) -> CheckResult:
                    f"max deviation {worst:.2e} over 1000 pairs (tol 1e-10)")
 
 
-def _unital_family_choi_min_eig(l1, l2, l3):
-    """Smallest Choi eigenvalue for diagonal unital channels, computed
-    by a batched dense eigensolve of the explicitly assembled Chois."""
-    n = l1.size
-    chois = np.zeros((n, 4, 4))
+def _unital_family_chois(l1, l2, l3) -> np.ndarray:
+    """Explicitly assembled (n, 4, 4) Choi matrices of diagonal unital
+    channels with parameters (l1, l2, l3)."""
+    chois = np.zeros((np.size(l3), 4, 4))
     chois[:, 0, 0] = chois[:, 3, 3] = (1.0 + l3) / 2.0
     chois[:, 1, 1] = chois[:, 2, 2] = (1.0 - l3) / 2.0
     chois[:, 0, 3] = chois[:, 3, 0] = (l1 + l2) / 2.0
     chois[:, 1, 2] = chois[:, 2, 1] = (l1 - l2) / 2.0
-    return np.linalg.eigvalsh(chois)[:, 0]
+    return chois
+
+
+def _shifted_is_positive_definite(mats: np.ndarray) -> np.ndarray:
+    """Whether ``M + 1e-10 * I`` is positive definite, for each symmetric
+    matrix M of an (n, d, d) stack.
+
+    An unpivoted LDL' factorization, run on the whole stack at once from
+    the lower-triangle entries and blind to any block structure: M + 1e-10
+    * I is positive definite exactly when all d pivots are positive
+    (Sylvester), which is the predicate lambda_min(M) > -1e-10.  A pivot
+    that is not positive settles its matrix; it is replaced by 1 so that
+    the later pivots of that matrix stay finite.
+    """
+    size = mats.shape[-1]
+    pd = np.ones(mats.shape[0], dtype=bool)
+    pivots: list[np.ndarray] = []
+    lower: dict[tuple[int, int], np.ndarray] = {}
+    for j in range(size):
+        pivot = mats[:, j, j] + 1e-10
+        for k in range(j):
+            pivot = pivot - lower[j, k] * lower[j, k] * pivots[k]
+        pd &= pivot > 0.0
+        pivot = np.where(pd, pivot, 1.0)
+        pivots.append(pivot)
+        for i in range(j + 1, size):
+            entry = mats[:, i, j]
+            for k in range(j):
+                entry = entry - lower[i, k] * lower[j, k] * pivots[k]
+            lower[i, j] = entry / pivot
+    return pd
 
 
 def _check_cp_grid(rng) -> CheckResult:
-    # full 50^3 grid through a batched eigensolve, plus a subsample
+    # full 50^3 grid through a stacked LDL' decision on the assembled
+    # Chois, one l1 slab of 2 500 matrices at a time, plus a subsample
     # through the single-channel eigensolver path, given each as a PTM
     axis = np.linspace(-1.0, 1.0, 50)
     l1, l2, l3 = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
-    min_eigs = _unital_family_choi_min_eig(l1, l2, l3)
-    by_choi = min_eigs >= -1e-10
+    by_choi = np.concatenate([
+        _shifted_is_positive_definite(_unital_family_chois(*slab))
+        for slab in zip(*(g.reshape(axis.size, -1) for g in (l1, l2, l3)))])
     by_inequality = ((1.0 + l3 - np.abs(l1 + l2) >= -1e-10)
                      & (1.0 - l3 - np.abs(l1 - l2) >= -1e-10))
     grid_ok = bool(np.array_equal(by_choi, by_inequality))
@@ -218,8 +249,7 @@ def _check_gauge_invariance(rng) -> CheckResult:
 
 def _check_two_path_agreement(rng) -> CheckResult:
     worst = 0.0
-    for _ in range(100):
-        params = _random_family_interior(rng)
+    for params in _random_family_interiors(rng, 100):
         closed = sinkhorn.family_unital_params(params)
         pair = sinkhorn.sinkhorn_iterate(core.ptm_from_params(params))
         iterated = sinkhorn.unital_diagonalize(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -413,6 +414,22 @@ def test_ptm_vs_kraus_draws_match_the_sequential_draws():
     ptms = core.normalized_kraus_ptm(ops)
     assert ptms.tobytes() == np.array(channels).tobytes()
     assert bloch_to_density(blochs).tobytes() == np.array(rhos).tobytes()
+
+
+def test_singular_kraus_set_is_refused():
+    # S = sum K'K singular: no normalization exists, so no PTM (once a
+    # PTM with NaN rows 1-3 that passed is_trace_preserving) and no warning
+    stack = core.random_ginibre(np.random.default_rng(26), 6).reshape(3, 2, 1, 2, 2)
+    stack[1, 1, 0] = [[1, 0], [0, 0]]
+    cases = [([[[1, 0], [0, 0]]], "S = sum K'K is singular;"),
+             (np.zeros((2, 2, 2)), "S = sum K'K is singular;"),
+             (stack, r"S = sum K'K is singular for set \(1, 1\);")]
+    for ops, message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                core.normalized_kraus_ptm(ops)
+    assert core.normalized_kraus_ptm(stack[0]).shape == (2, 4, 4)
 
 
 def test_stacked_core_functions_match_the_single_calls():

@@ -1,6 +1,8 @@
 """The verify checks that draw their instances first and then run the
 production functions on stacks, against the one-instance-at-a-time loops
-they replaced: same draws, same generator state, same results."""
+they replaced: same draws, same generator state, same results.  The CP
+grid check is held against the eigensolve of every Choi matrix that its
+LDL' decision replaced."""
 
 import math
 
@@ -46,6 +48,41 @@ def _sequential_bloch_roundtrip(rng):
                           f"max deviation {worst:.2e} over 1000 states (tol 1e-14)")
 
 
+def _unital_family_choi_min_eig(l1, l2, l3):
+    """Smallest Choi eigenvalue for diagonal unital channels, computed
+    by a batched dense eigensolve of the explicitly assembled Chois."""
+    n = l1.size
+    chois = np.zeros((n, 4, 4))
+    chois[:, 0, 0] = chois[:, 3, 3] = (1.0 + l3) / 2.0
+    chois[:, 1, 1] = chois[:, 2, 2] = (1.0 - l3) / 2.0
+    chois[:, 0, 3] = chois[:, 3, 0] = (l1 + l2) / 2.0
+    chois[:, 1, 2] = chois[:, 2, 1] = (l1 - l2) / 2.0
+    return np.linalg.eigvalsh(chois)[:, 0]
+
+
+def _sequential_cp_grid(rng):
+    # the grid check as it ran through one eigensolve per Choi matrix
+    axis = np.linspace(-1.0, 1.0, 50)
+    l1, l2, l3 = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
+    min_eigs = _unital_family_choi_min_eig(l1, l2, l3)
+    by_choi = min_eigs >= -1e-10
+    by_inequality = ((1.0 + l3 - np.abs(l1 + l2) >= -1e-10)
+                     & (1.0 - l3 - np.abs(l1 - l2) >= -1e-10))
+    grid_ok = bool(np.array_equal(by_choi, by_inequality))
+
+    idx = rng.choice(l1.size, size=400, replace=False)
+    sample_ok = True
+    for k in idx:
+        params = core.PauliChannelParams(l1[k], l2[k], l3[k], 0.0)
+        report = core.is_completely_positive(core.ptm_from_params(params))
+        if report.is_cp != bool(by_inequality[k]):
+            sample_ok = False
+            break
+    return verify._result("cp_check_matches_unital_inequality", grid_ok and sample_ok,
+                          f"50^3 grid agreement={grid_ok}, production-path subsample "
+                          f"agreement={sample_ok} (tol 1e-10)")
+
+
 def _sequential_entropy_consistency(rng):
     worst = 0.0
     for _ in range(500):
@@ -85,6 +122,22 @@ def _sequential_gauge_invariance(rng):
                         - scaled.norm_ab * scaled.norm_ab_inv))
     return verify._result("gauge_rescaling_invariance", worst <= 1e-9,
                           f"max drift {worst:.2e} under scalar gauge changes (tol 1e-9)")
+
+
+def _sequential_two_path_agreement(rng):
+    worst = 0.0
+    for _ in range(100):
+        params = _sequential_family_interior(rng)
+        closed = sinkhorn.family_unital_params(params)
+        pair = sinkhorn.sinkhorn_iterate(core.ptm_from_params(params))
+        iterated = sinkhorn.unital_diagonalize(
+            sinkhorn.upsilon_ptm(params, pair), tol=1e-7)
+        worst = max(worst,
+                    abs(closed.lt1 - iterated.lt1),
+                    abs(closed.lt2 - iterated.lt2),
+                    abs(closed.lt3 - iterated.lt3))
+    return verify._result("closed_form_matches_iteration", worst <= 1e-8,
+                          f"max lt deviation {worst:.2e} over 100 channels (tol 1e-8)")
 
 
 def _sequential_decomposition_residuals(rng):
@@ -179,9 +232,11 @@ def _sequential_rate_penalty(rng):
 
 CHECKS = [
     (verify._check_bloch_roundtrip, _sequential_bloch_roundtrip),
+    (verify._check_cp_grid, _sequential_cp_grid),
     (verify._check_entropy_consistency, _sequential_entropy_consistency),
     (verify._check_norm_inverse_product, _sequential_norm_inverse_product),
     (verify._check_gauge_invariance, _sequential_gauge_invariance),
+    (verify._check_two_path_agreement, _sequential_two_path_agreement),
     (verify._check_decomposition_residuals, _sequential_decomposition_residuals),
     (verify._check_upsilon_is_channel, _sequential_upsilon_is_channel),
     (verify._check_rescaling_identity, _sequential_rescaling_identity),
@@ -218,6 +273,70 @@ def test_non_trace_preserving_sandwich_fails_the_channel_check(monkeypatch):
     monkeypatch.setattr(sinkhorn, "upsilon_ptm", off_trace)
     for check in (verify._check_upsilon_is_channel, _sequential_upsilon_is_channel):
         assert not check(np.random.default_rng(7)).passed
+
+
+# ---------------------------------------------------------------------------
+# the LDL' decision of the CP grid against the eigensolver
+
+
+def _eigensolver_decision(mats):
+    return np.linalg.eigvalsh(mats)[:, 0] >= -1e-10
+
+
+def _grid_chois():
+    axis = np.linspace(-1.0, 1.0, 50)
+    l1, l2, l3 = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
+    return verify._unital_family_chois(l1, l2, l3)
+
+
+def test_ldl_decision_matches_the_eigensolver_on_the_grid():
+    chois = _grid_chois()
+    assert chois.shape == (125_000, 4, 4)
+    decision = verify._shifted_is_positive_definite(chois)
+    assert np.array_equal(decision, _eigensolver_decision(chois))
+    assert 0 < decision.sum() < decision.size
+
+
+def test_ldl_decision_matches_the_eigensolver_near_the_threshold():
+    # random symmetric matrices shifted so that lambda_min lies uniformly
+    # within 1e-9 of the threshold -1e-10, on either side
+    rng = np.random.default_rng(2024)
+    count = 200_000
+    g = rng.normal(size=(count, 4, 4))
+    mats = (g + g.transpose(0, 2, 1)) / 2.0
+    target = -1e-10 + rng.uniform(-1e-9, 1e-9, count)
+    mats -= (np.linalg.eigvalsh(mats)[:, 0] - target)[:, None, None] * np.eye(4)
+    expected = _eigensolver_decision(mats)
+    assert 0.45 < expected.mean() < 0.55
+    assert np.array_equal(verify._shifted_is_positive_definite(mats), expected)
+
+
+@pytest.mark.parametrize("lambdas, psd", [((1.0, 1.0, 1.0), True),
+                                          ((1.0, 1.0, 0.9), False)])
+def test_ldl_decision_at_named_points(lambdas, psd):
+    # the identity channel sits on the CP boundary (Choi rank 1)
+    chois = verify._unital_family_chois(*(np.array([v]) for v in lambdas))
+    assert verify._shifted_is_positive_definite(chois).tolist() == [psd]
+    assert _eigensolver_decision(chois).tolist() == [psd]
+
+
+def test_swapped_choi_entries_fail_the_cp_grid_check(monkeypatch):
+    # exchanging the (l1 + l2) and (l1 - l2) entries tests the Chois of
+    # (l1, -l2, l3), which the inequality does not describe
+    original = verify._shifted_is_positive_definite
+
+    def swapped(mats):
+        mats = mats.copy()
+        outer = mats[:, 0, 3].copy()
+        mats[:, 0, 3] = mats[:, 3, 0] = mats[:, 1, 2]
+        mats[:, 1, 2] = mats[:, 2, 1] = outer
+        return original(mats)
+
+    assert verify._check_cp_grid(np.random.default_rng(7)).passed
+    monkeypatch.setattr(verify, "_shifted_is_positive_definite", swapped)
+    result = verify._check_cp_grid(np.random.default_rng(7))
+    assert not result.passed
+    assert "50^3 grid agreement=False" in result.detail
 
 
 # ---------------------------------------------------------------------------
