@@ -283,14 +283,10 @@ def _eigensolver_decision(mats):
     return np.linalg.eigvalsh(mats)[:, 0] >= -1e-10
 
 
-def _grid_chois():
-    axis = np.linspace(-1.0, 1.0, 50)
-    l1, l2, l3 = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
-    return verify._unital_family_chois(l1, l2, l3)
-
-
 def test_ldl_decision_matches_the_eigensolver_on_the_grid():
-    chois = _grid_chois()
+    axis = np.linspace(-1.0, 1.0, 50)
+    chois = verify._unital_family_chois(
+        *(g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij")))
     assert chois.shape == (125_000, 4, 4)
     decision = verify._shifted_is_positive_definite(chois)
     assert np.array_equal(decision, _eigensolver_decision(chois))
