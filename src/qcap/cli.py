@@ -193,9 +193,9 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def _row(x: Optional[float], report: Report, chi: Optional[float]) -> dict:
     """One sweep row: ``CSV_COLUMNS`` mapped onto a report and chi."""
-    form, pair, bounds = report.form, report.pair, report.bounds
+    form, bounds = report.form, report.bounds
     return dict(zip(CSV_COLUMNS, (
-        x, form.lt1, form.lt2, form.lt3, pair.norm_ab, pair.norm_ab_inv,
+        x, form.lt1, form.lt2, form.lt3, report.norm_ab, report.norm_ab_inv,
         bounds.unital_capacity, bounds.lower_raw, bounds.upper_raw,
         bounds.lower_clamped, bounds.upper_clamped, chi)))
 
@@ -211,7 +211,7 @@ def _analyze_payload(label: str, params: PauliChannelParams, chi: bool) -> dict:
         "interior": True,
         "lambda_tilde": [row["lambda_t1"], row["lambda_t2"], row["lambda_t3"]],
         **{col: row[col] for col in CSV_COLUMNS[4:11]},  # norm_AB .. c_upper
-        "residuals": asdict(verify_decomposition(params, report.pair)),
+        "residuals": asdict(verify_decomposition(params, family_scaling_pair(params))),
     }
     if chi:
         result = chi_capacity_numeric(params)
@@ -271,11 +271,19 @@ def _sweep_point(task: tuple[float, PauliChannelParams, bool]) -> dict:
     return _row(x, analyze(params), chi_capacity_numeric(params).value if chi else None)
 
 
+# a sweep row's CSV line, each cell formatted as ``_fmt`` does it ('%.12g'
+# % v and f'{v:.12g}' give the same text); without chi the c_chi cell
+# stays empty
+_CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS))
+_CSV_ROW_NO_CHI = _CSV_ROW[:-len("%.12g")]
+
+
 def _rows_to_csv(rows: list[dict]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
-        lines.append(",".join(["" if (value := row[col]) is None else _fmt(value)
-                               for col in CSV_COLUMNS]))
+        values = tuple(row.values())  # in CSV_COLUMNS order, as _row builds them
+        lines.append(_CSV_ROW % values if values[-1] is not None
+                     else _CSV_ROW_NO_CHI % values[:-1])
     return "\n".join(lines) + "\n"
 
 
@@ -512,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="COLUMN:STYLE:LABEL (style: solid, dotted, dashed)")
     pr.add_argument("--xlabel", default="x")
     pr.add_argument("--ylabel", default="capacity (bits)")
-    pr.add_argument("--ymin", type=float, default=0.0)
-    pr.add_argument("--ymax", type=float, default=1.0)
+    pr.add_argument("--ymin", type=_finite_float, default=0.0)
+    pr.add_argument("--ymax", type=_finite_float, default=1.0)
     pr.set_defaults(func=cmd_render)
     return parser
 

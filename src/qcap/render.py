@@ -63,18 +63,32 @@ def _parse_cell(text: str, column: str, line_no: int) -> Optional[float]:
 
 
 def read_columns(csv_path: str, columns: Sequence[str]) -> dict[str, list[Optional[float]]]:
-    """Read the requested columns; empty/NaN cells become None."""
+    """Read the requested columns; empty/NaN cells become None.
+
+    Rows are read as ``csv.DictReader`` reads them: blank lines are
+    skipped, missing trailing cells read as empty, extra cells are
+    ignored, and a name repeated in the header reads its last column.
+    Error line numbers count the header as line 1 and each row after it,
+    blank lines not counted.
+    """
     with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        index = {name: i for i, name in enumerate(header)}
         for col in columns:
-            if col not in header:
+            if col not in index:
                 raise ValueError(f"column {col!r} not found in {csv_path} "
                                  f"(header: {', '.join(header)})")
+        picks = [(col, index[col]) for col in columns]
         data: dict[str, list[Optional[float]]] = {col: [] for col in columns}
-        for line_no, row in enumerate(reader, start=2):
-            for col in columns:
-                data[col].append(_parse_cell(row[col] or "", col, line_no))
+        line_no = 1
+        for row in reader:
+            if not row:
+                continue
+            line_no += 1
+            size = len(row)
+            for col, i in picks:
+                data[col].append(_parse_cell(row[i] if i < size else "", col, line_no))
     return data
 
 

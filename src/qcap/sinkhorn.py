@@ -141,27 +141,34 @@ def _family_roots(params: PauliChannelParams) -> tuple[float, float, float, floa
 
 
 def family_scaling_pair(params: PauliChannelParams) -> ScalingPair:
-    """Closed-form diagonal scaling pair for the four-parameter family.
-
-    A = diag(((1-t3)^2 - l3^2)^(1/4), ((1+t3)^2 - l3^2)^(1/4)); the
-    diagonal B is fixed by requiring the sandwiched map to be exactly
-    unital and trace preserving, which yields
-    B = sqrt(2/(PS+MR)) diag(1/sqrt(PM), 1/sqrt(RS)) with
-    P, M, R, S = sqrt(1 +- t3 +- l3).
+    """Closed-form diagonal scaling pair for the four-parameter family,
+    from the diagonal entries of ``_family_diagonals``.
 
     The four norms are computed from the diagonal entries, with the same
     bits as ``ScalingPair.from_operators(a, b)``.
     """
-    p, m, r, s = _family_roots(params)
-    a0, a1 = math.sqrt(m * s), math.sqrt(p * r)
-    g = math.sqrt(2.0 / (p * s + m * r))
-    b0, b1 = g * (1.0 / math.sqrt(p * m)), g * (1.0 / math.sqrt(r * s))
+    a0, a1, b0, b1 = _family_diagonals(params)
     a = np.array([[a0, 0.0], [0.0, a1]], dtype=complex)
     b = np.array([[b0, 0.0], [0.0, b1]], dtype=complex)
     a.flags.writeable = False
     b.flags.writeable = False
     return ScalingPair(a, b, _diagonal_norm(a0, a1), _diagonal_norm(b0, b1),
                        _diagonal_inverse_norm(a0, a1), _diagonal_inverse_norm(b0, b1))
+
+
+def _family_diagonals(params: PauliChannelParams) -> tuple[float, float, float, float]:
+    """Diagonal entries a0, a1, b0, b1 of the family's scaling pair.
+
+    A = diag(((1-t3)^2 - l3^2)^(1/4), ((1+t3)^2 - l3^2)^(1/4)); the
+    diagonal B is fixed by requiring the sandwiched map to be exactly
+    unital and trace preserving, which yields
+    B = sqrt(2/(PS+MR)) diag(1/sqrt(PM), 1/sqrt(RS)) with
+    P, M, R, S = sqrt(1 +- t3 +- l3).
+    """
+    p, m, r, s = _family_roots(params)
+    g = math.sqrt(2.0 / (p * s + m * r))
+    return (math.sqrt(m * s), math.sqrt(p * r),
+            g * (1.0 / math.sqrt(p * m)), g * (1.0 / math.sqrt(r * s)))
 
 
 def _diagonal_norm(d0: float, d1: float) -> float:

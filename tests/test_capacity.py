@@ -16,6 +16,7 @@ from qcap.capacity import (
     gad_bounds,
     gad_f,
     gad_norm_products,
+    analyze,
     gad_params,
     holevo_quantity,
     mix_params,
@@ -32,7 +33,7 @@ from qcap.core import (
     is_completely_positive,
 )
 from qcap.optimize import _LADDER, bfgs_batch
-from qcap.sinkhorn import ScalingPair, family_unital_params
+from qcap.sinkhorn import ScalingPair, family_scaling_pair, family_unital_params
 
 H_QUARTER = 0.8112781244591328           # h(1/4) = 2 - (3/4) log2(3)
 F_QUARTER_ONE = 0.8993095900651654       # f(0.25, 1.0)
@@ -75,6 +76,59 @@ def test_proposition_bounds_match_gad_closed_form():
             assert via_family.upper_raw == pytest.approx(closed.upper_raw, abs=1e-10)
             assert via_family.unital_capacity == pytest.approx(
                 closed.unital_capacity, abs=1e-10)
+
+
+def _analyze_by_objects(params):
+    # the object path analyze once took: unital form, scaling pair with
+    # its 2x2 operators, bounds from the pair's norm products
+    form = family_unital_params(params)
+    pair = family_scaling_pair(params)
+    bounds = CapacityBounds.from_parts(unital_capacity(form), pair.norm_ab, pair.norm_ab_inv)
+    return (form.lt1, form.lt2, form.lt3, pair.norm_ab, pair.norm_ab_inv,
+            bounds.unital_capacity, bounds.lower_raw, bounds.upper_raw,
+            bounds.lower_clamped, bounds.upper_clamped)
+
+
+def _random_custom_family(rng):
+    # lambdas and a t3 half-range T with every t3 in [-T, T] interior and
+    # completely positive, drawn as the sweep_bounds benchmark draws them
+    while True:
+        l1, l2, l3 = (round(float(v), 6) for v in rng.uniform(-0.9, 0.9, 3))
+        half = float(rng.uniform(0.05, 0.9)) * (1.0 - abs(l3))
+        if (1 + l3 >= math.hypot(half, l1 + l2) + 1e-6
+                and 1 - l3 >= math.hypot(half, l1 - l2) + 1e-6):
+            return (l1, l2, l3), half
+
+
+def _analyze_inputs():
+    fig1 = [gad_params(0.475, g) for g in np.linspace(0.05, 3.0, 60).tolist()]
+    fig2 = [mix_params(p) for p in np.linspace(0.02, 0.98, 49).tolist()]
+    rng = np.random.default_rng(2024)
+    drawn = []
+    for _ in range(7000):
+        drawn.append(gad_params(float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.0, 3.0))))
+        drawn.append(mix_params(float(rng.uniform(0.02, 0.98))))
+        lams, half = _random_custom_family(rng)
+        drawn.append(PauliChannelParams(*lams, float(rng.uniform(-half, half))))
+    return fig1 + fig2 + drawn
+
+
+def test_analyze_matches_the_object_path_bit_for_bit():
+    # analyze's float pass gives every row number of the object path, bit
+    # for bit, on the figure grids and 21 000 random family points
+    inputs = _analyze_inputs()
+    assert len(inputs) == 60 + 49 + 21_000
+    for params in inputs:
+        report = analyze(params)
+        form, bounds = report.form, report.bounds
+        row = (form.lt1, form.lt2, form.lt3, report.norm_ab, report.norm_ab_inv,
+               bounds.unital_capacity, bounds.lower_raw, bounds.upper_raw,
+               bounds.lower_clamped, bounds.upper_clamped)
+        expected = _analyze_by_objects(params)
+        assert row == expected, params
+        assert [v.hex() for v in row] == [v.hex() for v in expected], params
+        assert all(type(v) is float for v in row)
+        assert form == family_unital_params(params)
 
 
 def test_proposition_bounds_mixture():

@@ -188,6 +188,68 @@ def test_sweep_builds_each_grid_point_once(monkeypatch, capsys):
     assert len(calls) == 6
 
 
+def test_sweep_builds_no_scaling_pair(monkeypatch, capsys):
+    # sweep rows take the norm products from analyze's float pass; only
+    # analyze's residuals line builds the operators
+    from qcap import capacity, sinkhorn
+    calls = []
+    original = sinkhorn.family_scaling_pair
+
+    def counting(params):
+        calls.append(params)
+        return original(params)
+
+    for module in (sinkhorn, capacity, cli):
+        if hasattr(module, "family_scaling_pair"):
+            monkeypatch.setattr(module, "family_scaling_pair", counting)
+    for args in (["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2", "--max", "1.2"],
+                 ["--mix", "--x", "p", "--min", "0.02", "--max", "0.98"],
+                 [*CHANNEL[:4], "--x", "t3", "--min", "-0.3", "--max", "0.3"]):
+        for extra in ([], ["--chi"], ["--format", "json"]):
+            assert cli.main(["sweep", *args, "--steps", "7", *extra]) == 0
+    assert calls == []
+    assert cli.main(["analyze", *GAD_ARGS]) == 0
+    assert len(calls) == 1
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [
+    ["--gad", "--p", "0.475", "--x", "gamma_t", "--min", "0.05", "--max", "3",
+     "--steps", "12", "--chi"],
+    ["--mix", "--x", "p", "--min", "0.02", "--max", "0.98", "--steps", "9"],
+    ["--lambda", "0.5", "0.4", "0.3", "--x", "t3", "--min", "-0.4", "--max", "0.4",
+     "--steps", "5", "--chi"],
+], ids=["gad-chi", "mix", "custom-chi"])
+def test_sweep_json_rows_are_the_csv_cells(args, monkeypatch, capsys):
+    # the JSON rows hold plain Python floats (None for an empty c_chi),
+    # and after a round trip through json they print as the CSV cells
+    built = []
+    to_json = cli._rows_to_json
+
+    def capturing(rows, *rest):
+        built.extend(rows)
+        return to_json(rows, *rest)
+
+    monkeypatch.setattr(cli, "_rows_to_json", capturing)
+    code, text, _ = run(["sweep", *args], capsys)
+    assert code == 0
+    code, out, _ = run(["sweep", *args, "--format", "json"], capsys)
+    assert code == 0
+    chi = "--chi" in args
+    assert built and all(type(v) is float for row in built for v in row.values()
+                         if v is not None)
+    payload = json.loads(out)
+    lines = text.splitlines()
+    assert payload["columns"] == lines[0].split(",")
+    assert len(payload["rows"]) == len(lines) - 1
+    for row, line in zip(payload["rows"], lines[1:]):
+        assert list(row) == payload["columns"]
+        cells = ["" if v is None else cli._fmt(v) for v in row.values()]
+        assert all(type(v) is float for v in row.values() if v is not None)
+        assert (row["c_chi"] is None) != chi
+        assert ",".join(cells) == line
+
+
 def test_sinkhorn_both_methods_agree(capsys):
     code, out, err = run(["sinkhorn", "--lambda", "0.5", "0.4", "0.3",
                           "--t3", "0.3", "--method", "both"], capsys)
@@ -536,6 +598,11 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
     (["sweep", *GAD_SWEEP, "--gamma-t", "1"], 2, "--gamma-t is the swept variable"),
     (["sweep", *CHANNEL, "--x", "t3", "--min", "0", "--max", "0.5", "--steps", "3"], 2,
      "--t3 is the swept variable"),
+    # a non-finite y range is a bad flag value, like every other numeric flag
+    (["render", "--preset", "fig1", "--in", "sweep.csv", "--out", "chart.svg",
+      "--ymin", "nan"], 2, "finite"),
+    (["render", "--preset", "fig1", "--in", "sweep.csv", "--out", "chart.svg",
+      "--ymax", "inf"], 2, "finite"),
 ])
 def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
     while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell

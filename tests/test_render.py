@@ -1,9 +1,10 @@
+import csv
 import re
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from qcap.render import ChartSpec, Series, preset_spec, read_columns, render_chart, render_svg
+from qcap.render import ChartSpec, _parse_cell, Series, preset_spec, read_columns, render_chart, render_svg
 
 
 def _write_csv(path, text):
@@ -125,3 +126,51 @@ def test_labels_with_markup_characters_give_well_formed_svg(tmp_path):
     root = ET.parse(tmp_path / "m.svg").getroot()
     texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
     assert {"p<0.5", "y > 0 & y < 1", "a & b <c>"} <= set(texts)
+
+
+def _read_columns_by_dict_reader(csv_path, columns):
+    # the csv.DictReader version read_columns replaced, verbatim
+    with open(csv_path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for col in columns:
+            if col not in header:
+                raise ValueError(f"column {col!r} not found in {csv_path} "
+                                 f"(header: {', '.join(header)})")
+        data = {col: [] for col in columns}
+        for line_no, row in enumerate(reader, start=2):
+            for col in columns:
+                data[col].append(_parse_cell(row[col] or "", col, line_no))
+    return data
+
+
+def _read_or_error(read, path, columns):
+    try:
+        return read(path, columns)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("text", [
+    "x,a,b\n0,0.1,0.9\n\n1,0.2,0.8\n\n\n2,0.3,0.7\n",    # blank lines
+    "x,a,b\n0,0.1\n1\n2,0.3,0.7\n",                        # short rows
+    "x,a,b\n0,0.1,0.9,7,8\n1,0.2,0.8,\n",                   # extra cells
+    'x,"a",b\n"0","0.1",0.9\n1," 0.2 ","0.8"\n',             # quoted cells
+    'x,a,b\n"0","0.1",0.9\n1,0.2,"0,8"\n',                   # a quoted comma
+    "x,a,b\r\n0,0.1,0.9\r\n\r\n1,0.2,0.8\r\n",               # CRLF line ends
+    "x,b\n0,0.9\n",                                         # missing column
+    "x,a,b\n0,0.1,0.9\n\n1,oops,0.8\n",                      # non-numeric after a blank
+    "x,a,b\n0,0.1,0.9\n1,0.2,x7\n",                          # non-numeric, later column
+    "x,a,b,a\n0,0.1,0.9,0.5\n1,0.2,0.8\n",                   # repeated header name
+    "\nx,a,b\n0,0.1,0.9\n",                                 # blank first line
+    "",                                                     # empty file
+    "x,a,b\n",                                              # header only
+    "x,a,b\n0,nan,\n1,inf,-inf\n2, ,0.5",                     # gaps, no final newline
+])
+@pytest.mark.parametrize("columns", [["x", "a", "b"], ["b", "x"], ["x", "a", "a"]])
+def test_read_columns_matches_the_dict_reader(text, columns, tmp_path):
+    # the same data, or the same error message, as the DictReader version
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    expected = _read_or_error(_read_columns_by_dict_reader, str(path), columns)
+    assert _read_or_error(read_columns, str(path), columns) == expected
