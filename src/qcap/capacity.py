@@ -45,7 +45,8 @@ from .sinkhorn import (
     _diagonal_inverse_norm,
     _diagonal_norm,
     _family_diagonals,
-    family_unital_params,
+    _family_roots,
+    _unital_form,
 )
 
 DEFAULT_SEED = 42
@@ -201,8 +202,9 @@ def analyze(params: PauliChannelParams) -> Report:
     pair, with the bits of ``family_scaling_pair(params)``'s, and no
     operator is built.
     """
-    form = family_unital_params(params)
-    a0, a1, b0, b1 = _family_diagonals(params)
+    roots = _family_roots(params)
+    form = _unital_form(params, roots)
+    a0, a1, b0, b1 = _family_diagonals(roots)
     norm_ab = _diagonal_norm(a0, a1) * _diagonal_norm(b0, b1)
     norm_ab_inv = _diagonal_inverse_norm(a0, a1) * _diagonal_inverse_norm(b0, b1)
     return Report(form, norm_ab, norm_ab_inv, CapacityBounds.from_parts(

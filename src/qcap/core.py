@@ -72,6 +72,8 @@ ChannelLike = Union[PauliChannelParams, np.ndarray]
 
 
 class CPReport(NamedTuple):
+    """A bool and a float for one channel, (...) arrays for a stack."""
+
     is_cp: bool
     min_eigenvalue: float
 
@@ -107,11 +109,18 @@ def density_to_bloch(rho) -> np.ndarray:
 
 
 def ptm_from_params(params: PauliChannelParams) -> np.ndarray:
-    ptm = np.eye(4)
-    ptm[1, 1] = params.lambda1
-    ptm[2, 2] = params.lambda2
-    ptm[3, 3] = params.lambda3
-    ptm[3, 0] = params.t3
+    return _family_ptms(params.lambda1, params.lambda2, params.lambda3, params.t3)
+
+
+def _family_ptms(l1, l2, l3, t3) -> np.ndarray:
+    """PTM of the family channel (l1, l2, l3, t3), or a (..., 4, 4) stack
+    of them for arrays of parameters."""
+    ptm = np.zeros(np.shape(l1) + (4, 4))
+    ptm[..., 0, 0] = 1.0
+    ptm[..., 1, 1] = l1
+    ptm[..., 2, 2] = l2
+    ptm[..., 3, 3] = l3
+    ptm[..., 3, 0] = t3
     return ptm
 
 
@@ -142,12 +151,72 @@ def _dagger(K: np.ndarray) -> np.ndarray:
 
 def kraus_ptm(K) -> np.ndarray:
     """Raw 4x4 PTM of the (generally non trace preserving) map
-    X -> K X K', or a (..., 4, 4) stack for a (..., 2, 2) stack of K."""
+    X -> K X K', or a (..., 4, 4) stack for a (..., 2, 2) stack of K.
+
+    T_pq = tr(sigma_p K sigma_q K')/2 in closed form: with
+    K = [[a, b], [c, d]], every entry is a signed sum of the real and
+    imaginary parts of the products conj(x) y of two entries, taken in
+    real arithmetic on whole arrays (see ``_mul_2x2`` for why).  For a
+    real diagonal K every cross term is an exact zero.
+    """
     K = np.asarray(K, dtype=complex)
-    conj = PAULI @ _dagger(K)[..., None, :, :]
-    out = K[..., None, :, :] @ conj  # K sigma_b K'
-    ptm = 0.5 * np.einsum("aij,...bji->...ab", PAULI, out)
-    return np.ascontiguousarray(ptm.real)
+    (a, b), (c, d) = _entries_first(K)
+    aa, bb, cc, dd = (_conj_mul(x, x)[0] for x in (a, b, c, d))
+    ac_r, ac_i = _conj_mul(a, c)
+    bd_r, bd_i = _conj_mul(b, d)
+    ab_r, ab_i = _conj_mul(a, b)
+    cd_r, cd_i = _conj_mul(c, d)
+    ad_r, ad_i = _conj_mul(a, d)
+    cb_r, cb_i = _conj_mul(c, b)
+    r0, r1, s0, s1 = aa + bb, cc + dd, aa - bb, cc - dd
+    entries = [0.5 * (r0 + r1), ab_r + cd_r, -(ab_i + cd_i), 0.5 * (s0 + s1),
+               ac_r + bd_r, ad_r + cb_r, -(ad_i + cb_i), ac_r - bd_r,
+               ac_i + bd_i, ad_i - cb_i, ad_r - cb_r, ac_i - bd_i,
+               0.5 * (r0 - r1), ab_r - cd_r, cd_i - ab_i, 0.5 * (s0 - s1)]
+    return _entries_last(np.array(entries), (4, 4))
+
+
+def _entries_first(M: np.ndarray) -> np.ndarray:
+    """A (..., 2, 2) stack as a (2, 2, ...) view, so that unpacking it
+    gives the four entry arrays (numpy scalars for a single matrix)."""
+    return M.transpose((-2, -1) + tuple(range(M.ndim - 2)))
+
+
+def _entries_last(entries: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The inverse of ``_entries_first`` for an (n, ...) array of the n
+    entries of ``shape``, as a contiguous (..., *shape) array."""
+    out = entries.transpose(tuple(range(1, entries.ndim)) + (0,))
+    return np.ascontiguousarray(out).reshape(out.shape[:-1] + shape)
+
+
+def _conj_mul(x, y):
+    """Real and imaginary parts of conj(x) y, in real arithmetic."""
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    return xr * yr + xi * yi, xr * yi - xi * yr
+
+
+def _mul_2x2(X, Y) -> np.ndarray:
+    """X @ Y for (..., 2, 2) complex stacks that broadcast, entrywise.
+
+    numpy runs a broadcast ``@`` of small matrices as one BLAS call per
+    2x2 slice; here each of the eight complex products is whole-array
+    real arithmetic, which also gives every slice the bits of its single
+    call (complex array products may take a fused multiply-add).
+    """
+    (x00, x01), (x10, x11) = _entries_first(np.asarray(X, dtype=complex))
+    (y00, y01), (y10, y11) = _entries_first(np.asarray(Y, dtype=complex))
+    parts = [_dot2(x00, y00, x01, y10), _dot2(x00, y01, x01, y11),
+             _dot2(x10, y00, x11, y10), _dot2(x10, y01, x11, y11)]
+    out = np.array([re for re, _ in parts], dtype=complex)
+    out.imag = [im for _, im in parts]
+    return _entries_last(out, (2, 2))
+
+
+def _dot2(x0, y0, x1, y1):
+    """Real and imaginary parts of x0 y0 + x1 y1, in real arithmetic."""
+    re = (x0.real * y0.real - x0.imag * y0.imag) + (x1.real * y1.real - x1.imag * y1.imag)
+    im = (x0.real * y0.imag + x0.imag * y0.real) + (x1.real * y1.imag + x1.imag * y1.real)
+    return re, im
 
 
 def compose(outer: ChannelLike, inner: ChannelLike) -> np.ndarray:
@@ -188,14 +257,18 @@ def is_completely_positive(channel: ChannelLike, tol: float = PSD_TOL) -> CPRepo
     A family channel's Choi matrix splits into two 2x2 blocks, whose
     smallest eigenvalues are (1 + lambda3 - hypot(t3, lambda1 + lambda2))/2
     and (1 - lambda3 - hypot(t3, lambda1 - lambda2))/2; any other channel
-    goes through the eigensolver.
+    goes through the eigensolver.  A (..., 4, 4) stack of PTMs takes one
+    stacked eigensolve and gives (...) arrays, each entry the single
+    call's.
     """
     if isinstance(channel, PauliChannelParams):
         l1, l2, l3, t3 = channel.lambda1, channel.lambda2, channel.lambda3, channel.t3
         mineig = 0.5 * min(1.0 + l3 - math.hypot(t3, l1 + l2),
                            1.0 - l3 - math.hypot(t3, l1 - l2))
-    else:
-        mineig = float(np.linalg.eigvalsh(choi_from_channel(channel))[0])
+        return CPReport(mineig >= -tol, mineig)
+    mineig = np.linalg.eigvalsh(choi_from_channel(channel))[..., 0]
+    if mineig.ndim == 0:
+        return CPReport(bool(mineig >= -tol), float(mineig))
     return CPReport(mineig >= -tol, mineig)
 
 
@@ -321,7 +394,7 @@ def apply_scaling(K, X) -> np.ndarray:
     """K X K' for a single-Kraus scaling map; stacks of K and X
     broadcast against each other."""
     K = np.asarray(K, dtype=complex)
-    return K @ np.asarray(X, dtype=complex) @ _dagger(K)
+    return _mul_2x2(_mul_2x2(K, X), _dagger(K))
 
 
 def operator_norm(K) -> Union[float, np.ndarray]:
@@ -392,7 +465,7 @@ def random_blochs(rng: np.random.Generator, count: int, pure: bool = False) -> n
     out = np.empty((count, 3))
     for k in range(count):
         v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
+        v /= math.sqrt(v.dot(v))  # np.linalg.norm's formula for a 1-D array
         if not pure:
             v *= rng.uniform() ** (1.0 / 3.0)
         out[k] = v
@@ -447,13 +520,16 @@ def normalized_kraus_ptm(ops) -> np.ndarray:
     singular to working precision for the set or any set of the stack.
     """
     ops = np.asarray(ops, dtype=complex)
+    # S keeps numpy's (BLAS) products: S^(-1/2) amplifies their rounding
+    # by the condition number of S, and these bits keep the PTMs of
+    # ill-conditioned sets where they were
     total = (_dagger(ops) @ ops).sum(axis=-3)
     w, V = np.linalg.eigh(total)
     singular = w[..., 0] <= np.finfo(float).eps * w[..., -1]
     if np.any(singular):
         at = f" for set {tuple(np.argwhere(singular)[0].tolist())}" if singular.ndim else ""
         raise ValueError(f"S = sum K'K is singular{at}; the Kraus set cannot be normalized")
-    inv_sqrt = (V / np.sqrt(w)[..., None, :]) @ _dagger(V)
-    ptm = kraus_ptm(ops @ inv_sqrt[..., None, :, :]).sum(axis=-3)
+    inv_sqrt = _mul_2x2(V / np.sqrt(w)[..., None, :], _dagger(V))
+    ptm = kraus_ptm(_mul_2x2(ops, inv_sqrt[..., None, :, :])).sum(axis=-3)
     ptm[..., 0, :] = (1.0, 0.0, 0.0, 0.0)
     return ptm

@@ -134,7 +134,8 @@ def _runs(points: list[tuple[Optional[float], Optional[float]]]):
 
 def render_svg(spec: ChartSpec) -> str:
     """Build the chart as an SVG string (pure function of the CSV data)."""
-    columns = [spec.x_column] + [s.column for s in spec.series]
+    # each column once: read_columns appends a cell per request
+    columns = list(dict.fromkeys([spec.x_column] + [s.column for s in spec.series]))
     data = read_columns(spec.csv_path, columns)
     xs = data[spec.x_column]
     finite_x = [x for x in xs if x is not None]

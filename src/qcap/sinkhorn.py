@@ -147,17 +147,25 @@ def family_scaling_pair(params: PauliChannelParams) -> ScalingPair:
     The four norms are computed from the diagonal entries, with the same
     bits as ``ScalingPair.from_operators(a, b)``.
     """
-    a0, a1, b0, b1 = _family_diagonals(params)
-    a = np.array([[a0, 0.0], [0.0, a1]], dtype=complex)
-    b = np.array([[b0, 0.0], [0.0, b1]], dtype=complex)
-    a.flags.writeable = False
-    b.flags.writeable = False
-    return ScalingPair(a, b, _diagonal_norm(a0, a1), _diagonal_norm(b0, b1),
+    a0, a1, b0, b1 = _family_diagonals(_family_roots(params))
+    return ScalingPair(_diagonal_operators(a0, a1), _diagonal_operators(b0, b1),
+                       _diagonal_norm(a0, a1), _diagonal_norm(b0, b1),
                        _diagonal_inverse_norm(a0, a1), _diagonal_inverse_norm(b0, b1))
 
 
-def _family_diagonals(params: PauliChannelParams) -> tuple[float, float, float, float]:
-    """Diagonal entries a0, a1, b0, b1 of the family's scaling pair.
+def _diagonal_operators(d0, d1) -> np.ndarray:
+    """Read-only complex diag(d0, d1), or a (..., 2, 2) stack of them for
+    arrays of diagonal entries."""
+    op = np.zeros(np.shape(d0) + (2, 2), dtype=complex)
+    op[..., 0, 0] = d0
+    op[..., 1, 1] = d1
+    op.flags.writeable = False
+    return op
+
+
+def _family_diagonals(roots: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+    """Diagonal entries a0, a1, b0, b1 of the family's scaling pair, from
+    its ``_family_roots``.
 
     A = diag(((1-t3)^2 - l3^2)^(1/4), ((1+t3)^2 - l3^2)^(1/4)); the
     diagonal B is fixed by requiring the sandwiched map to be exactly
@@ -165,7 +173,7 @@ def _family_diagonals(params: PauliChannelParams) -> tuple[float, float, float, 
     B = sqrt(2/(PS+MR)) diag(1/sqrt(PM), 1/sqrt(RS)) with
     P, M, R, S = sqrt(1 +- t3 +- l3).
     """
-    p, m, r, s = _family_roots(params)
+    p, m, r, s = roots
     g = math.sqrt(2.0 / (p * s + m * r))
     return (math.sqrt(m * s), math.sqrt(p * r),
             g * (1.0 / math.sqrt(p * m)), g * (1.0 / math.sqrt(r * s)))
@@ -187,7 +195,13 @@ def _diagonal_inverse_norm(d0: float, d1: float) -> float:
 
 def family_unital_params(params: PauliChannelParams) -> UnitalForm:
     """Closed-form diagonal parameters of the unitalized family channel."""
-    p, m, r, s = _family_roots(params)
+    return _unital_form(params, _family_roots(params))
+
+
+def _unital_form(params: PauliChannelParams,
+                 roots: tuple[float, float, float, float]) -> UnitalForm:
+    """``family_unital_params`` from the channel's ``_family_roots``."""
+    p, m, r, s = roots
     denom = p * s + m * r  # = sqrt((1+l3)^2-t3^2) + sqrt((1-l3)^2-t3^2)
     lt1 = 2.0 * params.lambda1 / denom
     lt2 = 2.0 * params.lambda2 / denom

@@ -162,7 +162,7 @@ def _shifted_is_positive_definite(mats: np.ndarray) -> np.ndarray:
 def _check_cp_grid(rng) -> CheckResult:
     # full 50^3 grid through a stacked LDL' decision on the assembled
     # Chois, one l1 slab of 2 500 matrices at a time, plus a subsample
-    # through the single-channel eigensolver path, given each as a PTM
+    # through the production eigensolver path, given as a stack of PTMs
     axis = np.linspace(-1.0, 1.0, 50)
     l1, l2, l3 = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
     by_choi = np.concatenate([
@@ -173,13 +173,8 @@ def _check_cp_grid(rng) -> CheckResult:
     grid_ok = bool(np.array_equal(by_choi, by_inequality))
 
     idx = rng.choice(l1.size, size=400, replace=False)
-    sample_ok = True
-    for k in idx:
-        params = core.PauliChannelParams(l1[k], l2[k], l3[k], 0.0)
-        report = core.is_completely_positive(core.ptm_from_params(params))
-        if report.is_cp != bool(by_inequality[k]):
-            sample_ok = False
-            break
+    report = core.is_completely_positive(core._family_ptms(l1[idx], l2[idx], l3[idx], 0.0))
+    sample_ok = bool(np.array_equal(report.is_cp, by_inequality[idx]))
     return _result("cp_check_matches_unital_inequality", grid_ok and sample_ok,
                    f"50^3 grid agreement={grid_ok}, production-path subsample "
                    f"agreement={sample_ok} (tol 1e-10)")
@@ -220,10 +215,24 @@ def core_suite(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def _family_stack(params) -> tuple[np.ndarray, sinkhorn.ScalingPair]:
-    """The channels' PTMs and closed-form scaling pairs, stacked."""
-    ptms = np.array([core.ptm_from_params(p) for p in params])
-    pairs = [sinkhorn.family_scaling_pair(p) for p in params]
-    return ptms, sinkhorn.ScalingPair.stack(pairs)
+    """The channels' PTMs and closed-form scaling pairs, stacked.
+
+    Each channel takes one pass of float arithmetic through the helpers
+    of ``family_scaling_pair``; the PTM and operator stacks are then
+    written once, with the bits of ``ptm_from_params`` and of
+    ``ScalingPair.stack`` of the single pairs.
+    """
+    rows = []
+    for p in params:
+        a0, a1, b0, b1 = sinkhorn._family_diagonals(sinkhorn._family_roots(p))
+        rows.append((p.lambda1, p.lambda2, p.lambda3, p.t3, a0, a1, b0, b1,
+                     sinkhorn._diagonal_norm(a0, a1), sinkhorn._diagonal_norm(b0, b1),
+                     sinkhorn._diagonal_inverse_norm(a0, a1),
+                     sinkhorn._diagonal_inverse_norm(b0, b1)))
+    l1, l2, l3, t3, a0, a1, b0, b1, *norms = np.array(rows).T.copy()
+    pair = sinkhorn.ScalingPair(sinkhorn._diagonal_operators(a0, a1),
+                                sinkhorn._diagonal_operators(b0, b1), *norms)
+    return core._family_ptms(l1, l2, l3, t3), pair
 
 
 def _gauge_draws(rng, count: int = 50):
@@ -249,11 +258,12 @@ def _check_gauge_invariance(rng) -> CheckResult:
 
 def _check_two_path_agreement(rng) -> CheckResult:
     worst = 0.0
-    for params in _random_family_interiors(rng, 100):
+    channels = _random_family_interiors(rng, 100)
+    ptms = np.array([core.ptm_from_params(params) for params in channels])
+    pairs = sinkhorn.ScalingPair.stack([sinkhorn.sinkhorn_iterate(ptm) for ptm in ptms])
+    for params, ups in zip(channels, sinkhorn.upsilon_ptm(ptms, pairs)):
         closed = sinkhorn.family_unital_params(params)
-        pair = sinkhorn.sinkhorn_iterate(core.ptm_from_params(params))
-        iterated = sinkhorn.unital_diagonalize(
-            sinkhorn.upsilon_ptm(params, pair), tol=1e-7)
+        iterated = sinkhorn.unital_diagonalize(ups, tol=1e-7)
         worst = max(worst,
                     abs(closed.lt1 - iterated.lt1),
                     abs(closed.lt2 - iterated.lt2),
@@ -270,11 +280,10 @@ def _check_decomposition_residuals(rng) -> CheckResult:
 
 
 def _check_upsilon_is_channel(rng) -> CheckResult:
-    ok = True
-    for ups in sinkhorn.upsilon_ptm(*_family_stack(_random_family_interiors(rng, 50))):
-        report = core.is_completely_positive(ups)
-        ok = ok and report.is_cp and core.is_unital(ups, 1e-10) \
-            and core.is_trace_preserving(ups, 1e-10)
+    upsilons = sinkhorn.upsilon_ptm(*_family_stack(_random_family_interiors(rng, 50)))
+    ok = bool(np.all(core.is_completely_positive(upsilons).is_cp)) and all(
+        core.is_unital(ups, 1e-10) and core.is_trace_preserving(ups, 1e-10)
+        for ups in upsilons)
     return _result("unitalized_channel_is_cptp_unital", ok,
                    "CP/TP/unitality of the sandwiched map on 50 channels")
 

@@ -307,6 +307,18 @@ def test_verify_all_suites_pass(capsys):
         "cancellation-scaled tolerance")
 
 
+@pytest.mark.parametrize("seed, digest", [
+    ("7", "2ffc1bf5e916d6be42d30efa988a34606476c49eed95f0c8e348b5169d28390b"),
+    ("1704011245", "db849beb2cacc7aae64cd65b2953ad08f2fefa396243a2a3aad1d570899df6fc"),
+])
+def test_verify_output_is_pinned(seed, digest, capsys):
+    # every check detail, round-off ones included: a kernel change that
+    # moves any of them has to show it here
+    code, out, err = run(["verify", "--suite", "all", "--seed", seed], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def _protocol_checks(capsys):
     code, out, err = run(["verify", "--suite", "protocol", "--seed", "7"], capsys)
     payload = json.loads(out)

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from qcap import core, verify
+from qcap import core, sinkhorn, verify
+from qcap.capacity import gad_params, mix_params
 from qcap.core import (
     PauliChannelParams,
     apply_channel,
@@ -168,6 +169,24 @@ def test_family_cp_closed_form_matches_the_eigensolver():
         assert report.is_cp == (mineig >= -core.PSD_TOL), params
         verdicts.add(report.is_cp)
     assert verdicts == {True, False}
+
+
+def test_stacked_cp_check_matches_the_single_calls():
+    rng = np.random.default_rng(43)
+    ops, _ = verify._ptm_vs_kraus_draws(rng, count=1000)
+    ptms = core.normalized_kraus_ptm(ops)
+    # flipping the sign of the linear part leaves many channels non-CP
+    flipped = ptms * np.array([1.0, -1.0, -1.0, -1.0])
+    stack = np.concatenate([ptms, flipped]).reshape(4, 500, 4, 4)
+    report = is_completely_positive(stack)
+    assert report.is_cp.shape == report.min_eigenvalue.shape == (4, 500)
+    assert 0 < report.is_cp.sum() < report.is_cp.size
+    for k, ptm in enumerate(stack.reshape(-1, 4, 4)):
+        single = is_completely_positive(ptm)
+        assert type(single.is_cp) is bool and type(single.min_eigenvalue) is float
+        assert report.is_cp.reshape(-1)[k] == single.is_cp
+        assert report.min_eigenvalue.reshape(-1)[k].tobytes() == \
+            np.float64(single.min_eigenvalue).tobytes()
 
 
 def test_unital_and_trace_preserving_flags():
@@ -397,6 +416,54 @@ def test_ptm_path_matches_kraus_path():
         np.testing.assert_allclose(via_ptm, via_kraus, atol=1e-10)
 
 
+def _matmul_kraus_ptm(K):
+    # kraus_ptm before its closed form, verbatim: two broadcast matmuls
+    K = np.asarray(K, dtype=complex)
+    conj = core.PAULI @ core._dagger(K)[..., None, :, :]
+    out = K[..., None, :, :] @ conj  # K sigma_b K'
+    ptm = 0.5 * np.einsum("aij,...bji->...ab", core.PAULI, out)
+    return np.ascontiguousarray(ptm.real)
+
+
+def _family_operators(params):
+    pair = sinkhorn.family_scaling_pair(params)
+    return [pair.a, pair.b, core.inverse_2x2(pair.a), core.inverse_2x2(pair.b)]
+
+
+def test_kraus_ptm_keeps_the_matmul_values_on_real_diagonal_operators():
+    # every cross term of a real diagonal K is an exact zero, so only the
+    # sign of a zero entry may differ from the matmul form
+    channels = ([gad_params(0.475, g) for g in np.linspace(0.05, 3.0, 60).tolist()]
+                + [mix_params(p) for p in np.linspace(0.02, 0.98, 49).tolist()]
+                + verify._random_family_interiors(np.random.default_rng(40), 1000))
+    ops = np.array([K for params in channels for K in _family_operators(params)])
+    assert np.array_equal(kraus_ptm(ops), _matmul_kraus_ptm(ops))
+    for K in ops[::97]:
+        assert np.array_equal(kraus_ptm(K), _matmul_kraus_ptm(K))
+
+
+def test_kraus_ptm_matches_the_matmul_form_on_random_operators():
+    ops = core.random_ginibre(np.random.default_rng(41), 10_000)
+    scale = 8.0 * np.finfo(float).eps * operator_norm(ops) ** 2
+    ptms = kraus_ptm(ops)
+    assert ptms.shape == (10_000, 4, 4) and ptms.flags.c_contiguous
+    assert np.all(np.abs(ptms - _matmul_kraus_ptm(ops)) <= scale[:, None, None])
+
+
+def test_mul_2x2_matches_matmul():
+    rng = np.random.default_rng(42)
+    X = core.random_ginibre(rng, 600).reshape(3, 200, 2, 2)
+    Y = core.random_ginibre(rng, 200)
+    products = core._mul_2x2(X, Y)
+    assert products.shape == (3, 200, 2, 2) and products.dtype == complex
+    scale = 4.0 * np.finfo(float).eps * operator_norm(X) * operator_norm(Y)
+    assert np.all(np.abs(products - X @ Y) <= scale[..., None, None])
+    for k in range(200):
+        assert products[1, k].tobytes() == core._mul_2x2(X[1, k], Y[k]).tobytes()
+    real = rng.normal(size=(2, 2))
+    np.testing.assert_array_equal(core._mul_2x2(real, np.eye(2)), real)
+
+
 def _sequential_ptm_vs_kraus_draws(rng, count):
     # the draw loop of the PTM-vs-Kraus check before it was stacked
     channels, rhos = [], []
@@ -441,6 +508,7 @@ def test_stacked_core_functions_match_the_single_calls():
     stacked_kraus = kraus_from_choi(chois)
     via_ptm = apply_channel_matrix(ptms, rhos)
     scaled = apply_scaling(ops, rhos[:, None])
+    products = core._mul_2x2(ops, rhos[:, None])
     raw_ptms = kraus_ptm(ops)
     for k in range(len(ptms)):
         assert rhos[k].tobytes() == bloch_to_density(blochs[k]).tobytes()
@@ -451,6 +519,7 @@ def test_stacked_core_functions_match_the_single_calls():
         assert not stacked_kraus[k, len(single):].any()
         for r in range(4):
             assert scaled[k, r].tobytes() == apply_scaling(ops[k, r], rhos[k]).tobytes()
+            assert products[k, r].tobytes() == core._mul_2x2(ops[k, r], rhos[k]).tobytes()
             assert raw_ptms[k, r].tobytes() == kraus_ptm(ops[k, r]).tobytes()
     with pytest.raises(ValueError, match="4x4 PTM"):
         core.is_unital(ptms)

@@ -174,3 +174,14 @@ def test_read_columns_matches_the_dict_reader(text, columns, tmp_path):
     path.write_bytes(text.encode())
     expected = _read_or_error(_read_columns_by_dict_reader, str(path), columns)
     assert _read_or_error(read_columns, str(path), columns) == expected
+
+
+def test_x_column_plotted_as_a_series_keeps_every_series_aligned(tmp_path):
+    # the x column is read once, so plotting it does not shift the others
+    path = _write_csv(tmp_path / "x.csv", "x,a\n0,0.1\n1,0.5\n2,0.9\n")
+    series = (Series("x", "solid", "x"), Series("a", "dashed", "a"))
+    svg = render_svg(ChartSpec(path, "x", series, "x", "y", (0.0, 1.0), "out.svg"))
+    polylines = re.findall(r'<polyline points="([^"]+)"', svg)
+    assert polylines == ["80.00,450.00 400.00,50.00 720.00,50.00",
+                         "80.00,410.00 400.00,250.00 720.00,90.00"]
+    assert len(polylines[0].split()) == 3

@@ -369,6 +369,20 @@ def test_gauge_draws_match_the_sequential_draws():
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
+def test_family_stack_matches_the_stacked_single_pairs():
+    params = verify._random_family_interiors(np.random.default_rng(36), 840)
+    ptms, pair = verify._family_stack(params)
+    ref = sinkhorn.ScalingPair.stack([sinkhorn.family_scaling_pair(p) for p in params])
+    assert ptms.tobytes() == np.array([core.ptm_from_params(p) for p in params]).tobytes()
+    for name in ("a", "b", "norm_a", "norm_b", "norm_a_inv", "norm_b_inv"):
+        got, want = getattr(pair, name), getattr(ref, name)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+    assert not pair.a.flags.writeable and not pair.b.flags.writeable
+    assert sinkhorn.upsilon_ptm(ptms, pair).tobytes() == \
+        sinkhorn.upsilon_ptm(ptms, ref).tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_protocol_draws_match_the_sequential_draws(n):
     # each shape group's stacks hold the instances, in draw order, that the
