@@ -34,6 +34,8 @@ from .core import (
     ChannelLike,
     NotInterior,
     PauliChannelParams,
+    _Arithmetic,
+    _FLOATS,
     _as_ptm,
     binary_entropy,
     entropy_kernel,
@@ -45,6 +47,7 @@ from .sinkhorn import (
     _diagonal_inverse_norm,
     _diagonal_norm,
     _family_diagonals,
+    _family_pass,
     _family_roots,
     _unital_form,
 )
@@ -54,7 +57,8 @@ DEFAULT_SEED = 42
 
 @dataclass(frozen=True)
 class CapacityBounds:
-    """Unital capacity plus the gap terms and resulting raw/clamped bounds."""
+    """Unital capacity plus the gap terms and resulting raw/clamped bounds;
+    (n,) arrays for a family stack (see ``analyze``)."""
 
     unital_capacity: float
     lower_gap: float
@@ -67,18 +71,22 @@ class CapacityBounds:
     @classmethod
     def from_gaps(cls, unital_capacity: float, lower_gap: float,
                   upper_gap: float) -> "CapacityBounds":
-        lower_raw = unital_capacity - lower_gap
-        upper_raw = unital_capacity + upper_gap
-        # positional, in field order: keywords make this call, which every
-        # sweep row makes, about a third slower
-        return cls(unital_capacity, lower_gap, upper_gap, lower_raw, upper_raw,
-                   min(max(lower_raw, 0.0), 1.0), min(max(upper_raw, 0.0), 1.0))
+        return cls(*_bound_values(unital_capacity, lower_gap, upper_gap, _FLOATS))
 
     @classmethod
     def from_parts(cls, unital_capacity: float, norm_ab: float,
                    norm_ab_inv: float) -> "CapacityBounds":
         return cls.from_gaps(unital_capacity, 2.0 * math.log2(norm_ab),
                              2.0 * math.log2(norm_ab_inv))
+
+
+def _bound_values(unital_capacity, lower_gap, upper_gap, arithmetic: _Arithmetic) -> tuple:
+    """The fields of ``CapacityBounds``, in order."""
+    lower_raw = unital_capacity - lower_gap
+    upper_raw = unital_capacity + upper_gap
+    minimum, maximum = arithmetic.minimum, arithmetic.maximum
+    return (unital_capacity, lower_gap, upper_gap, lower_raw, upper_raw,
+            minimum(maximum(lower_raw, 0.0), 1.0), minimum(maximum(upper_raw, 0.0), 1.0))
 
 
 @dataclass(frozen=True)
@@ -169,9 +177,11 @@ class ChiResult:
     iterations: int = 0
 
 
-def unital_capacity(form: UnitalForm) -> float:
-    """1 - h((1 - s_max)/2) bits for a completely positive unital form."""
-    return 1.0 - float(binary_entropy(0.5 * (1.0 - form.s_max)))
+def unital_capacity(form: UnitalForm) -> Union[float, np.ndarray]:
+    """1 - h((1 - s_max)/2) bits for a completely positive unital form;
+    an (n,) array for a stacked form."""
+    h = binary_entropy(0.5 * (1.0 - form.s_max))
+    return 1.0 - (h if isinstance(h, np.ndarray) else float(h))
 
 
 def theorem_bound(c_psi: float, pair: ScalingPair) -> float:
@@ -184,7 +194,8 @@ def theorem_bound(c_psi: float, pair: ScalingPair) -> float:
 @dataclass(frozen=True)
 class Report:
     """An interior family channel's unital form, the norm products
-    |A||B| and |A^-1||B^-1| of its scaling pair, and its bounds.
+    |A||B| and |A^-1||B^-1| of its scaling pair, and its bounds; for a
+    family stack, (n,) arrays in place of the floats.
 
     The operators A and B themselves are ``family_scaling_pair(params)``.
     """
@@ -196,19 +207,31 @@ class Report:
 
 
 def analyze(params: PauliChannelParams) -> Report:
-    """Scale an interior family channel to unital form and bound its capacity.
+    """Scale an interior family channel to unital form and bound its
+    capacity; a family stack gives (n,) arrays, each entry the bits of
+    its single call.
 
     The norm products come from the diagonal entries of the scaling
     pair, with the bits of ``family_scaling_pair(params)``'s, and no
     operator is built.
     """
-    roots = _family_roots(params)
-    form = _unital_form(params, roots)
-    a0, a1, b0, b1 = _family_diagonals(roots)
-    norm_ab = _diagonal_norm(a0, a1) * _diagonal_norm(b0, b1)
-    norm_ab_inv = _diagonal_inverse_norm(a0, a1) * _diagonal_inverse_norm(b0, b1)
-    return Report(form, norm_ab, norm_ab_inv, CapacityBounds.from_parts(
-        unital_capacity(form), norm_ab, norm_ab_inv))
+    v = _family_pass(params, _report_values)
+    return Report(UnitalForm(v[0], v[1], v[2], (v[3], v[4], v[5])), v[6], v[7],
+                  CapacityBounds(*v[8:15]))
+
+
+def _report_values(l1, l2, l3, t3, arithmetic: _Arithmetic) -> tuple:
+    """The form's lt1..lt3 and singular values, |A||B|, |A^-1||B^-1| and
+    the fields of the bounds."""
+    roots = _family_roots(l3, t3, arithmetic)
+    form = _unital_form(l1, l2, l3, roots, arithmetic)
+    a0, a1, b0, b1 = _family_diagonals(roots, arithmetic)
+    norm_ab = _diagonal_norm(a0, a1, arithmetic) * _diagonal_norm(b0, b1, arithmetic)
+    norm_ab_inv = (_diagonal_inverse_norm(a0, a1, arithmetic)
+                   * _diagonal_inverse_norm(b0, b1, arithmetic))
+    return (form.lt1, form.lt2, form.lt3, *form.singular_values, norm_ab, norm_ab_inv,
+            *_bound_values(unital_capacity(form), 2.0 * arithmetic.log2(norm_ab),
+                           2.0 * arithmetic.log2(norm_ab_inv), arithmetic))
 
 
 def proposition_bounds(params: PauliChannelParams) -> CapacityBounds:
@@ -298,16 +321,23 @@ def mix_params(p: float) -> PauliChannelParams:
 
 def holevo_quantity(channel: ChannelLike, ensemble: Ensemble) -> float:
     """S(sum_k p_k Phi[rho_k]) - sum_k p_k S(Phi[rho_k]) in bits."""
-    ptm = _as_ptm(channel)
-    out = ensemble.states @ ptm[1:, 1:].T + ptm[1:, 0]
+    if isinstance(channel, PauliChannelParams):
+        # (lambda1 x, lambda2 y, lambda3 z + t3), the bits of the PTM's
+        # product: its other terms are exact zeros
+        out = ensemble.states * (channel.lambda1, channel.lambda2, channel.lambda3)
+        out[:, 2] += channel.t3
+    else:
+        ptm = _as_ptm(channel)
+        out = ensemble.states @ ptm[1:, 1:].T + ptm[1:, 0]
     avg = ensemble.weights @ out
     # the radii of the average, then of each output, by np.linalg.norm's
     # own formulas; a root of a sum of squares is >= +0, so only the top
-    # needs a clip.  One entropy call takes them all
+    # needs a clip.  The entropies of these few radii take binary_entropy's
+    # float path, which has entropy_kernel's bits at a third of its cost
     r = np.empty(1 + len(out))
     r[0] = math.sqrt(avg.dot(avg))
     np.sqrt(np.add.reduce(out * out, axis=1), out=r[1:])
-    s = entropy_kernel(0.5 * (1.0 - np.minimum(r, 1.0)))
+    s = np.array([binary_entropy(0.5 * (1.0 - min(v, 1.0))) for v in r.tolist()])
     return float(s[0]) - float(ensemble.weights @ s[1:])
 
 

@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__, render, verify
 from .capacity import (
     DEFAULT_SEED,
-    Report,
     analyze,
     chi_capacity_numeric,
     gad_params,
@@ -191,18 +190,8 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 # analyze
 
 
-def _row(x: Optional[float], report: Report, chi: Optional[float]) -> dict:
-    """One sweep row: ``CSV_COLUMNS`` mapped onto a report and chi."""
-    form, bounds = report.form, report.bounds
-    return dict(zip(CSV_COLUMNS, (
-        x, form.lt1, form.lt2, form.lt3, report.norm_ab, report.norm_ab_inv,
-        bounds.unital_capacity, bounds.lower_raw, bounds.upper_raw,
-        bounds.lower_clamped, bounds.upper_clamped, chi)))
-
-
 def _analyze_payload(label: str, params: PauliChannelParams, chi: bool) -> dict:
-    report = analyze(params)
-    row = _row(None, report, None)
+    row = _sweep_point((None, params, False))
     payload = {
         "channel": label,
         "lambda": [params.lambda1, params.lambda2, params.lambda3],
@@ -266,9 +255,31 @@ def cmd_analyze(args) -> int:
 # sweep
 
 
-def _sweep_point(task: tuple[float, PauliChannelParams, bool]) -> dict:
+def _chi_value(params: PauliChannelParams) -> float:
+    """One point's c_chi cell; module level, so a worker pool can run it."""
+    return chi_capacity_numeric(params).value
+
+
+def _sweep_columns(xs: list, channels: list[PauliChannelParams],
+                   chi: Optional[list]) -> list[list]:
+    """The sweep's ``CSV_COLUMNS`` as lists of Python floats, from one
+    ``analyze`` call on the stack of its channels; ``chi`` is the c_chi
+    column, or None for an empty one."""
+    report = analyze(PauliChannelParams.stack(channels))
+    form, bounds = report.form, report.bounds
+    return [xs, *(column.tolist() for column in (
+        form.lt1, form.lt2, form.lt3, report.norm_ab, report.norm_ab_inv,
+        bounds.unital_capacity, bounds.lower_raw, bounds.upper_raw,
+        bounds.lower_clamped, bounds.upper_clamped)),
+        [None] * len(xs) if chi is None else chi]
+
+
+def _sweep_point(task: tuple[Optional[float], PauliChannelParams, bool]) -> dict:
+    """The sweep row of one point (x, params, chi), ``CSV_COLUMNS`` mapped
+    onto its cells; ``qcap analyze`` takes its numbers from here."""
     x, params, chi = task
-    return _row(x, analyze(params), chi_capacity_numeric(params).value if chi else None)
+    columns = _sweep_columns([x], [params], [_chi_value(params)] if chi else None)
+    return {name: column[0] for name, column in zip(CSV_COLUMNS, columns)}
 
 
 # a sweep row's CSV line, each cell formatted as ``_fmt`` does it ('%.12g'
@@ -278,13 +289,9 @@ _CSV_ROW = ",".join(["%.12g"] * len(CSV_COLUMNS))
 _CSV_ROW_NO_CHI = _CSV_ROW[:-len("%.12g")]
 
 
-def _rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(CSV_COLUMNS)]
-    for row in rows:
-        values = tuple(row.values())  # in CSV_COLUMNS order, as _row builds them
-        lines.append(_CSV_ROW % values if values[-1] is not None
-                     else _CSV_ROW_NO_CHI % values[:-1])
-    return "\n".join(lines) + "\n"
+def _columns_to_csv(columns: list[list], chi: bool) -> str:
+    row, cells = (_CSV_ROW, columns) if chi else (_CSV_ROW_NO_CHI, columns[:-1])
+    return "\n".join([",".join(CSV_COLUMNS), *(row % values for values in zip(*cells))]) + "\n"
 
 
 def _rows_to_json(rows: list[dict], family: str, x_name: str, seed: int, chi: bool) -> str:
@@ -319,7 +326,7 @@ def cmd_sweep(args) -> int:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
 
     grid = np.linspace(args.min, args.max, args.steps).tolist()
-    tasks = []
+    xs, channels = [], []
     for index, x in enumerate(grid):
         try:
             params = make(**fixed, **{args.x: x})
@@ -333,17 +340,23 @@ def cmd_sweep(args) -> int:
                 continue
             return _fail(f"non-interior grid point inside sweep range: {exc}",
                          EXIT_NOT_INTERIOR)
-        tasks.append((x, params, args.chi))
+        xs.append(x)
+        channels.append(params)
 
-    workers = min(args.workers, len(tasks))  # a pool forks all its workers at once
+    chi = None
+    workers = min(args.workers, len(channels))  # a pool forks all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(task) for task in tasks]
+            chi = list(pool.map(_chi_value, channels)) if args.chi else None
+    elif args.chi:
+        chi = [_chi_value(params) for params in channels]
+    columns = _sweep_columns(xs, channels, chi)
 
-    text = (_rows_to_json(rows, family, args.x, seed, args.chi)
-            if args.format == "json" else _rows_to_csv(rows))
+    if args.format == "json":
+        rows = [dict(zip(CSV_COLUMNS, values)) for values in zip(*columns)]
+        text = _rows_to_json(rows, family, args.x, seed, args.chi)
+    else:
+        text = _columns_to_csv(columns, args.chi)
     _emit(text, args.out)
     return EXIT_OK
 

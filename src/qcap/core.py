@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -55,12 +55,23 @@ class NoConvergence(RuntimeError):
 @dataclass(frozen=True)
 class PauliChannelParams:
     """Four-parameter channel family: Bloch action
-    (x, y, z) -> (lambda1 x, lambda2 y, lambda3 z + t3)."""
+    (x, y, z) -> (lambda1 x, lambda2 y, lambda3 z + t3).
+
+    A family stack holds four (n,) arrays, one entry per channel (see
+    ``stack``); the family closed forms take a stack in one pass.
+    """
 
     lambda1: float
     lambda2: float
     lambda3: float
     t3: float
+
+    @classmethod
+    def stack(cls, channels: Sequence["PauliChannelParams"]) -> "PauliChannelParams":
+        """One family stack from n channels: four (n,) float arrays, each
+        entry the value of its channel."""
+        return cls(*np.array([(c.lambda1, c.lambda2, c.lambda3, c.t3) for c in channels],
+                             dtype=float).reshape(-1, 4).T)
 
     @property
     def boundary_margin(self) -> float:
@@ -408,9 +419,8 @@ def operator_norm(K) -> Union[float, np.ndarray]:
                              (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real)
     if K.ndim > 2 and K.shape[-2:] == (2, 2):
         g = _dagger(K) @ K
-        det = np.maximum(_det_2x2(g).real, 0.0)
-        tr = g[..., 0, 0].real + g[..., 1, 1].real
-        return np.sqrt(0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))))
+        return gram_norm_2x2(g[..., 0, 0].real + g[..., 1, 1].real, _det_2x2(g).real,
+                             _ARRAYS)
     return float(np.linalg.norm(K, 2))
 
 
@@ -429,13 +439,44 @@ def _det_2x2(M: np.ndarray) -> np.ndarray:
     return det
 
 
-def gram_norm_2x2(tr: float, det: float) -> float:
+class _Arithmetic(NamedTuple):
+    """Elementwise operations for formulas written once for Python floats
+    (one instance) and for (n,) arrays (a stack, in one pass).  The
+    operators + - * / and abs() serve both, and both give the same bits.
+    """
+
+    sqrt: Callable
+    maximum: Callable
+    minimum: Callable
+    # x ** 2 and math.log2 as Python's float operations, value by value:
+    # the last bits of numpy's square and log2 do not always match them
+    square: Callable
+    log2: Callable
+    # three values, sorted descending
+    descending: Callable
+
+
+def _square(x: float) -> float:
+    return x**2
+
+
+def _each(f: Callable) -> Callable:
+    return lambda values: np.array([f(v) for v in values.tolist()])
+
+
+_FLOATS = _Arithmetic(math.sqrt, max, min, _square, math.log2,
+                      lambda *v: tuple(sorted(v, reverse=True)))
+_ARRAYS = _Arithmetic(np.sqrt, np.maximum, np.minimum, _each(_square), _each(math.log2),
+                      lambda *v: tuple(np.sort(v, axis=0)[::-1]))
+
+
+def gram_norm_2x2(tr: float, det: float, arithmetic: _Arithmetic = _FLOATS) -> float:
     """Largest singular value of a 2x2 K from the trace and determinant
     of its Gram matrix K'K (rounding may leave det or the discriminant
-    slightly negative; both are clamped at 0)."""
-    det = max(det, 0.0)
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    return math.sqrt(0.5 * (tr + math.sqrt(disc)))
+    slightly negative; both are clamped at 0); arrays with ``_ARRAYS``."""
+    det = arithmetic.maximum(det, 0.0)
+    disc = arithmetic.maximum(tr * tr - 4.0 * det, 0.0)
+    return arithmetic.sqrt(0.5 * (tr + arithmetic.sqrt(disc)))
 
 
 def inverse_2x2(M) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .core import (
     NotInterior,
     NotUnital,
     PauliChannelParams,
+    _ARRAYS,
+    _Arithmetic,
+    _FLOATS,
     _as_ptm,
     apply_channel_matrix,
     gram_norm_2x2,
@@ -98,7 +101,8 @@ class UnitalForm:
     ``lt1..lt3`` are the signed diagonal entries of the unital 3x3
     block (meaningful when the block is diagonal, as for the family);
     ``singular_values`` are its singular values sorted descending and
-    are what the capacity formula consumes.
+    are what the capacity formula consumes.  A stacked form holds (n,)
+    arrays in place of the floats.
     """
 
     lt1: float
@@ -125,19 +129,59 @@ class DecompositionResiduals:
                           self.reconstruction)
 
 
-def _family_roots(params: PauliChannelParams) -> tuple[float, float, float, float]:
-    l3, t3 = params.lambda3, params.t3
-    if abs(t3) + abs(l3) >= 1.0:
+# Stacks of up to this many channels are evaluated one channel at a time
+# on Python floats, larger ones in one pass on arrays: a numpy pass costs
+# about as much as this many channels in floats (2-CPU Xeon, numpy 2.4).
+_FLOAT_PASS_MAX = 10
+
+
+def _family_pass(params: PauliChannelParams,
+                 values: Callable[..., Sequence]) -> Sequence:
+    """``values(lambda1, lambda2, lambda3, t3, arithmetic)`` of a family
+    channel, as Python floats, or of every channel of a family stack, as
+    (n,) arrays, each entry the bits of its single call.
+
+    ``values`` is written once for both ``_FLOATS`` and ``_ARRAYS``: a
+    stack of more than ``_FLOAT_PASS_MAX`` channels takes one pass on
+    arrays, a smaller one a pass on floats per channel.
+
+    Raises NotInterior for |t3| + |lambda3| >= 1, naming the first
+    boundary channel of a stack.
+    """
+    fields = (params.lambda1, params.lambda2, params.lambda3, params.t3)
+    if not isinstance(params.lambda3, np.ndarray):
+        _require_interior(params.lambda3, params.t3)
+        return values(*fields, _FLOATS)
+    if not 0 < params.lambda3.size <= _FLOAT_PASS_MAX:
+        l1, l2, l3, t3 = (np.asarray(f, dtype=float) for f in fields)
+        boundary = np.abs(t3) + np.abs(l3) >= 1.0
+        if boundary.any():
+            k = int(boundary.argmax())
+            _require_interior(l3[k], t3[k], k)
+        return values(l1, l2, l3, t3, _ARRAYS)
+    rows = []
+    for k, (l1, l2, l3, t3) in enumerate(zip(*(np.asarray(f, dtype=float).tolist()
+                                               for f in fields))):
+        _require_interior(l3, t3, k)
+        rows.append(values(l1, l2, l3, t3, _FLOATS))
+    return np.array(rows).T
+
+
+def _require_interior(l3: float, t3: float, channel: Optional[int] = None) -> None:
+    margin = abs(t3) + abs(l3)
+    if margin >= 1.0:
+        where = "" if channel is None else f" at channel {channel} of the stack"
         raise NotInterior(
-            f"|t3| + |lambda3| = {abs(t3) + abs(l3):.6g} >= 1; "
+            f"|t3| + |lambda3| = {margin:.6g} >= 1{where}; "
             "no scaling pair for boundary channels"
         )
-    return (
-        math.sqrt(1.0 + t3 + l3),
-        math.sqrt(1.0 - t3 - l3),
-        math.sqrt(1.0 + t3 - l3),
-        math.sqrt(1.0 - t3 + l3),
-    )
+
+
+def _family_roots(l3, t3, arithmetic: _Arithmetic) -> tuple:
+    """P, M, R, S = sqrt(1 +- t3 +- l3) of an interior family channel."""
+    sqrt = arithmetic.sqrt
+    return (sqrt(1.0 + t3 + l3), sqrt(1.0 - t3 - l3),
+            sqrt(1.0 + t3 - l3), sqrt(1.0 - t3 + l3))
 
 
 def family_scaling_pair(params: PauliChannelParams) -> ScalingPair:
@@ -145,12 +189,20 @@ def family_scaling_pair(params: PauliChannelParams) -> ScalingPair:
     from the diagonal entries of ``_family_diagonals``.
 
     The four norms are computed from the diagonal entries, with the same
-    bits as ``ScalingPair.from_operators(a, b)``.
+    bits as ``ScalingPair.from_operators(a, b)``.  A family stack gives
+    the stacked pair, each slice the bits of its single call.
     """
-    a0, a1, b0, b1 = _family_diagonals(_family_roots(params))
-    return ScalingPair(_diagonal_operators(a0, a1), _diagonal_operators(b0, b1),
-                       _diagonal_norm(a0, a1), _diagonal_norm(b0, b1),
-                       _diagonal_inverse_norm(a0, a1), _diagonal_inverse_norm(b0, b1))
+    a0, a1, b0, b1, *norms = _family_pass(params, _pair_values)
+    return ScalingPair(_diagonal_operators(a0, a1), _diagonal_operators(b0, b1), *norms)
+
+
+def _pair_values(l1, l2, l3, t3, arithmetic: _Arithmetic) -> tuple:
+    """a0, a1, b0, b1 and the norms |A|, |B|, |A^-1|, |B^-1|."""
+    a0, a1, b0, b1 = _family_diagonals(_family_roots(l3, t3, arithmetic), arithmetic)
+    return (a0, a1, b0, b1,
+            _diagonal_norm(a0, a1, arithmetic), _diagonal_norm(b0, b1, arithmetic),
+            _diagonal_inverse_norm(a0, a1, arithmetic),
+            _diagonal_inverse_norm(b0, b1, arithmetic))
 
 
 def _diagonal_operators(d0, d1) -> np.ndarray:
@@ -163,7 +215,7 @@ def _diagonal_operators(d0, d1) -> np.ndarray:
     return op
 
 
-def _family_diagonals(roots: tuple[float, float, float, float]) -> tuple[float, float, float, float]:
+def _family_diagonals(roots: tuple, arithmetic: _Arithmetic) -> tuple:
     """Diagonal entries a0, a1, b0, b1 of the family's scaling pair, from
     its ``_family_roots``.
 
@@ -174,40 +226,46 @@ def _family_diagonals(roots: tuple[float, float, float, float]) -> tuple[float, 
     P, M, R, S = sqrt(1 +- t3 +- l3).
     """
     p, m, r, s = roots
-    g = math.sqrt(2.0 / (p * s + m * r))
-    return (math.sqrt(m * s), math.sqrt(p * r),
-            g * (1.0 / math.sqrt(p * m)), g * (1.0 / math.sqrt(r * s)))
+    sqrt = arithmetic.sqrt
+    g = sqrt(2.0 / (p * s + m * r))
+    return sqrt(m * s), sqrt(p * r), g * (1.0 / sqrt(p * m)), g * (1.0 / sqrt(r * s))
 
 
-def _diagonal_norm(d0: float, d1: float) -> float:
+def _diagonal_norm(d0, d1, arithmetic: _Arithmetic):
     # operator_norm(diag(d0, d1)) without the matrix products: the Gram
     # matrix is diag(d0^2, d1^2)
     g0, g1 = d0 * d0, d1 * d1
-    return gram_norm_2x2(g0 + g1, g0 * g1)
+    return gram_norm_2x2(g0 + g1, g0 * g1, arithmetic)
 
 
-def _diagonal_inverse_norm(d0: float, d1: float) -> float:
+def _diagonal_inverse_norm(d0, d1, arithmetic: _Arithmetic):
     # operator_norm(inverse_2x2(diag(d0, d1))); numpy divides by the real
     # determinant as a multiplication by its reciprocal
     scale = 1.0 / (d0 * d1)
-    return _diagonal_norm(d1 * scale, d0 * scale)
+    return _diagonal_norm(d1 * scale, d0 * scale, arithmetic)
 
 
 def family_unital_params(params: PauliChannelParams) -> UnitalForm:
-    """Closed-form diagonal parameters of the unitalized family channel."""
-    return _unital_form(params, _family_roots(params))
+    """Closed-form diagonal parameters of the unitalized family channel;
+    a family stack gives the stacked form, each slice the bits of its
+    single call."""
+    lt1, lt2, lt3, *sv = _family_pass(params, _form_values)
+    return UnitalForm(lt1, lt2, lt3, tuple(sv))
 
 
-def _unital_form(params: PauliChannelParams,
-                 roots: tuple[float, float, float, float]) -> UnitalForm:
+def _form_values(l1, l2, l3, t3, arithmetic: _Arithmetic) -> tuple:
+    form = _unital_form(l1, l2, l3, _family_roots(l3, t3, arithmetic), arithmetic)
+    return (form.lt1, form.lt2, form.lt3, *form.singular_values)
+
+
+def _unital_form(l1, l2, l3, roots: tuple, arithmetic: _Arithmetic) -> UnitalForm:
     """``family_unital_params`` from the channel's ``_family_roots``."""
     p, m, r, s = roots
     denom = p * s + m * r  # = sqrt((1+l3)^2-t3^2) + sqrt((1-l3)^2-t3^2)
-    lt1 = 2.0 * params.lambda1 / denom
-    lt2 = 2.0 * params.lambda2 / denom
-    lt3 = 4.0 * params.lambda3 / denom**2
-    sv = tuple(sorted((abs(lt1), abs(lt2), abs(lt3)), reverse=True))
-    return UnitalForm(lt1, lt2, lt3, sv)
+    lt1 = 2.0 * l1 / denom
+    lt2 = 2.0 * l2 / denom
+    lt3 = 4.0 * l3 / arithmetic.square(denom)
+    return UnitalForm(lt1, lt2, lt3, arithmetic.descending(abs(lt1), abs(lt2), abs(lt3)))
 
 
 def upsilon_ptm(channel: ChannelLike, pair: ScalingPair) -> np.ndarray:

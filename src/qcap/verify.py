@@ -45,9 +45,24 @@ def _result(name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(name, bool(passed), detail)
 
 
+def _kept(l1, l2, l3, t3):
+    """Whether a draw of family parameters is kept: |t3| + |lambda3| <
+    0.98 and both CP margins exceed 1e-6; elementwise on arrays."""
+    return ((abs(t3) + abs(l3) < 0.98)
+            & (1.0 + l3 >= np.hypot(t3, l1 + l2) + 1e-6)
+            & (1.0 - l3 >= np.hypot(t3, l1 - l2) + 1e-6))
+
+
 def _random_family_interior(rng: np.random.Generator) -> core.PauliChannelParams:
-    """Rejection-sample strictly interior CP family parameters."""
-    return _random_family_interiors(rng, 1)[0]
+    """Rejection-sample strictly interior CP family parameters, one
+    attempt of four uniforms on [-1, 1) at a time, with the draws and
+    types of ``_random_family_interiors(rng, 1)``."""
+    while True:
+        draw = rng.uniform(-1.0, 1.0, 4)
+        l1, l2, l3, t3 = draw.tolist()
+        # the margin test alone rejects about half the attempts
+        if abs(t3) + abs(l3) < 0.98 and _kept(l1, l2, l3, t3):
+            return core.PauliChannelParams(*draw[:3], t3)
 
 
 def _random_family_interiors(rng: np.random.Generator,
@@ -55,22 +70,17 @@ def _random_family_interiors(rng: np.random.Generator,
     """``count`` draws of strictly interior CP family parameters.
 
     Each attempt takes four uniforms on [-1, 1), (lambda1, lambda2,
-    lambda3) and then t3, and is kept if |t3| + |lambda3| < 0.98 and both
-    CP margins exceed 1e-6.  The attempts are judged as rows of block
-    draws; then the generator is rewound and draws exactly the rows used
-    once more, so the draws and the generator state afterwards are those
-    of rejecting one attempt at a time.
+    lambda3) and then t3, and is judged by ``_kept``.  The attempts are
+    judged as rows of block draws; then the generator is rewound and
+    draws exactly the rows used once more, so the draws and the generator
+    state afterwards are those of rejecting one attempt at a time.
     """
     start = rng.bit_generator.state
     kept: list[int] = []
     tried = 0
     while len(kept) < count:  # about one attempt in seven is kept
         block = rng.uniform(-1.0, 1.0, size=(8 * (count - len(kept)) + 8, 4))
-        l1, l2, l3, t3 = block.T
-        ok = ((np.abs(t3) + np.abs(l3) < 0.98)
-              & (1.0 + l3 >= np.hypot(t3, l1 + l2) + 1e-6)
-              & (1.0 - l3 >= np.hypot(t3, l1 - l2) + 1e-6))
-        kept += (tried + np.flatnonzero(ok)).tolist()
+        kept += (tried + np.flatnonzero(_kept(*block.T))).tolist()
         tried += len(block)
     kept = kept[:count]
     rng.bit_generator.state = start
@@ -215,24 +225,11 @@ def core_suite(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def _family_stack(params) -> tuple[np.ndarray, sinkhorn.ScalingPair]:
-    """The channels' PTMs and closed-form scaling pairs, stacked.
-
-    Each channel takes one pass of float arithmetic through the helpers
-    of ``family_scaling_pair``; the PTM and operator stacks are then
-    written once, with the bits of ``ptm_from_params`` and of
-    ``ScalingPair.stack`` of the single pairs.
-    """
-    rows = []
-    for p in params:
-        a0, a1, b0, b1 = sinkhorn._family_diagonals(sinkhorn._family_roots(p))
-        rows.append((p.lambda1, p.lambda2, p.lambda3, p.t3, a0, a1, b0, b1,
-                     sinkhorn._diagonal_norm(a0, a1), sinkhorn._diagonal_norm(b0, b1),
-                     sinkhorn._diagonal_inverse_norm(a0, a1),
-                     sinkhorn._diagonal_inverse_norm(b0, b1)))
-    l1, l2, l3, t3, a0, a1, b0, b1, *norms = np.array(rows).T.copy()
-    pair = sinkhorn.ScalingPair(sinkhorn._diagonal_operators(a0, a1),
-                                sinkhorn._diagonal_operators(b0, b1), *norms)
-    return core._family_ptms(l1, l2, l3, t3), pair
+    """The channels' PTMs and closed-form scaling pairs, stacked, with the
+    bits of ``ptm_from_params`` and of ``ScalingPair.stack`` of the single
+    pairs."""
+    stack = core.PauliChannelParams.stack(params)
+    return core.ptm_from_params(stack), sinkhorn.family_scaling_pair(stack)
 
 
 def _gauge_draws(rng, count: int = 50):
@@ -258,16 +255,17 @@ def _check_gauge_invariance(rng) -> CheckResult:
 
 def _check_two_path_agreement(rng) -> CheckResult:
     worst = 0.0
-    channels = _random_family_interiors(rng, 100)
-    ptms = np.array([core.ptm_from_params(params) for params in channels])
+    stack = core.PauliChannelParams.stack(_random_family_interiors(rng, 100))
+    ptms = core.ptm_from_params(stack)
     pairs = sinkhorn.ScalingPair.stack([sinkhorn.sinkhorn_iterate(ptm) for ptm in ptms])
-    for params, ups in zip(channels, sinkhorn.upsilon_ptm(ptms, pairs)):
-        closed = sinkhorn.family_unital_params(params)
+    closed = sinkhorn.family_unital_params(stack)
+    for lt1, lt2, lt3, ups in zip(closed.lt1.tolist(), closed.lt2.tolist(),
+                                  closed.lt3.tolist(), sinkhorn.upsilon_ptm(ptms, pairs)):
         iterated = sinkhorn.unital_diagonalize(ups, tol=1e-7)
         worst = max(worst,
-                    abs(closed.lt1 - iterated.lt1),
-                    abs(closed.lt2 - iterated.lt2),
-                    abs(closed.lt3 - iterated.lt3))
+                    abs(lt1 - iterated.lt1),
+                    abs(lt2 - iterated.lt2),
+                    abs(lt3 - iterated.lt3))
     return _result("closed_form_matches_iteration", worst <= 1e-8,
                    f"max lt deviation {worst:.2e} over 100 channels (tol 1e-8)")
 

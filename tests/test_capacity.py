@@ -131,6 +131,72 @@ def test_analyze_matches_the_object_path_bit_for_bit():
         assert form == family_unital_params(params)
 
 
+def _family_sweeps():
+    # the figure grids, 70 seeded gad, mix and custom sweeps of 100 points
+    # each, built as the sweep command builds them, and lambda = (1, a, a),
+    # t3 = 0
+    sweeps = [[gad_params(0.475, g) for g in np.linspace(0.05, 3.0, 60).tolist()],
+              [mix_params(p) for p in np.linspace(0.02, 0.98, 49).tolist()]]
+    rng = np.random.default_rng(2025)
+    for _ in range(70):
+        p = float(rng.uniform(0.05, 0.5))
+        lams, half = _random_custom_family(rng)
+        sweeps += [[gad_params(p, g) for g in np.linspace(0.05, 3.0, 100).tolist()],
+                   [mix_params(x) for x in np.linspace(0.02, 0.98, 100).tolist()],
+                   [PauliChannelParams(*lams, t) for t in np.linspace(-half, half, 100).tolist()]]
+    sweeps.append([PauliChannelParams(1.0, a, a, 0.0)
+                   for a in np.linspace(-0.99, 0.99, 100).tolist()])
+    return sweeps
+
+
+def _report_fields(report):
+    form, bounds = report.form, report.bounds
+    return (form.lt1, form.lt2, form.lt3, *form.singular_values, report.norm_ab,
+            report.norm_ab_inv, bounds.unital_capacity, bounds.lower_gap, bounds.upper_gap,
+            bounds.lower_raw, bounds.upper_raw, bounds.lower_clamped, bounds.upper_clamped)
+
+
+def _pair_fields(pair):
+    return (pair.norm_a, pair.norm_b, pair.norm_a_inv, pair.norm_b_inv)
+
+
+def _form_fields(form):
+    return (form.lt1, form.lt2, form.lt3, *form.singular_values)
+
+
+def test_stacked_family_closed_forms_match_the_single_calls():
+    # every field of analyze, family_scaling_pair and family_unital_params
+    # on a family stack, slice by slice, is the single call's, bit for
+    # bit: whole sweeps in one array pass, and their first points as the
+    # small stacks that go one channel at a time
+    sweeps = _family_sweeps()
+    assert len(sweeps) == 2 + 210 + 1
+    for channels in sweeps:
+        singles = [(_report_fields(analyze(c)), family_scaling_pair(c),
+                    _form_fields(family_unital_params(c))) for c in channels]
+        for size in (len(channels), 1, 2, 7):
+            stack = PauliChannelParams.stack(channels[:size])
+            report, pair = analyze(stack), family_scaling_pair(stack)
+            stacked = (_report_fields(report), _pair_fields(pair),
+                       _form_fields(family_unital_params(stack)))
+            for column in (c for fields in stacked for c in fields):
+                assert isinstance(column, np.ndarray) and column.shape == (size,)
+            assert pair.a.shape == pair.b.shape == (size, 2, 2)
+            for k, (report1, pair1, form1) in enumerate(singles[:size]):
+                assert all(type(v) is float for v in report1 + _pair_fields(pair1))
+                expected = (report1, _pair_fields(pair1), form1)
+                got = tuple(tuple(float(c[k]) for c in fields) for fields in stacked)
+                assert [[v.hex() for v in f] for f in got] == \
+                    [[v.hex() for v in f] for f in expected], channels[k]
+                assert pair.a[k].tobytes() == pair1.a.tobytes()
+                assert pair.b[k].tobytes() == pair1.b.tobytes()
+
+
+def test_an_empty_stack_gives_empty_columns():
+    report = analyze(PauliChannelParams.stack([]))
+    assert all(column.shape == (0,) for column in _report_fields(report))
+
+
 def test_proposition_bounds_mixture():
     bounds = proposition_bounds(mix_params(0.2))
     assert math.isfinite(bounds.lower_raw) and math.isfinite(bounds.upper_raw)
@@ -293,6 +359,16 @@ def test_holevo_quantity_matches_its_reference_bit_for_bit():
         cases.append((PauliChannelParams(1, 1, 1, 0), Ensemble(weights, states)))
     for channel, ensemble in cases:
         assert holevo_quantity(channel, ensemble) == _holevo_reference(channel, ensemble)
+
+
+def test_holevo_quantity_of_a_family_channel_is_its_ptm_value():
+    # the family outputs (lambda1 x, lambda2 y, lambda3 z + t3) give the
+    # value of the PTM product on the fig points with their exact ensembles
+    for params in ([gad_params(0.475, g) for g in np.linspace(0.05, 3.0, 60).tolist()]
+                   + [mix_params(p) for p in np.linspace(0.02, 0.98, 49).tolist()]):
+        ensemble = chi_capacity_numeric(params).ensemble
+        assert holevo_quantity(params, ensemble) == \
+            holevo_quantity(_as_ptm(params), ensemble)
 
 
 def test_ensemble_validation():

@@ -170,6 +170,50 @@ def test_sweep_pool_has_at_most_one_worker_per_point(monkeypatch, capsys):
     assert (code, sizes, pooled) == (0, [3], serial)
 
 
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--chi"]],
+                         ids=["csv", "json", "chi"])
+@pytest.mark.parametrize("args", [
+    ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2", "--max", "1.2"],
+    ["--mix", "--x", "p", "--min", "0", "--max", "1"],
+    ["--lambda", "0.5", "0.4", "0.3", "--x", "t3", "--min", "-0.4", "--max", "0.4"],
+], ids=["gad", "mix", "custom"])
+def test_sweep_runs_one_stacked_pass(args, extra, workers, monkeypatch, capsys):
+    # one analyze call on the stack of all points, whatever the format,
+    # chi or pool; a pool maps only the per-point chi
+    from qcap import capacity
+    calls, mapped = [], []
+
+    def counting(params):
+        calls.append(params)
+        return capacity.analyze(params)
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, tasks):
+            mapped.append(fn)
+            return map(fn, tasks)
+
+    argv = ["sweep", *args, "--steps", "6", *extra]
+    code, expected, _ = run(argv, capsys)
+    assert code == 0
+    monkeypatch.setattr(cli, "analyze", counting)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, out, _ = run([*argv, "--workers", workers], capsys)
+    assert (code, out) == (0, expected)
+    rows = json.loads(out)["rows"] if "json" in extra else out.splitlines()[1:]
+    assert len(calls) == 1 and calls[0].lambda3.shape == (len(rows),)
+    assert mapped == ([cli._chi_value] if "--chi" in extra and workers == "3" else [])
+
+
 def test_sweep_builds_each_grid_point_once(monkeypatch, capsys):
     # 6 grid points, both endpoints outside the mixture's domain: each
     # point's channel is built once, and the chi solve builds none

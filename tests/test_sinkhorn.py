@@ -60,6 +60,24 @@ def test_family_pair_rejects_boundary():
         family_scaling_pair(PauliChannelParams(0.5, 0.5, 0.6, 0.4))
 
 
+@pytest.mark.parametrize("padding", [0, 20], ids=["one-at-a-time", "one-pass"])
+def test_a_boundary_channel_in_a_stack_is_named(padding):
+    from qcap.capacity import analyze
+    interior = PauliChannelParams(0.5, 0.4, 0.3, 0.2)
+    channels = [interior] * 3 + [PauliChannelParams(0.5, 0.5, 0.6, 0.4),
+                                 PauliChannelParams(1, 1, 1, 0)] + [interior] * padding
+    stack = PauliChannelParams.stack(channels)
+    for closed_form in (family_scaling_pair, family_unital_params, analyze):
+        with pytest.raises(NotInterior) as info:
+            closed_form(stack)
+        assert str(info.value) == ("|t3| + |lambda3| = 1 >= 1 at channel 3 of the stack; "
+                                   "no scaling pair for boundary channels")
+        with pytest.raises(NotInterior) as info:
+            closed_form(channels[3])
+        assert str(info.value) == ("|t3| + |lambda3| = 1 >= 1; "
+                                   "no scaling pair for boundary channels")
+
+
 def test_gad_norm_product_is_one_at_half():
     # paper closed form gives |A||B| = ((1-p)/p)^(1/4)/sqrt(f) = 1 at p = 1/2
     for gt in (0.1, 0.7, 2.5):

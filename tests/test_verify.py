@@ -354,6 +354,15 @@ def test_family_draws_match_the_sequential_draws(count):
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
+def test_one_family_draw_matches_the_sequential_draw():
+    for seed in range(40):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(5):
+            assert _params_bits(verify._random_family_interior(fast)) == \
+                _params_bits(_sequential_family_interior(slow))
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
 def test_gauge_draws_match_the_sequential_draws():
     fast, slow = np.random.default_rng(31), np.random.default_rng(31)
     params, factors = verify._gauge_draws(fast)
