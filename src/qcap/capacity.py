@@ -44,8 +44,7 @@ from .optimize import bfgs_batch
 from .sinkhorn import (
     ScalingPair,
     UnitalForm,
-    _diagonal_inverse_norm,
-    _diagonal_norm,
+    _diagonal_norms,
     _family_diagonals,
     _family_pass,
     _family_roots,
@@ -225,10 +224,9 @@ def _report_values(l1, l2, l3, t3, arithmetic: _Arithmetic) -> tuple:
     the fields of the bounds."""
     roots = _family_roots(l3, t3, arithmetic)
     form = _unital_form(l1, l2, l3, roots, arithmetic)
-    a0, a1, b0, b1 = _family_diagonals(roots, arithmetic)
-    norm_ab = _diagonal_norm(a0, a1, arithmetic) * _diagonal_norm(b0, b1, arithmetic)
-    norm_ab_inv = (_diagonal_inverse_norm(a0, a1, arithmetic)
-                   * _diagonal_inverse_norm(b0, b1, arithmetic))
+    norm_a, norm_b, norm_a_inv, norm_b_inv = _diagonal_norms(
+        *_family_diagonals(roots, arithmetic), arithmetic)
+    norm_ab, norm_ab_inv = norm_a * norm_b, norm_a_inv * norm_b_inv
     return (form.lt1, form.lt2, form.lt3, *form.singular_values, norm_ab, norm_ab_inv,
             *_bound_values(unital_capacity(form), 2.0 * arithmetic.log2(norm_ab),
                            2.0 * arithmetic.log2(norm_ab_inv), arithmetic))

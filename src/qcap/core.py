@@ -385,10 +385,14 @@ def binary_entropy(x) -> Union[float, np.ndarray]:
         lc = float(np.log2(c)) * c if c > 0.0 else 0.0
         return 0.0 - (lx + lc)
     arr = np.asarray(x, dtype=float)
-    if not np.all((arr >= -1e-12) & (arr <= 1.0 + 1e-12)):
+    # NaN propagates through min and max and fails the test
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
+    if not (lo >= -1e-12 and hi <= 1.0 + 1e-12):
         raise ValueError(f"binary_entropy argument outside [0, 1]: {x}")
-    out = entropy_kernel(np.clip(arr, 0.0, 1.0))
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    if lo < 0.0 or hi > 1.0:
+        arr = np.minimum(np.maximum(arr, 0.0), 1.0)
+    out = entropy_kernel(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def von_neumann_entropy(rho) -> Union[float, np.ndarray]:
@@ -409,19 +413,17 @@ def apply_scaling(K, X) -> np.ndarray:
 
 
 def operator_norm(K) -> Union[float, np.ndarray]:
-    """Largest singular value; for a positive diagonal operator this is
-    the maximum diagonal entry.  A (..., 2, 2) stack gives a (...) array
-    with the bits of the single 2x2 calls."""
+    """Largest singular value of a 2x2 operator, by ``_top_singular_value``
+    on Python floats; a (..., 2, 2) stack runs it on arrays and gives a
+    (...) array with the bits of the single calls.  Other shapes raise
+    ValueError."""
     K = np.asarray(K, dtype=complex)
-    if K.shape == (2, 2):
-        g = K.conj().T @ K
-        return gram_norm_2x2(g[0, 0].real + g[1, 1].real,
-                             (g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]).real)
-    if K.ndim > 2 and K.shape[-2:] == (2, 2):
-        g = _dagger(K) @ K
-        return gram_norm_2x2(g[..., 0, 0].real + g[..., 1, 1].real, _det_2x2(g).real,
-                             _ARRAYS)
-    return float(np.linalg.norm(K, 2))
+    if K.ndim < 2 or K.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 operator or a (..., 2, 2) stack, got shape {K.shape}")
+    if K.ndim == 2:
+        return _top_singular_value(*K.ravel().tolist(), _FLOATS)
+    (a, b), (c, d) = _entries_first(K)
+    return _top_singular_value(a, b, c, d, _ARRAYS)
 
 
 def _det_2x2(M: np.ndarray) -> np.ndarray:
@@ -470,13 +472,22 @@ _ARRAYS = _Arithmetic(np.sqrt, np.maximum, np.minimum, _each(_square), _each(mat
                       lambda *v: tuple(np.sort(v, axis=0)[::-1]))
 
 
-def gram_norm_2x2(tr: float, det: float, arithmetic: _Arithmetic = _FLOATS) -> float:
-    """Largest singular value of a 2x2 K from the trace and determinant
-    of its Gram matrix K'K (rounding may leave det or the discriminant
-    slightly negative; both are clamped at 0); arrays with ``_ARRAYS``."""
-    det = arithmetic.maximum(det, 0.0)
-    disc = arithmetic.maximum(tr * tr - 4.0 * det, 0.0)
-    return arithmetic.sqrt(0.5 * (tr + arithmetic.sqrt(disc)))
+def _top_singular_value(a, b, c, d, arithmetic: _Arithmetic):
+    """|K| for K = [[a, b], [c, d]] from its Gram matrix G = K'K, taken in
+    real arithmetic: |K|^2 = max(g00, g11) + |g01|^2 / (sqrt(h^2 + |g01|^2) + h)
+    with h = |g00 - g11|/2.  Every term is nonnegative, so nothing cancels
+    as the singular values meet; a real diagonal K gives max(|a|, |d|)
+    exactly, as the root of a correctly rounded square is its operand.
+    The floor 2^-1022 on the denominator changes no quotient but 0/0."""
+    g00 = (a.real * a.real + a.imag * a.imag) + (c.real * c.real + c.imag * c.imag)
+    g11 = (b.real * b.real + b.imag * b.imag) + (d.real * d.real + d.imag * d.imag)
+    ab_r, ab_i = _conj_mul(a, b)
+    cd_r, cd_i = _conj_mul(c, d)
+    re, im = ab_r + cd_r, ab_i + cd_i
+    off = re * re + im * im
+    h = 0.5 * abs(g00 - g11)
+    sqrt, maximum = arithmetic.sqrt, arithmetic.maximum
+    return sqrt(maximum(g00, g11) + off / maximum(sqrt(h * h + off) + h, 2.0**-1022))
 
 
 def inverse_2x2(M) -> np.ndarray:

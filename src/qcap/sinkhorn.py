@@ -30,7 +30,6 @@ from .core import (
     _FLOATS,
     _as_ptm,
     apply_channel_matrix,
-    gram_norm_2x2,
     inverse_2x2,
     is_interior,
     is_trace_preserving,
@@ -198,11 +197,8 @@ def family_scaling_pair(params: PauliChannelParams) -> ScalingPair:
 
 def _pair_values(l1, l2, l3, t3, arithmetic: _Arithmetic) -> tuple:
     """a0, a1, b0, b1 and the norms |A|, |B|, |A^-1|, |B^-1|."""
-    a0, a1, b0, b1 = _family_diagonals(_family_roots(l3, t3, arithmetic), arithmetic)
-    return (a0, a1, b0, b1,
-            _diagonal_norm(a0, a1, arithmetic), _diagonal_norm(b0, b1, arithmetic),
-            _diagonal_inverse_norm(a0, a1, arithmetic),
-            _diagonal_inverse_norm(b0, b1, arithmetic))
+    diagonals = _family_diagonals(_family_roots(l3, t3, arithmetic), arithmetic)
+    return (*diagonals, *_diagonal_norms(*diagonals, arithmetic))
 
 
 def _diagonal_operators(d0, d1) -> np.ndarray:
@@ -231,18 +227,15 @@ def _family_diagonals(roots: tuple, arithmetic: _Arithmetic) -> tuple:
     return sqrt(m * s), sqrt(p * r), g * (1.0 / sqrt(p * m)), g * (1.0 / sqrt(r * s))
 
 
-def _diagonal_norm(d0, d1, arithmetic: _Arithmetic):
-    # operator_norm(diag(d0, d1)) without the matrix products: the Gram
-    # matrix is diag(d0^2, d1^2)
-    g0, g1 = d0 * d0, d1 * d1
-    return gram_norm_2x2(g0 + g1, g0 * g1, arithmetic)
-
-
-def _diagonal_inverse_norm(d0, d1, arithmetic: _Arithmetic):
-    # operator_norm(inverse_2x2(diag(d0, d1))); numpy divides by the real
-    # determinant as a multiplication by its reciprocal
-    scale = 1.0 / (d0 * d1)
-    return _diagonal_norm(d1 * scale, d0 * scale, arithmetic)
+def _diagonal_norms(a0, a1, b0, b1, arithmetic: _Arithmetic) -> tuple:
+    """|A|, |B|, |A^-1|, |B^-1| of A = diag(a0, a1), B = diag(b0, b1) with
+    positive entries: the larger entry, which is what ``operator_norm`` of
+    A, B and their ``inverse_2x2`` gives, bit for bit.  numpy divides by
+    the real determinant as a multiplication by its reciprocal."""
+    maximum = arithmetic.maximum
+    a_scale, b_scale = 1.0 / (a0 * a1), 1.0 / (b0 * b1)
+    return (maximum(a0, a1), maximum(b0, b1),
+            maximum(a1 * a_scale, a0 * a_scale), maximum(b1 * b_scale, b0 * b_scale))
 
 
 def family_unital_params(params: PauliChannelParams) -> UnitalForm:

@@ -323,6 +323,22 @@ def test_binary_entropy_rejects_nan():
         binary_entropy(np.array([0.2, math.nan]))
 
 
+def test_binary_entropy_array_edges():
+    band = 1e-12
+    # within the band both ends clamp; one step beyond it, or NaN, raises
+    assert np.array_equal(binary_entropy(np.array([-band, 0.5, 1.0 + band])), [0.0, 1.0, 0.0])
+    for bad in (np.nextafter(-band, -1.0), np.nextafter(1.0 + band, 2.0), math.nan):
+        for arr in (np.array([0.25, bad]), np.array([[bad, 0.5], [0.5, 0.5]]), np.array(bad)):
+            with pytest.raises(ValueError, match="outside"):
+                binary_entropy(arr)
+    for empty in (np.array([]), np.zeros((0, 3)), []):
+        out = binary_entropy(empty)
+        assert out.dtype == float and out.shape == np.shape(empty)
+    grid = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    assert binary_entropy(grid).tobytes() == entropy_kernel(grid).tobytes()
+    assert type(binary_entropy(np.array(0.25))) is float
+
+
 def test_binary_entropy_float_path_matches_the_kernel_bit_for_bit():
     rng = np.random.default_rng(19)
     tiny = np.finfo(float).tiny
@@ -364,6 +380,60 @@ def test_operator_norm():
         K = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         via_svd = np.linalg.svd(K, compute_uv=False)[0]
         assert operator_norm(K) == pytest.approx(via_svd, rel=1e-12)
+
+
+def _top_singular_value_50_digits(mpmath, K):
+    # the larger Gram eigenvalue's root, in 50-digit arithmetic on the
+    # exact values of K's entries
+    with mpmath.workdps(50):
+        M = mpmath.matrix([[mpmath.mpc(complex(x)) for x in row] for row in K])
+        G = M.H * M
+        half_gap = (G[0, 0].real - G[1, 1].real) / 2
+        top = (G[0, 0].real + G[1, 1].real) / 2 + mpmath.sqrt(half_gap**2 + abs(G[0, 1])**2)
+        return mpmath.sqrt(top)
+
+
+@pytest.mark.parametrize("gap", [1e-3, 1e-7, 1e-11, 0.0])
+def test_operator_norm_is_exact_at_any_singular_value_gap(gap):
+    # no cancellation as the two singular values meet: a few eps of
+    # relative error, and a stack gives the single calls' bits
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(31)
+    ops = []
+    for k in range(120):  # real and complex in turn
+        g = rng.normal(size=(2, 2, 2))
+        u, _ = np.linalg.qr(g[0] + 1j * g[1] * (k % 2))
+        v, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+        s = rng.uniform(0.5, 2.0)
+        ops.append(u @ np.diag([s, s * (1.0 - gap)]) @ v.T)
+    eps = np.finfo(float).eps
+    stacked = operator_norm(np.array(ops))
+    for K, norm in zip(ops, stacked.tolist()):
+        single = operator_norm(K)
+        assert single == norm
+        exact = _top_singular_value_50_digits(mpmath, K)
+        with mpmath.workdps(50):
+            assert abs(mpmath.mpf(single) / exact - 1) <= 2 * eps
+
+
+def test_operator_norm_of_a_positive_diagonal_is_its_largest_entry():
+    rng = np.random.default_rng(32)
+    d = 10.0 ** rng.uniform(-3, 3, size=(500, 2))
+    d[:50, 1] = d[:50, 0]  # equal entries: h = g01 = 0
+    ops = np.zeros((500, 2, 2))
+    ops[:, 0, 0], ops[:, 1, 1] = d[:, 0], d[:, 1]
+    expected = d.max(axis=1)
+    assert np.array_equal(operator_norm(ops), expected)
+    assert np.array_equal(operator_norm(ops.reshape(25, 20, 2, 2)), expected.reshape(25, 20))
+    for K, top in zip(ops, expected.tolist()):
+        assert operator_norm(K) == top
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2,), (4,), (2, 3), (5, 2, 3), ()],
+                         ids=["3x3", "2", "4", "2x3", "5x2x3", "0-d"])
+def test_operator_norm_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match="2x2"):
+        operator_norm(np.ones(shape))
 
 
 def test_norm_inverse_product_at_least_one():
