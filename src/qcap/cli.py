@@ -2,9 +2,10 @@
 scaling decomposition, verify invariants, and render charts.
 
 Exit codes: 0 success, 1 verification failure or render error,
-2 bad flag value, a channel value the family does not take or the
-sweep sweeps, or channel not interior (or outside the family domain),
-3 channel not completely positive, 4 no convergence.
+2 bad flag value (an --out that cannot be written included), a channel
+value the family does not take or the sweep sweeps, or channel not
+interior (or outside the family domain), 3 channel not completely
+positive, 4 no convergence.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from typing import Optional
 
@@ -178,12 +178,19 @@ def _completely_positive(params: PauliChannelParams, x_name: str = "",
     return cp.is_cp
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
+def _emit(text: str, out_path: Optional[str]) -> int:
+    """Writes text to --out or stdout; an --out that cannot be written is
+    a bad flag value."""
+    if not out_path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
         with open(out_path, "w", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        return _fail(f"cannot write --out {out_path}: {exc.strerror or exc}",
+                     EXIT_NOT_INTERIOR)
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +198,8 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 
 def _analyze_payload(label: str, params: PauliChannelParams, chi: bool) -> dict:
-    row = _sweep_point((None, params, False))
+    columns = _sweep_columns([None], [params], None)
+    row = {name: column[0] for name, column in zip(CSV_COLUMNS, columns)}
     payload = {
         "channel": label,
         "lambda": [params.lambda1, params.lambda2, params.lambda3],
@@ -247,17 +255,11 @@ def cmd_analyze(args) -> int:
             f"{abs(params.t3) + abs(params.lambda3):.6g} >= 1", EXIT_NOT_INTERIOR)
     payload = _analyze_payload(label, params, args.chi)
     text = json.dumps(payload, indent=2) + "\n" if args.json else _analyze_text(payload)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _emit(text, args.out)
 
 
 # ---------------------------------------------------------------------------
 # sweep
-
-
-def _chi_value(params: PauliChannelParams) -> float:
-    """One point's c_chi cell; module level, so a worker pool can run it."""
-    return chi_capacity_numeric(params).value
 
 
 def _sweep_columns(xs: list, channels: list[PauliChannelParams],
@@ -272,14 +274,6 @@ def _sweep_columns(xs: list, channels: list[PauliChannelParams],
         bounds.unital_capacity, bounds.lower_raw, bounds.upper_raw,
         bounds.lower_clamped, bounds.upper_clamped)),
         [None] * len(xs) if chi is None else chi]
-
-
-def _sweep_point(task: tuple[Optional[float], PauliChannelParams, bool]) -> dict:
-    """The sweep row of one point (x, params, chi), ``CSV_COLUMNS`` mapped
-    onto its cells; ``qcap analyze`` takes its numbers from here."""
-    x, params, chi = task
-    columns = _sweep_columns([x], [params], [_chi_value(params)] if chi else None)
-    return {name: column[0] for name, column in zip(CSV_COLUMNS, columns)}
 
 
 # a sweep row's CSV line, each cell formatted as ``_fmt`` does it ('%.12g'
@@ -343,13 +337,7 @@ def cmd_sweep(args) -> int:
         xs.append(x)
         channels.append(params)
 
-    chi = None
-    workers = min(args.workers, len(channels))  # a pool forks all its workers at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chi = list(pool.map(_chi_value, channels)) if args.chi else None
-    elif args.chi:
-        chi = [_chi_value(params) for params in channels]
+    chi = [chi_capacity_numeric(params).value for params in channels] if args.chi else None
     columns = _sweep_columns(xs, channels, chi)
 
     if args.format == "json":
@@ -357,8 +345,7 @@ def cmd_sweep(args) -> int:
         text = _rows_to_json(rows, family, args.x, seed, args.chi)
     else:
         text = _columns_to_csv(columns, args.chi)
-    _emit(text, args.out)
-    return EXIT_OK
+    return _emit(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +396,7 @@ def cmd_sinkhorn(args) -> int:
         lines.append(f"method agreement |A||B| gap: {gap:.3e}")
         if gap > 1e-8:
             _warn(f"methods disagree beyond 1e-8: {gap:.3e}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    return _emit("\n".join(lines) + "\n", args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +425,8 @@ def cmd_verify(args) -> int:
         "counts": {"passed": passed, "failed": failed},
         "all_passed": failed == 0,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return EXIT_OK if failed == 0 else EXIT_FAIL
+    return _emit(json.dumps(payload, indent=2) + "\n", args.out) or (
+        EXIT_OK if failed == 0 else EXIT_FAIL)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--out", help="output path (default stdout)")
     ps.add_argument("--seed", type=int)
     ps.add_argument("--workers", type=int, default=1,
-                    help="evaluate grid points in a pool of this many processes "
-                         "(at most one per point)")
+                    help="accepted and ignored (at least 1); the sweep runs "
+                         "in one process, and the flag is to be removed")
     ps.set_defaults(func=cmd_sweep)
 
     pk = sub.add_parser("sinkhorn", help="scaling decomposition of a channel")

@@ -147,33 +147,6 @@ def test_sweep_worker_pool_matches_serial(args, tmp_path, capsys):
     assert serial.read_bytes() == pooled.read_bytes()
 
 
-def test_sweep_pool_has_at_most_one_worker_per_point(monkeypatch, capsys):
-    # a stand-in pool that records its size and maps in this process, so
-    # no large pool is ever started
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    args = ["sweep", "--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
-            "--max", "1.0", "--steps", "3"]
-    code, serial, _ = run(args, capsys)
-    assert code == 0
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    code, pooled, _ = run([*args, "--workers", "64"], capsys)
-    assert (code, sizes, pooled) == (0, [3], serial)
-
-
 @pytest.mark.parametrize("workers", ["1", "3"])
 @pytest.mark.parametrize("extra", [[], ["--format", "json"], ["--chi"]],
                          ids=["csv", "json", "chi"])
@@ -184,38 +157,22 @@ def test_sweep_pool_has_at_most_one_worker_per_point(monkeypatch, capsys):
 ], ids=["gad", "mix", "custom"])
 def test_sweep_runs_one_stacked_pass(args, extra, workers, monkeypatch, capsys):
     # one analyze call on the stack of all points, whatever the format,
-    # chi or pool; a pool maps only the per-point chi
+    # chi or --workers
     from qcap import capacity
-    calls, mapped = [], []
+    calls = []
 
     def counting(params):
         calls.append(params)
         return capacity.analyze(params)
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return False
-
-        def map(self, fn, tasks):
-            mapped.append(fn)
-            return map(fn, tasks)
-
     argv = ["sweep", *args, "--steps", "6", *extra]
     code, expected, _ = run(argv, capsys)
     assert code == 0
     monkeypatch.setattr(cli, "analyze", counting)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     code, out, _ = run([*argv, "--workers", workers], capsys)
     assert (code, out) == (0, expected)
     rows = json.loads(out)["rows"] if "json" in extra else out.splitlines()[1:]
     assert len(calls) == 1 and calls[0].lambda3.shape == (len(rows),)
-    assert mapped == ([cli._chi_value] if "--chi" in extra and workers == "3" else [])
 
 
 def test_sweep_builds_each_grid_point_once(monkeypatch, capsys):
@@ -459,8 +416,7 @@ def test_sweep_chi_values_pinned(family, fixed, x_name, lo, hi, steps, pins):
     for i, expected in pins.items():
         x = float(grid[i])
         params = make(**dict(fixed), **{x_name: x})
-        row = cli._sweep_point((x, params, True))
-        assert cli._fmt(row["c_chi"]) == expected
+        assert cli._fmt(chi_capacity_numeric(params).value) == expected
 
 
 @pytest.mark.parametrize("args, digest", [
@@ -520,7 +476,7 @@ def test_moved_chi_cells_are_correctly_rounded(index, cell):
     params = cli._FAMILIES["gad"][2](p=0.475, gamma_t=gamma_t)
     result = chi_capacity_numeric(params)
     exact = _holevo_50_digits(params, result.ensemble)
-    assert cli._fmt(cli._sweep_point((gamma_t, params, True))["c_chi"]) == cell
+    assert cli._fmt(result.value) == cell
     assert format(exact, ".12g") == cell
     assert abs(exact - Decimal(result.value)) <= Decimal("1e-15")  # entropies near 1 in doubles
 
@@ -767,6 +723,20 @@ def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypa
     assert "error:" in err and phrase in err
 
 
+@pytest.mark.parametrize("args", [
+    ["analyze", "--lambda", "0.5", "0.4", "0.3", "--t3", "0.2"],
+    ["sweep", *GAD_SWEEP],
+    ["sinkhorn", *CHANNEL, "--method", "closed-form"],
+    ["verify", "--suite", "core"],
+], ids=["analyze", "sweep", "sinkhorn", "verify"])
+def test_unwritable_out_exits_2(args, tmp_path, capsys):
+    # a bad --out is a bad flag value, not a traceback, and for verify not
+    # a failed check
+    code, out, err = run([*args, "--out", str(tmp_path / "missing" / "out")], capsys)
+    assert code == 2
+    assert "error: cannot write --out" in err and "Traceback" not in err
+
+
 def test_parser_is_built_once():
     # main() parses with the one cached parser instead of rebuilding it
     assert cli.build_parser() is cli.build_parser()
@@ -779,6 +749,21 @@ def test_cli_imports_no_reference_library():
               "code = cli.main(['sweep', '--gad', '--p', '0.3', '--x', 'gamma_t', '--min', '0.2', "
               "'--max', '1.0', '--steps', '3', '--chi']); "
               "print(code, sorted({'scipy', 'mpmath'} & {m.split('.')[0] for m in sys.modules}))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_imports_no_pool_machinery():
+    # a sweep runs in one process, whatever --workers says, so no start
+    # pays for the process pool modules
+    script = ("import sys; from qcap import cli; "
+              "code = cli.main(['sweep', '--gad', '--p', '0.3', '--x', 'gamma_t', '--min', '0.2', "
+              "'--max', '1.0', '--steps', '3', '--chi', '--workers', '3']); "
+              "print(code, sorted({'concurrent', 'multiprocessing'} "
+              "& {m.split('.')[0] for m in sys.modules}))")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)

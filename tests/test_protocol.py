@@ -134,8 +134,8 @@ def _top_singular_value_squared(A):
 
 
 def test_completion_tolerance_covers_the_norm_rounding():
-    # |A|^2 from the Gram discriminant loses digits as the two singular
-    # values of A meet; the tolerance above POVM_PSD_TOL bounds that loss
+    # |A|^2 is checked against its 50-digit value as the two singular
+    # values of A meet; the tolerance above POVM_PSD_TOL bounds its error
     rng = np.random.default_rng(8)
     for gap in (1e-3, 1e-7, 1e-11, 0.0):
         for _ in range(50):
