@@ -560,10 +560,11 @@ _NEWTON_CAP = 50     # Newton steps per solve, far above the few it takes
 _TANGENT_TOL = 1e-11  # tangent residual below which a solve counts as converged
 
 
-def _least_entropy(params: PauliChannelParams, z: float) -> tuple[float, float, float]:
-    # s(z) = S(r(z)), the least output entropy at input height z, and
-    # its first two derivatives: with g = r r' = (lambda3^2 - l^2) z +
-    # lambda3 t3 and q(r) = atanh(r)/r, s' = -q g/ln 2 and
+def _entropy_slopes(params: PauliChannelParams, z: float) -> tuple[float, float, float]:
+    # r(z), the purest output's Bloch radius at input height z, and the
+    # first two derivatives of s(z) = S(r(z)), the least output entropy:
+    # with g = r r' = (lambda3^2 - l^2) z + lambda3 t3 and
+    # q(r) = atanh(r)/r, s' = -q g/ln 2 and
     # s'' = -(q'(r) g^2/r + q (lambda3^2 - l^2))/ln 2; r is clipped as in
     # _entropy_slope, and q'(r)/r takes its series below r = 1e-2, where
     # the closed form cancels
@@ -580,8 +581,13 @@ def _least_entropy(params: PauliChannelParams, z: float) -> tuple[float, float, 
     else:
         q = math.atanh(rc) / rc
         dq_r = (rc / (1.0 - r2) - math.atanh(rc)) / (r2 * rc)
-    s = float(binary_entropy(0.5 * (1.0 - r)))
-    return s, _Q0 * q * g, _Q0 * (dq_r * g * g + q * curve)
+    return r, _Q0 * q * g, _Q0 * (dq_r * g * g + q * curve)
+
+
+def _least_entropy(params: PauliChannelParams, z: float) -> tuple[float, float, float]:
+    # s(z) = S(r(z)) and its first two derivatives (see _entropy_slopes)
+    r, ds, hs = _entropy_slopes(params, z)
+    return float(binary_entropy(0.5 * (1.0 - r))), ds, hs
 
 
 class _Heights(NamedTuple):
@@ -654,7 +660,7 @@ def _family_heights(params: PauliChannelParams) -> _Heights:
         # s' - S_avg' and its derivative, where S_avg(z) = S(|u|) for
         # u = lambda3 z + t3 has S_avg' = -lambda3 atanh(u)/ln 2; it rises
         # where the envelope is s, as S_avg - s is concave there
-        _, ds, hs = _least_entropy(params, z)
+        _, ds, hs = _entropy_slopes(params, z)
         u = min(max(params.lambda3 * z + params.t3, -_R_MAX), _R_MAX)
         return (ds - _Q0 * params.lambda3 * math.atanh(u),
                 hs - _Q0 * params.lambda3 ** 2 / (1.0 - u * u), ds)

@@ -15,13 +15,12 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 from typing import Optional
 
-import numpy as np
-
-from . import __version__, render, verify
+from . import __version__
 from .capacity import (
     DEFAULT_SEED,
     analyze,
@@ -301,6 +300,19 @@ def _rows_to_json(rows: list[dict], family: str, x_name: str, seed: int, chi: bo
                       indent=2) + "\n"
 
 
+def _grid(lo: float, hi: float, steps: int) -> list[float]:
+    """``np.linspace(lo, hi, steps).tolist()`` for steps >= 2, on Python
+    floats by numpy's own operations: with div = steps - 1 and
+    delta = hi - lo, point k is k*step + lo for step = delta/div, and the
+    last point is hi; where the step underflows to 0 (a subnormal range),
+    point k is (k/div)*delta + lo, numpy's branch for that case."""
+    div, delta = steps - 1, hi - lo
+    step = delta / div
+    if step == 0.0:
+        return [k / div * delta + lo for k in range(div)] + [hi]
+    return [k * step + lo for k in range(div)] + [hi]
+
+
 def cmd_sweep(args) -> int:
     try:
         seed = _resolve_seed(args.seed)
@@ -319,7 +331,7 @@ def cmd_sweep(args) -> int:
     except (NotInterior, ValueError) as exc:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
 
-    grid = np.linspace(args.min, args.max, args.steps).tolist()
+    grid = _grid(args.min, args.max, args.steps)
     xs, channels = [], []
     for index, x in enumerate(grid):
         try:
@@ -404,6 +416,7 @@ def cmd_sinkhorn(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # imported here, so that other commands start without it
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     try:
         seed = _resolve_seed(args.seed)
@@ -434,6 +447,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import render  # imported here, so that other commands start without it
     try:
         if args.preset:
             spec = render.preset_spec(args.preset, args.infile, args.out)
@@ -459,8 +473,15 @@ def cmd_render(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache  # parsing never mutates the parser, so one serves every call
-def build_parser() -> argparse.ArgumentParser:
+# a negative number, exponent notation included (-1e-3, -1.5E+2, -.5e1),
+# which the parsers read as a value, not as a flag; no qcap option starts
+# with a digit or a dot
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
+@functools.cache  # parsing never mutates a parser, so one set serves every call
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The qcap parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="qcap",
         description="capacity bounds for nonunital qubit channels")
@@ -522,11 +543,28 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--ymin", type=_finite_float, default=0.0)
     pr.add_argument("--ymax", type=_finite_float, default=1.0)
     pr.set_defaults(func=cmd_render)
-    return parser
+    for each in (parser, *sub.choices.values()):  # argparse has no public setting for it
+        each._negative_number_matcher = _NEGATIVE_NUMBER
+    return parser, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    """Runs one qcap command.  A call that names a subcommand goes
+    straight to that subcommand's parser, as the top-level parser would
+    hand it on, so each argument is parsed once; what that parser leaves
+    over is refused as ``parse_args`` refuses it."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    if argv and argv[0] in commands:
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:  # -h, --version, no command or an unknown one
+        args = parser.parse_args(argv)
     return args.func(args)
 
 

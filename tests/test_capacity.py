@@ -757,25 +757,35 @@ FIG_CHANNELS = ([gad_params(0.475, float(gt)) for gt in np.linspace(0.05, 3.0, 6
 
 def test_exact_chi_takes_no_hull_and_few_evaluations(monkeypatch):
     # a timing-free guard for the exact solver's work: no lower hull, and
-    # at most 12 evaluations of s per solve, two at the ends and one per
-    # Newton step (at most 9 on the figure points, 7 on the others)
+    # at most 12 evaluations of s or its slopes per solve, two at the ends
+    # and one per Newton step (at most 9 on the figure points, 7 on the
+    # others); every evaluation goes through _entropy_slopes, and those
+    # that take the entropy s itself (the ends and the bitangent's steps)
+    # through _least_entropy
     def refuse(z, s):
         raise AssertionError("_lower_hull called")
 
-    heights = []
-    least = capacity._least_entropy
+    heights, entropies = [], []
+    slopes, least = capacity._entropy_slopes, capacity._least_entropy
 
-    def counting(params, z):
+    def counting_slopes(params, z):
         heights.append(z)
+        return slopes(params, z)
+
+    def counting_least(params, z):
+        entropies.append(z)
         return least(params, z)
 
     monkeypatch.setattr(capacity, "_lower_hull", refuse)
-    monkeypatch.setattr(capacity, "_least_entropy", counting)
+    monkeypatch.setattr(capacity, "_entropy_slopes", counting_slopes)
+    monkeypatch.setattr(capacity, "_least_entropy", counting_least)
     for channel in [*FIG_CHANNELS, *ORACLE_CHANNELS.values(), *EDGE_CHANNELS.values(),
                     *RANDOM_FAMILY]:
         heights.clear()
+        entropies.clear()
         chi_capacity_numeric(channel)
         assert 2 <= len(heights) <= 12
+        assert entropies == [-1.0, 1.0, *entropies[2:]] and len(entropies) <= len(heights)
 
 
 def test_figure_hulls_keep_the_whole_grid(monkeypatch):

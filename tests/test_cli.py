@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -446,6 +447,24 @@ def test_figure_chi_csv_pinned(args, digest, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("preset, args, digest", [
+    ("fig1", ["--gad", "--p", "0.475", "--x", "gamma_t", "--min", "0.05", "--max", "3",
+              "--steps", "60"],
+     "8de85f229402a7c238a328943a5c197d810a54af2ad9e03bb7f0296307601435"),
+    ("fig2", ["--mix", "--x", "p", "--min", "0.02", "--max", "0.98", "--steps", "49"],
+     "4fa173a320d6a96c913dcb822aab3dd6bdfe07dca97b6aae6ba1e9f21cf4af03"),
+], ids=["fig1", "fig2"])
+def test_figure_svg_pinned(preset, args, digest, tmp_path, capsys):
+    # the figures themselves: each preset rendered from its pinned figure
+    # CSV, byte for byte
+    csv_path, svg_path = tmp_path / f"{preset}.csv", tmp_path / f"{preset}.svg"
+    assert cli.main(["sweep", *args, "--chi", "--seed", "42", "--out", str(csv_path)]) == 0
+    code, out, err = run(["render", "--preset", preset, "--in", str(csv_path),
+                          "--out", str(svg_path)], capsys)
+    assert (code, out, err) == (0, "", "")
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == digest
+
+
 def _holevo_50_digits(params, ensemble) -> Decimal:
     # the Holevo quantity of an ensemble through a family channel, in
     # 50-digit decimal arithmetic on the exact values of its doubles
@@ -632,7 +651,7 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
              "--max", "1.0", "--steps", "3"]
 
 
-@pytest.mark.parametrize("args, exit_code, phrase", [
+BAD_INPUT = [
     (["analyze", "--gad", "--p", "0.3", "--gamma-t", "nan"], 2, "finite"),
     (["analyze", "--lambda", "0.5", "0.4", "0.3", "--t3", "nan"], 2, "finite"),
     (["sinkhorn", "--gad", "--p", "nan", "--gamma-t", "1"], 2, "finite"),
@@ -703,12 +722,23 @@ GAD_SWEEP = ["--gad", "--p", "0.3", "--x", "gamma_t", "--min", "0.2",
       "--ymin", "nan"], 2, "finite"),
     (["render", "--preset", "fig1", "--in", "sweep.csv", "--out", "chart.svg",
       "--ymax", "inf"], 2, "finite"),
-])
-def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
-    while "=" in args[0]:  # a leading NAME=value sets the environment, as in a shell
+    # -inf reads as a flag, not as a negative number
+    (["analyze", *CHANNEL[:-1], "-inf"], 2, "--t3: expected one argument"),
+]
+
+
+def _set_env(args, monkeypatch):
+    # a leading NAME=value sets the environment, as in a shell; returns the rest
+    while args and "=" in args[0]:
         name, value = args[0].split("=", 1)
         monkeypatch.setenv(name, value)
         args = args[1:]
+    return args
+
+
+@pytest.mark.parametrize("args, exit_code, phrase", BAD_INPUT)
+def test_bad_input_exits_with_its_code(args, exit_code, phrase, capsys, monkeypatch):
+    args = _set_env(args, monkeypatch)
     # an uncaught exception would end the command with a traceback and exit 1
     try:
         code = cli.main(args)
@@ -769,3 +799,125 @@ def test_cli_imports_no_pool_machinery():
                           env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 []"
+
+
+def test_cli_imports_render_and_verify_only_for_their_commands(tmp_path):
+    # render (and with it csv) and verify are imported by the commands that
+    # use them, so a sweep starts without them
+    script = ("import sys; from qcap import cli; csv_path, svg_path = sys.argv[1:]; "
+              "code = cli.main(['sweep', '--gad', '--p', '0.3', '--x', 'gamma_t', '--min', '0.2', "
+              "'--max', '1.0', '--steps', '3', '--chi', '--out', csv_path]); "
+              "loaded = sorted({'qcap.render', 'qcap.verify', 'csv'} & set(sys.modules)); "
+              "rendered = cli.main(['render', '--preset', 'fig1', '--in', csv_path, "
+              "'--out', svg_path]); "
+              "print(code, loaded, rendered, 'qcap.render' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "sweep.csv"),
+                           str(tmp_path / "chart.svg")], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 [] 0 True"
+
+
+@pytest.mark.parametrize("exponent, decimal", [
+    (["analyze", "--lambda", "0.5", "0.4", "-1e-3", "--t3", "0.1"],
+     ["analyze", "--lambda", "0.5", "0.4", "-0.001", "--t3", "0.1"]),
+    (["analyze", "--lambda", "-1.5E-1", "0.4", "0.3", "--t3", "0.1", "--json"],
+     ["analyze", "--lambda", "-0.15", "0.4", "0.3", "--t3", "0.1", "--json"]),
+    (["analyze", "--lambda", "0.5", "0.4", "0.3", "--t3", "-.5e-1"],
+     ["analyze", "--lambda", "0.5", "0.4", "0.3", "--t3", "-0.05"]),
+    (["analyze", "--lambda", "0.5", "0.4", "0.3", "--t3", "-0.001e+2"],
+     ["analyze", "--lambda", "0.5", "0.4", "0.3", "--t3", "-0.1"]),
+    (["sweep", "--lambda", "0.5", "0.4", "0.3", "--x", "t3", "--min", "-2.5E-1",
+      "--max", "0.2", "--steps", "4"],
+     ["sweep", "--lambda", "0.5", "0.4", "0.3", "--x", "t3", "--min", "-0.25",
+      "--max", "0.2", "--steps", "4"]),
+], ids=["lambda", "lambda-upper-e", "t3-leading-dot", "t3-plus-exponent", "sweep-min"])
+def test_negative_exponent_notation_reads_as_a_value(exponent, decimal, capsys):
+    # a negative number in exponent notation is a value, as in decimal notation
+    expected = run(decimal, capsys)
+    assert expected[0] == 0
+    assert run(exponent, capsys) == expected
+
+
+def _exit_code(main, argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _parse_twice(argv):
+    # the reference: the top-level parser's parse_args, which hands a
+    # subcommand's arguments on to that subcommand's parser
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+DISPATCH_EDGES = {
+    "unknown-flag": ["analyze", *CHANNEL, "--bogus"],
+    "version-after-command": ["sweep", "--version"],
+    "abbreviated-flag": ["analyze", "--lamb", "0.5", "0.4", "0.3", "--t3", "0.2"],
+    "help": ["-h"],
+    "command-help": ["sweep", "-h"],
+    "version": ["--version"],
+    "no-command": [],
+    "unknown-command": ["plot", "--x", "p"],
+    "missing-value": ["analyze", "--gad", "--p"],
+    "missing-required": ["sweep", "--gad", "--p", "0.3"],
+    "bad-type": ["sweep", *GAD_SWEEP[:-1], "three"],
+    "extra-positionals": ["sweep", *GAD_SWEEP, "a", "b"],
+    "extras-between-flags": ["analyze", "x", *CHANNEL, "--y", "z"],
+    "option-before-command": ["--version", "sweep"],
+    "ok": ["analyze", *CHANNEL],
+}
+
+
+@pytest.mark.parametrize("argv", [*DISPATCH_EDGES.values(), *(a for a, _, _ in BAD_INPUT)],
+                         ids=[*DISPATCH_EDGES, *(f"bad{i}" for i in range(len(BAD_INPUT)))])
+def test_one_pass_dispatch_matches_parse_args(argv, capsys, monkeypatch):
+    # cli.main parses a subcommand's arguments with that subcommand's
+    # parser alone: same exit code, stdout and stderr as parse_args
+    argv = _set_env(argv, monkeypatch)
+    expected = (_exit_code(_parse_twice, argv), *capsys.readouterr())
+    assert (_exit_code(cli.main, argv), *capsys.readouterr()) == expected
+
+
+@pytest.mark.parametrize("command", ["sweep", "render"])
+def test_a_command_is_parsed_once(command, tmp_path, capsys, monkeypatch):
+    # a timing-free guard: one parse_known_args call, by the subcommand's
+    # own parser, where parse_args made two
+    csv_path = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *GAD_SWEEP, "--out", str(csv_path)]) == 0
+    argv = {"sweep": ["sweep", *GAD_SWEEP],
+            "render": ["render", "--preset", "fig1", "--in", str(csv_path),
+                       "--out", str(tmp_path / "chart.svg")]}[command]
+    parsers = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        parsers.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    assert cli.main(argv) == 0
+    assert parsers == [f"qcap {command}"]
+
+
+def test_sweep_grid_is_numpy_linspace():
+    # the float grid gives np.linspace's bits, subnormal steps included
+    rng = np.random.default_rng(27)
+    cases = [(0.05, 3.0, 60), (0.02, 0.98, 49), (0.0, 5e-324, 7), (-1e-310, 1e-310, 11),
+             (-0.0, 1.0, 3), (-1e300, 1e300, 4)]
+    for _ in range(3000):
+        lo, hi = sorted((rng.standard_normal(2) * 10.0 ** rng.integers(-325, 300, 2)).tolist())
+        if lo < hi:
+            cases.append((lo, hi, int(rng.integers(2, 40))))
+    for _ in range(1000):  # a few units of the least subnormal apart: the step is often 0
+        lo, hi = (m * 5e-324 for m in sorted(rng.integers(-60, 60, 2).tolist()))
+        if lo < hi:
+            cases.append((lo, hi, int(rng.integers(2, 200))))
+    assert sum((hi - lo) / (steps - 1) == 0.0 for lo, hi, steps in cases) > 300
+    for lo, hi, steps in cases:
+        grid = cli._grid(lo, hi, steps)
+        assert [x.hex() for x in grid] == [x.hex() for x in np.linspace(lo, hi, steps).tolist()]
