@@ -456,6 +456,8 @@ class _Arithmetic(NamedTuple):
     log2: Callable
     # three values, sorted descending
     descending: Callable
+    # where(condition, x, y): x where the condition holds, else y
+    where: Callable
 
 
 def _square(x: float) -> float:
@@ -467,9 +469,10 @@ def _each(f: Callable) -> Callable:
 
 
 _FLOATS = _Arithmetic(math.sqrt, max, min, _square, math.log2,
-                      lambda *v: tuple(sorted(v, reverse=True)))
+                      lambda *v: tuple(sorted(v, reverse=True)),
+                      lambda condition, x, y: x if condition else y)
 _ARRAYS = _Arithmetic(np.sqrt, np.maximum, np.minimum, _each(_square), _each(math.log2),
-                      lambda *v: tuple(np.sort(v, axis=0)[::-1]))
+                      lambda *v: tuple(np.sort(v, axis=0)[::-1]), np.where)
 
 
 def _top_singular_value(a, b, c, d, arithmetic: _Arithmetic):

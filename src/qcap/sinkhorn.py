@@ -6,8 +6,8 @@ that the sandwiched map
     Upsilon[X] = A Phi[B X B'] A'
 
 is unital and trace preserving.  The four-parameter family admits a
-closed form; arbitrary interior channels are handled by an alternating
-fixed-point iteration.  The operator norms of A, B and their inverses
+closed form; arbitrary interior channels are handled by Newton's method
+on Sinkhorn's fixed point.  The operator norms of A, B and their inverses
 feed the capacity bounds.
 """
 
@@ -32,8 +32,6 @@ from .core import (
     apply_channel_matrix,
     inverse_2x2,
     is_interior,
-    is_trace_preserving,
-    is_unital,
     kraus_ptm,
     operator_norm,
     ptm_from_params,
@@ -291,50 +289,162 @@ def verify_decomposition(channel: ChannelLike, pair: ScalingPair) -> Decompositi
 def sinkhorn_iterate(
     channel: ChannelLike,
     tol: float = 1e-12,
-    max_iter: int = 10_000,
+    max_iter: int = 100,
 ) -> ScalingPair:
-    """Scaling pair by alternating fixed point.
+    """Scaling pair by Newton's method on Sinkhorn's fixed point.
 
     With Q = A^2 and P = B^2, unitality and trace preservation of the
     sandwiched map read Q = Phi[P]^-1 and P = Phi'[Q]^-1 (Phi' the
-    Hilbert-Schmidt adjoint, whose PTM is the transpose).  Plain
-    alternation from P = I converges for interior channels; the result
-    is gauge fixed so that det A = det B.
+    Hilbert-Schmidt adjoint, whose PTM is the transpose): P is a fixed
+    point of the sweep T(P) = Phi'[Phi[P]^-1]^-1, which scales with P.
+    Newton's method solves g(c) = 2 T(P)[1:] / T(P)[0] - c = 0 for the
+    Bloch part c of P = (2 I + c.sigma) / 2, with the closed-form
+    Jacobian dT = T Phi'[Q Phi[dP] Q] T (see ``_newton_move``).  The
+    first step is one plain sweep from P = I; a Newton step that would
+    leave |c| < 2 is halved until it does not.  Each step runs one sweep
+    from its P and stops when the pair sqrt(Q), sqrt(T(P)) has
+    residuals below ``tol``; ``iterations`` counts these steps.  The
+    result is gauge fixed so that det A = det B.
 
-    The sweeps run on Pauli coefficients c_a = tr(sigma_a X) held as
-    Python floats (see ``_pauli_inverse``, ``_pauli_sqrt`` and
-    ``_pauli_sandwich``); matrices are built only for the returned pair.
+    The steps run on Pauli coefficients c_a = tr(sigma_a X) (see
+    ``_pauli_inverse``, ``_pauli_sqrt`` and ``_pauli_sandwich``), written
+    once over ``_Arithmetic``: one channel on Python floats, a (..., 4, 4)
+    stack of PTMs (or a family stack) in lockstep on arrays, with each
+    member frozen once it stops.  Every slice of a stacked pair has the
+    bits of its single call, and the stacked pair's ``iterations`` is the
+    last step any member ran.  For an interior channel every matrix the
+    steps invert is positive definite.
 
     Raises NotInterior pre-flight and NoConvergence if the residuals do
-    not reach ``tol`` within ``max_iter`` sweeps.
+    not reach ``tol`` within ``max_iter`` steps, naming the first such
+    channel of a stack.
     """
-    if not is_interior(channel):
-        raise NotInterior("channel image touches the Bloch sphere")
-    ptm = _as_ptm(channel)
-    forward, adjoint = ptm.tolist(), ptm.T.tolist()
+    ptm = _as_ptm(channel, stacked=True)
+    if ptm.ndim == 2:
+        if not is_interior(channel):
+            raise NotInterior("channel image touches the Bloch sphere")
+        forward, adjoint = ptm.tolist(), ptm.T.tolist()
+        c, residual = (0.0, 0.0, 0.0), math.inf  # P = I; what max_iter < 1 reports
+        for step in range(1, max_iter + 1):
+            q, t, roots, residual = _sweep(forward, adjoint, c, _FLOATS)
+            if residual < tol:
+                return ScalingPair.from_operators(*_gauged_operators(*roots, _FLOATS),
+                                                  iterations=step)
+            c = _newton_move(forward, adjoint, c, q, t, step > 1, _FLOATS)
+        raise NoConvergence(
+            f"residual {residual:.3e} > {tol:.1e} after {max(max_iter, 0)} Newton steps")
 
-    phi_p = _pauli_map(forward, (2.0, 0.0, 0.0, 0.0))  # Phi[I]
-    residual = math.inf  # what max_iter < 1 reports
-    for sweep in range(1, max_iter + 1):
-        q = _pauli_inverse(phi_p)
-        adj_q = _pauli_map(adjoint, q)
-        p = _pauli_inverse(adj_q)
-        phi_p = _pauli_map(forward, p)
-        root_q, root_p = _pauli_sqrt(q), _pauli_sqrt(p)
-        residual = max(_identity_residual(_pauli_sandwich(root_q, phi_p)),
-                       _identity_residual(_pauli_sandwich(root_p, adj_q)))
-        if residual < tol:
-            gauge = (_pauli_det(root_q) / _pauli_det(root_p)) ** 0.25
-            return ScalingPair.from_operators(_pauli_matrix(root_q) / gauge,
-                                              gauge * _pauli_matrix(root_p),
-                                              iterations=sweep)
-    raise NoConvergence(
-        f"residual {residual:.3e} > {tol:.1e} after {max(max_iter, 0)} sweeps"
-    )
+    members = ptm.reshape(-1, 4, 4)
+    # a family stack takes the family's exact test, as its single calls do
+    interior = (is_interior(channel) if isinstance(channel, PauliChannelParams)
+                else [is_interior(member) for member in members])
+    outside = np.flatnonzero(~np.ravel(interior))
+    if outside.size:
+        raise NotInterior(f"channel image touches the Bloch sphere at channel "
+                          f"{outside[0]} of the stack")
+    n = len(members)
+    roots = np.empty((2, 4, n))  # sqrt(Q) and sqrt(T(P)) of the members that stopped
+    residual = np.full(n, math.inf)
+    active, c, steps = np.arange(n), (np.zeros(n),) * 3, 0
+    for step in range(1, max_iter + 1):
+        if not active.size:
+            break
+        steps = step
+        forward, adjoint = members.transpose(1, 2, 0), members.transpose(2, 1, 0)
+        q, t, active_roots, active_residual = _sweep(forward, adjoint, c, _ARRAYS)
+        residual[active] = active_residual
+        done = active_residual < tol
+        roots[:, :, active[done]] = np.array(active_roots)[:, :, done]
+        going = ~done
+        active, members = active[going], members[going]
+        q, t, c = ([x[going] for x in values] for values in (q, t, c))
+        c = _newton_move(forward[..., going], adjoint[..., going], c, q, t, step > 1,
+                         _ARRAYS)
+    if active.size:
+        k = int(active[0])
+        raise NoConvergence(
+            f"residual {residual[k]:.3e} > {tol:.1e} after {max(max_iter, 0)} Newton steps "
+            f"at channel {k} of the stack")
+    shape = ptm.shape[:-2] + (2, 2)
+    a, b = _gauged_operators(*roots, _ARRAYS)
+    return ScalingPair.from_operators(a.reshape(shape), b.reshape(shape), iterations=steps)
+
+
+def _sweep(forward, adjoint, c, arithmetic: _Arithmetic) -> tuple:
+    """One sweep from P = (2 I + c.sigma) / 2: Q = Phi[P]^-1, T(P) =
+    Phi'[Q]^-1, the roots of Q and T(P), and the residual of the pair
+    they give, the largest entry of |sqrt(Q) Phi[T(P)] sqrt(Q) - I| and
+    |sqrt(T(P)) Phi'[Q] sqrt(T(P)) - I|."""
+    q = _pauli_inverse(_pauli_map(forward, (2.0, *c)))
+    adj_q = _pauli_map(adjoint, q)
+    t = _pauli_inverse(adj_q)
+    root_q, root_t = _pauli_sqrt(q, arithmetic), _pauli_sqrt(t, arithmetic)
+    residual = arithmetic.maximum(
+        _identity_residual(_pauli_sandwich(root_q, _pauli_map(forward, t)), arithmetic),
+        _identity_residual(_pauli_sandwich(root_t, adj_q), arithmetic))
+    return q, t, (root_q, root_t), residual
+
+
+def _newton_move(forward, adjoint, c, q, t, newton: bool, arithmetic: _Arithmetic) -> tuple:
+    """The next Bloch part after a sweep from c gave Q and t = T(P): the
+    sweep's own, 2 t[1:] / t[0], or with ``newton`` Newton's on
+    g(c) = 2 t[1:] / t[0] - c.
+
+    Column i of the Jacobian is s (dt[1:] - t[1:] dt[0] / t[0]) - e_i with
+    s = 2 / t[0] and dt = T Phi'[Q Phi[e_i] Q] T, where Phi[e_i] is column
+    i of the PTM.  The 3x3 system is solved by Cramer's rule, and the
+    step halved while the new point has |c| >= 2.
+    """
+    t0, t1, t2, t3 = t
+    s = 2.0 / t0
+    bloch = (s * t1, s * t2, s * t3)
+    if not newton:
+        return bloch
+    u = (t1 / t0, t2 / t0, t3 / t0)
+    columns = []
+    for i in (1, 2, 3):
+        phi_e = tuple(row[i] for row in forward)
+        dt = _pauli_sandwich(t, _pauli_map(adjoint, _pauli_sandwich(q, phi_e)))
+        columns.append(tuple(s * (dt[j] - u[j - 1] * dt[0]) - (1.0 if j == i else 0.0)
+                             for j in (1, 2, 3)))
+    j1, j2, j3 = columns
+    k1, k2, k3 = _cross(j2, j3), _cross(j3, j1), _cross(j1, j2)
+    scale = -1.0 / _dot(j1, k1)
+    g = tuple(b - ci for b, ci in zip(bloch, c))
+    delta = (_dot(g, k1) * scale, _dot(g, k2) * scale, _dot(g, k3) * scale)
+    while True:
+        moved = tuple(ci + di for ci, di in zip(c, delta))
+        outside = _dot(moved, moved) >= 4.0
+        if not np.any(outside):
+            return moved
+        delta = tuple(arithmetic.where(outside, 0.5 * d, d) for d in delta)
+
+
+def _cross(x, y):
+    x1, x2, x3 = x
+    y1, y2, y3 = y
+    return x2 * y3 - x3 * y2, x3 * y1 - x1 * y3, x1 * y2 - x2 * y1
+
+
+def _dot(x, y):
+    x1, x2, x3 = x
+    y1, y2, y3 = y
+    return x1 * y1 + x2 * y2 + x3 * y3
+
+
+def _gauged_operators(root_q, root_p, arithmetic: _Arithmetic) -> tuple:
+    """A = sqrt(Q) / g and B = g sqrt(P) with g = (det sqrt(Q) / det sqrt(P))^(1/4),
+    so that det A = det B; coefficient arrays give (n, 2, 2) stacks.  The
+    fourth root is two square roots, which floats and arrays round alike."""
+    gauge = arithmetic.sqrt(arithmetic.sqrt(_pauli_det(root_q) / _pauli_det(root_p)))
+    return (_pauli_matrix([x / gauge for x in root_q]),
+            _pauli_matrix([gauge * x for x in root_p]))
 
 
 # Hermitian 2x2 matrices X = (c0 I + c1 sx + c2 sy + c3 sz) / 2 as their
 # real Pauli coefficients c = (c0, c1, c2, c3); the PTM maps c to ptm @ c.
+# Each coefficient is a Python float or an (n,) array, one entry per
+# matrix of a stack.
 
 
 def _pauli_map(rows, c):
@@ -350,19 +460,17 @@ def _pauli_det(c):
 def _pauli_inverse(c):
     """X^-1 = (c0 I - c.sigma) / (2 det X): coefficients (c0, -c) / det X,
     with det X = (c0^2 - |c|^2) / 4."""
-    det = _pauli_det(c)
-    if det == 0.0:
-        raise ValueError("matrix is singular")
-    s = 1.0 / det
+    s = 1.0 / _pauli_det(c)
     c0, c1, c2, c3 = c
     return c0 * s, -c1 * s, -c2 * s, -c3 * s
 
 
-def _pauli_sqrt(c):
+def _pauli_sqrt(c, arithmetic: _Arithmetic = _FLOATS):
     """Principal root of a PSD X: (X + sqrt(det X) I) / sqrt(tr X + 2 sqrt(det X))."""
     c0, c1, c2, c3 = c
-    shifted = c0 + 2.0 * math.sqrt(max(_pauli_det(c), 0.0))
-    norm = 1.0 / math.sqrt(shifted)
+    sqrt = arithmetic.sqrt
+    shifted = c0 + 2.0 * sqrt(arithmetic.maximum(_pauli_det(c), 0.0))
+    norm = 1.0 / sqrt(shifted)
     return shifted * norm, c1 * norm, c2 * norm, c3 * norm
 
 
@@ -384,16 +492,24 @@ def _pauli_sandwich(r, f):
             along_f * f3 + along_r * r3)
 
 
-def _identity_residual(m):
+def _identity_residual(m, arithmetic: _Arithmetic = _FLOATS):
     """Largest entry of |X - I|."""
     m0, m1, m2, m3 = m
-    return max(abs(0.5 * (m0 + m3) - 1.0), abs(0.5 * (m0 - m3) - 1.0),
-               0.5 * math.hypot(m1, m2))
+    maximum = arithmetic.maximum
+    return maximum(maximum(abs(0.5 * (m0 + m3) - 1.0), abs(0.5 * (m0 - m3) - 1.0)),
+                   0.5 * arithmetic.sqrt(m1 * m1 + m2 * m2))
 
 
 def _pauli_matrix(c) -> np.ndarray:
+    """X from its coefficients, or a (n, 2, 2) stack from (n,) arrays."""
     c0, c1, c2, c3 = c
-    return 0.5 * np.array([[c0 + c3, complex(c1, -c2)], [complex(c1, c2), c0 - c3]])
+    m = np.zeros(np.shape(c0) + (2, 2), dtype=complex)
+    m.real[..., 0, 0] = 0.5 * (c0 + c3)
+    m.real[..., 1, 1] = 0.5 * (c0 - c3)
+    m.real[..., 0, 1] = m.real[..., 1, 0] = 0.5 * c1
+    m.imag[..., 0, 1] = -0.5 * c2
+    m.imag[..., 1, 0] = 0.5 * c2
+    return m
 
 
 def unital_diagonalize(channel: ChannelLike, tol: float = 1e-9) -> UnitalForm:
@@ -401,18 +517,28 @@ def unital_diagonalize(channel: ChannelLike, tol: float = 1e-9) -> UnitalForm:
 
     The diagonal entries are reported as the signed lt parameters;
     up to the rotations of the unital normal form the singular values
-    are the |lambda_i| that enter the capacity formula.
+    are the |lambda_i| that enter the capacity formula.  A (..., 4, 4)
+    stack of PTMs gives the stacked form, (...) arrays each entry the
+    bits of its single call.
+
+    Raises NotUnital when the translation norm or the largest deviation
+    of the first row from (1, 0, 0, 0) exceeds ``tol``, naming the first
+    such channel of a stack.
     """
-    ptm = _as_ptm(channel)
-    if not is_unital(ptm, tol):
-        raise NotUnital(f"translation norm {np.linalg.norm(ptm[1:, 0]):.3e} > {tol:.1e}")
-    if not is_trace_preserving(ptm, tol):
-        raise NotUnital("map is not trace preserving")
-    block = ptm[1:, 1:]
+    ptm = _as_ptm(channel, stacked=True)
+    translation = np.linalg.norm(ptm[..., 1:, 0], axis=-1)
+    unital = translation <= tol
+    trace_preserving = np.abs(ptm[..., 0, :] - np.array([1.0, 0.0, 0.0, 0.0])).max(axis=-1) <= tol
+    failed = np.ravel(~(unital & trace_preserving))
+    if failed.any():
+        k = int(failed.argmax())
+        where = "" if ptm.ndim == 2 else f" at channel {k} of the stack"
+        if not np.ravel(unital)[k]:
+            raise NotUnital(f"translation norm {np.ravel(translation)[k]:.3e} > {tol:.1e}{where}")
+        raise NotUnital(f"map is not trace preserving{where}")
+    block = ptm[..., 1:, 1:]
     sv = np.linalg.svd(block, compute_uv=False)
-    return UnitalForm(
-        float(block[0, 0]),
-        float(block[1, 1]),
-        float(block[2, 2]),
-        (float(sv[0]), float(sv[1]), float(sv[2])),
-    )
+    lt = block[..., 0, 0], block[..., 1, 1], block[..., 2, 2]
+    if ptm.ndim == 2:
+        return UnitalForm(*(float(x) for x in lt), tuple(float(x) for x in sv))
+    return UnitalForm(*lt, (sv[..., 0], sv[..., 1], sv[..., 2]))

@@ -16,6 +16,7 @@ the grouping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,14 +107,20 @@ def _check_bloch_roundtrip(rng) -> CheckResult:
 def _ptm_vs_kraus_draws(rng, count: int = 1000):
     """Raw Kraus sets, zero-padded to rank 4, and Bloch vectors, drawn in
     the order of ``random_cptp_channel`` then a one-vector
-    ``random_blochs`` per pair."""
-    ops = np.zeros((count, 4, 2, 2), dtype=complex)
+    ``random_blochs`` per pair: the rank, then one ``normal`` call for
+    the Ginibre set and the Bloch direction, then the radius, so the
+    draws and the generator state afterwards are those of the two
+    calls."""
+    ginibre = np.zeros((count, 4, 2, 2, 2))  # real, then imaginary parts
     blochs = np.empty((count, 3))
     for k in range(count):
         rank = int(rng.integers(1, 5))
-        ops[k, :rank] = core.random_ginibre(rng, rank)
-        blochs[k] = core.random_blochs(rng, 1)[0]
-    return ops, blochs
+        draw = rng.normal(size=8 * rank + 3)
+        ginibre[k, :rank] = draw[:-3].reshape(rank, 2, 2, 2)
+        v = draw[-3:]
+        v /= math.sqrt(v.dot(v))  # random_blochs' normalization and radius
+        blochs[k] = v * rng.uniform() ** (1.0 / 3.0)
+    return ginibre[:, :, 0] + 1j * ginibre[:, :, 1], blochs
 
 
 def _check_ptm_vs_kraus(rng) -> CheckResult:
@@ -254,18 +261,13 @@ def _check_gauge_invariance(rng) -> CheckResult:
 
 
 def _check_two_path_agreement(rng) -> CheckResult:
-    worst = 0.0
     stack = core.PauliChannelParams.stack(_random_family_interiors(rng, 100))
     ptms = core.ptm_from_params(stack)
-    pairs = sinkhorn.ScalingPair.stack([sinkhorn.sinkhorn_iterate(ptm) for ptm in ptms])
     closed = sinkhorn.family_unital_params(stack)
-    for lt1, lt2, lt3, ups in zip(closed.lt1.tolist(), closed.lt2.tolist(),
-                                  closed.lt3.tolist(), sinkhorn.upsilon_ptm(ptms, pairs)):
-        iterated = sinkhorn.unital_diagonalize(ups, tol=1e-7)
-        worst = max(worst,
-                    abs(lt1 - iterated.lt1),
-                    abs(lt2 - iterated.lt2),
-                    abs(lt3 - iterated.lt3))
+    iterated = sinkhorn.unital_diagonalize(
+        sinkhorn.upsilon_ptm(ptms, sinkhorn.sinkhorn_iterate(stack)), tol=1e-7)
+    worst = max(float(np.abs(getattr(closed, name) - getattr(iterated, name)).max())
+                for name in ("lt1", "lt2", "lt3"))
     return _result("closed_form_matches_iteration", worst <= 1e-8,
                    f"max lt deviation {worst:.2e} over 100 channels (tol 1e-8)")
 

@@ -553,6 +553,27 @@ def test_ptm_vs_kraus_draws_match_the_sequential_draws():
     assert bloch_to_density(blochs).tobytes() == np.array(rhos).tobytes()
 
 
+def _two_call_ptm_vs_kraus_draws(rng, count):
+    # the draw loop with one random_ginibre and one random_blochs call per pair
+    ops = np.zeros((count, 4, 2, 2), dtype=complex)
+    blochs = np.empty((count, 3))
+    for k in range(count):
+        rank = int(rng.integers(1, 5))
+        ops[k, :rank] = core.random_ginibre(rng, rank)
+        blochs[k] = core.random_blochs(rng, 1)[0]
+    return ops, blochs
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_ptm_vs_kraus_draws_match_the_two_call_draws(seed):
+    fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+    ops, blochs = verify._ptm_vs_kraus_draws(fast, count=100)
+    ref_ops, ref_blochs = _two_call_ptm_vs_kraus_draws(slow, 100)
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert ops.tobytes() == ref_ops.tobytes()
+    assert blochs.tobytes() == ref_blochs.tobytes()
+
+
 def test_singular_kraus_set_is_refused():
     # S = sum K'K singular: no normalization exists, so no PTM (once a
     # PTM with NaN rows 1-3 that passed is_trace_preserving) and no warning

@@ -336,7 +336,8 @@ def test_norm_products_diverge_towards_amplitude_damping():
 
 
 # ---------------------------------------------------------------------------
-# the Pauli-coefficient sweep against the matrix-form loop it replaced
+# the Newton pair against the alternating loop it replaced, kept here in
+# matrix form as the reference
 
 
 def _matrix_sqrt(M):
@@ -362,36 +363,99 @@ def _matrix_form_iterate(ptm, tol=1e-12, max_iter=10_000):
     raise AssertionError("reference loop did not converge")
 
 
-def _assert_matches_matrix_form(ptm, tol=1e-12):
-    pair = sinkhorn_iterate(ptm, tol=tol)
-    ref, residuals = _matrix_form_iterate(ptm, tol=tol)
-    stop = min(pair.iterations, len(residuals))
-    # the residuals of the two forms differ by round-off, so a residual
-    # within 1% of tol may stop either form one sweep earlier
-    if pair.iterations != len(residuals):
-        assert abs(pair.iterations - len(residuals)) == 1
-        assert abs(residuals[stop - 1] / tol - 1.0) < 1e-2
-        return False
-    for got, expected in ((pair.a, ref.a), (pair.b, ref.b)):
-        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-12 * np.abs(expected).max())
-    return True
+def _matrix_form_residual(ptm, pair):
+    """The stopping residual of ``pair`` in matrix form: the largest entry
+    of |A Phi[B^2] A - I| and |B Phi'[A^2] B - I|."""
+    eye = np.eye(2)
+    a, b = pair.a, pair.b
+    unital = a @ apply_channel_matrix(ptm, b @ b) @ a - eye
+    tp = b @ apply_channel_matrix(ptm.T, a @ a) @ b - eye
+    return max(np.abs(unital).max(), np.abs(tp).max())
 
 
-def test_iteration_matches_the_matrix_form_loop():
+def _reference_params(rng=None):
+    rng = np.random.default_rng(53) if rng is None else rng
+    return [_random_interior_params(rng) for _ in range(100)]
+
+
+def _reference_ptms():
+    """100 family PTMs, 100 random Kraus interiors, and GAD(p, 1) at
+    p = 0.3, 1e-3 and 1e-4."""
     rng = np.random.default_rng(53)
-    ptms = [ptm_from_params(_random_interior_params(rng)) for _ in range(100)]
+    ptms = [ptm_from_params(params) for params in _reference_params(rng)]
     while len(ptms) < 200:
         ch = random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5)))
         if is_interior(ch):
             ptms.append(ch)
-    ptms += [ptm_from_params(gad_params(p, 1.0)) for p in (0.3, 1e-3, 1e-4)]
-    same = [_assert_matches_matrix_form(ptm) for ptm in ptms]
-    assert sum(same) >= len(ptms) - 2
-    assert all(same[-3:])
+    return ptms + [ptm_from_params(gad_params(p, 1.0)) for p in (0.3, 1e-3, 1e-4)]
+
+
+def test_iteration_matches_the_matrix_form_loop():
+    for ptm in _reference_ptms():
+        pair = sinkhorn_iterate(ptm)
+        assert _matrix_form_residual(ptm, pair) < 1e-12
+        ref, _ = _matrix_form_iterate(ptm, tol=1e-14)
+        for got, expected in ((pair.a, ref.a), (pair.b, ref.b)):
+            np.testing.assert_allclose(got, expected, rtol=0,
+                                       atol=1e-10 * np.abs(expected).max())
+
+
+def test_iteration_residual_is_below_the_tolerance_in_matrix_form():
+    ptms = _reference_ptms()
+    for tol in (1e-8, 1e-10, 1e-12):
+        for ptm, pair in zip(ptms, (sinkhorn_iterate(ptm, tol=tol) for ptm in ptms)):
+            assert _matrix_form_residual(ptm, pair) < tol
+
+
+def test_stacked_iteration_matches_the_single_calls():
+    ptms = np.array(_reference_ptms()[:200])
+    stacked = sinkhorn_iterate(ptms)
+    assert type(stacked.iterations) is int
+    singles = [sinkhorn_iterate(ptm) for ptm in ptms]
+    assert stacked.iterations == max(p.iterations for p in singles)
+    for name in ("a", "b", "norm_a", "norm_b", "norm_a_inv", "norm_b_inv"):
+        assert getattr(stacked, name).tobytes() == \
+            np.array([getattr(p, name) for p in singles]).tobytes(), name
+    # a (2, 100, 4, 4) stack gives the same slices, and the family stack
+    # of the first 100 the same pairs as their PTMs
+    square = sinkhorn_iterate(ptms.reshape(2, 100, 4, 4))
+    assert square.a.shape == (2, 100, 2, 2) and square.norm_ab.shape == (2, 100)
+    assert square.a.tobytes() == stacked.a.tobytes()
+    family = sinkhorn_iterate(PauliChannelParams.stack(_reference_params()))
+    assert family.a.tobytes() == stacked.a[:100].tobytes()
+    assert family.b.tobytes() == stacked.b[:100].tobytes()
+    forms = unital_diagonalize(upsilon_ptm(ptms, stacked), tol=1e-7)
+    for k, (ptm, pair) in enumerate(zip(ptms, singles)):
+        one = unital_diagonalize(upsilon_ptm(ptm, pair), tol=1e-7)
+        assert [forms.lt1[k], forms.lt2[k], forms.lt3[k], *(sv[k] for sv in forms.singular_values)] \
+            == [one.lt1, one.lt2, one.lt3, *one.singular_values]
+        assert isinstance(one.lt1, float)
+
+
+def test_stacked_iteration_names_the_first_failing_channel():
+    good = ptm_from_params(PauliChannelParams(0.5, 0.4, 0.3, 0.3))
+    pole = ptm_from_params(PauliChannelParams(0.3, 0.3, 0.7, 0.3))
+    with pytest.raises(NotInterior, match="at channel 2 of the stack"):
+        sinkhorn_iterate(np.array([good, good, pole, pole]))
+    family = [PauliChannelParams(0.5, 0.4, 0.3, 0.3), PauliChannelParams(0.5, 0.5, 0.6, 0.4)]
+    with pytest.raises(NotInterior, match="at channel 1 of the stack"):
+        sinkhorn_iterate(PauliChannelParams.stack(family))
+    slow = ptm_from_params(gad_params(1e-4, 1.0))
+    with pytest.raises(NoConvergence, match="after 5 Newton steps at channel 1 of the stack"):
+        sinkhorn_iterate(np.array([good, slow, slow]), max_iter=5)
+    with pytest.raises(NotUnital, match="at channel 1 of the stack"):
+        unital_diagonalize(np.array([np.eye(4), good]))
+
+
+def test_iteration_steps_near_amplitude_damping():
+    steps = [sinkhorn_iterate(ptm_from_params(gad_params(p, 1.0))).iterations
+             for p in (0.3, 1e-3, 1e-4, 1e-6)]
+    assert all(s <= bound for s, bound in zip(steps, [4, 7, 9, 13])), steps
 
 
 def test_iteration_sweeps_near_amplitude_damping():
-    sweeps = [sinkhorn_iterate(ptm_from_params(gad_params(p, 1.0))).iterations
+    # the alternating loop converges only linearly as p -> 0
+    sweeps = [len(_matrix_form_iterate(ptm_from_params(gad_params(p, 1.0)))[1])
               for p in (0.3, 1e-3, 1e-4)]
     assert sweeps == [8, 89, 269]
 
