@@ -4,10 +4,10 @@ Interior qubit channels can be scaled to a unital channel whose
 classical capacity is known in closed form; the operator norms of the
 scaling pair turn that value into two-sided capacity bounds.  The
 package computes the scaling decomposition (closed form for the
-four-parameter channel family, fixed-point iteration in general), the
-resulting bounds, and the chi-capacity (exact for the family, by a
-multistart search otherwise), and sweeps channel families into CSV/SVG
-outputs.
+four-parameter channel family, Newton's method on Sinkhorn's fixed
+point in general), the resulting bounds, and the chi-capacity (exact
+for the family, by a multistart search otherwise), and sweeps channel
+families into CSV/SVG outputs.
 """
 
 from .core import (

@@ -72,12 +72,6 @@ class CapacityBounds:
                   upper_gap: float) -> "CapacityBounds":
         return cls(*_bound_values(unital_capacity, lower_gap, upper_gap, _FLOATS))
 
-    @classmethod
-    def from_parts(cls, unital_capacity: float, norm_ab: float,
-                   norm_ab_inv: float) -> "CapacityBounds":
-        return cls.from_gaps(unital_capacity, 2.0 * math.log2(norm_ab),
-                             2.0 * math.log2(norm_ab_inv))
-
 
 def _bound_values(unital_capacity, lower_gap, upper_gap, arithmetic: _Arithmetic) -> tuple:
     """The fields of ``CapacityBounds``, in order."""

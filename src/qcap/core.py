@@ -90,11 +90,10 @@ class CPReport(NamedTuple):
 
 
 def _as_ptm(channel: ChannelLike, stacked: bool = False) -> np.ndarray:
-    """The 4x4 PTM of ``channel``; with ``stacked``, an array may also be a
-    (..., 4, 4) stack of PTMs."""
-    if isinstance(channel, PauliChannelParams):
-        return ptm_from_params(channel)
-    ptm = np.asarray(channel, dtype=float)
+    """The 4x4 PTM of ``channel``; with ``stacked``, it may also be a
+    (..., 4, 4) stack of PTMs or a family stack."""
+    ptm = (ptm_from_params(channel) if isinstance(channel, PauliChannelParams)
+           else np.asarray(channel, dtype=float))
     if ptm.shape[-2:] != (4, 4) or (ptm.ndim != 2 and not stacked):
         expected = "a (..., 4, 4) stack of PTMs" if stacked else "a 4x4 PTM"
         raise ValueError(f"expected {expected}, got shape {ptm.shape}")
@@ -270,10 +269,13 @@ def is_completely_positive(channel: ChannelLike, tol: float = PSD_TOL) -> CPRepo
     and (1 - lambda3 - hypot(t3, lambda1 - lambda2))/2; any other channel
     goes through the eigensolver.  A (..., 4, 4) stack of PTMs takes one
     stacked eigensolve and gives (...) arrays, each entry the single
-    call's.
+    call's; a family stack raises ValueError, as the other single-channel
+    functions do.
     """
     if isinstance(channel, PauliChannelParams):
         l1, l2, l3, t3 = channel.lambda1, channel.lambda2, channel.lambda3, channel.t3
+        if isinstance(l3, np.ndarray):  # a family stack, whose PTMs are not built here
+            raise ValueError(f"expected a 4x4 PTM, got shape {l3.shape + (4, 4)}")
         mineig = 0.5 * min(1.0 + l3 - math.hypot(t3, l1 + l2),
                            1.0 - l3 - math.hypot(t3, l1 - l2))
         return CPReport(mineig >= -tol, mineig)
@@ -456,8 +458,6 @@ class _Arithmetic(NamedTuple):
     log2: Callable
     # three values, sorted descending
     descending: Callable
-    # where(condition, x, y): x where the condition holds, else y
-    where: Callable
 
 
 def _square(x: float) -> float:
@@ -469,10 +469,9 @@ def _each(f: Callable) -> Callable:
 
 
 _FLOATS = _Arithmetic(math.sqrt, max, min, _square, math.log2,
-                      lambda *v: tuple(sorted(v, reverse=True)),
-                      lambda condition, x, y: x if condition else y)
+                      lambda *v: tuple(sorted(v, reverse=True)))
 _ARRAYS = _Arithmetic(np.sqrt, np.maximum, np.minimum, _each(_square), _each(math.log2),
-                      lambda *v: tuple(np.sort(v, axis=0)[::-1]), np.where)
+                      lambda *v: tuple(np.sort(v, axis=0)[::-1]))
 
 
 def _top_singular_value(a, b, c, d, arithmetic: _Arithmetic):
@@ -497,16 +496,11 @@ def inverse_2x2(M) -> np.ndarray:
     """Closed-form (adjugate / determinant) inverse of a 2x2 matrix, or of
     each matrix in a (..., 2, 2) stack, bit for bit."""
     M = np.asarray(M, dtype=complex)
-    if M.ndim > 2:
-        det = _det_2x2(M)
-        if np.any(det == 0):
-            raise ValueError("matrix is singular")
-        adj = np.stack([M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0]], axis=-1)
-        return adj.reshape(M.shape) / det[..., None, None]
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if det == 0:
+    det = _det_2x2(M)
+    if np.any(det == 0):
         raise ValueError("matrix is singular")
-    return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+    adj = np.stack([M[..., 1, 1], -M[..., 0, 1], -M[..., 1, 0], M[..., 0, 0]], axis=-1)
+    return adj.reshape(M.shape) / det[..., None, None]
 
 
 # ---------------------------------------------------------------------------

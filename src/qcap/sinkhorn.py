@@ -43,7 +43,7 @@ class ScalingPair:
     """Positive definite scaling operators with cached operator norms.
 
     A stacked pair holds (..., 2, 2) operators and (...) arrays of norms,
-    one entry per instance (see ``from_operators`` and ``stack``).
+    one entry per instance (see ``from_operators``).
     """
 
     a: np.ndarray
@@ -69,18 +69,6 @@ class ScalingPair:
             norm_b_inv=operator_norm(inverse_2x2(b)),
             iterations=iterations,
         )
-
-    @classmethod
-    def stack(cls, pairs: Sequence["ScalingPair"]) -> "ScalingPair":
-        """One stacked pair from k pairs: (k, 2, 2) operators and (k,)
-        norms, each slice the bits of its pair."""
-        a = np.stack([p.a for p in pairs])
-        b = np.stack([p.b for p in pairs])
-        a.flags.writeable = False
-        b.flags.writeable = False
-        norms = (np.array([getattr(p, name) for p in pairs])
-                 for name in ("norm_a", "norm_b", "norm_a_inv", "norm_b_inv"))
-        return cls(a, b, *norms)
 
     @property
     def norm_ab(self) -> float:
@@ -307,70 +295,60 @@ def sinkhorn_iterate(
     result is gauge fixed so that det A = det B.
 
     The steps run on Pauli coefficients c_a = tr(sigma_a X) (see
-    ``_pauli_inverse``, ``_pauli_sqrt`` and ``_pauli_sandwich``), written
-    once over ``_Arithmetic``: one channel on Python floats, a (..., 4, 4)
-    stack of PTMs (or a family stack) in lockstep on arrays, with each
-    member frozen once it stops.  Every slice of a stacked pair has the
-    bits of its single call, and the stacked pair's ``iterations`` is the
-    last step any member ran.  For an interior channel every matrix the
-    steps invert is positive definite.
+    ``_pauli_inverse``, ``_pauli_sqrt`` and ``_pauli_sandwich``) as (n,)
+    arrays: a (..., 4, 4) stack of PTMs (or a family stack) runs in
+    lockstep, with each member frozen once it stops, and one channel runs
+    as a stack of one whose pair is reshaped back to 2x2 operators with
+    float norms.  Every slice of a stacked pair has the bits of its single
+    call, and ``iterations`` is the last step any member ran.  For an
+    interior channel every matrix the steps invert is positive definite.
 
     Raises NotInterior pre-flight and NoConvergence if the residuals do
     not reach ``tol`` within ``max_iter`` steps, naming the first such
     channel of a stack.
     """
     ptm = _as_ptm(channel, stacked=True)
-    if ptm.ndim == 2:
-        if not is_interior(channel):
-            raise NotInterior("channel image touches the Bloch sphere")
-        forward, adjoint = ptm.tolist(), ptm.T.tolist()
-        c, residual = (0.0, 0.0, 0.0), math.inf  # P = I; what max_iter < 1 reports
-        for step in range(1, max_iter + 1):
-            q, t, roots, residual = _sweep(forward, adjoint, c, _FLOATS)
-            if residual < tol:
-                return ScalingPair.from_operators(*_gauged_operators(*roots, _FLOATS),
-                                                  iterations=step)
-            c = _newton_move(forward, adjoint, c, q, t, step > 1, _FLOATS)
-        raise NoConvergence(
-            f"residual {residual:.3e} > {tol:.1e} after {max(max_iter, 0)} Newton steps")
-
     members = ptm.reshape(-1, 4, 4)
-    # a family stack takes the family's exact test, as its single calls do
+    # a family channel or stack takes the family's exact test
     interior = (is_interior(channel) if isinstance(channel, PauliChannelParams)
                 else [is_interior(member) for member in members])
     outside = np.flatnonzero(~np.ravel(interior))
     if outside.size:
-        raise NotInterior(f"channel image touches the Bloch sphere at channel "
-                          f"{outside[0]} of the stack")
+        raise NotInterior("channel image touches the Bloch sphere"
+                          + _stack_position(int(outside[0]), ptm))
     n = len(members)
     roots = np.empty((2, 4, n))  # sqrt(Q) and sqrt(T(P)) of the members that stopped
-    residual = np.full(n, math.inf)
+    residual = np.full(n, math.inf)  # P = I; what max_iter < 1 reports
     active, c, steps = np.arange(n), (np.zeros(n),) * 3, 0
     for step in range(1, max_iter + 1):
         if not active.size:
             break
         steps = step
         forward, adjoint = members.transpose(1, 2, 0), members.transpose(2, 1, 0)
-        q, t, active_roots, active_residual = _sweep(forward, adjoint, c, _ARRAYS)
+        q, t, active_roots, active_residual = _sweep(forward, adjoint, c)
         residual[active] = active_residual
         done = active_residual < tol
         roots[:, :, active[done]] = np.array(active_roots)[:, :, done]
         going = ~done
         active, members = active[going], members[going]
         q, t, c = ([x[going] for x in values] for values in (q, t, c))
-        c = _newton_move(forward[..., going], adjoint[..., going], c, q, t, step > 1,
-                         _ARRAYS)
+        c = _newton_move(forward[..., going], adjoint[..., going], c, q, t, step > 1)
     if active.size:
         k = int(active[0])
         raise NoConvergence(
-            f"residual {residual[k]:.3e} > {tol:.1e} after {max(max_iter, 0)} Newton steps "
-            f"at channel {k} of the stack")
+            f"residual {residual[k]:.3e} > {tol:.1e} after {max(max_iter, 0)} Newton steps"
+            + _stack_position(k, ptm))
     shape = ptm.shape[:-2] + (2, 2)
-    a, b = _gauged_operators(*roots, _ARRAYS)
+    a, b = _gauged_operators(*roots)
     return ScalingPair.from_operators(a.reshape(shape), b.reshape(shape), iterations=steps)
 
 
-def _sweep(forward, adjoint, c, arithmetic: _Arithmetic) -> tuple:
+def _stack_position(k: int, ptm: np.ndarray) -> str:
+    """An error message's " at channel k of the stack", or "" for one channel."""
+    return "" if ptm.ndim == 2 else f" at channel {k} of the stack"
+
+
+def _sweep(forward, adjoint, c) -> tuple:
     """One sweep from P = (2 I + c.sigma) / 2: Q = Phi[P]^-1, T(P) =
     Phi'[Q]^-1, the roots of Q and T(P), and the residual of the pair
     they give, the largest entry of |sqrt(Q) Phi[T(P)] sqrt(Q) - I| and
@@ -378,14 +356,13 @@ def _sweep(forward, adjoint, c, arithmetic: _Arithmetic) -> tuple:
     q = _pauli_inverse(_pauli_map(forward, (2.0, *c)))
     adj_q = _pauli_map(adjoint, q)
     t = _pauli_inverse(adj_q)
-    root_q, root_t = _pauli_sqrt(q, arithmetic), _pauli_sqrt(t, arithmetic)
-    residual = arithmetic.maximum(
-        _identity_residual(_pauli_sandwich(root_q, _pauli_map(forward, t)), arithmetic),
-        _identity_residual(_pauli_sandwich(root_t, adj_q), arithmetic))
+    root_q, root_t = _pauli_sqrt(q), _pauli_sqrt(t)
+    residual = np.maximum(_identity_residual(_pauli_sandwich(root_q, _pauli_map(forward, t))),
+                          _identity_residual(_pauli_sandwich(root_t, adj_q)))
     return q, t, (root_q, root_t), residual
 
 
-def _newton_move(forward, adjoint, c, q, t, newton: bool, arithmetic: _Arithmetic) -> tuple:
+def _newton_move(forward, adjoint, c, q, t, newton: bool) -> tuple:
     """The next Bloch part after a sweep from c gave Q and t = T(P): the
     sweep's own, 2 t[1:] / t[0], or with ``newton`` Newton's on
     g(c) = 2 t[1:] / t[0] - c.
@@ -417,7 +394,7 @@ def _newton_move(forward, adjoint, c, q, t, newton: bool, arithmetic: _Arithmeti
         outside = _dot(moved, moved) >= 4.0
         if not np.any(outside):
             return moved
-        delta = tuple(arithmetic.where(outside, 0.5 * d, d) for d in delta)
+        delta = tuple(np.where(outside, 0.5 * d, d) for d in delta)
 
 
 def _cross(x, y):
@@ -432,11 +409,11 @@ def _dot(x, y):
     return x1 * y1 + x2 * y2 + x3 * y3
 
 
-def _gauged_operators(root_q, root_p, arithmetic: _Arithmetic) -> tuple:
+def _gauged_operators(root_q, root_p) -> tuple:
     """A = sqrt(Q) / g and B = g sqrt(P) with g = (det sqrt(Q) / det sqrt(P))^(1/4),
-    so that det A = det B; coefficient arrays give (n, 2, 2) stacks.  The
-    fourth root is two square roots, which floats and arrays round alike."""
-    gauge = arithmetic.sqrt(arithmetic.sqrt(_pauli_det(root_q) / _pauli_det(root_p)))
+    so that det A = det B, as (n, 2, 2) stacks.  The fourth root is two
+    square roots."""
+    gauge = np.sqrt(np.sqrt(_pauli_det(root_q) / _pauli_det(root_p)))
     return (_pauli_matrix([x / gauge for x in root_q]),
             _pauli_matrix([gauge * x for x in root_p]))
 
@@ -465,12 +442,11 @@ def _pauli_inverse(c):
     return c0 * s, -c1 * s, -c2 * s, -c3 * s
 
 
-def _pauli_sqrt(c, arithmetic: _Arithmetic = _FLOATS):
+def _pauli_sqrt(c):
     """Principal root of a PSD X: (X + sqrt(det X) I) / sqrt(tr X + 2 sqrt(det X))."""
     c0, c1, c2, c3 = c
-    sqrt = arithmetic.sqrt
-    shifted = c0 + 2.0 * sqrt(arithmetic.maximum(_pauli_det(c), 0.0))
-    norm = 1.0 / sqrt(shifted)
+    shifted = c0 + 2.0 * np.sqrt(np.maximum(_pauli_det(c), 0.0))
+    norm = 1.0 / np.sqrt(shifted)
     return shifted * norm, c1 * norm, c2 * norm, c3 * norm
 
 
@@ -492,12 +468,11 @@ def _pauli_sandwich(r, f):
             along_f * f3 + along_r * r3)
 
 
-def _identity_residual(m, arithmetic: _Arithmetic = _FLOATS):
+def _identity_residual(m):
     """Largest entry of |X - I|."""
     m0, m1, m2, m3 = m
-    maximum = arithmetic.maximum
-    return maximum(maximum(abs(0.5 * (m0 + m3) - 1.0), abs(0.5 * (m0 - m3) - 1.0)),
-                   0.5 * arithmetic.sqrt(m1 * m1 + m2 * m2))
+    return np.maximum(np.maximum(abs(0.5 * (m0 + m3) - 1.0), abs(0.5 * (m0 - m3) - 1.0)),
+                      0.5 * np.sqrt(m1 * m1 + m2 * m2))
 
 
 def _pauli_matrix(c) -> np.ndarray:
@@ -532,7 +507,7 @@ def unital_diagonalize(channel: ChannelLike, tol: float = 1e-9) -> UnitalForm:
     failed = np.ravel(~(unital & trace_preserving))
     if failed.any():
         k = int(failed.argmax())
-        where = "" if ptm.ndim == 2 else f" at channel {k} of the stack"
+        where = _stack_position(k, ptm)
         if not np.ravel(unital)[k]:
             raise NotUnital(f"translation norm {np.ravel(translation)[k]:.3e} > {tol:.1e}{where}")
         raise NotUnital(f"map is not trace preserving{where}")

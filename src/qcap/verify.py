@@ -232,9 +232,9 @@ def core_suite(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def _family_stack(params) -> tuple[np.ndarray, sinkhorn.ScalingPair]:
-    """The channels' PTMs and closed-form scaling pairs, stacked, with the
-    bits of ``ptm_from_params`` and of ``ScalingPair.stack`` of the single
-    pairs."""
+    """The channels' PTMs and closed-form scaling pairs, stacked, each
+    slice with the bits of ``ptm_from_params`` and ``family_scaling_pair``
+    of its channel."""
     stack = core.PauliChannelParams.stack(params)
     return core.ptm_from_params(stack), sinkhorn.family_scaling_pair(stack)
 

@@ -83,7 +83,8 @@ def _analyze_by_objects(params):
     # its 2x2 operators, bounds from the pair's norm products
     form = family_unital_params(params)
     pair = family_scaling_pair(params)
-    bounds = CapacityBounds.from_parts(unital_capacity(form), pair.norm_ab, pair.norm_ab_inv)
+    bounds = CapacityBounds.from_gaps(unital_capacity(form), 2.0 * math.log2(pair.norm_ab),
+                                      2.0 * math.log2(pair.norm_ab_inv))
     return (form.lt1, form.lt2, form.lt3, pair.norm_ab, pair.norm_ab_inv,
             bounds.unital_capacity, bounds.lower_raw, bounds.upper_raw,
             bounds.lower_clamped, bounds.upper_clamped)

@@ -292,6 +292,25 @@ def test_sinkhorn_iterate_rejects_a_pole_boundary_channel(capsys):
     assert "touches the Bloch sphere" in err
 
 
+@pytest.mark.parametrize("args, digest", [
+    (["--gad", "--p", "1e-4", "--gamma-t", "1"],
+     "cd852795830a59be193c6acb9b1ffa02a7ed7f7d98bda8ba328c40a0b5cbcb68"),
+    (["--lambda", "0.5", "0.4", "0.3", "--t3", "0.2"],
+     "6775daabbffe37d745fe6e04a1ed3d4f91d9935d872213849c67d0213330a8ab"),
+], ids=["gad", "lambda"])
+def test_sinkhorn_output_is_pinned(args, digest, capsys):
+    # both methods' operators, norm products, Newton steps and residuals
+    code, out, err = run(["sinkhorn", *args], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sinkhorn_without_newton_steps_fails_with_the_single_channel_error(capsys):
+    code, out, err = run(["sinkhorn", "--lambda", "0.5", "0.4", "0.3", "--t3", "0.3",
+                          "--method", "iterate", "--max-iter", "0"], capsys)
+    assert (code, out, err) == (4, "", "error: residual inf > 1.0e-12 after 0 Newton steps\n")
+
+
 def test_verify_all_suites_pass(capsys):
     code, out, err = run(["verify", "--suite", "all", "--seed", "7"], capsys)
     assert code == 0

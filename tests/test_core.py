@@ -196,6 +196,46 @@ def test_unital_and_trace_preserving_flags():
     assert is_trace_preserving(ptm_from_params(PauliChannelParams(0.3, 0.2, 0.1, 0.4)))
 
 
+FAMILY_STACK = PauliChannelParams.stack([PauliChannelParams(0.5, 0.4, 0.3, 0.0),
+                                         PauliChannelParams(0.2, 0.1, 0.0, 0.0)])
+ONE_PTM_ONLY = r"expected a 4x4 PTM, got shape \(2, 4, 4\)"
+
+
+def test_is_unital_refuses_a_family_stack():
+    # both channels are unital, so a silent answer for the stack misleads
+    with pytest.raises(ValueError, match=ONE_PTM_ONLY):
+        is_unital(FAMILY_STACK)
+
+
+def test_is_trace_preserving_refuses_a_family_stack():
+    with pytest.raises(ValueError, match=ONE_PTM_ONLY):
+        is_trace_preserving(FAMILY_STACK)
+
+
+def test_apply_channel_refuses_a_family_stack():
+    with pytest.raises(ValueError, match=ONE_PTM_ONLY):
+        apply_channel(FAMILY_STACK, [0.1, 0.2, 0.3])
+
+
+def test_compose_refuses_a_family_stack():
+    with pytest.raises(ValueError, match=ONE_PTM_ONLY):
+        compose(FAMILY_STACK, np.eye(4))
+    with pytest.raises(ValueError, match=ONE_PTM_ONLY):
+        compose(np.eye(4), FAMILY_STACK)
+
+
+def test_image_radius_refuses_a_family_stack():
+    with pytest.raises(ValueError, match=ONE_PTM_ONLY):
+        image_radius(FAMILY_STACK)
+
+
+def test_is_completely_positive_refuses_a_family_stack():
+    with pytest.raises(ValueError, match=ONE_PTM_ONLY):
+        is_completely_positive(FAMILY_STACK)
+    # its PTM stack takes the stacked eigensolve
+    assert is_completely_positive(ptm_from_params(FAMILY_STACK)).is_cp.tolist() == [True, True]
+
+
 def test_is_interior():
     assert not is_interior(PauliChannelParams(1, 1, 1, 0))      # identity: boundary
     assert not is_interior(np.eye(4))                           # image touches sphere
@@ -668,6 +708,10 @@ def test_stacked_state_and_operator_functions_match_the_single_calls():
     for k, K in enumerate(ginibre.reshape(-1, 2, 2)):
         assert norms.reshape(-1)[k].tobytes() == np.float64(operator_norm(K)).tobytes()
         assert inverses.reshape(-1, 2, 2)[k].tobytes() == core.inverse_2x2(K).tobytes()
+        # _det_2x2 keeps the bits of numpy's scalar formula
+        scalar = np.array([[K[1, 1], -K[0, 1]], [-K[1, 0], K[0, 0]]]) / \
+            (K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0])
+        assert core.inverse_2x2(K).tobytes() == scalar.tobytes()
         assert wishart.reshape(-1, 2, 2)[k].tobytes() == \
             core.densities_from_ginibre(K[None])[0].tobytes()
     with pytest.raises(ValueError, match="singular"):

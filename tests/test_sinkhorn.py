@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -271,7 +272,9 @@ def test_stacked_pairs_match_the_single_calls():
     c = rng.uniform(0.2, 5.0, size=(60, 1, 1))
     a = rng.normal(size=(60, 2, 2)) + 1j * rng.normal(size=(60, 2, 2)) + 2 * np.eye(2)
     b = rng.normal(size=(60, 2, 2)) + 1j * rng.normal(size=(60, 2, 2)) + 2 * np.eye(2)
-    stacked = ScalingPair.stack(family)
+    stacked = ScalingPair(*(np.stack([getattr(p, name) for p in family])
+                            for name in ("a", "b", "norm_a", "norm_b", "norm_a_inv",
+                                         "norm_b_inv")))
     cases = [
         (stacked, family),
         (ScalingPair.from_operators(stacked.a / c, c * stacked.b),
@@ -430,6 +433,37 @@ def test_stacked_iteration_matches_the_single_calls():
         assert [forms.lt1[k], forms.lt2[k], forms.lt3[k], *(sv[k] for sv in forms.singular_values)] \
             == [one.lt1, one.lt2, one.lt3, *one.singular_values]
         assert isinstance(one.lt1, float)
+
+
+def test_single_calls_are_pinned():
+    # A, B, the four norms and the steps of single calls, byte for byte:
+    # one channel runs as a stack of one and keeps these bits
+    digest = hashlib.sha256()
+    for ptm in _reference_ptms():
+        pair = sinkhorn_iterate(ptm)
+        norms = [pair.norm_a, pair.norm_b, pair.norm_a_inv, pair.norm_b_inv]
+        assert pair.a.shape == pair.b.shape == (2, 2)
+        assert all(type(x) is float for x in norms) and type(pair.iterations) is int
+        for part in (pair.a.tobytes(), pair.b.tobytes(), np.array(norms).tobytes(),
+                     str(pair.iterations).encode()):
+            digest.update(part)
+    assert digest.hexdigest() == "524ba44101d08c829a8dcf41dcd3c5ca453b8c3f38ccd2a00ef4ee632d01c632"
+
+
+def test_single_channel_errors_name_no_stack_position():
+    channel = ptm_from_params(PauliChannelParams(0.5, 0.4, 0.3, 0.3))
+    for call, error, message in [
+            (lambda: sinkhorn_iterate(np.eye(4)), NotInterior,
+             "channel image touches the Bloch sphere"),
+            (lambda: sinkhorn_iterate(PauliChannelParams(0.5, 0.5, 0.6, 0.4)), NotInterior,
+             "channel image touches the Bloch sphere"),
+            (lambda: sinkhorn_iterate(channel, max_iter=0), NoConvergence,
+             "residual inf > 1.0e-12 after 0 Newton steps"),
+            (lambda: sinkhorn_iterate(channel, max_iter=2), NoConvergence,
+             "residual 3.658e-03 > 1.0e-12 after 2 Newton steps")]:
+        with pytest.raises(error) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_stacked_iteration_names_the_first_failing_channel():
