@@ -345,11 +345,17 @@ def is_interior(channel: ChannelLike) -> bool:
 
     For the four-parameter family this is exactly |t3| + |lambda3| < 1;
     for a general channel the image of the Bloch ball must stay strictly
-    inside the unit sphere.
+    inside the unit sphere.  A family stack or a (..., 4, 4) stack of
+    PTMs gets a bool array, one verdict per member, each that of its
+    single call.
     """
     if isinstance(channel, PauliChannelParams):
         return channel.boundary_margin > 0.0
-    return image_radius(channel) < 1.0 - INTERIOR_MARGIN
+    ptm = _as_ptm(channel, stacked=True)
+    if ptm.ndim == 2:
+        return image_radius(ptm) < 1.0 - INTERIOR_MARGIN
+    radii = [image_radius(member) for member in ptm.reshape(-1, 4, 4)]
+    return (np.array(radii) < 1.0 - INTERIOR_MARGIN).reshape(ptm.shape[:-2])
 
 
 def entropy_kernel(x: np.ndarray) -> np.ndarray:
@@ -510,15 +516,25 @@ def inverse_2x2(M) -> np.ndarray:
 def random_blochs(rng: np.random.Generator, count: int, pure: bool = False) -> np.ndarray:
     """(count, 3) Bloch vectors, uniform in the ball (on the sphere if
     ``pure``), drawn one at a time: three normals for the direction, then
-    a uniform for the radius."""
-    out = np.empty((count, 3))
+    a uniform for the radius.  The directions are normalized once for the
+    stack (``_unit_directions``)."""
+    directions = np.empty((count, 3))
+    radii = []
     for k in range(count):
-        v = rng.normal(size=3)
-        v /= math.sqrt(v.dot(v))  # np.linalg.norm's formula for a 1-D array
+        directions[k] = rng.normal(size=3)
         if not pure:
-            v *= rng.uniform() ** (1.0 / 3.0)
-        out[k] = v
-    return out
+            radii.append(rng.uniform() ** (1.0 / 3.0))
+    return _unit_directions(directions, None if pure else radii)
+
+
+def _unit_directions(v, radii=None) -> np.ndarray:
+    """The rows of an (n, 3) array scaled to unit length, then by
+    ``radii`` if given: the bits of ``v / math.sqrt(v.dot(v)) * r`` row by
+    row (``np.linalg.norm``'s formula for a 1-D array)."""
+    v = v / np.sqrt(np.vecdot(v, v))[:, None]
+    if radii is not None:
+        v *= np.asarray(radii)[:, None]
+    return v
 
 
 def random_ginibre(rng: np.random.Generator, count: int, dim: int = 2) -> np.ndarray:
@@ -529,8 +545,14 @@ def random_ginibre(rng: np.random.Generator, count: int, dim: int = 2) -> np.nda
     same as ``count`` sequential draws of
     ``rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))``.
     """
-    g = rng.normal(size=(count, 2, dim, dim))
-    return g[:, 0] + 1j * g[:, 1]
+    return _ginibre_from_normals(rng.normal(size=(count, 2, dim, dim)))
+
+
+def _ginibre_from_normals(g) -> np.ndarray:
+    """Complex (..., d, d) matrices from a (..., 2, d, d) array of normals,
+    real part first, as ``random_ginibre`` forms them; draws kept raw can
+    be formed once per stack."""
+    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
 
 
 def random_densities(rng: np.random.Generator, count: int, dim: int = 2) -> np.ndarray:

@@ -309,10 +309,7 @@ def sinkhorn_iterate(
     """
     ptm = _as_ptm(channel, stacked=True)
     members = ptm.reshape(-1, 4, 4)
-    # a family channel or stack takes the family's exact test
-    interior = (is_interior(channel) if isinstance(channel, PauliChannelParams)
-                else [is_interior(member) for member in members])
-    outside = np.flatnonzero(~np.ravel(interior))
+    outside = np.flatnonzero(~np.ravel(is_interior(channel)))
     if outside.size:
         raise NotInterior("channel image touches the Bloch sphere"
                           + _stack_position(int(outside[0]), ptm))

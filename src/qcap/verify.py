@@ -12,11 +12,17 @@ functions once on the stack of all instances, or once per group of
 instances that share a shape.  Every stacked function gives each
 instance the bits of its single call, so the results do not depend on
 the grouping.
+
+The draws are those of drawing one instance at a time, down to the
+generator state afterwards, but take about one generator call per
+distribution: a family channel's rejection attempts are judged in
+blocks, and the generator is then rewound over the attempts not used
+(``_rewind``); Bloch directions are normalized, and Ginibre matrices
+formed from their normals, once per stack.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,42 +60,58 @@ def _kept(l1, l2, l3, t3):
             & (1.0 - l3 >= np.hypot(t3, l1 - l2) + 1e-6))
 
 
+def _rewind(rng: np.random.Generator, state: dict, used: int) -> None:
+    """Put ``rng`` back at its bit generator's ``state``, taken before a
+    block draw of doubles, then past the first ``used`` doubles of the
+    block, one raw 64-bit draw each.  The state afterwards is the one that
+    drawing only those doubles leaves, including a 32-bit half that
+    ``rng.integers`` left buffered, which ``advance`` would drop."""
+    bits = rng.bit_generator
+    bits.state = state
+    bits.random_raw(used, output=False)
+
+
 def _random_family_interior(rng: np.random.Generator) -> core.PauliChannelParams:
-    """Rejection-sample strictly interior CP family parameters, one
-    attempt of four uniforms on [-1, 1) at a time, with the draws and
-    types of ``_random_family_interiors(rng, 1)``."""
+    """Rejection-sample strictly interior CP family parameters, with the
+    draws, types and generator state afterwards of rejecting one attempt
+    of four uniforms on [-1, 1) at a time.
+
+    The attempts come in blocks of 24 from one ``uniform`` call (about one
+    attempt in seven is kept) and are judged in order by ``_kept``'s test,
+    short-circuited on Python floats, up to the first one kept; then the
+    generator is rewound over the attempts not judged.
+    """
     while True:
-        draw = rng.uniform(-1.0, 1.0, 4)
-        l1, l2, l3, t3 = draw.tolist()
-        # the margin test alone rejects about half the attempts
-        if abs(t3) + abs(l3) < 0.98 and _kept(l1, l2, l3, t3):
-            return core.PauliChannelParams(*draw[:3], t3)
+        state = rng.bit_generator.state
+        block = rng.uniform(-1.0, 1.0, size=(24, 4))
+        for k, (l1, l2, l3, t3) in enumerate(block.tolist()):
+            if (abs(t3) + abs(l3) < 0.98
+                    and 1.0 + l3 >= np.hypot(t3, l1 + l2) + 1e-6
+                    and 1.0 - l3 >= np.hypot(t3, l1 - l2) + 1e-6):
+                _rewind(rng, state, 4 * (k + 1))
+                # t3 as a Python float, l1..l3 as numpy floats, as the draws
+                # rng.uniform(-1, 1) and rng.uniform(-1, 1, 3) return them
+                return core.PauliChannelParams(*block[k, :3], t3)
 
 
 def _random_family_interiors(rng: np.random.Generator,
                              count: int) -> list[core.PauliChannelParams]:
-    """``count`` draws of strictly interior CP family parameters.
-
-    Each attempt takes four uniforms on [-1, 1), (lambda1, lambda2,
-    lambda3) and then t3, and is judged by ``_kept``.  The attempts are
-    judged as rows of block draws; then the generator is rewound and
-    draws exactly the rows used once more, so the draws and the generator
-    state afterwards are those of rejecting one attempt at a time.
-    """
-    start = rng.bit_generator.state
+    """``count`` draws of ``_random_family_interior``, the attempts judged
+    by ``_kept`` as rows of block draws, and the generator rewound over
+    the rows after the last one kept."""
+    state = rng.bit_generator.state
+    blocks: list[np.ndarray] = []
     kept: list[int] = []
     tried = 0
-    while len(kept) < count:  # about one attempt in seven is kept
+    while len(kept) < count:
         block = rng.uniform(-1.0, 1.0, size=(8 * (count - len(kept)) + 8, 4))
         kept += (tried + np.flatnonzero(_kept(*block.T))).tolist()
+        blocks.append(block)
         tried += len(block)
     kept = kept[:count]
-    rng.bit_generator.state = start
-    rows = rng.uniform(-1.0, 1.0, size=(kept[-1] + 1, 4))
-    # t3 as a Python float, l1..l3 as numpy floats, as the draws
-    # rng.uniform(-1, 1) and rng.uniform(-1, 1, 3) return them
+    _rewind(rng, state, 4 * (kept[-1] + 1))
     return [core.PauliChannelParams(l1, l2, l3, float(t3))
-            for l1, l2, l3, t3 in rows[kept]]
+            for l1, l2, l3, t3 in np.concatenate(blocks)[kept]]
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +132,18 @@ def _ptm_vs_kraus_draws(rng, count: int = 1000):
     ``random_blochs`` per pair: the rank, then one ``normal`` call for
     the Ginibre set and the Bloch direction, then the radius, so the
     draws and the generator state afterwards are those of the two
-    calls."""
+    calls.  The complex sets are formed, and the directions normalized,
+    once for the stack."""
     ginibre = np.zeros((count, 4, 2, 2, 2))  # real, then imaginary parts
-    blochs = np.empty((count, 3))
+    directions = np.empty((count, 3))
+    radii = []
     for k in range(count):
         rank = int(rng.integers(1, 5))
         draw = rng.normal(size=8 * rank + 3)
         ginibre[k, :rank] = draw[:-3].reshape(rank, 2, 2, 2)
-        v = draw[-3:]
-        v /= math.sqrt(v.dot(v))  # random_blochs' normalization and radius
-        blochs[k] = v * rng.uniform() ** (1.0 / 3.0)
-    return ginibre[:, :, 0] + 1j * ginibre[:, :, 1], blochs
+        directions[k] = draw[-3:]
+        radii.append(rng.uniform() ** (1.0 / 3.0))
+    return core._ginibre_from_normals(ginibre), core._unit_directions(directions, radii)
 
 
 def _check_ptm_vs_kraus(rng) -> CheckResult:
@@ -137,13 +160,15 @@ def _check_ptm_vs_kraus(rng) -> CheckResult:
 
 def _unital_family_chois(l1, l2, l3) -> np.ndarray:
     """Explicitly assembled (n, 4, 4) Choi matrices of diagonal unital
-    channels with parameters (l1, l2, l3)."""
-    chois = np.zeros((np.size(l3), 4, 4))
-    chois[:, 0, 0] = chois[:, 3, 3] = (1.0 + l3) / 2.0
-    chois[:, 1, 1] = chois[:, 2, 2] = (1.0 - l3) / 2.0
-    chois[:, 0, 3] = chois[:, 3, 0] = (l1 + l2) / 2.0
-    chois[:, 1, 2] = chois[:, 2, 1] = (l1 - l2) / 2.0
-    return chois
+    channels with parameters (l1, l2, l3), stored entry-major: a (4, 4, n)
+    array seen through a transpose, so each entry ``chois[:, i, j]`` is
+    one contiguous (n,) column."""
+    chois = np.zeros((4, 4, np.size(l3)))
+    chois[0, 0] = chois[3, 3] = (1.0 + l3) / 2.0
+    chois[1, 1] = chois[2, 2] = (1.0 - l3) / 2.0
+    chois[0, 3] = chois[3, 0] = (l1 + l2) / 2.0
+    chois[1, 2] = chois[2, 1] = (l1 - l2) / 2.0
+    return chois.transpose(2, 0, 1)
 
 
 def _shifted_is_positive_definite(mats: np.ndarray) -> np.ndarray:
@@ -155,7 +180,9 @@ def _shifted_is_positive_definite(mats: np.ndarray) -> np.ndarray:
     * I is positive definite exactly when all d pivots are positive
     (Sylvester), which is the predicate lambda_min(M) > -1e-10.  A pivot
     that is not positive settles its matrix; it is replaced by 1 so that
-    the later pivots of that matrix stay finite.
+    the later pivots of that matrix stay finite.  Each entry is read once
+    as an (n,) column ``mats[:, i, j]``, contiguous for an entry-major
+    stack such as ``_unital_family_chois`` builds.
     """
     size = mats.shape[-1]
     pd = np.ones(mats.shape[0], dtype=bool)
@@ -178,13 +205,13 @@ def _shifted_is_positive_definite(mats: np.ndarray) -> np.ndarray:
 
 def _check_cp_grid(rng) -> CheckResult:
     # full 50^3 grid through a stacked LDL' decision on the assembled
-    # Chois, one l1 slab of 2 500 matrices at a time, plus a subsample
-    # through the production eigensolver path, given as a stack of PTMs
+    # Chois, in 10 slabs of 12 500 matrices, plus a subsample through the
+    # production eigensolver path, given as a stack of PTMs
     axis = np.linspace(-1.0, 1.0, 50)
     l1, l2, l3 = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
     by_choi = np.concatenate([
         _shifted_is_positive_definite(_unital_family_chois(*slab))
-        for slab in zip(*(g.reshape(axis.size, -1) for g in (l1, l2, l3)))])
+        for slab in zip(*(g.reshape(10, -1) for g in (l1, l2, l3)))])
     by_inequality = ((1.0 + l3 - np.abs(l1 + l2) >= -1e-10)
                      & (1.0 - l3 - np.abs(l1 - l2) >= -1e-10))
     grid_ok = bool(np.array_equal(by_choi, by_inequality))
@@ -328,13 +355,14 @@ def sinkhorn_suite(rng: np.random.Generator) -> list[CheckResult]:
 
 def _protocol_draws(rng, n: int, count: int) -> list[tuple]:
     """Raw draws of ``count`` protocol instances at block length n, each
-    in turn: the channel, the code size and the Ginibre matrices of its
-    (size, n) factors, then the POVM size and its Ginibre matrices."""
+    in turn: the channel, the code size and the normals of the Ginibre
+    matrices of its (size, n) factors, then the POVM size and the normals
+    of its Ginibre matrices, as ``random_ginibre`` draws them."""
     draws = []
     for _ in range(count):
         params = _random_family_interior(rng)
-        code = core.random_ginibre(rng, int(rng.integers(2, 5)) * n).reshape(-1, n, 2, 2)
-        povm = core.random_ginibre(rng, int(rng.integers(2, 5)), 2**n)
+        code = rng.normal(size=(int(rng.integers(2, 5)), n, 2, 2, 2))
+        povm = rng.normal(size=(int(rng.integers(2, 5)), 2, 2**n, 2**n))
         draws.append((params, code, povm))
     return draws
 
@@ -347,12 +375,16 @@ def _shape_groups(keys) -> list[list[int]]:
     return list(groups.values())
 
 
+def _ginibre_stack(draws, idx, part: int) -> np.ndarray:
+    return core._ginibre_from_normals(np.stack([draws[k][part] for k in idx]))
+
+
 def _code_stack(draws, idx) -> protocol.Code:
-    return protocol.Code(core.densities_from_ginibre(np.stack([draws[k][1] for k in idx])))
+    return protocol.Code(core.densities_from_ginibre(_ginibre_stack(draws, idx, 1)))
 
 
 def _povm_stack(draws, idx) -> protocol.Povm:
-    return protocol.Povm.from_ginibre(np.stack([draws[k][2] for k in idx]))
+    return protocol.Povm.from_ginibre(_ginibre_stack(draws, idx, 2))
 
 
 def _first_failure(exc: Exception, idx, single) -> tuple[int, str]:

@@ -251,6 +251,18 @@ def test_is_interior():
     assert is_interior(ptm_from_params(gad))
 
 
+def test_is_interior_answers_per_member_of_a_ptm_stack():
+    rng = np.random.default_rng(43)
+    members = [core.random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5)))
+               for _ in range(12)]
+    members[4] = np.eye(4)
+    members[7] = ptm_from_params(PauliChannelParams(0.3, 0.3, 0.7, 0.3))  # pole
+    verdicts = is_interior(np.array(members).reshape(3, 4, 4, 4))
+    assert verdicts.shape == (3, 4) and verdicts.dtype == bool
+    assert verdicts.ravel().tolist() == [is_interior(m) for m in members]
+    assert 0 < verdicts.sum() < 12 and not verdicts[1, 0] and not verdicts[1, 3]
+
+
 def _family_radius_oracle(l1, l2, l3, t3):
     # max over the unit sphere of |(l1 x, l2 y, l3 z + t3)|: either at a
     # pole or at the interior stationary point of the z cross-section

@@ -481,6 +481,19 @@ def test_stacked_iteration_names_the_first_failing_channel():
         unital_diagonalize(np.array([np.eye(4), good]))
 
 
+def test_stacked_pre_flight_is_one_interior_call(monkeypatch):
+    calls = []
+    original = sinkhorn.is_interior
+    monkeypatch.setattr(sinkhorn, "is_interior",
+                        lambda channel: calls.append(channel) or original(channel))
+    good = ptm_from_params(PauliChannelParams(0.5, 0.4, 0.3, 0.3))
+    with pytest.raises(NotInterior, match="at channel 3 of the stack"):
+        sinkhorn_iterate(np.array([good, good, good, np.eye(4), good]))
+    assert len(calls) == 1
+    assert sinkhorn_iterate(np.array([good, good])).a.shape == (2, 2, 2)
+    assert len(calls) == 2
+
+
 def test_iteration_steps_near_amplitude_damping():
     steps = [sinkhorn_iterate(ptm_from_params(gad_params(p, 1.0))).iterations
              for p in (0.3, 1e-3, 1e-4, 1e-6)]

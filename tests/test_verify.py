@@ -363,6 +363,53 @@ def test_one_family_draw_matches_the_sequential_draw():
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
+def test_family_draws_after_a_buffered_half_match_the_sequential_draws():
+    # rng.integers(2, 5) leaves half of a 64-bit draw buffered; rewinding
+    # over unused attempts must keep that half for the next integers call
+    for seed in range(40):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (fast, slow):
+            rng.integers(2, 5)
+        assert fast.bit_generator.state["has_uint32"] == 1
+        assert _params_bits(verify._random_family_interior(fast)) == \
+            _params_bits(_sequential_family_interior(slow))
+        assert fast.bit_generator.state == slow.bit_generator.state
+        for rng in (fast, slow):
+            rng.integers(2, 5)
+        drawn = verify._random_family_interiors(fast, 3)
+        assert [_params_bits(p) for p in drawn] == \
+            [_params_bits(_sequential_family_interior(slow)) for _ in range(3)]
+        assert fast.bit_generator.state == slow.bit_generator.state
+        assert fast.integers(0, 2**32) == slow.integers(0, 2**32)
+
+
+class _CountingGenerator:
+    """A generator that counts the calls of each of its methods."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = {}
+
+    def __getattr__(self, name):
+        attr = getattr(self._rng, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return attr(*args, **kwargs)
+        return counted
+
+
+def test_protocol_draws_take_one_uniform_block_per_instance():
+    # about one attempt in seven is kept; a block holds 24 attempts, so a
+    # second block is needed for about one instance in 40
+    rng = _CountingGenerator(np.random.default_rng(5))
+    verify._protocol_draws(rng, 2, 200)
+    assert rng.calls["integers"] == 400 and rng.calls["normal"] == 400
+    assert 200 <= rng.calls["uniform"] <= 215
+
+
 def test_gauge_draws_match_the_sequential_draws():
     fast, slow = np.random.default_rng(31), np.random.default_rng(31)
     params, factors = verify._gauge_draws(fast)
