@@ -515,25 +515,15 @@ def inverse_2x2(M) -> np.ndarray:
 
 def random_blochs(rng: np.random.Generator, count: int, pure: bool = False) -> np.ndarray:
     """(count, 3) Bloch vectors, uniform in the ball (on the sphere if
-    ``pure``), drawn one at a time: three normals for the direction, then
-    a uniform for the radius.  The directions are normalized once for the
-    stack (``_unit_directions``)."""
-    directions = np.empty((count, 3))
-    radii = []
-    for k in range(count):
-        directions[k] = rng.normal(size=3)
-        if not pure:
-            radii.append(rng.uniform() ** (1.0 / 3.0))
-    return _unit_directions(directions, None if pure else radii)
-
-
-def _unit_directions(v, radii=None) -> np.ndarray:
-    """The rows of an (n, 3) array scaled to unit length, then by
-    ``radii`` if given: the bits of ``v / math.sqrt(v.dot(v)) * r`` row by
-    row (``np.linalg.norm``'s formula for a 1-D array)."""
-    v = v / np.sqrt(np.vecdot(v, v))[:, None]
-    if radii is not None:
-        v *= np.asarray(radii)[:, None]
+    ``pure``): the directions from one ``normal`` call, each row with the
+    bits of ``v / np.linalg.norm(v)``, then the radii from one ``uniform``
+    call, cube roots taken by Python's float power (numpy's rounds some
+    differently).  One vector takes the draws of ``rng.normal(size=3)``
+    and ``rng.uniform()``."""
+    v = rng.normal(size=(count, 3))
+    v /= np.sqrt(np.vecdot(v, v))[:, None]
+    if not pure:
+        v *= np.array([u ** (1.0 / 3.0) for u in rng.uniform(size=count).tolist()])[:, None]
     return v
 
 
@@ -545,27 +535,14 @@ def random_ginibre(rng: np.random.Generator, count: int, dim: int = 2) -> np.nda
     same as ``count`` sequential draws of
     ``rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))``.
     """
-    return _ginibre_from_normals(rng.normal(size=(count, 2, dim, dim)))
-
-
-def _ginibre_from_normals(g) -> np.ndarray:
-    """Complex (..., d, d) matrices from a (..., 2, d, d) array of normals,
-    real part first, as ``random_ginibre`` forms them; draws kept raw can
-    be formed once per stack."""
-    return g[..., 0, :, :] + 1j * g[..., 1, :, :]
+    g = rng.normal(size=(count, 2, dim, dim))
+    return g[:, 0] + 1j * g[:, 1]
 
 
 def random_densities(rng: np.random.Generator, count: int, dim: int = 2) -> np.ndarray:
     """(count, dim, dim) random mixed states: normalized Wishart G G' / tr
     from ``random_ginibre`` draws."""
-    return densities_from_ginibre(random_ginibre(rng, count, dim))
-
-
-def densities_from_ginibre(g) -> np.ndarray:
-    """Normalized Wishart states G G' / tr(G G') for a (..., dim, dim)
-    stack of Ginibre matrices, so draws made one at a time can be
-    normalized in one call."""
-    g = np.asarray(g, dtype=complex)
+    g = random_ginibre(rng, count, dim)
     rho = g @ _dagger(g)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
@@ -587,20 +564,23 @@ def normalized_kraus_ptm(ops) -> np.ndarray:
     ``ops`` is an (r, 2, 2) set, or a (..., r, 2, 2) stack of sets that
     gives a (..., 4, 4) stack; all-zero operators may pad the sets to a
     common r.  The first row is set to (1, 0, 0, 0), which the
-    normalization makes it up to rounding.  Raises ValueError when S is
+    normalization makes it up to rounding, also for an ill-conditioned S.  Raises ValueError when S is
     singular to working precision for the set or any set of the stack.
     """
     ops = np.asarray(ops, dtype=complex)
-    # S keeps numpy's (BLAS) products: S^(-1/2) amplifies their rounding
-    # by the condition number of S, and these bits keep the PTMs of
-    # ill-conditioned sets where they were
-    total = (_dagger(ops) @ ops).sum(axis=-3)
+    total = _mul_2x2(_dagger(ops), ops).sum(axis=-3)
     w, V = np.linalg.eigh(total)
     singular = w[..., 0] <= np.finfo(float).eps * w[..., -1]
     if np.any(singular):
         at = f" for set {tuple(np.argwhere(singular)[0].tolist())}" if singular.ndim else ""
         raise ValueError(f"S = sum K'K is singular{at}; the Kraus set cannot be normalized")
     inv_sqrt = _mul_2x2(V / np.sqrt(w)[..., None, :], _dagger(V))
-    ptm = kraus_ptm(_mul_2x2(ops, inv_sqrt[..., None, :, :])).sum(axis=-3)
+    ops = _mul_2x2(ops, inv_sqrt[..., None, :, :])
+    # S^(-1/2) is off by about eps times the condition number of S, and so
+    # is sum K'K of the normalized set; one Newton-Schulz step takes that
+    # error from E to O(E^2), so the map stays CP when its first row is set
+    gram = _mul_2x2(_dagger(ops), ops).sum(axis=-3)
+    ops = _mul_2x2(ops, (1.5 * np.eye(2) - 0.5 * gram)[..., None, :, :])
+    ptm = kraus_ptm(ops).sum(axis=-3)
     ptm[..., 0, :] = (1.0, 0.0, 0.0, 0.0)
     return ptm

@@ -6,19 +6,14 @@ random instances) and reports one named pass/fail result per property.
 The same checks back the `qcap verify` command and parts of the pytest
 suite.
 
-A check on random instances first draws all of them, one by one in a
-fixed order, keeping only the raw draws; then it runs the production
-functions once on the stack of all instances, or once per group of
-instances that share a shape.  Every stacked function gives each
-instance the bits of its single call, so the results do not depend on
-the grouping.
-
-The draws are those of drawing one instance at a time, down to the
-generator state afterwards, but take about one generator call per
-distribution: a family channel's rejection attempts are judged in
-blocks, and the generator is then rewound over the attempts not used
-(``_rewind``); Bloch directions are normalized, and Ginibre matrices
-formed from their normals, once per stack.
+A check on random instances draws all of them as stacks, about one
+generator call per distribution: sizes and ranks from one ``integers``
+call, normals from one ``normal`` call per shape, and family channels by
+rejection on ``uniform`` blocks judged as arrays.  It then runs the
+production functions once on the stack of all instances, or, in the
+protocol checks, once per group of instances that share their sizes.
+Every stacked function gives each instance the bits of its single call,
+so the results do not depend on the grouping.
 """
 
 from __future__ import annotations
@@ -60,58 +55,17 @@ def _kept(l1, l2, l3, t3):
             & (1.0 - l3 >= np.hypot(t3, l1 - l2) + 1e-6))
 
 
-def _rewind(rng: np.random.Generator, state: dict, used: int) -> None:
-    """Put ``rng`` back at its bit generator's ``state``, taken before a
-    block draw of doubles, then past the first ``used`` doubles of the
-    block, one raw 64-bit draw each.  The state afterwards is the one that
-    drawing only those doubles leaves, including a 32-bit half that
-    ``rng.integers`` left buffered, which ``advance`` would drop."""
-    bits = rng.bit_generator
-    bits.state = state
-    bits.random_raw(used, output=False)
-
-
-def _random_family_interior(rng: np.random.Generator) -> core.PauliChannelParams:
-    """Rejection-sample strictly interior CP family parameters, with the
-    draws, types and generator state afterwards of rejecting one attempt
-    of four uniforms on [-1, 1) at a time.
-
-    The attempts come in blocks of 24 from one ``uniform`` call (about one
-    attempt in seven is kept) and are judged in order by ``_kept``'s test,
-    short-circuited on Python floats, up to the first one kept; then the
-    generator is rewound over the attempts not judged.
-    """
-    while True:
-        state = rng.bit_generator.state
-        block = rng.uniform(-1.0, 1.0, size=(24, 4))
-        for k, (l1, l2, l3, t3) in enumerate(block.tolist()):
-            if (abs(t3) + abs(l3) < 0.98
-                    and 1.0 + l3 >= np.hypot(t3, l1 + l2) + 1e-6
-                    and 1.0 - l3 >= np.hypot(t3, l1 - l2) + 1e-6):
-                _rewind(rng, state, 4 * (k + 1))
-                # t3 as a Python float, l1..l3 as numpy floats, as the draws
-                # rng.uniform(-1, 1) and rng.uniform(-1, 1, 3) return them
-                return core.PauliChannelParams(*block[k, :3], t3)
-
-
 def _random_family_interiors(rng: np.random.Generator,
-                             count: int) -> list[core.PauliChannelParams]:
-    """``count`` draws of ``_random_family_interior``, the attempts judged
-    by ``_kept`` as rows of block draws, and the generator rewound over
-    the rows after the last one kept."""
-    state = rng.bit_generator.state
-    blocks: list[np.ndarray] = []
-    kept: list[int] = []
-    tried = 0
-    while len(kept) < count:
-        block = rng.uniform(-1.0, 1.0, size=(8 * (count - len(kept)) + 8, 4))
-        kept += (tried + np.flatnonzero(_kept(*block.T))).tolist()
-        blocks.append(block)
-        tried += len(block)
-    kept = kept[:count]
-    _rewind(rng, state, 4 * (kept[-1] + 1))
-    return [core.PauliChannelParams(l1, l2, l3, float(t3))
-            for l1, l2, l3, t3 in np.concatenate(blocks)[kept]]
+                             count: int) -> core.PauliChannelParams:
+    """A family stack of ``count`` strictly interior CP channels: the first
+    ``count`` rows kept by ``_kept`` of ``uniform(-1, 1, (m, 4))`` blocks,
+    each row (lambda1, lambda2, lambda3, t3).  About 15% of the rows are
+    kept, so a block of ``8 * missing + 8`` rows nearly always suffices."""
+    rows = np.empty((0, 4))
+    while len(rows) < count:
+        block = rng.uniform(-1.0, 1.0, size=(8 * (count - len(rows)) + 8, 4))
+        rows = np.concatenate([rows, block[_kept(*block.T)]])
+    return core.PauliChannelParams(*rows[:count].T)
 
 
 # ---------------------------------------------------------------------------
@@ -127,23 +81,14 @@ def _check_bloch_roundtrip(rng) -> CheckResult:
 
 
 def _ptm_vs_kraus_draws(rng, count: int = 1000):
-    """Raw Kraus sets, zero-padded to rank 4, and Bloch vectors, drawn in
-    the order of ``random_cptp_channel`` then a one-vector
-    ``random_blochs`` per pair: the rank, then one ``normal`` call for
-    the Ginibre set and the Bloch direction, then the radius, so the
-    draws and the generator state afterwards are those of the two
-    calls.  The complex sets are formed, and the directions normalized,
-    once for the stack."""
-    ginibre = np.zeros((count, 4, 2, 2, 2))  # real, then imaginary parts
-    directions = np.empty((count, 3))
-    radii = []
-    for k in range(count):
-        rank = int(rng.integers(1, 5))
-        draw = rng.normal(size=8 * rank + 3)
-        ginibre[k, :rank] = draw[:-3].reshape(rank, 2, 2, 2)
-        directions[k] = draw[-3:]
-        radii.append(rng.uniform() ** (1.0 / 3.0))
-    return core._ginibre_from_normals(ginibre), core._unit_directions(directions, radii)
+    """Kraus sets of ranks drawn uniformly from 1 to 4, zero-padded to rank
+    4, and Bloch vectors: the ranks from one ``integers`` call, four
+    Ginibre operators per set from one ``normal`` call with the operators
+    past each rank zeroed, then ``random_blochs``."""
+    ranks = rng.integers(1, 5, count)
+    ops = core.random_ginibre(rng, 4 * count).reshape(count, 4, 2, 2)
+    ops[np.arange(4) >= ranks[:, None]] = 0.0
+    return ops, core.random_blochs(rng, count)
 
 
 def _check_ptm_vs_kraus(rng) -> CheckResult:
@@ -259,20 +204,15 @@ def core_suite(rng: np.random.Generator) -> list[CheckResult]:
 
 
 def _family_stack(params) -> tuple[np.ndarray, sinkhorn.ScalingPair]:
-    """The channels' PTMs and closed-form scaling pairs, stacked, each
-    slice with the bits of ``ptm_from_params`` and ``family_scaling_pair``
-    of its channel."""
-    stack = core.PauliChannelParams.stack(params)
-    return core.ptm_from_params(stack), sinkhorn.family_scaling_pair(stack)
+    """The PTMs and closed-form scaling pairs of a family stack, each slice
+    with the bits of ``ptm_from_params`` and ``family_scaling_pair`` of
+    its channel."""
+    return core.ptm_from_params(params), sinkhorn.family_scaling_pair(params)
 
 
 def _gauge_draws(rng, count: int = 50):
-    """Family channels and gauge factors, drawn in turn."""
-    params, factors = [], []
-    for _ in range(count):
-        params.append(_random_family_interior(rng))
-        factors.append(rng.uniform(0.2, 5.0))
-    return params, np.array(factors)
+    """A family stack and one gauge factor per channel."""
+    return _random_family_interiors(rng, count), rng.uniform(0.2, 5.0, count)
 
 
 def _check_gauge_invariance(rng) -> CheckResult:
@@ -288,7 +228,7 @@ def _check_gauge_invariance(rng) -> CheckResult:
 
 
 def _check_two_path_agreement(rng) -> CheckResult:
-    stack = core.PauliChannelParams.stack(_random_family_interiors(rng, 100))
+    stack = _random_family_interiors(rng, 100)
     ptms = core.ptm_from_params(stack)
     closed = sinkhorn.family_unital_params(stack)
     iterated = sinkhorn.unital_diagonalize(
@@ -353,43 +293,41 @@ def sinkhorn_suite(rng: np.random.Generator) -> list[CheckResult]:
 # protocol suite
 
 
-def _protocol_draws(rng, n: int, count: int) -> list[tuple]:
-    """Raw draws of ``count`` protocol instances at block length n, each
-    in turn: the channel, the code size and the normals of the Ginibre
-    matrices of its (size, n) factors, then the POVM size and the normals
-    of its Ginibre matrices, as ``random_ginibre`` draws them."""
-    draws = []
-    for _ in range(count):
-        params = _random_family_interior(rng)
-        code = rng.normal(size=(int(rng.integers(2, 5)), n, 2, 2, 2))
-        povm = rng.normal(size=(int(rng.integers(2, 5)), 2, 2**n, 2**n))
-        draws.append((params, code, povm))
-    return draws
+def _codes(rng, count: int, size: int, n: int) -> protocol.Code:
+    """A stack of ``count`` codes of ``size`` codewords at block length n,
+    each as ``protocol.Code.random`` draws one, in one ``normal`` call."""
+    return protocol.Code(core.random_densities(rng, count * size * n)
+                         .reshape(count, size, n, 2, 2))
 
 
-def _shape_groups(keys) -> list[list[int]]:
-    """Draw indices grouped by key, each group in draw order."""
-    groups: dict = {}
-    for k, key in enumerate(keys):
-        groups.setdefault(key, []).append(k)
-    return list(groups.values())
+def _povms(rng, count: int, size: int, n: int) -> protocol.Povm:
+    """A stack of ``count`` POVMs of ``size`` elements on 2^n dimensions,
+    each as ``protocol.Povm.random`` draws one, in one ``normal`` call."""
+    ginibre = core.random_ginibre(rng, count * size, 2**n)
+    return protocol.Povm.from_ginibre(ginibre.reshape(count, size, 2**n, 2**n))
 
 
-def _ginibre_stack(draws, idx, part: int) -> np.ndarray:
-    return core._ginibre_from_normals(np.stack([draws[k][part] for k in idx]))
+def _protocol_draws(rng, n: int, count: int, *parts):
+    """``count`` protocol instances at block length n, drawn as stacks.
 
-
-def _code_stack(draws, idx) -> protocol.Code:
-    return protocol.Code(core.densities_from_ginibre(_ginibre_stack(draws, idx, 1)))
-
-
-def _povm_stack(draws, idx) -> protocol.Povm:
-    return protocol.Povm.from_ginibre(_ginibre_stack(draws, idx, 2))
+    An instance is a family channel and one object of size 2 to 4 per
+    entry of ``parts`` (``_codes``, ``_povms``).  The sizes of all
+    instances come from one ``integers`` call; then each group of
+    instances with the same sizes, in ascending order of sizes, draws its
+    objects; then ``_random_family_interiors`` draws the channels.
+    Returns the family stack and, per group, its instance indices
+    (ascending) and its stacked objects."""
+    sizes = rng.integers(2, 5, (count, len(parts)))
+    groups = []
+    for key in np.unique(sizes, axis=0).tolist():
+        idx = np.flatnonzero((sizes == key).all(axis=1))
+        groups.append((idx, [part(rng, len(idx), size, n) for part, size in zip(parts, key)]))
+    return _random_family_interiors(rng, count), groups
 
 
 def _first_failure(exc: Exception, idx, single) -> tuple[int, str]:
-    """Draw index and message of the group's first instance, in draw order,
-    whose single call ``single(j)`` raises as the stacked call did."""
+    """Index and message of the group's first instance whose single call
+    ``single(j)`` raises as the stacked call did."""
     for j, k in enumerate(idx):
         try:
             single(j)
@@ -400,9 +338,10 @@ def _first_failure(exc: Exception, idx, single) -> tuple[int, str]:
 
 # The protocol functions raise when an identity they rely on breaks
 # (ValueError from modify_povm, AssertionError from success_probabilities).
-# The checks below report the first such error, in draw order, as a failed
-# check, and still draw all their instances, so the later checks see the
-# same ones.
+# The checks below report such an error, of the failing instance with the
+# lowest index, as a failed check; every block length draws all its
+# instances before any of them runs, so the later checks see the same
+# draws.
 
 
 def _check_rescaling_identity(rng, instances: int = 100) -> CheckResult:
@@ -410,13 +349,12 @@ def _check_rescaling_identity(rng, instances: int = 100) -> CheckResult:
     worst = 0.0
     error = None
     for n in (1, 2, 3):
-        draws = _protocol_draws(rng, n, instances)
-        phis, pairs = _family_stack([params for params, _, _ in draws])
+        params, groups = _protocol_draws(rng, n, instances, _codes, _povms)
+        phis, pairs = _family_stack(params)
         psis = sinkhorn.upsilon_ptm(phis, pairs)
         failures = []
-        for idx in _shape_groups((len(c), len(m)) for _, c, m in draws):
+        for idx, (code, povm) in groups:
             phi, psi, a, b = phis[idx], psis[idx], pairs.a[idx], pairs.b[idx]
-            code, povm = _code_stack(draws, idx), _povm_stack(draws, idx)
             try:
                 dev = protocol.verify_rescaling_identity(phi, psi, a, b, code, povm)
             except ValueError as exc:
@@ -441,11 +379,11 @@ def _check_modified_povm(rng) -> CheckResult:
     low = np.inf
     error = None
     for n in (1, 2, 3):
-        draws = _protocol_draws(rng, n, 30)
-        _, pairs = _family_stack([params for params, _, _ in draws])
+        params, groups = _protocol_draws(rng, n, 30, _povms)
+        pairs = sinkhorn.family_scaling_pair(params)
         failures = []
-        for idx in _shape_groups(len(m) for _, _, m in draws):
-            a, povm = pairs.a[idx], _povm_stack(draws, idx)
+        for idx, (povm,) in groups:
+            a = pairs.a[idx]
             try:
                 modified = protocol.modify_povm(povm, a)
             except ValueError as exc:
@@ -470,11 +408,11 @@ def _check_rate_penalty(rng) -> CheckResult:
     slack = np.inf
     error = None
     for n in (1, 2, 3):
-        draws = _protocol_draws(rng, n, 50)
-        _, pairs = _family_stack([params for params, _, _ in draws])
+        params, groups = _protocol_draws(rng, n, 50, _codes)
+        pairs = sinkhorn.family_scaling_pair(params)
         failures = []
-        for idx in _shape_groups(len(c) for _, c, _ in draws):
-            a, b, code = pairs.a[idx], pairs.b[idx], _code_stack(draws, idx)
+        for idx, (code,) in groups:
+            a, b = pairs.a[idx], pairs.b[idx]
             try:
                 probs, _ = protocol.success_probabilities(code, a, b)
             except AssertionError as exc:
@@ -507,14 +445,13 @@ def protocol_suite(rng: np.random.Generator) -> list[CheckResult]:
 
 def _canary_check(rng: np.random.Generator) -> CheckResult:
     """Deliberately failing check proving the harness reports failures."""
-    params = _random_family_interior(rng)
+    params = _random_family_interiors(rng, 1)
     pair = sinkhorn.family_scaling_pair(params)
     corrupted = sinkhorn.ScalingPair.from_operators(
         pair.a + np.diag([1e-3, 0.0]), pair.b)
-    res = sinkhorn.verify_decomposition(params, corrupted)
-    return _result("canary_corrupted_pair_accepted", res.max_residual <= 1e-9,
-                   f"corrupted pair residual {res.max_residual:.2e} "
-                   "(expected to fail)")
+    residual = float(sinkhorn.verify_decomposition(params, corrupted).max_residual[0])
+    return _result("canary_corrupted_pair_accepted", residual <= 1e-9,
+                   f"corrupted pair residual {residual:.2e} (expected to fail)")
 
 
 SUITES = {

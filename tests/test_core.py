@@ -547,6 +547,11 @@ def _matmul_kraus_ptm(K):
     return np.ascontiguousarray(ptm.real)
 
 
+def _channels(stack):
+    values = (stack.lambda1, stack.lambda2, stack.lambda3, stack.t3)
+    return [PauliChannelParams(*row) for row in np.array(values).T.tolist()]
+
+
 def _family_operators(params):
     pair = sinkhorn.family_scaling_pair(params)
     return [pair.a, pair.b, core.inverse_2x2(pair.a), core.inverse_2x2(pair.b)]
@@ -557,7 +562,7 @@ def test_kraus_ptm_keeps_the_matmul_values_on_real_diagonal_operators():
     # sign of a zero entry may differ from the matmul form
     channels = ([gad_params(0.475, g) for g in np.linspace(0.05, 3.0, 60).tolist()]
                 + [mix_params(p) for p in np.linspace(0.02, 0.98, 49).tolist()]
-                + verify._random_family_interiors(np.random.default_rng(40), 1000))
+                + _channels(verify._random_family_interiors(np.random.default_rng(40), 1000)))
     ops = np.array([K for params in channels for K in _family_operators(params)])
     assert np.array_equal(kraus_ptm(ops), _matmul_kraus_ptm(ops))
     for K in ops[::97]:
@@ -586,34 +591,14 @@ def test_mul_2x2_matches_matmul():
     np.testing.assert_array_equal(core._mul_2x2(real, np.eye(2)), real)
 
 
-def _sequential_ptm_vs_kraus_draws(rng, count):
-    # the draw loop of the PTM-vs-Kraus check before it was stacked
-    channels, rhos = [], []
-    for _ in range(count):
-        channels.append(core.random_cptp_channel(rng, kraus_rank=int(rng.integers(1, 5))))
-        rhos.append(bloch_to_density(core.random_blochs(rng, 1)[0]))
-    return channels, rhos
-
-
-def test_ptm_vs_kraus_draws_match_the_sequential_draws():
-    fast, slow = np.random.default_rng(24), np.random.default_rng(24)
-    ops, blochs = verify._ptm_vs_kraus_draws(fast, count=300)
-    channels, rhos = _sequential_ptm_vs_kraus_draws(slow, 300)
-    assert fast.bit_generator.state["state"] == slow.bit_generator.state["state"]
-    ptms = core.normalized_kraus_ptm(ops)
-    assert ptms.tobytes() == np.array(channels).tobytes()
-    assert bloch_to_density(blochs).tobytes() == np.array(rhos).tobytes()
-
-
 def _two_call_ptm_vs_kraus_draws(rng, count):
-    # the draw loop with one random_ginibre and one random_blochs call per pair
-    ops = np.zeros((count, 4, 2, 2), dtype=complex)
-    blochs = np.empty((count, 3))
-    for k in range(count):
-        rank = int(rng.integers(1, 5))
-        ops[k, :rank] = core.random_ginibre(rng, rank)
-        blochs[k] = core.random_blochs(rng, 1)[0]
-    return ops, blochs
+    # the ranks, then one random_ginibre call for four operators per set
+    # and one random_blochs call
+    ranks = rng.integers(1, 5, count).tolist()
+    ops = core.random_ginibre(rng, 4 * count).reshape(count, 4, 2, 2)
+    for k, rank in enumerate(ranks):
+        ops[k, rank:] = 0.0
+    return ops, core.random_blochs(rng, count)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -640,6 +625,23 @@ def test_singular_kraus_set_is_refused():
             with pytest.raises(ValueError, match=message):
                 core.normalized_kraus_ptm(ops)
     assert core.normalized_kraus_ptm(stack[0]).shape == (2, 4, 4)
+
+
+def test_ill_conditioned_kraus_set_gives_a_cp_ptm():
+    # the rank-1 set, singular values 2.33 and 9.7e-4, that verify --seed
+    # 100602 draws: S^(-1/2) alone left sum K'K off the identity by about
+    # 1e-9, setting the first row then gave a Choi eigenvalue of -3.6e-10,
+    # and the PTM and Kraus paths differed by 1.21e-10 (tol 1e-10)
+    K = np.array([[-0.6507272912734995 - 0.09085154497187768j,
+                   -0.41796864777864107 - 0.26387132433418986j],
+                  [-1.052881771526504 + 1.3820426670337087j,
+                   -1.1500651224008862 + 0.6247452608013669j]])
+    ptm = core.normalized_kraus_ptm(K[None])
+    choi = choi_from_channel(ptm)
+    assert np.linalg.eigvalsh(choi)[0] >= -1e-14
+    rhos = bloch_to_density(core.random_blochs(np.random.default_rng(7), 50))
+    via_kraus = sum(apply_scaling(k, rhos) for k in kraus_from_choi(choi))
+    assert np.abs(apply_channel_matrix(ptm, rhos) - via_kraus).max() <= 1e-14
 
 
 def test_stacked_core_functions_match_the_single_calls():
@@ -681,13 +683,26 @@ def _sequential_blochs(rng, count, pure=False):
 
 
 @pytest.mark.parametrize("pure", [False, True])
-def test_bloch_draws_match_the_sequential_draws(pure):
+def test_bloch_draws_are_one_normal_and_one_uniform_call(pure):
+    # each row has the bits of the one-vector formula on the stack's draws
     fast, slow = np.random.default_rng(26), np.random.default_rng(26)
     blochs = core.random_blochs(fast, 400, pure=pure)
-    assert blochs.tobytes() == _sequential_blochs(slow, 400, pure=pure).tobytes()
+    directions = slow.normal(size=(400, 3))
+    radii = [1.0] * 400 if pure else slow.uniform(size=400).tolist()
+    ref = [v / np.linalg.norm(v) * (1.0 if pure else r ** (1.0 / 3.0))
+           for v, r in zip(directions, radii)]
+    assert blochs.tobytes() == np.array(ref).tobytes()
     assert fast.bit_generator.state == slow.bit_generator.state
-    assert core.random_blochs(fast, 1, pure)[0].tobytes() == \
-        _sequential_blochs(slow, 1, pure)[0].tobytes()
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_bloch_draws_match_the_sequential_draws(pure):
+    # property tests draw one vector at a time; those draws keep their bits
+    fast, slow = np.random.default_rng(27), np.random.default_rng(27)
+    for _ in range(200):
+        assert core.random_blochs(fast, 1, pure)[0].tobytes() == \
+            _sequential_blochs(slow, 1, pure)[0].tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
 
 
 def test_operator_draws_match_the_sequential_draws():
@@ -704,7 +719,7 @@ def test_stacked_state_and_operator_functions_match_the_single_calls():
     rng = np.random.default_rng(28)
     mixed = bloch_to_density(core.random_blochs(rng, 300))
     pure = bloch_to_density(core.random_blochs(rng, 100, pure=True))  # a zero eigenvalue
-    wide = core.densities_from_ginibre(core.random_ginibre(rng, 100, 4))
+    wide = core.random_densities(rng, 100, 4)
     for rhos in (mixed, pure, wide):
         entropies = von_neumann_entropy(rhos)
         for k in range(len(rhos)):
@@ -716,7 +731,8 @@ def test_stacked_state_and_operator_functions_match_the_single_calls():
 
     ginibre = core.random_ginibre(rng, 600).reshape(3, 200, 2, 2)
     norms, inverses = operator_norm(ginibre), core.inverse_2x2(ginibre)
-    wishart = core.densities_from_ginibre(ginibre)
+    wishart = core.random_densities(np.random.default_rng(30), 600).reshape(3, 200, 2, 2)
+    single = np.random.default_rng(30)
     for k, K in enumerate(ginibre.reshape(-1, 2, 2)):
         assert norms.reshape(-1)[k].tobytes() == np.float64(operator_norm(K)).tobytes()
         assert inverses.reshape(-1, 2, 2)[k].tobytes() == core.inverse_2x2(K).tobytes()
@@ -725,7 +741,7 @@ def test_stacked_state_and_operator_functions_match_the_single_calls():
             (K[0, 0] * K[1, 1] - K[0, 1] * K[1, 0])
         assert core.inverse_2x2(K).tobytes() == scalar.tobytes()
         assert wishart.reshape(-1, 2, 2)[k].tobytes() == \
-            core.densities_from_ginibre(K[None])[0].tobytes()
+            core.random_densities(single, 1)[0].tobytes()
     with pytest.raises(ValueError, match="singular"):
         core.inverse_2x2(np.stack([np.eye(2), np.zeros((2, 2))]))
 

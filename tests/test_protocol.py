@@ -258,7 +258,7 @@ def test_rate_penalty_takes_one_stacked_call_per_shape_group(monkeypatch):
     # the two operator norms once for each group of its 50 instances per n
     # that share a code size
     rng = np.random.default_rng(7)
-    groups = sum(len({len(code) for _, code, _ in verify._protocol_draws(rng, n, 50)})
+    groups = sum(len(verify._protocol_draws(rng, n, 50, verify._codes)[1])
                  for n in (1, 2, 3))
     assert groups == 9
     calls = []

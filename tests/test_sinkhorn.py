@@ -447,7 +447,7 @@ def test_single_calls_are_pinned():
         for part in (pair.a.tobytes(), pair.b.tobytes(), np.array(norms).tobytes(),
                      str(pair.iterations).encode()):
             digest.update(part)
-    assert digest.hexdigest() == "524ba44101d08c829a8dcf41dcd3c5ca453b8c3f38ccd2a00ef4ee632d01c632"
+    assert digest.hexdigest() == "cd92fc0ab18cb8d03cc25d39946c3733a72600203c7e512ebe8e9ec9a9748b62"
 
 
 def test_single_channel_errors_name_no_stack_position():

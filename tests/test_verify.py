@@ -1,8 +1,8 @@
-"""The verify checks that draw their instances first and then run the
-production functions on stacks, against the one-instance-at-a-time loops
-they replaced: same draws, same generator state, same results.  The CP
-grid check is held against the eigensolve of every Choi matrix that its
-LDL' decision replaced."""
+"""The verify checks that run the production functions on stacks of
+instances, against the one-instance-at-a-time loops they replaced, on the
+same draws: same generator state, same results.  The draw scheme itself
+is pinned by its generator calls.  The CP grid check is held against the
+eigensolve of every Choi matrix that its LDL' decision replaced."""
 
 import math
 
@@ -12,36 +12,41 @@ import pytest
 from qcap import core, protocol, sinkhorn, verify
 
 # ---------------------------------------------------------------------------
-# sequential references: the checks as they ran before the instance stacks
+# sequential references: the checks as they ran before the instance stacks,
+# each on the instances that the check's own draw function gives
 
 
-def _sequential_family_interior(rng):
-    while True:
-        l1, l2, l3 = rng.uniform(-1.0, 1.0, 3)
-        t3 = rng.uniform(-1.0, 1.0)
-        if abs(t3) + abs(l3) >= 0.98:
-            continue
-        if 1.0 + l3 < np.hypot(t3, l1 + l2) + 1e-6:
-            continue
-        if 1.0 - l3 < np.hypot(t3, l1 - l2) + 1e-6:
-            continue
-        return core.PauliChannelParams(l1, l2, l3, t3)
+def _channels(stack):
+    """The channels of a family stack, one ``PauliChannelParams`` of Python
+    floats each."""
+    values = (stack.lambda1, stack.lambda2, stack.lambda3, stack.t3)
+    return [core.PauliChannelParams(*row) for row in np.array(values).T.tolist()]
 
 
-def _sequential_protocol_instance(rng, n):
-    params = _sequential_family_interior(rng)
-    pair = sinkhorn.family_scaling_pair(params)
-    phi = core.ptm_from_params(params)
-    psi = sinkhorn.upsilon_ptm(params, pair)
-    code = protocol.Code.random(rng, size=int(rng.integers(2, 5)), n=n)
-    povm = protocol.Povm.random(rng, size=int(rng.integers(2, 5)), dim=2**n)
-    return phi, psi, pair, code, povm
+def _family_interiors(rng, count):
+    return _channels(verify._random_family_interiors(rng, count))
+
+
+def _protocol_instances(rng, n, count, *parts):
+    """The instances of ``verify._protocol_draws``, one at a time in index
+    order: the channel's PTM, its sandwiched map and scaling pair, then
+    one single code or POVM per part."""
+    params, groups = verify._protocol_draws(rng, n, count, *parts)
+    instances = []
+    for channel in _channels(params):
+        pair = sinkhorn.family_scaling_pair(channel)
+        instances.append([core.ptm_from_params(channel),
+                          sinkhorn.upsilon_ptm(channel, pair), pair])
+    for idx, stacks in groups:
+        for j, k in enumerate(idx.tolist()):
+            instances[k] += [protocol.Code(s.factors[j]) if isinstance(s, protocol.Code)
+                             else protocol.Povm(s.elements[j]) for s in stacks]
+    return instances
 
 
 def _sequential_bloch_roundtrip(rng):
     worst = 0.0
-    for _ in range(1000):
-        b = core.random_blochs(rng, 1)[0]
+    for b in core.random_blochs(rng, 1000):
         back = core.density_to_bloch(core.bloch_to_density(b))
         worst = max(worst, *np.abs(back - b).tolist())
     return verify._result("bloch_density_roundtrip", worst <= 1e-14,
@@ -85,8 +90,8 @@ def _sequential_cp_grid(rng):
 
 def _sequential_entropy_consistency(rng):
     worst = 0.0
-    for _ in range(500):
-        x, y, z = b = core.random_blochs(rng, 1)[0]
+    for b in core.random_blochs(rng, 500):
+        x, y, z = b
         s = core.von_neumann_entropy(core.bloch_to_density(b))
         via_bloch = core.binary_entropy((1.0 - math.sqrt(x * x + y * y + z * z)) / 2.0)
         worst = max(worst, abs(s - via_bloch))
@@ -110,10 +115,9 @@ def _sequential_norm_inverse_product(rng):
 
 def _sequential_gauge_invariance(rng):
     worst = 0.0
-    for _ in range(50):
-        params = _sequential_family_interior(rng)
+    stack, factors = verify._gauge_draws(rng)
+    for params, c in zip(_channels(stack), factors.tolist()):
         pair = sinkhorn.family_scaling_pair(params)
-        c = rng.uniform(0.2, 5.0)
         scaled = sinkhorn.ScalingPair.from_operators(pair.a / c, c * pair.b)
         ups = sinkhorn.upsilon_ptm(params, pair)
         ups_scaled = sinkhorn.upsilon_ptm(params, scaled)
@@ -126,8 +130,7 @@ def _sequential_gauge_invariance(rng):
 
 def _sequential_two_path_agreement(rng):
     worst = 0.0
-    for _ in range(100):
-        params = _sequential_family_interior(rng)
+    for params in _family_interiors(rng, 100):
         closed = sinkhorn.family_unital_params(params)
         pair = sinkhorn.sinkhorn_iterate(core.ptm_from_params(params))
         iterated = sinkhorn.unital_diagonalize(
@@ -142,8 +145,7 @@ def _sequential_two_path_agreement(rng):
 
 def _sequential_decomposition_residuals(rng):
     worst = 0.0
-    for _ in range(200):
-        params = _sequential_family_interior(rng)
+    for params in _family_interiors(rng, 200):
         res = sinkhorn.verify_decomposition(params, sinkhorn.family_scaling_pair(params))
         worst = max(worst, res.max_residual)
     return verify._result("decomposition_residuals", worst <= 1e-9,
@@ -152,8 +154,7 @@ def _sequential_decomposition_residuals(rng):
 
 def _sequential_upsilon_is_channel(rng):
     ok = True
-    for _ in range(50):
-        params = _sequential_family_interior(rng)
+    for params in _family_interiors(rng, 50):
         ups = sinkhorn.upsilon_ptm(params, sinkhorn.family_scaling_pair(params))
         report = core.is_completely_positive(ups)
         ok = ok and report.is_cp and core.is_unital(ups, 1e-10) \
@@ -167,8 +168,8 @@ def _sequential_rescaling_identity(rng, instances=100):
     worst = 0.0
     error = None
     for n in (1, 2, 3):
-        for _ in range(instances):
-            phi, psi, pair, code, povm = _sequential_protocol_instance(rng, n)
+        for phi, psi, pair, code, povm in _protocol_instances(
+                rng, n, instances, verify._codes, verify._povms):
             try:
                 dev = protocol.verify_rescaling_identity(phi, psi, pair.a, pair.b,
                                                          code, povm)
@@ -189,8 +190,7 @@ def _sequential_modified_povm(rng):
     low = np.inf
     error = None
     for n in (1, 2, 3):
-        for _ in range(30):
-            _, _, pair, _, povm = _sequential_protocol_instance(rng, n)
+        for _, _, pair, povm in _protocol_instances(rng, n, 30, verify._povms):
             try:
                 modified = protocol.modify_povm(povm, pair.a)
             except ValueError as exc:
@@ -212,8 +212,7 @@ def _sequential_rate_penalty(rng):
     slack = np.inf
     error = None
     for n in (1, 2, 3):
-        for _ in range(50):
-            _, _, pair, code, _ = _sequential_protocol_instance(rng, n)
+        for _, _, pair, code in _protocol_instances(rng, n, 50, verify._codes):
             try:
                 probs, _ = protocol.success_probabilities(code, pair.a, pair.b)
             except AssertionError as exc:
@@ -336,51 +335,7 @@ def test_swapped_choi_entries_fail_the_cp_grid_check(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the pre-drawn instances, bit for bit
-
-
-def _params_bits(params):
-    values = (params.lambda1, params.lambda2, params.lambda3, params.t3)
-    return [type(v) for v in values], np.array(values).tobytes()
-
-
-@pytest.mark.parametrize("count", [1, 2, 50, 200])
-def test_family_draws_match_the_sequential_draws(count):
-    for seed in range(20):
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = verify._random_family_interiors(fast, count)
-        reference = [_sequential_family_interior(slow) for _ in range(count)]
-        assert [_params_bits(p) for p in drawn] == [_params_bits(p) for p in reference]
-        assert fast.bit_generator.state == slow.bit_generator.state
-
-
-def test_one_family_draw_matches_the_sequential_draw():
-    for seed in range(40):
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(5):
-            assert _params_bits(verify._random_family_interior(fast)) == \
-                _params_bits(_sequential_family_interior(slow))
-        assert fast.bit_generator.state == slow.bit_generator.state
-
-
-def test_family_draws_after_a_buffered_half_match_the_sequential_draws():
-    # rng.integers(2, 5) leaves half of a 64-bit draw buffered; rewinding
-    # over unused attempts must keep that half for the next integers call
-    for seed in range(40):
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        for rng in (fast, slow):
-            rng.integers(2, 5)
-        assert fast.bit_generator.state["has_uint32"] == 1
-        assert _params_bits(verify._random_family_interior(fast)) == \
-            _params_bits(_sequential_family_interior(slow))
-        assert fast.bit_generator.state == slow.bit_generator.state
-        for rng in (fast, slow):
-            rng.integers(2, 5)
-        drawn = verify._random_family_interiors(fast, 3)
-        assert [_params_bits(p) for p in drawn] == \
-            [_params_bits(_sequential_family_interior(slow)) for _ in range(3)]
-        assert fast.bit_generator.state == slow.bit_generator.state
-        assert fast.integers(0, 2**32) == slow.integers(0, 2**32)
+# the draw scheme: about one generator call per distribution
 
 
 class _CountingGenerator:
@@ -401,33 +356,85 @@ class _CountingGenerator:
         return counted
 
 
-def test_protocol_draws_take_one_uniform_block_per_instance():
-    # about one attempt in seven is kept; a block holds 24 attempts, so a
-    # second block is needed for about one instance in 40
-    rng = _CountingGenerator(np.random.default_rng(5))
-    verify._protocol_draws(rng, 2, 200)
-    assert rng.calls["integers"] == 400 and rng.calls["normal"] == 400
-    assert 200 <= rng.calls["uniform"] <= 215
+def _values(stack):
+    return np.array([stack.lambda1, stack.lambda2, stack.lambda3, stack.t3])
 
 
-def test_gauge_draws_match_the_sequential_draws():
+@pytest.mark.parametrize("count", [1, 2, 50, 200])
+def test_family_draws_are_the_first_kept_rows_of_uniform_blocks(count):
+    for seed in range(20):
+        rng = _CountingGenerator(np.random.default_rng(seed))
+        values = _values(verify._random_family_interiors(rng, count))
+        assert values.shape == (4, count) and values.dtype == float
+        assert np.all(verify._kept(*values)) and np.all(np.abs(values) < 1.0)
+        assert set(rng.calls) == {"uniform"} and rng.calls["uniform"] <= 3
+        block = np.random.default_rng(seed).uniform(-1.0, 1.0, (8 * count + 8, 4))
+        kept = block[verify._kept(*block.T)]
+        if len(kept) >= count:
+            assert values.T.tobytes() == kept[:count].tobytes()
+
+
+def test_gauge_draws_are_one_family_draw_and_one_uniform_call():
     fast, slow = np.random.default_rng(31), np.random.default_rng(31)
-    params, factors = verify._gauge_draws(fast)
-    ptms, pair = verify._family_stack(params)
-    for k in range(50):
-        ref_params = _sequential_family_interior(slow)
-        ref_pair = sinkhorn.family_scaling_pair(ref_params)
-        assert _params_bits(params[k]) == _params_bits(ref_params)
-        assert factors[k] == slow.uniform(0.2, 5.0)
-        assert ptms[k].tobytes() == core.ptm_from_params(ref_params).tobytes()
-        assert pair.a[k].tobytes() == ref_pair.a.tobytes()
-        assert pair.b[k].tobytes() == ref_pair.b.tobytes()
+    rng = _CountingGenerator(fast)
+    params, factors = verify._gauge_draws(rng)
+    ref = _values(verify._random_family_interiors(slow, 50))
+    assert _values(params).tobytes() == ref.tobytes()
+    assert factors.tobytes() == slow.uniform(0.2, 5.0, 50).tobytes()
+    assert fast.bit_generator.state == slow.bit_generator.state
+    assert set(rng.calls) == {"uniform"} and rng.calls["uniform"] <= 3
+
+
+def test_ptm_vs_kraus_draws_take_one_call_per_distribution():
+    rng = _CountingGenerator(np.random.default_rng(24))
+    ops, _ = verify._ptm_vs_kraus_draws(rng, count=300)
+    assert rng.calls == {"integers": 1, "normal": 2, "uniform": 1}
+    ranks = (np.abs(ops).sum(axis=(-2, -1)) > 0).sum(axis=1)
+    assert sorted(set(ranks.tolist())) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_protocol_draws_match_the_sequential_draws(n):
+    # the sizes, then group by group, in ascending order of sizes, one
+    # Code.random call per instance and one Povm.random call per instance,
+    # then the channels
+    fast, slow = np.random.default_rng(32 + n), np.random.default_rng(32 + n)
+    params, groups = verify._protocol_draws(fast, n, 60, verify._codes, verify._povms)
+    sizes = slow.integers(2, 5, (60, 2))
+    for idx, (code, povm) in groups:
+        assert np.all(sizes[idx] == (code.size, povm.size))
+        codes = [protocol.Code.random(slow, size=code.size, n=n).factors for _ in idx]
+        povms = [protocol.Povm.random(slow, size=povm.size, dim=2**n).elements for _ in idx]
+        assert code.factors.tobytes() == np.array(codes).tobytes()
+        assert povm.elements.tobytes() == np.array(povms).tobytes()
+    assert _values(params).tobytes() == \
+        _values(verify._random_family_interiors(slow, 60)).tobytes()
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
+@pytest.mark.parametrize("parts", [(verify._codes, verify._povms), (verify._povms,),
+                                   (verify._codes,)],
+                         ids=["codes-povms", "povms", "codes"])
+def test_protocol_draws_take_one_call_per_distribution(parts):
+    # sizes first in one integers call, then one normal call per part of
+    # each size group, in ascending order of sizes, then the channels
+    rng = _CountingGenerator(np.random.default_rng(5))
+    params, groups = verify._protocol_draws(rng, 2, 200, *parts)
+    sizes = [tuple(s.size for s in stacks) for _, stacks in groups]
+    assert sizes == sorted(set(sizes)) and len(sizes) == 3 ** len(parts)
+    assert rng.calls["integers"] == 1 and rng.calls["normal"] == len(parts) * len(groups)
+    assert rng.calls["uniform"] <= 2
+    assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in groups])), np.arange(200))
+    for idx, stacks in groups:
+        assert np.all(np.diff(idx) > 0)
+        assert all(s.batch_shape == (len(idx),) and s.n == 2 for s in stacks)
+    assert _values(params).shape == (4, 200)
+
+
 def test_family_stack_matches_the_stacked_single_pairs():
-    params = verify._random_family_interiors(np.random.default_rng(36), 840)
-    ptms, pair = verify._family_stack(params)
+    stack = verify._random_family_interiors(np.random.default_rng(36), 840)
+    params = _channels(stack)
+    ptms, pair = verify._family_stack(stack)
     singles = [sinkhorn.family_scaling_pair(p) for p in params]
     ref = sinkhorn.ScalingPair(*(np.stack([getattr(p, name) for p in singles])
                                  for name in ("a", "b", "norm_a", "norm_b",
@@ -442,42 +449,16 @@ def test_family_stack_matches_the_stacked_single_pairs():
         sinkhorn.upsilon_ptm(ptms, ref).tobytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_protocol_draws_match_the_sequential_draws(n):
-    # each shape group's stacks hold the instances, in draw order, that the
-    # sequential loop builds one at a time
-    fast, slow = np.random.default_rng(32 + n), np.random.default_rng(32 + n)
-    draws = verify._protocol_draws(fast, n, 60)
-    reference = [_sequential_protocol_instance(slow, n) for _ in range(60)]
-    assert fast.bit_generator.state == slow.bit_generator.state
-    groups = verify._shape_groups((len(c), len(m)) for _, c, m in draws)
-    assert sorted(k for idx in groups for k in idx) == list(range(60))
-    for idx in groups:
-        phi, pair = verify._family_stack([draws[k][0] for k in idx])
-        psi = sinkhorn.upsilon_ptm(phi, pair)
-        code, povm = verify._code_stack(draws, idx), verify._povm_stack(draws, idx)
-        for j, k in enumerate(idx):
-            ref_phi, ref_psi, ref_pair, ref_code, ref_povm = reference[k]
-            assert phi[j].tobytes() == ref_phi.tobytes()
-            assert psi[j].tobytes() == ref_psi.tobytes()
-            assert pair.a[j].tobytes() == ref_pair.a.tobytes()
-            assert pair.b[j].tobytes() == ref_pair.b.tobytes()
-            assert pair.norm_ab[j] == ref_pair.norm_ab
-            assert code.factors[j].tobytes() == ref_code.factors.tobytes()
-            assert povm.elements[j].tobytes() == ref_povm.elements.tobytes()
-
-
 # ---------------------------------------------------------------------------
-# a failure is reported for the first failing instance in draw order
+# a failure is reported for the failing instance with the lowest index
 
 
-def _out_of_group_order(draws, key):
-    """Two instances k1 < k2 whose shape groups run in the other order: k1
-    opens a later group, and k2 joins the group of instance 0."""
-    keys = [key(d) for d in draws]
-    k1 = next(k for k, kk in enumerate(keys) if kk != keys[0])
-    k2 = next(k for k in range(k1 + 1, len(keys)) if keys[k] == keys[0])
-    return k1, k2
+def _out_of_group_order(groups):
+    """Two instances k1 < k2 whose groups run in the other order: k1 is the
+    first instance outside the first group, and k2 the next one in it."""
+    first = groups[0][0]
+    k1 = next(k for k in range(first.size + 1) if k not in first)
+    return k1, int(first[first > k1][0])
 
 
 def _tolerance_failing_at(original, entries):
@@ -499,28 +480,28 @@ def _traces_inflated_at(original, entries):
 
 PROTOCOL_CHECKS = ["rescaling_identity", "modified_povm", "rate_penalty"]
 FAILURES = [
-    # (patched function, its patch, scaling it keys on, check, draws per n, shape key)
+    # (patched function, its patch, scaling it keys on, check, draws per n, parts)
     ("completion_tolerance", _tolerance_failing_at, "a", "rescaling_identity", 100,
-     lambda d: (len(d[1]), len(d[2]))),
+     (verify._codes, verify._povms)),
     ("completion_tolerance", _tolerance_failing_at, "a", "modified_povm", 30,
-     lambda d: len(d[2])),
+     (verify._povms,)),
     ("code_scaling_traces", _traces_inflated_at, "b", "rate_penalty", 50,
-     lambda d: len(d[1])),
+     (verify._codes,)),
 ]
 
 
-@pytest.mark.parametrize("function, patch, operator, check, count, key", FAILURES,
+@pytest.mark.parametrize("function, patch, operator, check, count, parts", FAILURES,
                          ids=[f"{f}-{c}" for f, _, _, c, *_ in FAILURES])
 def test_failures_are_reported_in_draw_order(monkeypatch, function, patch, operator,
-                                             check, count, key):
-    # two instances fail at n = 1, and the later one's shape group runs
-    # first; every protocol check must report what the sequential loop
-    # reports, and the chosen check must name the earlier instance
+                                             check, count, parts):
+    # two instances fail at n = 1, and the later one's group runs first;
+    # every protocol check must report what the sequential loop reports,
+    # and the chosen check must name the earlier instance
     seed = 5
-    draws = verify._protocol_draws(np.random.default_rng(seed), 1, count)
-    k1, k2 = _out_of_group_order(draws, key)
-    entries = [getattr(sinkhorn.family_scaling_pair(draws[k][0]), operator)[0, 0].real
-               for k in (k1, k2)]
+    params, groups = verify._protocol_draws(np.random.default_rng(seed), 1, count, *parts)
+    k1, k2 = _out_of_group_order(groups)
+    scaling = getattr(sinkhorn.family_scaling_pair(params), operator)
+    entries = [scaling[k, 0, 0].real for k in (k1, k2)]
     original = getattr(protocol, function)
 
     monkeypatch.setattr(protocol, function, patch(original, entries[1:]))
@@ -534,3 +515,52 @@ def test_failures_are_reported_in_draw_order(monkeypatch, function, patch, opera
         if name == check:
             assert not result.passed and result.detail.startswith("n=1")
             assert result.detail != only_k2.detail
+
+
+# ---------------------------------------------------------------------------
+# instances that once failed a check, by their parameters
+
+
+def test_gauge_check_passes_where_b_has_nearly_equal_singular_values(monkeypatch):
+    # the 34th gauge channel and factor that verify --seed 216046928 drew
+    # before its draws were stacked: norms from tr^2 - 4 det moved 3.44e-9
+    # under this gauge change, past the 1e-9 tolerance
+    params = core.PauliChannelParams(0.4142611594972083, 0.38927262695280906,
+                                     0.004823898941261229, -9.036425638431211e-06)
+    singular = np.linalg.svd(sinkhorn.family_scaling_pair(params).b, compute_uv=False)
+    assert np.allclose(singular, [1.00000584, 1.0000058], rtol=0, atol=5e-9)
+    stack = core.PauliChannelParams.stack([params])
+    monkeypatch.setattr(verify, "_gauge_draws",
+                        lambda rng: (stack, np.array([3.6890576478002064])))
+    result = verify._check_gauge_invariance(np.random.default_rng(0))
+    assert result.passed, result.detail
+
+
+def test_rescaling_identity_holds_where_a_has_nearly_equal_singular_values():
+    # the channel that verify --suite protocol --seed 1704011245 drew as
+    # instance 47 at n = 2 before its draws were stacked: |A| from
+    # tr^2 - 4 det was off by 1.6e-10 relatively, and modify_povm raised on
+    # a completion eigenvalue of -6.5e-10
+    params = core.PauliChannelParams(-0.3990747296728958, 0.12471242495166757,
+                                     -0.36135063840898063, -2.073024969462267e-07)
+    pair = sinkhorn.family_scaling_pair(params)
+    singular = np.linalg.svd(pair.a, compute_uv=False)
+    assert np.allclose(singular, [0.96562427, 0.96562404], rtol=0, atol=5e-9)
+    phi, psi = core.ptm_from_params(params), sinkhorn.upsilon_ptm(params, pair)
+    rng = np.random.default_rng(1704)
+    for size in (2, 2, 3, 4):
+        code = protocol.Code.random(rng, size=size, n=2)
+        povm = protocol.Povm.random(rng, size=size, dim=4)
+        protocol.modify_povm(povm, pair.a)
+        assert protocol.verify_rescaling_identity(phi, psi, pair.a, pair.b,
+                                                  code, povm) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# every check passes on seeds that no other test uses
+
+
+@pytest.mark.parametrize("seed", range(70001, 70025))
+def test_every_check_passes_across_seeds(seed):
+    for suite in verify.run_suites(["core", "sinkhorn", "protocol"], seed=seed):
+        assert suite.passed, [c for c in suite.checks if not c.passed]
