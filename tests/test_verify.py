@@ -374,6 +374,19 @@ def test_family_draws_are_the_first_kept_rows_of_uniform_blocks(count):
             assert values.T.tobytes() == kept[:count].tobytes()
 
 
+def test_one_family_draw_is_a_stack_of_one():
+    """The canary's one channel is a stack of one that the stacked scaling
+    and decomposition take as is, and its draw is the count-1 draw."""
+    fast, slow = np.random.default_rng(11), np.random.default_rng(11)
+    params = verify._random_family_interiors(fast, 1)
+    assert params.lambda1.shape == (1,) and bool(verify._kept(*_values(params)).all())
+    result = verify._canary_check(slow)
+    assert not result.passed
+    pair = sinkhorn.family_scaling_pair(params)
+    assert float(sinkhorn.verify_decomposition(params, pair).max_residual[0]) <= 1e-9
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
 def test_gauge_draws_are_one_family_draw_and_one_uniform_call():
     fast, slow = np.random.default_rng(31), np.random.default_rng(31)
     rng = _CountingGenerator(fast)
