@@ -8,16 +8,19 @@ suite.
 
 A check on random instances draws all of them as stacks, about one
 generator call per distribution: sizes and ranks from one ``integers``
-call, normals from one ``normal`` call per shape, and family channels by
-rejection on ``uniform`` blocks judged as arrays.  It then runs the
-production functions once on the stack of all instances, or, in the
-protocol checks, once per group of instances that share their sizes.
-Every stacked function gives each instance the bits of its single call,
-so the results do not depend on the grouping.
+call, normals from one ``normal`` call per shape (per block length in
+the protocol checks), and family channels by rejection on ``uniform``
+blocks judged as arrays.  It then runs the production functions once on
+the stack of all instances, or, in the protocol checks, once per block
+length, on instances padded to size 4: codes with copies of their
+codeword 0, POVMs with zero elements.  Every stacked function gives each
+instance the bits of its single call; padding never reaches a reported
+number.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,55 +296,71 @@ def sinkhorn_suite(rng: np.random.Generator) -> list[CheckResult]:
 # protocol suite
 
 
-def _codes(rng, count: int, size: int, n: int) -> protocol.Code:
-    """A stack of ``count`` codes of ``size`` codewords at block length n,
-    each as ``protocol.Code.random`` draws one, in one ``normal`` call."""
-    return protocol.Code(core.random_densities(rng, count * size * n)
-                         .reshape(count, size, n, 2, 2))
+def _codes(ginibre, sizes) -> protocol.Code:
+    """The codes ``Code.random`` builds from (count, 4, n, 2, 2) Ginibre
+    factors, codewords past each instance's size copies of its codeword 0."""
+    rho = np.where((np.arange(4) < sizes[:, None])[..., None, None, None],
+                   ginibre, ginibre[:, :1])
+    rho = rho @ core._dagger(rho)
+    return protocol.Code(rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None])
 
 
-def _povms(rng, count: int, size: int, n: int) -> protocol.Povm:
-    """A stack of ``count`` POVMs of ``size`` elements on 2^n dimensions,
-    each as ``protocol.Povm.random`` draws one, in one ``normal`` call."""
-    ginibre = core.random_ginibre(rng, count * size, 2**n)
-    return protocol.Povm.from_ginibre(ginibre.reshape(count, size, 2**n, 2**n))
+def _povms(ginibre, sizes) -> protocol.Povm:
+    """The POVMs ``Povm.random`` builds from (count, 4, 1, d, d) Ginibre
+    draws; a zero draw past an instance's size gives a zero element."""
+    return protocol.Povm.from_ginibre(ginibre[:, :, 0])
 
 
 def _protocol_draws(rng, n: int, count: int, *parts):
-    """``count`` protocol instances at block length n, drawn as stacks.
+    """``count`` protocol instances at block length n, padded to size 4.
 
     An instance is a family channel and one object of size 2 to 4 per
-    entry of ``parts`` (``_codes``, ``_povms``).  The sizes of all
-    instances come from one ``integers`` call; then each group of
-    instances with the same sizes, in ascending order of sizes, draws its
-    objects; then ``_random_family_interiors`` draws the channels.
-    Returns the family stack and, per group, its instance indices
-    (ascending) and its stacked objects."""
+    entry of ``parts`` (``_codes``, ``_povms``).  The sizes come from one
+    ``integers`` call; then one ``normal`` call gives the objects of each
+    group of same-size instances in turn, in ascending order of sizes, as
+    ``Code.random`` and ``Povm.random`` draw them one instance at a time;
+    then ``_random_family_interiors`` draws the channels.  Returns the
+    family stack and, per part, its padded stack and (count,) sizes."""
     sizes = rng.integers(2, 5, (count, len(parts)))
-    groups = []
-    for key in np.unique(sizes, axis=0).tolist():
+    normals = [np.zeros((count, 4, *((n, 2, 2, 2) if part is _codes else (1, 2, 2**n, 2**n))))
+               for part in parts]
+    flat = rng.normal(size=int((sizes @ [g[0, 0].size for g in normals]).sum()))
+    start = 0
+    for key in itertools.product(range(2, 5), repeat=len(parts)):
         idx = np.flatnonzero((sizes == key).all(axis=1))
-        groups.append((idx, [part(rng, len(idx), size, n) for part, size in zip(parts, key)]))
-    return _random_family_interiors(rng, count), groups
+        for g, size in zip(normals, key):
+            block = flat[start:start + len(idx) * size * g[0, 0].size]
+            g[idx, :size] = block.reshape(len(idx), size, *g.shape[2:])
+            start += block.size
+    stacks = [(part(g[..., 0, :, :] + 1j * g[..., 1, :, :], s), s)
+              for part, g, s in zip(parts, normals, sizes.T)]
+    return _random_family_interiors(rng, count), stacks
 
 
-def _first_failure(exc: Exception, idx, single) -> tuple[int, str]:
-    """Index and message of the group's first instance whose single call
-    ``single(j)`` raises as the stacked call did."""
-    for j, k in enumerate(idx):
-        try:
-            single(j)
-        except type(exc) as one:
-            return k, str(one)
-    return idx[0], str(exc)
+def _single(stack, k: int, size: int):
+    """Instance k of a padded code or POVM stack, cut to its own size."""
+    field = "factors" if isinstance(stack, protocol.Code) else "elements"
+    return type(stack)(getattr(stack, field)[k, :size])
 
 
-# The protocol functions raise when an identity they rely on breaks
-# (ValueError from modify_povm, AssertionError from success_probabilities).
-# The checks below report such an error, of the failing instance with the
-# lowest index, as a failed check; every block length draws all its
-# instances before any of them runs, so the later checks see the same
-# draws.
+def _stacked(call, error: type, stacks, *operands):
+    """``call(*objects, *operands)`` on the padded stacks of objects, and
+    None; or, if it raises ``error`` (the protocol functions raise when an
+    identity they rely on breaks), None and the message of the first
+    instance k whose single call, on its unpadded objects and the entries
+    k of the operands, raises alike.  The checks report that message as a
+    failure, after drawing all of the block length's instances, so later
+    checks see the same draws."""
+    try:
+        return call(*(stack for stack, _ in stacks), *operands), None
+    except error as exc:
+        for k in range(len(operands[0])):
+            try:
+                call(*(_single(stack, k, sizes[k]) for stack, sizes in stacks),
+                     *(op[k] for op in operands))
+            except error as one:
+                return None, str(one)
+        return None, str(exc)
 
 
 def _check_rescaling_identity(rng, instances: int = 100) -> CheckResult:
@@ -349,23 +368,15 @@ def _check_rescaling_identity(rng, instances: int = 100) -> CheckResult:
     worst = 0.0
     error = None
     for n in (1, 2, 3):
-        params, groups = _protocol_draws(rng, n, instances, _codes, _povms)
+        params, stacks = _protocol_draws(rng, n, instances, _codes, _povms)
         phis, pairs = _family_stack(params)
-        psis = sinkhorn.upsilon_ptm(phis, pairs)
-        failures = []
-        for idx, (code, povm) in groups:
-            phi, psi, a, b = phis[idx], psis[idx], pairs.a[idx], pairs.b[idx]
-            try:
-                dev = protocol.verify_rescaling_identity(phi, psi, a, b, code, povm)
-            except ValueError as exc:
-                failures.append(_first_failure(exc, idx, lambda j: (
-                    protocol.verify_rescaling_identity(
-                        phi[j], psi[j], a[j], b[j],
-                        protocol.Code(code.factors[j]), protocol.Povm(povm.elements[j])))))
-                continue
+        dev, failure = _stacked(
+            lambda code, povm, *ops: protocol.verify_rescaling_identity(*ops, code, povm),
+            ValueError, stacks, phis, sinkhorn.upsilon_ptm(phis, pairs), pairs.a, pairs.b)
+        if failure:
+            error = error or f"n={n}: {failure}"
+        else:
             worst = max(worst, float(dev.max()))
-        if failures and error is None:
-            error = f"n={n}: {min(failures)[1]}"
     if error:
         return _result(name, False, error)
     return _result(name, worst <= 1e-11,
@@ -379,24 +390,20 @@ def _check_modified_povm(rng) -> CheckResult:
     low = np.inf
     error = None
     for n in (1, 2, 3):
-        params, groups = _protocol_draws(rng, n, 30, _povms)
-        pairs = sinkhorn.family_scaling_pair(params)
-        failures = []
-        for idx, (povm,) in groups:
-            a = pairs.a[idx]
-            try:
-                modified = protocol.modify_povm(povm, a)
-            except ValueError as exc:
-                failures.append(_first_failure(exc, idx, lambda j: protocol.modify_povm(
-                    protocol.Povm(povm.elements[j]), a[j])))
-                continue
-            total = modified.elements.sum(axis=-3) + modified.completion
-            ok = ok and np.abs(total - np.eye(2**n)).max() <= 1e-12
-            eig = modified.min_eigenvalue()
-            low = min(low, float(eig.min()))
-            ok = ok and bool(np.all(eig >= -protocol.completion_tolerance(a, n)))
-        if failures and error is None:
-            error = f"n={n}: {min(failures)[1]}"
+        params, stacks = _protocol_draws(rng, n, 30, _povms)
+        a = sinkhorn.family_scaling_pair(params).a
+        modified, failure = _stacked(protocol.modify_povm, ValueError, stacks, a)
+        if failure:
+            error = error or f"n={n}: {failure}"
+            continue
+        total = modified.elements.sum(axis=-3) + modified.completion
+        ok = ok and np.abs(total - np.eye(2**n)).max() <= 1e-12
+        # the completion, then the elements; a zero element's eigenvalue 0
+        # must not stand in for the real ones
+        eig = np.linalg.eigvalsh(modified.with_completion())[..., 0]
+        eig = np.where(np.arange(5) <= stacks[0][1][:, None], eig, np.inf).min(axis=-1)
+        low = min(low, float(eig.min()))
+        ok = ok and bool(np.all(eig >= -protocol.completion_tolerance(a, n)))
     if error:
         return _result(name, False, error)
     return _result(name, ok, f"elements resolve identity; min eigenvalue {low:.2e}")
@@ -408,24 +415,17 @@ def _check_rate_penalty(rng) -> CheckResult:
     slack = np.inf
     error = None
     for n in (1, 2, 3):
-        params, groups = _protocol_draws(rng, n, 50, _codes)
+        params, stacks = _protocol_draws(rng, n, 50, _codes)
         pairs = sinkhorn.family_scaling_pair(params)
-        failures = []
-        for idx, (code,) in groups:
-            a, b = pairs.a[idx], pairs.b[idx]
-            try:
-                probs, _ = protocol.success_probabilities(code, a, b)
-            except AssertionError as exc:
-                failures.append(_first_failure(exc, idx, lambda j: (
-                    protocol.success_probabilities(protocol.Code(code.factors[j]),
-                                                   a[j], b[j]))))
-                continue
-            rhs = (-2.0 * np.log2(pairs.norm_ab[idx]))[:, None]
-            lhs = np.log2(probs) / n
-            slack = min(slack, float((lhs - rhs).min()))
-            ok = ok and bool(np.all(lhs >= rhs - 1e-9))
-        if failures and error is None:
-            error = f"n={n}, {min(failures)[1]}"
+        probs, failure = _stacked(protocol.success_probabilities, AssertionError,
+                                  stacks, pairs.a, pairs.b)
+        if failure:
+            error = error or f"n={n}, {failure}"
+            continue
+        rhs = (-2.0 * np.log2(pairs.norm_ab))[:, None]
+        lhs = np.log2(probs[0]) / n
+        slack = min(slack, float((lhs - rhs).min()))
+        ok = ok and bool(np.all(lhs >= rhs - 1e-9))
     if error:
         return _result(name, False, error)
     return _result(name, ok,

@@ -253,20 +253,16 @@ def test_success_probabilities_name_the_codeword_below_the_bound():
         success_probabilities(Code(factors), np.eye(2), np.eye(2))
 
 
-def test_rate_penalty_takes_one_stacked_call_per_shape_group(monkeypatch):
+def test_rate_penalty_takes_one_stacked_call_per_block_length(monkeypatch):
     # the per-use rate penalty check computes the codeword traces once and
-    # the two operator norms once for each group of its 50 instances per n
-    # that share a code size
-    rng = np.random.default_rng(7)
-    groups = sum(len(verify._protocol_draws(rng, n, 50, verify._codes)[1])
-                 for n in (1, 2, 3))
-    assert groups == 9
+    # the two operator norms once for all 50 instances of each n, their
+    # codes padded to 4 codewords
     calls = []
     traces, norm = protocol.code_scaling_traces, protocol.operator_norm
 
     def counted(name, func):
         def wrapper(*args):
-            calls.append(name)
+            calls.append((name, np.shape(args[0].factors if name == "traces" else args[0])))
             return func(*args)
         return wrapper
 
@@ -274,7 +270,9 @@ def test_rate_penalty_takes_one_stacked_call_per_shape_group(monkeypatch):
     monkeypatch.setattr(protocol, "operator_norm", counted("norm", norm))
     result = verify._check_rate_penalty(np.random.default_rng(7))
     assert result.passed
-    assert calls.count("traces") == groups and calls.count("norm") == 2 * groups
+    assert [shape for name, shape in calls if name == "traces"] == \
+        [(50, 4, n, 2, 2) for n in (1, 2, 3)]
+    assert [shape for name, shape in calls if name == "norm"] == [(50, 2, 2)] * 6
 
 
 def test_rate_penalty_consistency():

@@ -27,20 +27,24 @@ def _family_interiors(rng, count):
     return _channels(verify._random_family_interiors(rng, count))
 
 
+def _unpadded(stack, k, size):
+    """Instance k of a padded code or POVM stack, cut to its own size."""
+    if isinstance(stack, protocol.Code):
+        return protocol.Code(stack.factors[k, :size])
+    return protocol.Povm(stack.elements[k, :size])
+
+
 def _protocol_instances(rng, n, count, *parts):
     """The instances of ``verify._protocol_draws``, one at a time in index
     order: the channel's PTM, its sandwiched map and scaling pair, then
-    one single code or POVM per part."""
-    params, groups = verify._protocol_draws(rng, n, count, *parts)
+    one single unpadded code or POVM per part."""
+    params, stacks = verify._protocol_draws(rng, n, count, *parts)
     instances = []
-    for channel in _channels(params):
+    for k, channel in enumerate(_channels(params)):
         pair = sinkhorn.family_scaling_pair(channel)
         instances.append([core.ptm_from_params(channel),
-                          sinkhorn.upsilon_ptm(channel, pair), pair])
-    for idx, stacks in groups:
-        for j, k in enumerate(idx.tolist()):
-            instances[k] += [protocol.Code(s.factors[j]) if isinstance(s, protocol.Code)
-                             else protocol.Povm(s.elements[j]) for s in stacks]
+                          sinkhorn.upsilon_ptm(channel, pair), pair,
+                          *(_unpadded(stack, k, sizes[k]) for stack, sizes in stacks)])
     return instances
 
 
@@ -408,18 +412,27 @@ def test_ptm_vs_kraus_draws_take_one_call_per_distribution():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_protocol_draws_match_the_sequential_draws(n):
-    # the sizes, then group by group, in ascending order of sizes, one
-    # Code.random call per instance and one Povm.random call per instance,
-    # then the channels
+    # the sizes, then size group by size group, in ascending order of
+    # sizes, one Code.random call per instance and one Povm.random call per
+    # instance, then the channels; codes are padded with copies of their
+    # codeword 0 and POVMs with zero elements
     fast, slow = np.random.default_rng(32 + n), np.random.default_rng(32 + n)
-    params, groups = verify._protocol_draws(fast, n, 60, verify._codes, verify._povms)
+    params, [(code, code_sizes), (povm, povm_sizes)] = verify._protocol_draws(
+        fast, n, 60, verify._codes, verify._povms)
     sizes = slow.integers(2, 5, (60, 2))
-    for idx, (code, povm) in groups:
-        assert np.all(sizes[idx] == (code.size, povm.size))
-        codes = [protocol.Code.random(slow, size=code.size, n=n).factors for _ in idx]
-        povms = [protocol.Povm.random(slow, size=povm.size, dim=2**n).elements for _ in idx]
-        assert code.factors.tobytes() == np.array(codes).tobytes()
-        assert povm.elements.tobytes() == np.array(povms).tobytes()
+    assert np.array_equal(np.column_stack([code_sizes, povm_sizes]), sizes)
+    assert code.factors.shape == (60, 4, n, 2, 2)
+    assert povm.elements.shape == (60, 4, 2**n, 2**n)
+    for key in sorted(set(map(tuple, sizes.tolist()))):
+        idx = np.flatnonzero((sizes == key).all(axis=1))
+        codes = [protocol.Code.random(slow, size=key[0], n=n).factors for _ in idx]
+        povms = [protocol.Povm.random(slow, size=key[1], dim=2**n).elements for _ in idx]
+        assert code.factors[idx, :key[0]].tobytes() == np.array(codes).tobytes()
+        assert povm.elements[idx, :key[1]].tobytes() == np.array(povms).tobytes()
+    for k, (size, elements) in enumerate(sizes.tolist()):
+        padding = code.factors[k, size:]
+        assert padding.tobytes() == np.broadcast_to(code.factors[k, :1], padding.shape).tobytes()
+        assert not povm.elements[k, elements:].any()
     assert _values(params).tobytes() == \
         _values(verify._random_family_interiors(slow, 60)).tobytes()
     assert fast.bit_generator.state == slow.bit_generator.state
@@ -429,19 +442,96 @@ def test_protocol_draws_match_the_sequential_draws(n):
                                    (verify._codes,)],
                          ids=["codes-povms", "povms", "codes"])
 def test_protocol_draws_take_one_call_per_distribution(parts):
-    # sizes first in one integers call, then one normal call per part of
-    # each size group, in ascending order of sizes, then the channels
-    rng = _CountingGenerator(np.random.default_rng(5))
-    params, groups = verify._protocol_draws(rng, 2, 200, *parts)
-    sizes = [tuple(s.size for s in stacks) for _, stacks in groups]
-    assert sizes == sorted(set(sizes)) and len(sizes) == 3 ** len(parts)
-    assert rng.calls["integers"] == 1 and rng.calls["normal"] == len(parts) * len(groups)
-    assert rng.calls["uniform"] <= 2
-    assert np.array_equal(np.sort(np.concatenate([idx for idx, _ in groups])), np.arange(200))
-    for idx, stacks in groups:
-        assert np.all(np.diff(idx) > 0)
-        assert all(s.batch_shape == (len(idx),) and s.n == 2 for s in stacks)
-    assert _values(params).shape == (4, 200)
+    # at each block length, the sizes first in one integers call, then one
+    # normal call for the objects of all parts and size groups, then the
+    # channels
+    for n in (1, 2, 3):
+        rng = _CountingGenerator(np.random.default_rng(5))
+        params, stacks = verify._protocol_draws(rng, n, 200, *parts)
+        assert rng.calls["integers"] == 1 and rng.calls["normal"] == 1
+        assert rng.calls["uniform"] <= 2
+        assert len(stacks) == len(parts)
+        for stack, sizes in stacks:
+            assert (stack.batch_shape, stack.size, stack.n) == ((200,), 4, n)
+            assert sorted(set(sizes.tolist())) == [2, 3, 4]
+        assert _values(params).shape == (4, 200)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_padded_stacks_give_each_instance_its_single_call(n):
+    # the rescaling deviation, the success probabilities of the real
+    # codewords and the smallest eigenvalue over the real elements and the
+    # completion, each as the bytes of the instance's unpadded single call
+    count = 100
+    params, [(code, code_sizes), (povm, povm_sizes)] = verify._protocol_draws(
+        np.random.default_rng(40 + n), n, count, verify._codes, verify._povms)
+    phis, pairs = verify._family_stack(params)
+    psis = sinkhorn.upsilon_ptm(phis, pairs)
+    devs = protocol.verify_rescaling_identity(phis, psis, pairs.a, pairs.b, code, povm)
+    probs, bounds = protocol.success_probabilities(code, pairs.a, pairs.b)
+    eigs = np.linalg.eigvalsh(protocol.modify_povm(povm, pairs.a).with_completion())[..., 0]
+    for k, size, elements in zip(range(count), code_sizes, povm_sizes):
+        one_code, one_povm = _unpadded(code, k, size), _unpadded(povm, k, elements)
+        dev = protocol.verify_rescaling_identity(phis[k], psis[k], pairs.a[k], pairs.b[k],
+                                                 one_code, one_povm)
+        assert np.float64(dev).tobytes() == devs[k].tobytes()
+        prob, bound = protocol.success_probabilities(one_code, pairs.a[k], pairs.b[k])
+        assert prob.tobytes() == probs[k, :size].tobytes()
+        assert np.float64(bound).tobytes() == bounds[k].tobytes()
+        assert np.all(probs[k, size:] == probs[k, 0])
+        low = protocol.modify_povm(one_povm, pairs.a[k]).min_eigenvalue()
+        assert np.float64(low).tobytes() == eigs[k, :elements + 1].min().tobytes()
+        assert np.all(eigs[k, elements + 1:] == 0.0)
+
+
+def test_padded_povm_elements_stay_out_of_the_minimum_eigenvalue(monkeypatch):
+    # POVMs halved to resolve half the identity: every real element and
+    # every modified completion has only positive eigenvalues, so a zero
+    # padding element would be the reported minimum if it were not masked
+    draws = verify._protocol_draws
+
+    def halved(rng, n, count, *parts):
+        params, [(povm, sizes)] = draws(rng, n, count, *parts)
+        return params, [(protocol.Povm(povm.elements / 2.0), sizes)]
+
+    rng = np.random.default_rng(8)
+    low, padded_low = np.inf, np.inf
+    for n in (1, 2, 3):
+        params, [(povm, sizes)] = halved(rng, n, 30, verify._povms)
+        assert np.any(sizes < 4)
+        a = sinkhorn.family_scaling_pair(params).a
+        padded_low = min(padded_low, protocol.modify_povm(povm, a).min_eigenvalue().min())
+        for k, size in enumerate(sizes):
+            one = protocol.modify_povm(_unpadded(povm, k, size), a[k])
+            low = min(low, one.min_eigenvalue())
+    assert padded_low <= 0.0 < low
+    monkeypatch.setattr(verify, "_protocol_draws", halved)
+    result = verify._check_modified_povm(np.random.default_rng(8))
+    assert result == verify._result("modified_povm_complete_and_psd", True,
+                                    f"elements resolve identity; min eigenvalue {low:.2e}")
+
+
+@pytest.mark.parametrize("check, function", [
+    ("rescaling_identity", "verify_rescaling_identity"),
+    ("modified_povm", "modify_povm"),
+    ("rate_penalty", "success_probabilities"),
+])
+def test_each_protocol_check_makes_one_stacked_call_per_block_length(monkeypatch, check,
+                                                                     function):
+    calls = []
+    original = getattr(protocol, function)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(protocol, function, counted)
+    assert getattr(verify, f"_check_{check}")(np.random.default_rng(7)).passed
+    assert len(calls) == 3
+    for n, args in zip((1, 2, 3), calls):
+        stacks = [a for a in args if isinstance(a, (protocol.Code, protocol.Povm))]
+        assert stacks and all((s.size, s.n) == (4, n) and len(s.batch_shape) == 1
+                              for s in stacks)
 
 
 def test_family_stack_matches_the_stacked_single_pairs():
@@ -466,10 +556,12 @@ def test_family_stack_matches_the_stacked_single_pairs():
 # a failure is reported for the failing instance with the lowest index
 
 
-def _out_of_group_order(groups):
-    """Two instances k1 < k2 whose groups run in the other order: k1 is the
-    first instance outside the first group, and k2 the next one in it."""
-    first = groups[0][0]
+def _out_of_group_order(stacks):
+    """Two instances k1 < k2 whose objects are drawn in the other order: k1
+    is the first instance outside the first size group, and k2 the next
+    one in it."""
+    sizes = np.column_stack([s for _, s in stacks])
+    first = np.flatnonzero((sizes == min(map(tuple, sizes.tolist()))).all(axis=1))
     k1 = next(k for k in range(first.size + 1) if k not in first)
     return k1, int(first[first > k1][0])
 
