@@ -40,7 +40,6 @@ from .sinkhorn import (
     ScalingPair,
     UnitalForm,
     family_scaling_pair,
-    family_unital_params,
     sinkhorn_iterate,
     unital_diagonalize,
     upsilon_ptm,
@@ -61,7 +60,6 @@ from .capacity import (
     gad_params,
     holevo_quantity,
     mix_params,
-    proposition_bounds,
     theorem_bound,
     unital_capacity,
 )
@@ -71,7 +69,6 @@ from .protocol import (
     modify_code,
     modify_povm,
     outcome_probabilities,
-    success_probability,
     verify_rescaling_identity,
 )
 

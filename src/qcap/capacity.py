@@ -37,6 +37,7 @@ from .core import (
     _Arithmetic,
     _FLOATS,
     _as_ptm,
+    _is_family_channel,
     binary_entropy,
     entropy_kernel,
 )
@@ -226,11 +227,6 @@ def _report_values(l1, l2, l3, t3, arithmetic: _Arithmetic) -> tuple:
                            2.0 * arithmetic.log2(norm_ab_inv), arithmetic))
 
 
-def proposition_bounds(params: PauliChannelParams) -> CapacityBounds:
-    """Two-sided capacity bounds for an interior family channel."""
-    return analyze(params).bounds
-
-
 # ---------------------------------------------------------------------------
 # generalized amplitude damping
 
@@ -312,8 +308,9 @@ def mix_params(p: float) -> PauliChannelParams:
 
 
 def holevo_quantity(channel: ChannelLike, ensemble: Ensemble) -> float:
-    """S(sum_k p_k Phi[rho_k]) - sum_k p_k S(Phi[rho_k]) in bits."""
-    if isinstance(channel, PauliChannelParams):
+    """S(sum_k p_k Phi[rho_k]) - sum_k p_k S(Phi[rho_k]) in bits, for one
+    channel; a family stack raises ValueError."""
+    if _is_family_channel(channel):
         # (lambda1 x, lambda2 y, lambda3 z + t3), the bits of the PTM's
         # product: its other terms are exact zeros
         out = ensemble.states * (channel.lambda1, channel.lambda2, channel.lambda3)
@@ -478,7 +475,8 @@ def chi_capacity_numeric(channel: ChannelLike,
 
     A family channel (``PauliChannelParams``) with no ``config`` is
     solved exactly by its one-dimensional reduction (``_family_chi``);
-    a ``config``, or any other channel, runs the multistart search.
+    a ``config``, or any other channel, runs the multistart search.  It
+    takes one channel; a family stack raises ValueError.
 
     Ensembles of 2 to 4 pure states are sufficient at qubit scale; each
     size gets a batch of seeded random starts, all drawn from one
@@ -490,7 +488,7 @@ def chi_capacity_numeric(channel: ChannelLike,
     met a stopping rule rather than the iteration cap, and
     ``iterations`` sums the iterations of the sizes' batches.
     """
-    if config is None and isinstance(channel, PauliChannelParams):
+    if config is None and _is_family_channel(channel):
         return _family_chi(channel)
     cfg = config or ChiConfig()
     ptm = _as_ptm(channel)

@@ -39,7 +39,6 @@ from .core import (
 )
 from .sinkhorn import (
     family_scaling_pair,
-    family_unital_params,
     sinkhorn_iterate,
     verify_decomposition,
 )
@@ -386,7 +385,7 @@ def cmd_sinkhorn(args) -> int:
     except NoConvergence as exc:
         return _fail(str(exc), EXIT_NO_CONVERGENCE)
 
-    form = family_unital_params(params)
+    form = analyze(params).form
     lines = [f"channel: {label}",
              "lambda_tilde: " + " ".join(_fmt(v) for v in
                                          (form.lt1, form.lt2, form.lt3))]

@@ -89,6 +89,17 @@ class CPReport(NamedTuple):
     min_eigenvalue: float
 
 
+def _is_family_channel(channel: ChannelLike) -> bool:
+    """Whether ``channel`` is one family channel, for the single-channel
+    functions that read its fields; a family stack raises the ValueError
+    that ``_as_ptm`` raises for a stack of PTMs."""
+    if not isinstance(channel, PauliChannelParams):
+        return False
+    if isinstance(channel.lambda3, np.ndarray):
+        raise ValueError(f"expected a 4x4 PTM, got shape {channel.lambda3.shape + (4, 4)}")
+    return True
+
+
 def _as_ptm(channel: ChannelLike, stacked: bool = False) -> np.ndarray:
     """The 4x4 PTM of ``channel``; with ``stacked``, it may also be a
     (..., 4, 4) stack of PTMs or a family stack."""
@@ -272,10 +283,8 @@ def is_completely_positive(channel: ChannelLike, tol: float = PSD_TOL) -> CPRepo
     call's; a family stack raises ValueError, as the other single-channel
     functions do.
     """
-    if isinstance(channel, PauliChannelParams):
+    if _is_family_channel(channel):
         l1, l2, l3, t3 = channel.lambda1, channel.lambda2, channel.lambda3, channel.t3
-        if isinstance(l3, np.ndarray):  # a family stack, whose PTMs are not built here
-            raise ValueError(f"expected a 4x4 PTM, got shape {l3.shape + (4, 4)}")
         mineig = 0.5 * min(1.0 + l3 - math.hypot(t3, l1 + l2),
                            1.0 - l3 - math.hypot(t3, l1 - l2))
         return CPReport(mineig >= -tol, mineig)

@@ -213,11 +213,6 @@ def _check_pairing(code: Code, povm: Povm) -> None:
         )
 
 
-def _check_index(name: str, index: int, stop: int) -> None:
-    if not 0 <= index < stop:  # a negative index would count from the end
-        raise ValueError(f"{name} = {index} is outside 0..{stop - 1}")
-
-
 def modify_code(code: Code, scaling: np.ndarray) -> Code:
     """Conjugate every codeword factor by ``scaling`` and renormalize.
 
@@ -350,11 +345,3 @@ def success_probabilities(code: Code, a_op: np.ndarray, b_op: np.ndarray):
                              f"{probs.flat[low[0]]:.12g} fell below bound "
                              f"{np.ravel(bound)[k]:.12g}")
     return probs, bound
-
-
-def success_probability(code: Code, i: int, a_op: np.ndarray,
-                        b_op: np.ndarray):
-    """Codeword i's entry of ``success_probabilities``, and the bound."""
-    _check_index("codeword index i", i, code.size)
-    probs, bound = success_probabilities(code, a_op, b_op)
-    return probs[..., i][()], bound

@@ -224,21 +224,9 @@ def _diagonal_norms(a0, a1, b0, b1, arithmetic: _Arithmetic) -> tuple:
             maximum(a1 * a_scale, a0 * a_scale), maximum(b1 * b_scale, b0 * b_scale))
 
 
-def family_unital_params(params: PauliChannelParams) -> UnitalForm:
-    """Closed-form diagonal parameters of the unitalized family channel;
-    a family stack gives the stacked form, each slice the bits of its
-    single call."""
-    lt1, lt2, lt3, *sv = _family_pass(params, _form_values)
-    return UnitalForm(lt1, lt2, lt3, tuple(sv))
-
-
-def _form_values(l1, l2, l3, t3, arithmetic: _Arithmetic) -> tuple:
-    form = _unital_form(l1, l2, l3, _family_roots(l3, t3, arithmetic), arithmetic)
-    return (form.lt1, form.lt2, form.lt3, *form.singular_values)
-
-
 def _unital_form(l1, l2, l3, roots: tuple, arithmetic: _Arithmetic) -> UnitalForm:
-    """``family_unital_params`` from the channel's ``_family_roots``."""
+    """Closed-form diagonal parameters of the unitalized family channel,
+    from its ``_family_roots``."""
     p, m, r, s = roots
     denom = p * s + m * r  # = sqrt((1+l3)^2-t3^2) + sqrt((1-l3)^2-t3^2)
     lt1 = 2.0 * l1 / denom

@@ -206,13 +206,6 @@ def core_suite(rng: np.random.Generator) -> list[CheckResult]:
 # sinkhorn suite
 
 
-def _family_stack(params) -> tuple[np.ndarray, sinkhorn.ScalingPair]:
-    """The PTMs and closed-form scaling pairs of a family stack, each slice
-    with the bits of ``ptm_from_params`` and ``family_scaling_pair`` of
-    its channel."""
-    return core.ptm_from_params(params), sinkhorn.family_scaling_pair(params)
-
-
 def _gauge_draws(rng, count: int = 50):
     """A family stack and one gauge factor per channel."""
     return _random_family_interiors(rng, count), rng.uniform(0.2, 5.0, count)
@@ -220,7 +213,7 @@ def _gauge_draws(rng, count: int = 50):
 
 def _check_gauge_invariance(rng) -> CheckResult:
     params, c = _gauge_draws(rng)
-    ptms, pair = _family_stack(params)
+    ptms, pair = core.ptm_from_params(params), sinkhorn.family_scaling_pair(params)
     c = c[:, None, None]
     scaled = sinkhorn.ScalingPair.from_operators(pair.a / c, c * pair.b)
     drift = np.abs(sinkhorn.upsilon_ptm(ptms, pair) - sinkhorn.upsilon_ptm(ptms, scaled))
@@ -232,10 +225,9 @@ def _check_gauge_invariance(rng) -> CheckResult:
 
 def _check_two_path_agreement(rng) -> CheckResult:
     stack = _random_family_interiors(rng, 100)
-    ptms = core.ptm_from_params(stack)
-    closed = sinkhorn.family_unital_params(stack)
+    closed = capacity.analyze(stack).form
     iterated = sinkhorn.unital_diagonalize(
-        sinkhorn.upsilon_ptm(ptms, sinkhorn.sinkhorn_iterate(stack)), tol=1e-7)
+        sinkhorn.upsilon_ptm(stack, sinkhorn.sinkhorn_iterate(stack)), tol=1e-7)
     worst = max(float(np.abs(getattr(closed, name) - getattr(iterated, name)).max())
                 for name in ("lt1", "lt2", "lt3"))
     return _result("closed_form_matches_iteration", worst <= 1e-8,
@@ -243,14 +235,16 @@ def _check_two_path_agreement(rng) -> CheckResult:
 
 
 def _check_decomposition_residuals(rng) -> CheckResult:
-    res = sinkhorn.verify_decomposition(*_family_stack(_random_family_interiors(rng, 200)))
+    params = _random_family_interiors(rng, 200)
+    res = sinkhorn.verify_decomposition(params, sinkhorn.family_scaling_pair(params))
     worst = float(res.max_residual.max())
     return _result("decomposition_residuals", worst <= 1e-9,
                    f"max residual {worst:.2e} over 200 channels (tol 1e-9)")
 
 
 def _check_upsilon_is_channel(rng) -> CheckResult:
-    upsilons = sinkhorn.upsilon_ptm(*_family_stack(_random_family_interiors(rng, 50)))
+    params = _random_family_interiors(rng, 50)
+    upsilons = sinkhorn.upsilon_ptm(params, sinkhorn.family_scaling_pair(params))
     ok = bool(np.all(core.is_completely_positive(upsilons).is_cp)) and all(
         core.is_unital(ups, 1e-10) and core.is_trace_preserving(ups, 1e-10)
         for ups in upsilons)
@@ -369,7 +363,7 @@ def _check_rescaling_identity(rng, instances: int = 100) -> CheckResult:
     error = None
     for n in (1, 2, 3):
         params, stacks = _protocol_draws(rng, n, instances, _codes, _povms)
-        phis, pairs = _family_stack(params)
+        phis, pairs = core.ptm_from_params(params), sinkhorn.family_scaling_pair(params)
         dev, failure = _stacked(
             lambda code, povm, *ops: protocol.verify_rescaling_identity(*ops, code, povm),
             ValueError, stacks, phis, sinkhorn.upsilon_ptm(phis, pairs), pairs.a, pairs.b)

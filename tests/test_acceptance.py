@@ -9,11 +9,11 @@ import numpy as np
 from qcap import cli
 from qcap.capacity import (
     ChiConfig,
+    analyze,
     chi_capacity_numeric,
     gad_bounds,
     gad_norm_products,
     gad_params,
-    proposition_bounds,
 )
 from qcap.core import (
     NotInterior,
@@ -21,11 +21,10 @@ from qcap.core import (
     binary_entropy,
     ptm_from_params,
 )
-from qcap.protocol import Code, Povm, success_probability, verify_rescaling_identity
+from qcap.protocol import Code, Povm, success_probabilities, verify_rescaling_identity
 from qcap.render import preset_spec, render_chart
 from qcap.sinkhorn import (
     family_scaling_pair,
-    family_unital_params,
     sinkhorn_iterate,
     unital_diagonalize,
     upsilon_ptm,
@@ -119,7 +118,7 @@ def test_criterion_3_closed_form_matches_iteration_on_grid():
     worst_lt = 0.0
     worst_sv = 0.0
     for params in grid:
-        closed = family_unital_params(params)
+        closed = analyze(params).form
         pair = sinkhorn_iterate(params, tol=1e-12)
         iterated = unital_diagonalize(upsilon_ptm(params, pair), tol=1e-6)
         worst_lt = max(worst_lt, abs(closed.lt1 - iterated.lt1),
@@ -142,7 +141,7 @@ def test_criterion_4_gad_consistency():
     for p in np.linspace(0.05, 0.5, 20):
         for gt in np.linspace(0.05, 3.0, 20):
             closed = gad_bounds(p, gt)
-            via_family = proposition_bounds(gad_params(p, gt))
+            via_family = analyze(gad_params(p, gt)).bounds
             worst_bounds = max(
                 worst_bounds,
                 abs(closed.lower_raw - via_family.lower_raw),
@@ -250,9 +249,9 @@ def test_criterion_7_protocol_identities():
             povm = Povm.random(rng, size=int(rng.integers(2, 5)), dim=2**n)
             worst = max(worst, verify_rescaling_identity(phi, psi, pair.a,
                                                          pair.b, code, povm))
+            probs, bound = success_probabilities(code, pair.a, pair.b)
             for i in range(code.size):
-                prob, bound = success_probability(code, i, pair.a, pair.b)
-                bound_ok = bound_ok and prob >= bound - 1e-12
+                bound_ok = bound_ok and probs[i] >= bound - 1e-12
     elapsed = perf_counter() - start
     ok = worst <= 1e-11 and bound_ok and elapsed < 30.0
     _report(7, ok, f"rescaling identity max deviation {worst:.2e} over 300 "

@@ -20,7 +20,6 @@ from qcap.capacity import (
     gad_params,
     holevo_quantity,
     mix_params,
-    proposition_bounds,
     theorem_bound,
     unital_capacity,
 )
@@ -33,7 +32,7 @@ from qcap.core import (
     is_completely_positive,
 )
 from qcap.optimize import _LADDER, bfgs_batch
-from qcap.sinkhorn import ScalingPair, family_scaling_pair, family_unital_params
+from qcap.sinkhorn import ScalingPair, family_scaling_pair
 
 H_QUARTER = 0.8112781244591328           # h(1/4) = 2 - (3/4) log2(3)
 F_QUARTER_ONE = 0.8993095900651654       # f(0.25, 1.0)
@@ -59,7 +58,7 @@ def test_theorem_bound():
 
 
 def test_proposition_bounds_collapse_for_unital():
-    bounds = proposition_bounds(PauliChannelParams(0.6, 0.4, 0.0, 0.0))
+    bounds = analyze(PauliChannelParams(0.6, 0.4, 0.0, 0.0)).bounds
     assert bounds.lower_gap == pytest.approx(0.0, abs=1e-12)
     assert bounds.upper_gap == pytest.approx(0.0, abs=1e-12)
     expected = 1 - binary_entropy(0.5 * (1 - 0.6))
@@ -70,7 +69,7 @@ def test_proposition_bounds_collapse_for_unital():
 def test_proposition_bounds_match_gad_closed_form():
     for p in (0.05, 0.2, 0.35, 0.5):
         for gt in (0.05, 0.8, 2.0):
-            via_family = proposition_bounds(gad_params(p, gt))
+            via_family = analyze(gad_params(p, gt)).bounds
             closed = gad_bounds(p, gt)
             assert via_family.lower_raw == pytest.approx(closed.lower_raw, abs=1e-10)
             assert via_family.upper_raw == pytest.approx(closed.upper_raw, abs=1e-10)
@@ -81,7 +80,7 @@ def test_proposition_bounds_match_gad_closed_form():
 def _analyze_by_objects(params):
     # the object path analyze once took: unital form, scaling pair with
     # its 2x2 operators, bounds from the pair's norm products
-    form = family_unital_params(params)
+    form = analyze(params).form
     pair = family_scaling_pair(params)
     bounds = CapacityBounds.from_gaps(unital_capacity(form), 2.0 * math.log2(pair.norm_ab),
                                       2.0 * math.log2(pair.norm_ab_inv))
@@ -129,7 +128,6 @@ def test_analyze_matches_the_object_path_bit_for_bit():
         assert row == expected, params
         assert [v.hex() for v in row] == [v.hex() for v in expected], params
         assert all(type(v) is float for v in row)
-        assert form == family_unital_params(params)
 
 
 def _family_sweeps():
@@ -161,31 +159,25 @@ def _pair_fields(pair):
     return (pair.norm_a, pair.norm_b, pair.norm_a_inv, pair.norm_b_inv)
 
 
-def _form_fields(form):
-    return (form.lt1, form.lt2, form.lt3, *form.singular_values)
-
-
 def test_stacked_family_closed_forms_match_the_single_calls():
-    # every field of analyze, family_scaling_pair and family_unital_params
-    # on a family stack, slice by slice, is the single call's, bit for
-    # bit: whole sweeps in one array pass, and their first points as the
-    # small stacks that go one channel at a time
+    # every field of analyze and family_scaling_pair on a family stack,
+    # slice by slice, is the single call's, bit for bit: whole sweeps in
+    # one array pass, and their first points as the small stacks that go
+    # one channel at a time
     sweeps = _family_sweeps()
     assert len(sweeps) == 2 + 210 + 1
     for channels in sweeps:
-        singles = [(_report_fields(analyze(c)), family_scaling_pair(c),
-                    _form_fields(family_unital_params(c))) for c in channels]
+        singles = [(_report_fields(analyze(c)), family_scaling_pair(c)) for c in channels]
         for size in (len(channels), 1, 2, 7):
             stack = PauliChannelParams.stack(channels[:size])
             report, pair = analyze(stack), family_scaling_pair(stack)
-            stacked = (_report_fields(report), _pair_fields(pair),
-                       _form_fields(family_unital_params(stack)))
+            stacked = (_report_fields(report), _pair_fields(pair))
             for column in (c for fields in stacked for c in fields):
                 assert isinstance(column, np.ndarray) and column.shape == (size,)
             assert pair.a.shape == pair.b.shape == (size, 2, 2)
-            for k, (report1, pair1, form1) in enumerate(singles[:size]):
+            for k, (report1, pair1) in enumerate(singles[:size]):
                 assert all(type(v) is float for v in report1 + _pair_fields(pair1))
-                expected = (report1, _pair_fields(pair1), form1)
+                expected = (report1, _pair_fields(pair1))
                 got = tuple(tuple(float(c[k]) for c in fields) for fields in stacked)
                 assert [[v.hex() for v in f] for f in got] == \
                     [[v.hex() for v in f] for f in expected], channels[k]
@@ -199,7 +191,7 @@ def test_an_empty_stack_gives_empty_columns():
 
 
 def test_proposition_bounds_mixture():
-    bounds = proposition_bounds(mix_params(0.2))
+    bounds = analyze(mix_params(0.2)).bounds
     assert math.isfinite(bounds.lower_raw) and math.isfinite(bounds.upper_raw)
     assert bounds.lower_raw < bounds.upper_raw
 
@@ -275,7 +267,7 @@ def test_gaps_collapse_as_translation_vanishes():
     # 1e-16 representation noise of norms near 1
     levels = (0.4, 0.2, 0.1, 0.01, 1e-4, 1e-6)
     for t3 in levels:
-        b = proposition_bounds(PauliChannelParams(0.5, 0.4, 0.0, t3))
+        b = analyze(PauliChannelParams(0.5, 0.4, 0.0, t3)).bounds
         assert b.lower_gap >= 0.0 and b.upper_gap >= 0.0
         gaps.append((b.lower_gap, b.upper_gap))
     assert all(b[0] < a[0] and b[1] < a[1] for a, b in zip(gaps, gaps[1:]))

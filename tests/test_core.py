@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from qcap import core, sinkhorn, verify
-from qcap.capacity import gad_params, mix_params
+from qcap.capacity import (
+    ChiConfig,
+    Ensemble,
+    chi_capacity_numeric,
+    gad_params,
+    holevo_quantity,
+    mix_params,
+)
 from qcap.core import (
     PauliChannelParams,
     apply_channel,
@@ -234,6 +241,24 @@ def test_is_completely_positive_refuses_a_family_stack():
         is_completely_positive(FAMILY_STACK)
     # its PTM stack takes the stacked eigensolve
     assert is_completely_positive(ptm_from_params(FAMILY_STACK)).is_cp.tolist() == [True, True]
+
+
+def test_holevo_quantity_refuses_a_family_stack():
+    # a three-state ensemble on a stack of three once returned a number
+    # that is none of the channels' values, and a two-state one failed
+    # inside numpy
+    stack = PauliChannelParams.stack([gad_params(0.475, g) for g in (0.5, 1.0, 2.0)])
+    with pytest.raises(ValueError, match=r"expected a 4x4 PTM, got shape \(3, 4, 4\)"):
+        holevo_quantity(stack, Ensemble(np.full(3, 1 / 3), np.eye(3)))
+    with pytest.raises(ValueError, match=ONE_PTM_ONLY):
+        holevo_quantity(FAMILY_STACK, Ensemble(np.full(2, 0.5), np.eye(3)[:2]))
+
+
+def test_chi_capacity_numeric_refuses_a_family_stack():
+    # the exact family solver and the search refuse it alike
+    for config in (None, ChiConfig()):
+        with pytest.raises(ValueError, match=ONE_PTM_ONLY):
+            chi_capacity_numeric(FAMILY_STACK, config)
 
 
 def test_is_interior():

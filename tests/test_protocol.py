@@ -27,7 +27,6 @@ from qcap.protocol import (
     modify_povm,
     outcome_probabilities,
     success_probabilities,
-    success_probability,
     verify_rescaling_identity,
 )
 from qcap.sinkhorn import family_scaling_pair, upsilon_ptm
@@ -212,21 +211,21 @@ def test_rescaling_identity_gad():
 def test_success_probability_trivial_and_scalar():
     rng = np.random.default_rng(11)
     code = Code.random(rng, size=2, n=2)
-    prob, bound = success_probability(code, 0, np.eye(2), np.eye(2))
-    assert prob == pytest.approx(1.0, abs=1e-14)
+    probs, bound = success_probabilities(code, np.eye(2), np.eye(2))
+    assert probs[0] == pytest.approx(1.0, abs=1e-14)
     assert bound == pytest.approx(1.0, abs=1e-14)
     # scalar operators saturate the bound exactly
-    prob, bound = success_probability(code, 0, 1.3 * np.eye(2), 0.6 * np.eye(2))
-    assert prob == pytest.approx(bound, rel=1e-12)
+    probs, bound = success_probabilities(code, 1.3 * np.eye(2), 0.6 * np.eye(2))
+    assert probs[0] == pytest.approx(bound, rel=1e-12)
 
 
 def test_success_probability_gad_worst_codeword():
     rng = np.random.default_rng(12)
     pair = family_scaling_pair(gad_params(0.3, 1.0))
     code = Code.random(rng, size=6, n=2)
+    probs, bound = success_probabilities(code, pair.a, pair.b)
     for i in range(code.size):
-        prob, bound = success_probability(code, i, pair.a, pair.b)
-        assert prob >= bound - 1e-12
+        assert probs[i] >= bound - 1e-12
 
 
 def test_success_probabilities_are_the_per_codeword_formula():
@@ -240,7 +239,6 @@ def test_success_probabilities_are_the_per_codeword_formula():
         assert bound == (operator_norm(pair.a) * operator_norm(pair.b)) ** (-2 * n)
         for i in range(code.size):
             assert probs[i] == 1.0 / (traces[i] * operator_norm(pair.a) ** (2 * n))
-            assert success_probability(code, i, pair.a, pair.b) == (probs[i], bound)
 
 
 def test_success_probabilities_name_the_codeword_below_the_bound():
@@ -280,9 +278,9 @@ def test_rate_penalty_consistency():
     for n in (1, 2, 3):
         for _ in range(10):
             _, _, pair, code, _ = _instance(rng, n)
+            probs, _ = success_probabilities(code, pair.a, pair.b)
             for i in range(code.size):
-                prob, _ = success_probability(code, i, pair.a, pair.b)
-                assert np.log2(prob) / n >= -2 * np.log2(pair.norm_ab) - 1e-9
+                assert np.log2(probs[i]) / n >= -2 * np.log2(pair.norm_ab) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +453,6 @@ def test_stacked_protocol_functions_match_the_single_calls(n):
                 f"rescaling_{tag}": verify_rescaling_identity(phis, psis, A, B, code, povm),
                 f"success_{tag}": probs,
                 f"bound_{tag}": bound,
-                f"success_one_{tag}": success_probability(code, 0, A, B)[0],
             }
             each = list(zip(singles, phis, psis, A, B))
             single |= {
@@ -471,8 +468,6 @@ def test_stacked_protocol_functions_match_the_single_calls(n):
                                    for (c, _), _, _, Ak, Bk in each],
                 f"bound_{tag}": [success_probabilities(c, Ak, Bk)[1]
                                  for (c, _), _, _, Ak, Bk in each],
-                f"success_one_{tag}": [success_probability(c, 0, Ak, Bk)[0]
-                                       for (c, _), _, _, Ak, Bk in each],
             }
         for name, value in stacked.items():
             assert len(value) == count
@@ -521,14 +516,6 @@ def test_code_rejects_an_empty_code():
         Code.random(np.random.default_rng(65), 0, 2)
     with pytest.raises(ValueError, match="size >= 1"):
         Code(np.zeros((0, 1, 2, 2)))
-
-
-def test_success_probability_rejects_a_codeword_out_of_range():
-    rng = np.random.default_rng(67)
-    code = Code.random(rng, size=2, n=1)
-    for i in (-1, 2):
-        with pytest.raises(ValueError, match=r"codeword index i = .* is outside 0\.\.1"):
-            success_probability(code, i, np.eye(2), np.eye(2))
 
 
 def test_code_rejects_block_length_zero():

@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -8,11 +10,17 @@ from pathlib import Path
 
 import pytest
 
+import qcap
 from qcap import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
 PYTHON_BLOCKS = re.findall(r"```python\n(.*?)```", README, re.S)
+# the backticked spans of the prose, outside the fenced blocks
+SPANS = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", README, flags=re.S))
+MODULES = {info.name: importlib.import_module(f"qcap.{info.name}")
+           for info in pkgutil.iter_modules(qcap.__path__)}
+_MISSING = object()
 
 
 def test_readme_has_python_examples():
@@ -26,6 +34,35 @@ def test_readme_python_example_runs(index):
     done = subprocess.run([sys.executable, "-c", PYTHON_BLOCKS[index]],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def _resolves(dotted: str) -> bool:
+    # the first name an attribute of qcap or of one of its modules, and
+    # each further name an attribute of the one before
+    first, *rest = dotted.split(".")
+    for holder in (qcap, *MODULES.values()):
+        obj = getattr(holder, first, _MISSING)
+        for name in rest:
+            obj = getattr(obj, name, _MISSING)
+        if obj is not _MISSING:
+            return True
+    return False
+
+
+def test_readme_calls_resolve():
+    # a backticked call whose name has a "_" or a "." names the library;
+    # notation such as F(x) or T(P) has neither
+    calls = {m.group(1) for span in SPANS for m in re.finditer(r"([A-Za-z_][\w.]*)\(", span)
+             if re.search(r"[_.]", m.group(1))}
+    assert calls
+    assert sorted(name for name in calls if not _resolves(name)) == []
+
+
+def test_readme_module_qualified_names_resolve():
+    pattern = rf"(?<![\w.])(?:{'|'.join(MODULES)})\.\w+"
+    names = {m.group(0) for span in SPANS for m in re.finditer(pattern, span)}
+    assert names
+    assert sorted(name for name in names if not _resolves(name)) == []
 
 
 def _figure_command(fig: str) -> list[str]:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qcap.capacity import gad_f, gad_params, mix_params
+from qcap.capacity import analyze, gad_f, gad_params, mix_params
 from qcap.core import (
     NoConvergence,
     NotInterior,
@@ -26,7 +26,6 @@ from qcap import sinkhorn
 from qcap.sinkhorn import (
     ScalingPair,
     family_scaling_pair,
-    family_unital_params,
     sinkhorn_iterate,
     unital_diagonalize,
     upsilon_ptm,
@@ -63,12 +62,11 @@ def test_family_pair_rejects_boundary():
 
 @pytest.mark.parametrize("padding", [0, 20], ids=["one-at-a-time", "one-pass"])
 def test_a_boundary_channel_in_a_stack_is_named(padding):
-    from qcap.capacity import analyze
     interior = PauliChannelParams(0.5, 0.4, 0.3, 0.2)
     channels = [interior] * 3 + [PauliChannelParams(0.5, 0.5, 0.6, 0.4),
                                  PauliChannelParams(1, 1, 1, 0)] + [interior] * padding
     stack = PauliChannelParams.stack(channels)
-    for closed_form in (family_scaling_pair, family_unital_params, analyze):
+    for closed_form in (family_scaling_pair, analyze):
         with pytest.raises(NotInterior) as info:
             closed_form(stack)
         assert str(info.value) == ("|t3| + |lambda3| = 1 >= 1 at channel 3 of the stack; "
@@ -96,7 +94,7 @@ def test_gad_norm_products_match_closed_form():
 
 
 def test_family_unital_params_reduce_at_t3_zero():
-    form = family_unital_params(PauliChannelParams(0.5, -0.4, 0.3, 0.0))
+    form = analyze(PauliChannelParams(0.5, -0.4, 0.3, 0.0)).form
     assert form.lt1 == pytest.approx(0.5, abs=1e-15)
     assert form.lt2 == pytest.approx(-0.4, abs=1e-15)
     assert form.lt3 == pytest.approx(0.3, abs=1e-15)
@@ -106,7 +104,7 @@ def test_family_unital_params_reduce_at_t3_zero():
 def test_gad_unital_params_structure():
     # lt1 = lt2 = e^{-gt}/f and lt3 = lt1^2
     for p, gt in [(0.475, 1.0), (0.2, 0.5), (0.1, 2.0)]:
-        form = family_unital_params(gad_params(p, gt))
+        form = analyze(gad_params(p, gt)).form
         f = gad_f(p, gt)
         assert form.lt1 == pytest.approx(math.exp(-gt) / f, abs=1e-12)
         assert form.lt2 == form.lt1
@@ -116,7 +114,7 @@ def test_gad_unital_params_structure():
 def test_unital_form_satisfies_cp_inequality():
     rng = np.random.default_rng(5)
     for _ in range(200):
-        form = family_unital_params(_random_interior_params(rng))
+        form = analyze(_random_interior_params(rng)).form
         assert 1 + form.lt3 >= abs(form.lt1 + form.lt2) - 1e-9
         assert 1 - form.lt3 >= abs(form.lt1 - form.lt2) - 1e-9
 
@@ -137,7 +135,7 @@ def test_scaling_pair_invariants():
 
 def test_closed_form_matches_iteration():
     params = PauliChannelParams(0.5, 0.4, 0.3, 0.3)
-    closed = family_unital_params(params)
+    closed = analyze(params).form
     pair = sinkhorn_iterate(ptm_from_params(params))
     iterated = unital_diagonalize(upsilon_ptm(params, pair), tol=1e-7)
     assert iterated.lt1 == pytest.approx(closed.lt1, abs=1e-8)

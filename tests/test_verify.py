@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qcap import core, protocol, sinkhorn, verify
+from qcap import capacity, core, protocol, sinkhorn, verify
 
 # ---------------------------------------------------------------------------
 # sequential references: the checks as they ran before the instance stacks,
@@ -135,7 +135,7 @@ def _sequential_gauge_invariance(rng):
 def _sequential_two_path_agreement(rng):
     worst = 0.0
     for params in _family_interiors(rng, 100):
-        closed = sinkhorn.family_unital_params(params)
+        closed = capacity.analyze(params).form
         pair = sinkhorn.sinkhorn_iterate(core.ptm_from_params(params))
         iterated = sinkhorn.unital_diagonalize(
             sinkhorn.upsilon_ptm(params, pair), tol=1e-7)
@@ -465,7 +465,7 @@ def test_padded_stacks_give_each_instance_its_single_call(n):
     count = 100
     params, [(code, code_sizes), (povm, povm_sizes)] = verify._protocol_draws(
         np.random.default_rng(40 + n), n, count, verify._codes, verify._povms)
-    phis, pairs = verify._family_stack(params)
+    phis, pairs = core.ptm_from_params(params), sinkhorn.family_scaling_pair(params)
     psis = sinkhorn.upsilon_ptm(phis, pairs)
     devs = protocol.verify_rescaling_identity(phis, psis, pairs.a, pairs.b, code, povm)
     probs, bounds = protocol.success_probabilities(code, pairs.a, pairs.b)
@@ -537,7 +537,7 @@ def test_each_protocol_check_makes_one_stacked_call_per_block_length(monkeypatch
 def test_family_stack_matches_the_stacked_single_pairs():
     stack = verify._random_family_interiors(np.random.default_rng(36), 840)
     params = _channels(stack)
-    ptms, pair = verify._family_stack(stack)
+    ptms, pair = core.ptm_from_params(stack), sinkhorn.family_scaling_pair(stack)
     singles = [sinkhorn.family_scaling_pair(p) for p in params]
     ref = sinkhorn.ScalingPair(*(np.stack([getattr(p, name) for p in singles])
                                  for name in ("a", "b", "norm_a", "norm_b",
