@@ -35,6 +35,7 @@ from .core import (
     PSD_TOL,
     UNITAL_TOL,
     is_completely_positive,
+    is_interior,
     ptm_from_params,
 )
 from .sinkhorn import (
@@ -247,7 +248,7 @@ def cmd_analyze(args) -> int:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
     if not _completely_positive(params):
         return EXIT_NOT_CP
-    if params.boundary_margin <= 0.0:
+    if not is_interior(params):
         return _fail(
             f"channel is not interior: |t3| + |lambda3| = "
             f"{abs(params.t3) + abs(params.lambda3):.6g} >= 1", EXIT_NOT_INTERIOR)
@@ -337,7 +338,7 @@ def cmd_sweep(args) -> int:
     for index, x in enumerate(grid):
         try:
             params = make(**fixed, **{args.x: x})
-            if params.boundary_margin <= 0.0:
+            if not is_interior(params):
                 raise NotInterior(f"|t3| + |lambda3| >= 1 at {args.x} = {x:g}")
             if family == "custom" and not _completely_positive(params, args.x, x):
                 return EXIT_NOT_CP

@@ -73,11 +73,6 @@ class PauliChannelParams:
         return cls(*np.array([(c.lambda1, c.lambda2, c.lambda3, c.t3) for c in channels],
                              dtype=float).reshape(-1, 4).T)
 
-    @property
-    def boundary_margin(self) -> float:
-        """1 - |t3| - |lambda3|; positive in the interior."""
-        return 1.0 - abs(self.t3) - abs(self.lambda3)
-
 
 ChannelLike = Union[PauliChannelParams, np.ndarray]
 
@@ -352,14 +347,16 @@ def image_radius(channel: ChannelLike) -> float:
 def is_interior(channel: ChannelLike) -> bool:
     """Interior of the cone of positive maps.
 
-    For the four-parameter family this is exactly |t3| + |lambda3| < 1;
-    for a general channel the image of the Bloch ball must stay strictly
-    inside the unit sphere.  A family stack or a (..., 4, 4) stack of
-    PTMs gets a bool array, one verdict per member, each that of its
-    single call.
+    For the four-parameter family this is |t3| + |lambda3| < 1 in
+    floating point, so decimal input such as lambda3 = 0.3, t3 = 0.7 is
+    boundary; every family path asks this test.  For a general channel
+    the image of the Bloch ball must stay strictly inside the unit
+    sphere.  A family stack or a (..., 4, 4) stack of PTMs gets a bool
+    array, one verdict per member, each that of its single call.
     """
     if isinstance(channel, PauliChannelParams):
-        return channel.boundary_margin > 0.0
+        # Python floats for one channel, one array pass for a stack
+        return abs(channel.t3) + abs(channel.lambda3) < 1.0
     ptm = _as_ptm(channel, stacked=True)
     if ptm.ndim == 2:
         return image_radius(ptm) < 1.0 - INTERIOR_MARGIN
@@ -430,17 +427,15 @@ def apply_scaling(K, X) -> np.ndarray:
 
 
 def operator_norm(K) -> Union[float, np.ndarray]:
-    """Largest singular value of a 2x2 operator, by ``_top_singular_value``
-    on Python floats; a (..., 2, 2) stack runs it on arrays and gives a
-    (...) array with the bits of the single calls.  Other shapes raise
-    ValueError."""
+    """Largest singular value of a 2x2 operator, by ``_top_singular_value``,
+    as a float; a (..., 2, 2) stack gives a (...) array with the bits of
+    the single calls.  Other shapes raise ValueError."""
     K = np.asarray(K, dtype=complex)
     if K.ndim < 2 or K.shape[-2:] != (2, 2):
         raise ValueError(f"expected a 2x2 operator or a (..., 2, 2) stack, got shape {K.shape}")
-    if K.ndim == 2:
-        return _top_singular_value(*K.ravel().tolist(), _FLOATS)
     (a, b), (c, d) = _entries_first(K)
-    return _top_singular_value(a, b, c, d, _ARRAYS)
+    norm = _top_singular_value(a, b, c, d)
+    return float(norm) if K.ndim == 2 else norm
 
 
 def _det_2x2(M: np.ndarray) -> np.ndarray:
@@ -489,7 +484,7 @@ _ARRAYS = _Arithmetic(np.sqrt, np.maximum, np.minimum, _each(_square), _each(mat
                       lambda *v: tuple(np.sort(v, axis=0)[::-1]))
 
 
-def _top_singular_value(a, b, c, d, arithmetic: _Arithmetic):
+def _top_singular_value(a, b, c, d):
     """|K| for K = [[a, b], [c, d]] from its Gram matrix G = K'K, taken in
     real arithmetic: |K|^2 = max(g00, g11) + |g01|^2 / (sqrt(h^2 + |g01|^2) + h)
     with h = |g00 - g11|/2.  Every term is nonnegative, so nothing cancels
@@ -503,8 +498,8 @@ def _top_singular_value(a, b, c, d, arithmetic: _Arithmetic):
     re, im = ab_r + cd_r, ab_i + cd_i
     off = re * re + im * im
     h = 0.5 * abs(g00 - g11)
-    sqrt, maximum = arithmetic.sqrt, arithmetic.maximum
-    return sqrt(maximum(g00, g11) + off / maximum(sqrt(h * h + off) + h, 2.0**-1022))
+    return np.sqrt(np.maximum(g00, g11)
+                   + off / np.maximum(np.sqrt(h * h + off) + h, 2.0**-1022))
 
 
 def inverse_2x2(M) -> np.ndarray:

@@ -217,11 +217,14 @@ def modify_code(code: Code, scaling: np.ndarray) -> Code:
     """Conjugate every codeword factor by ``scaling`` and renormalize.
 
     Normalization distributes over the tensor product, so the product
-    structure is preserved exactly.
+    structure is preserved exactly.  A singular scaling raises, naming
+    the first such instance of a stack.
     """
-    B = _scaling_operator(scaling, code.batch_shape)
-    if np.any(np.abs(np.linalg.det(B)) < 1e-14):
-        raise ValueError("scaling operator must be invertible")
+    batch = code.batch_shape
+    B = _scaling_operator(scaling, batch)
+    singular = np.flatnonzero(np.abs(np.linalg.det(B)) < 1e-14)
+    if singular.size:
+        raise ValueError(f"{_instance(singular[0], batch)}scaling operator must be invertible")
     factors = apply_scaling(B[..., None, None, :, :], code.factors)
     return Code(factors / np.trace(factors, axis1=-2, axis2=-1).real[..., None, None])
 

@@ -130,36 +130,27 @@ def _family_pass(params: PauliChannelParams,
     stack of more than ``_FLOAT_PASS_MAX`` channels takes one pass on
     arrays, a smaller one a pass on floats per channel.
 
-    Raises NotInterior for |t3| + |lambda3| >= 1, naming the first
-    boundary channel of a stack.
+    Raises NotInterior for a channel that ``is_interior`` refuses, naming
+    the first boundary channel of a stack.
     """
     fields = (params.lambda1, params.lambda2, params.lambda3, params.t3)
-    if not isinstance(params.lambda3, np.ndarray):
-        _require_interior(params.lambda3, params.t3)
+    stacked = isinstance(params.lambda3, np.ndarray)
+    inside = is_interior(params)
+    if not (inside.all() if stacked else inside):
+        total = abs(params.t3) + abs(params.lambda3)
+        where = ""
+        if stacked:
+            k = int(np.argmin(inside))
+            total, where = total[k], f" at channel {k} of the stack"
+        raise NotInterior(f"|t3| + |lambda3| = {total:.6g} >= 1{where}; "
+                          "no scaling pair for boundary channels")
+    if not stacked:
         return values(*fields, _FLOATS)
     if not 0 < params.lambda3.size <= _FLOAT_PASS_MAX:
-        l1, l2, l3, t3 = (np.asarray(f, dtype=float) for f in fields)
-        boundary = np.abs(t3) + np.abs(l3) >= 1.0
-        if boundary.any():
-            k = int(boundary.argmax())
-            _require_interior(l3[k], t3[k], k)
-        return values(l1, l2, l3, t3, _ARRAYS)
-    rows = []
-    for k, (l1, l2, l3, t3) in enumerate(zip(*(np.asarray(f, dtype=float).tolist()
-                                               for f in fields))):
-        _require_interior(l3, t3, k)
-        rows.append(values(l1, l2, l3, t3, _FLOATS))
+        return values(*(np.asarray(f, dtype=float) for f in fields), _ARRAYS)
+    rows = [values(*row, _FLOATS)
+            for row in zip(*(np.asarray(f, dtype=float).tolist() for f in fields))]
     return np.array(rows).T
-
-
-def _require_interior(l3: float, t3: float, channel: Optional[int] = None) -> None:
-    margin = abs(t3) + abs(l3)
-    if margin >= 1.0:
-        where = "" if channel is None else f" at channel {channel} of the stack"
-        raise NotInterior(
-            f"|t3| + |lambda3| = {margin:.6g} >= 1{where}; "
-            "no scaling pair for boundary channels"
-        )
 
 
 def _family_roots(l3, t3, arithmetic: _Arithmetic) -> tuple:

@@ -78,12 +78,15 @@ def test_sweep_without_chi_leaves_column_empty(capsys):
 
 
 def test_sweep_drops_boundary_endpoints_with_warning(capsys):
-    code, out, err = run(["sweep", "--mix", "--x", "p", "--min", "0", "--max", "1",
-                          "--steps", "6"], capsys)
-    assert code == 0
-    assert err.count("dropping boundary grid point") == 2
-    rows = out.strip().splitlines()[1:]
-    assert len(rows) == 4
+    # the second sweep ends on |t3| + |lambda3| = 0.7 + 0.3, which rounds to 1
+    for args, kept in ((["--mix", "--x", "p", "--min", "0", "--max", "1", "--steps", "6"], 4),
+                       (["--lambda", "0.2", "0.2", "0.3", "--x", "t3", "--min", "-0.7",
+                         "--max", "0.7", "--steps", "15"], 13)):
+        code, out, err = run(["sweep", *args], capsys)
+        assert code == 0
+        assert err.count("dropping boundary grid point") == 2
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == kept
 
 
 def test_sweep_config_validation(capsys):
@@ -758,6 +761,9 @@ BAD_INPUT = [
     # finite ends whose distance is not finite
     (["sweep", "--gad", "--p", "0.3", "--x", "gamma_t", "--min=-1e308", "--max", "1.7e308",
       "--steps", "3"], 2, "overflows"),
+    # |t3| + |lambda3| rounds to 1: the closed forms refuse these channels
+    (["analyze", "--lambda", "0", "0", "0.3", "--t3", "0.7"], 2, "not interior"),
+    (["analyze", "--gad", "--p", "1e-17", "--gamma-t", "0.97"], 2, "not interior"),
 ]
 
 

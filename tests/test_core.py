@@ -270,6 +270,8 @@ def test_is_interior():
                             1 - gamma, gamma)
     assert not is_interior(ad)
     assert not is_interior(ptm_from_params(ad))
+    # 0.7 + 0.3 rounds to 1, although 1 - 0.7 - 0.3 does not round to 0
+    assert not is_interior(PauliChannelParams(0, 0, 0.3, 0.7))
     from qcap.capacity import gad_params
     gad = gad_params(0.475, 1.0)
     assert is_interior(gad)

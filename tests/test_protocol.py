@@ -485,6 +485,12 @@ def test_stacked_calls_name_the_failing_instance():
     with pytest.raises(ValueError, match=r"^instance 1: modified completion element "
                                          r"has eigenvalue -1\.000e\+00"):
         modify_povm(povm, identities)
+    singular = identities.copy()
+    singular[1] = np.diag([1.0, 0.0])
+    with pytest.raises(ValueError, match=r"^instance 1: scaling operator must be invertible$"):
+        modify_code(code, singular)
+    with pytest.raises(ValueError, match=r"^scaling operator must be invertible$"):
+        modify_code(Code(code.factors[1]), singular[1])
     factors = np.array(code.factors)
     factors[2, 1, 0] = np.diag([2.0, 0.0])
     with pytest.raises(AssertionError, match=r"^instance 2: codeword 1: success "

@@ -65,6 +65,25 @@ def test_readme_module_qualified_names_resolve():
     assert sorted(name for name in names if not _resolves(name)) == []
 
 
+def _command_line_block() -> list[list[str]]:
+    # the argv of each `qcap ...` line of the "Command line" block,
+    # continuations joined
+    block = re.search(r"^## Command line\n+```\n(.*?)```", README, re.S | re.M)
+    assert block, "README has no Command line block"
+    lines = block.group(1).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("qcap ")]
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    # in order, as a reader would paste them: render reads the sweep's CSV
+    monkeypatch.chdir(tmp_path)
+    commands = _command_line_block()
+    assert len(commands) == 8
+    for argv in commands:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+
+
 def _figure_command(fig: str) -> list[str]:
     # the README's `qcap sweep ... --chi --out figN.csv` line, continuations joined
     commands = README.replace("\\\n", " ")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -75,6 +76,31 @@ def test_a_boundary_channel_in_a_stack_is_named(padding):
             closed_form(channels[3])
         assert str(info.value) == ("|t3| + |lambda3| = 1 >= 1; "
                                    "no scaling pair for boundary channels")
+
+
+def test_closed_forms_refuse_exactly_what_is_interior_refuses():
+    # every decimal boundary pair +-(k/10^d, 1 - k/10^d) for d <= 3 (none
+    # of them interior) and the same pairs with t3 one and two ulps nearer
+    # 0 (about 40% interior): the closed forms raise NotInterior exactly
+    # where is_interior says False
+    cases = []
+    for scale in (10, 100, 1000):
+        for k, sl, st in itertools.product(range(1, scale), (1, -1), (1, -1)):
+            t3 = st * (scale - k) / scale
+            for _ in range(3):
+                cases.append(PauliChannelParams(0.0, 0.0, sl * k / scale, t3))
+                t3 = math.nextafter(t3, 0.0)
+    for params in cases:
+        for closed_form in (analyze, family_scaling_pair):
+            try:
+                closed_form(params)
+                refused = False
+            except NotInterior:
+                refused = True
+            assert refused is not is_interior(params), (closed_form.__name__, params)
+    # 0.3 + 0.7 rounds to 1: refused before the first Newton step
+    with pytest.raises(NotInterior):
+        sinkhorn_iterate(PauliChannelParams(0.2, 0.2, 0.3, 0.7))
 
 
 def test_gad_norm_product_is_one_at_half():
