@@ -27,10 +27,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULI = np.stack([np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z])
-# _CHOI_BASIS[a, b] = sigma_a (x) sigma_b^T / 2, so the Choi matrix of a
-# PTM T is sum_ab T_ab _CHOI_BASIS[a, b]
-_CHOI_BASIS = 0.5 * np.einsum("aij,blk->abikjl", PAULI, PAULI).reshape(4, 4, 4, 4)
-for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI, _CHOI_BASIS):
+for _m in (SIGMA_X, SIGMA_Y, SIGMA_Z, PAULI):
     _m.flags.writeable = False
 
 # eigenvalues of a 4x4 Hermitian matrix carry this much solver noise
@@ -152,12 +149,24 @@ def apply_channel_matrix(channel: ChannelLike, X) -> np.ndarray:
 
     A (..., 4, 4) stack of PTMs and a (..., 2, 2) stack of matrices
     broadcast against each other.
+
+    The Pauli coefficients tr(sigma_a X) = (X00 + X11, X10 + X01,
+    -i X10 + i X01, X00 - X11) go through T, and the image
+    o = T c comes back as 1/2 [[o0 + o3, o1 - i o2], [o1 + i o2, o0 - o3]]:
+    every entry a sum of two terms in the order of the sums
+    ``einsum("aij,...ji->...a", PAULI, X)`` and
+    ``einsum("...a,aij->...ij", o, PAULI) / 2``, so with their bits for
+    finite input.  The final ``+= 0.0`` turns the -0.0 of a sum of signed
+    zeros into the +0.0 that einsum's zeroed accumulator gives.
     """
     ptm = _as_ptm(channel, stacked=True)
-    X = np.asarray(X, dtype=complex)
-    coeff = np.einsum("aij,...ji->...a", PAULI, X)
-    out = (ptm @ coeff[..., None])[..., 0]
-    return 0.5 * np.einsum("...a,aij->...ij", out, PAULI)
+    (x00, x01), (x10, x11) = _entries_first(np.asarray(X, dtype=complex))
+    coeff = np.stack([x00 + x11, x10 + x01, -1j * x10 + 1j * x01, x00 - x11], axis=-1)
+    o0, o1, o2, o3 = np.moveaxis((ptm @ coeff[..., None])[..., 0], -1, 0)
+    out = np.array([o0 + o3, o1 - 1j * o2, o1 + 1j * o2, o0 - o3])
+    out *= 0.5
+    out += 0.0
+    return _entries_last(out, (2, 2))
 
 
 def _dagger(K: np.ndarray) -> np.ndarray:
@@ -244,9 +253,38 @@ def choi_from_channel(channel: ChannelLike) -> np.ndarray:
     """C = sum_ij Phi[E_ij] (x) E_ij (channel on half of an unnormalized
     maximally entangled state), in the closed form
     C = 1/2 sum_ab T_ab sigma_a (x) sigma_b^T.  A (..., 4, 4) stack of
-    PTMs gives a stack of Choi matrices."""
-    C = np.einsum("...ab,abij->...ij", _as_ptm(channel, stacked=True), _CHOI_BASIS)
-    return 0.5 * (C + _dagger(C))
+    PTMs gives a stack of Choi matrices.
+
+    Every real or imaginary part of an entry is the signed sum of the
+    halved entries h = T/2 that the basis sigma_a (x) sigma_b^T puts
+    there, four on the diagonal and two elsewhere, added in the order of
+    (a, b): the bits of that sum taken by ``einsum`` over the stacked
+    basis, and of its Hermitian part, for finite T, one PTM or a stack.
+    The final ``+= 0.0`` turns the -0.0 of a sum of signed zeros into
+    einsum's +0.0.
+    """
+    h = _entries_first(0.5 * _as_ptm(channel, stacked=True))
+    # rij: the real part of entries (i, j) and (j, i); iij: the imaginary
+    # part of one of them, the other's negated; d0, d3: the first two
+    # terms of the diagonal entries
+    d0, d3 = h[0, 0] + h[0, 3], h[0, 0] - h[0, 3]
+    r01, r23 = h[0, 1] + h[3, 1], h[0, 1] - h[3, 1]
+    r02, r13 = h[1, 0] + h[1, 3], h[1, 0] - h[1, 3]
+    r03, r12 = h[1, 1] + h[2, 2], h[1, 1] - h[2, 2]
+    i01, i23 = h[0, 2] + h[3, 2], h[0, 2] - h[3, 2]
+    i02, i13 = h[2, 0] + h[2, 3], h[2, 0] - h[2, 3]
+    i03, i12 = h[1, 2] - h[2, 1], h[1, 2] + h[2, 1]
+    zero = np.zeros_like(d0)
+    out = np.array([(d0 + h[3, 0]) + h[3, 3], r01, r02, r03,
+                    r01, (d3 + h[3, 0]) - h[3, 3], r12, r13,
+                    r02, r12, (d0 - h[3, 0]) - h[3, 3], r23,
+                    r03, r13, r23, (d3 - h[3, 0]) + h[3, 3]], dtype=complex)
+    out.imag = [zero, i01, -i02, i03,
+                -i01, zero, -i12, -i13,
+                i02, i12, zero, i23,
+                -i03, i13, -i23, zero]
+    out += 0.0
+    return _entries_last(out, (4, 4))
 
 
 def kraus_from_choi(choi, tol: float = 1e-12):

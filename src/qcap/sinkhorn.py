@@ -131,17 +131,25 @@ def _family_pass(params: PauliChannelParams,
     arrays, a smaller one a pass on floats per channel.
 
     Raises NotInterior for a channel that ``is_interior`` refuses, naming
-    the first boundary channel of a stack.
+    the first boundary channel of a stack; when a refused channel's
+    lambda3 or t3 is not finite, raises ValueError naming that field and
+    the first such channel instead, as NaN is no boundary value.
     """
     fields = (params.lambda1, params.lambda2, params.lambda3, params.t3)
     stacked = isinstance(params.lambda3, np.ndarray)
     inside = is_interior(params)
     if not (inside.all() if stacked else inside):
-        total = abs(params.t3) + abs(params.lambda3)
+        lambda3, t3 = params.lambda3, params.t3
+        total = abs(t3) + abs(lambda3)
         where = ""
         if stacked:
-            k = int(np.argmin(inside))
-            total, where = total[k], f" at channel {k} of the stack"
+            bad = ~np.isfinite(total)
+            k = int(np.argmax(bad) if bad.any() else np.argmin(inside))
+            lambda3, t3, total = lambda3[k], t3[k], total[k]
+            where = f" at channel {k} of the stack"
+        if not math.isfinite(total):
+            name, value = ("lambda3", lambda3) if not math.isfinite(lambda3) else ("t3", t3)
+            raise ValueError(f"{name} = {value} is not finite{where}")
         raise NotInterior(f"|t3| + |lambda3| = {total:.6g} >= 1{where}; "
                           "no scaling pair for boundary channels")
     if not stacked:

@@ -106,12 +106,14 @@ def _check_ptm_vs_kraus(rng) -> CheckResult:
                    f"max deviation {worst:.2e} over 1000 pairs (tol 1e-10)")
 
 
-def _unital_family_chois(l1, l2, l3) -> np.ndarray:
+def _unital_family_chois(l1, l2, l3, out=None) -> np.ndarray:
     """Explicitly assembled (n, 4, 4) Choi matrices of diagonal unital
     channels with parameters (l1, l2, l3), stored entry-major: a (4, 4, n)
     array seen through a transpose, so each entry ``chois[:, i, j]`` is
-    one contiguous (n,) column."""
-    chois = np.zeros((4, 4, np.size(l3)))
+    one contiguous (n,) column.  The (4, 4, n) array is ``out`` if given,
+    zeroed by its caller; only the eight nonzero entries are written, so
+    one buffer serves any number of calls."""
+    chois = np.zeros((4, 4, np.size(l3))) if out is None else out
     chois[0, 0] = chois[3, 3] = (1.0 + l3) / 2.0
     chois[1, 1] = chois[2, 2] = (1.0 - l3) / 2.0
     chois[0, 3] = chois[3, 0] = (l1 + l2) / 2.0
@@ -128,45 +130,74 @@ def _shifted_is_positive_definite(mats: np.ndarray) -> np.ndarray:
     * I is positive definite exactly when all d pivots are positive
     (Sylvester), which is the predicate lambda_min(M) > -1e-10.  A pivot
     that is not positive settles its matrix; it is replaced by 1 so that
-    the later pivots of that matrix stay finite.  Each entry is read once
-    as an (n,) column ``mats[:, i, j]``, contiguous for an entry-major
-    stack such as ``_unital_family_chois`` builds.
+    the later pivots of that matrix stay finite.  The updates
+    x - l_ik * l_jk * p_k run in place on (n,) columns, rounded as that
+    expression is from left to right, and allocate nothing.  Each entry
+    is read once as an (n,) column ``mats[:, i, j]``, contiguous for an
+    entry-major stack such as ``_unital_family_chois`` builds.
     """
     size = mats.shape[-1]
     pd = np.ones(mats.shape[0], dtype=bool)
     pivots: list[np.ndarray] = []
     lower: dict[tuple[int, int], np.ndarray] = {}
+    term = np.empty(mats.shape[0])
     for j in range(size):
         pivot = mats[:, j, j] + 1e-10
         for k in range(j):
-            pivot = pivot - lower[j, k] * lower[j, k] * pivots[k]
+            np.multiply(lower[j, k], lower[j, k], out=term)
+            term *= pivots[k]
+            pivot -= term
         pd &= pivot > 0.0
-        pivot = np.where(pd, pivot, 1.0)
+        np.copyto(pivot, 1.0, where=~pd)
         pivots.append(pivot)
         for i in range(j + 1, size):
-            entry = mats[:, i, j]
+            entry = mats[:, i, j].copy()
             for k in range(j):
-                entry = entry - lower[i, k] * lower[j, k] * pivots[k]
-            lower[i, j] = entry / pivot
+                np.multiply(lower[i, k], lower[j, k], out=term)
+                term *= pivots[k]
+                entry -= term
+            entry /= pivot
+            lower[i, j] = entry
     return pd
+
+
+def _grid_slabs(axis: np.ndarray, slabs: int):
+    """The points (l1, l2, l3) of the grid axis^3, in the order of
+    ``np.meshgrid(axis, axis, axis, indexing="ij")`` ravelled, as
+    ``slabs`` consecutive slabs of (m,) arrays: slab k holds the points
+    whose l1 is one of the k-th ``len(axis) / slabs`` values of the axis.
+    The l2 and l3 arrays are the same for every slab."""
+    n = axis.size
+    per = n // slabs
+    l2 = np.tile(np.repeat(axis, n), per)
+    l3 = np.tile(axis, per * n)
+    for k in range(slabs):
+        yield np.repeat(axis[k * per:(k + 1) * per], n * n), l2, l3
+
+
+def _unital_inequality(l1, l2, l3) -> np.ndarray:
+    """The CP inequality of diagonal unital channels, elementwise."""
+    return ((1.0 + l3 - np.abs(l1 + l2) >= -1e-10)
+            & (1.0 - l3 - np.abs(l1 - l2) >= -1e-10))
 
 
 def _check_cp_grid(rng) -> CheckResult:
     # full 50^3 grid through a stacked LDL' decision on the assembled
-    # Chois, in 10 slabs of 12 500 matrices, plus a subsample through the
-    # production eigensolver path, given as a stack of PTMs
+    # Chois, in 10 slabs of 12 500 matrices built from the axis into one
+    # reused buffer, plus a subsample through the production eigensolver
+    # path, given as a stack of PTMs
     axis = np.linspace(-1.0, 1.0, 50)
-    l1, l2, l3 = (g.ravel() for g in np.meshgrid(axis, axis, axis, indexing="ij"))
-    by_choi = np.concatenate([
-        _shifted_is_positive_definite(_unital_family_chois(*slab))
-        for slab in zip(*(g.reshape(10, -1) for g in (l1, l2, l3)))])
-    by_inequality = ((1.0 + l3 - np.abs(l1 + l2) >= -1e-10)
-                     & (1.0 - l3 - np.abs(l1 - l2) >= -1e-10))
-    grid_ok = bool(np.array_equal(by_choi, by_inequality))
+    n = axis.size
+    buffer = np.zeros((4, 4, n**3 // 10))
+    grid_ok = True
+    for l1, l2, l3 in _grid_slabs(axis, 10):
+        by_choi = _shifted_is_positive_definite(_unital_family_chois(l1, l2, l3, buffer))
+        grid_ok &= bool(np.array_equal(by_choi, _unital_inequality(l1, l2, l3)))
 
-    idx = rng.choice(l1.size, size=400, replace=False)
-    report = core.is_completely_positive(core._family_ptms(l1[idx], l2[idx], l3[idx], 0.0))
-    sample_ok = bool(np.array_equal(report.is_cp, by_inequality[idx]))
+    idx = rng.choice(n**3, size=400, replace=False)
+    l1, l2, l3 = axis[idx // (n * n)], axis[idx // n % n], axis[idx % n]
+    report = core.is_completely_positive(core._family_ptms(l1, l2, l3, 0.0))
+    sample_ok = bool(np.array_equal(report.is_cp, _unital_inequality(l1, l2, l3)))
     return _result("cp_check_matches_unital_inequality", grid_ok and sample_ok,
                    f"50^3 grid agreement={grid_ok}, production-path subsample "
                    f"agreement={sample_ok} (tol 1e-10)")

@@ -697,6 +697,73 @@ def test_stacked_core_functions_match_the_single_calls():
         core.is_unital(ptms)
 
 
+# the einsum definitions that the closed forms of choi_from_channel and
+# apply_channel_matrix replaced, verbatim; _CHOI_BASIS[a, b] is
+# sigma_a (x) sigma_b^T / 2, so the Choi matrix of a PTM T is
+# sum_ab T_ab _CHOI_BASIS[a, b]
+_CHOI_BASIS = 0.5 * np.einsum("aij,blk->abikjl", core.PAULI, core.PAULI).reshape(4, 4, 4, 4)
+
+
+def _einsum_choi(channel):
+    C = np.einsum("...ab,abij->...ij", core._as_ptm(channel, stacked=True), _CHOI_BASIS)
+    return 0.5 * (C + core._dagger(C))
+
+
+def _einsum_channel_matrix(channel, X):
+    ptm = core._as_ptm(channel, stacked=True)
+    X = np.asarray(X, dtype=complex)
+    coeff = np.einsum("aij,...ji->...a", core.PAULI, X)
+    out = (ptm @ coeff[..., None])[..., 0]
+    return 0.5 * np.einsum("...a,aij->...ij", out, core.PAULI)
+
+
+def _closed_form_cases():
+    """PTM stacks with rounding in every entry, exact zeros of both signs
+    and integers, each with (1000, 2, 2) matrices to act on."""
+    rng = np.random.default_rng(31)
+    ops, blochs = verify._ptm_vs_kraus_draws(rng, count=1000)
+    ptms = core.normalized_kraus_ptm(ops)
+    rhos = bloch_to_density(blochs)
+    ginibre = core.random_ginibre(rng, 1000)
+    family = core._family_ptms(*rng.uniform(-1.0, 1.0, (3, 1000)), 0.0)
+    return [(ptms, rhos), (ptms * np.array([1.0, -1.0, -1.0, -1.0]), ginibre),
+            (rng.normal(size=(1000, 4, 4)), rhos), (np.round(rng.normal(size=(1000, 4, 4))), ginibre),
+            (family, rhos), (-np.zeros((1000, 4, 4)), ginibre)]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_closed_form_choi_and_action_have_the_einsum_bits(case):
+    ptms, X = _closed_form_cases()[case]
+    assert choi_from_channel(ptms).tobytes() == _einsum_choi(ptms).tobytes()
+    assert apply_channel_matrix(ptms, X).tobytes() == _einsum_channel_matrix(ptms, X).tobytes()
+    # as verify_decomposition calls it: a stack on one identity
+    assert (apply_channel_matrix(ptms, np.eye(2)).tobytes()
+            == _einsum_channel_matrix(ptms, np.eye(2)).tobytes())
+    # as outcome_probabilities calls it: (..., 1, 1, 4, 4) PTMs on
+    # (..., s, n, 2, 2) codeword factors
+    factors = X[:480].reshape(40, 4, 3, 2, 2)
+    broadcast = ptms[:40, None, None]
+    assert (apply_channel_matrix(broadcast, factors).tobytes()
+            == _einsum_channel_matrix(broadcast, factors).tobytes())
+    for k in range(0, 1000, 37):
+        assert choi_from_channel(ptms[k]).tobytes() == _einsum_choi(ptms[k]).tobytes()
+        assert (apply_channel_matrix(ptms[k], X[k]).tobytes()
+                == _einsum_channel_matrix(ptms[k], X[k]).tobytes())
+
+
+def test_closed_form_choi_and_action_take_no_einsum(monkeypatch):
+    # a timing-free guard: the two kernels stay closed forms
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.einsum called")
+
+    ptms, rhos = _closed_form_cases()[0]
+    monkeypatch.setattr(np, "einsum", refuse)
+    choi_from_channel(ptms)
+    choi_from_channel(ptms[0])
+    apply_channel_matrix(ptms, rhos)
+    apply_channel_matrix(ptms[0], np.eye(2))
+
+
 def _sequential_blochs(rng, count, pure=False):
     # the Bloch draw, one vector at a time, before the draws were stacked
     out = []

@@ -78,6 +78,24 @@ def test_a_boundary_channel_in_a_stack_is_named(padding):
                                    "no scaling pair for boundary channels")
 
 
+@pytest.mark.parametrize("padding", [0, 20], ids=["one-at-a-time", "one-pass"])
+def test_a_non_finite_channel_is_bad_input_not_boundary(padding):
+    # NaN fails |t3| + |lambda3| < 1 without being a boundary value: a
+    # plain ValueError that names the field, before any boundary member
+    interior = PauliChannelParams(0.5, 0.4, 0.3, 0.2)
+    single = PauliChannelParams(0.5, 0.4, 0.3, math.nan)
+    channels = [interior, PauliChannelParams(1, 1, 1, 0), interior,
+                PauliChannelParams(0.5, 0.4, math.nan, 0.2)] + [interior] * padding
+    stack = PauliChannelParams.stack(channels)
+    for closed_form in (family_scaling_pair, analyze):
+        for params, message in ((single, "t3 = nan is not finite"),
+                                (stack, "lambda3 = nan is not finite at channel 3 of the stack")):
+            with pytest.raises(ValueError) as info:
+                closed_form(params)
+            assert type(info.value) is ValueError
+            assert str(info.value) == message
+
+
 def test_closed_forms_refuse_exactly_what_is_interior_refuses():
     # every decimal boundary pair +-(k/10^d, 1 - k/10^d) for d <= 3 (none
     # of them interior) and the same pairs with t3 one and two ulps nearer

@@ -5,6 +5,7 @@ is pinned by its generator calls.  The CP grid check is held against the
 eigensolve of every Choi matrix that its LDL' decision replaced."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,6 +337,28 @@ def test_swapped_choi_entries_fail_the_cp_grid_check(monkeypatch):
     result = verify._check_cp_grid(np.random.default_rng(7))
     assert not result.passed
     assert "50^3 grid agreement=False" in result.detail
+
+
+def test_grid_slabs_are_the_meshgrid_in_order():
+    axis = np.linspace(-1.0, 1.0, 50)
+    slabs = list(verify._grid_slabs(axis, 10))
+    assert len(slabs) == 10 and all(len(l1) == 12_500 for l1, _, _ in slabs)
+    for got, grid in zip(zip(*slabs), np.meshgrid(axis, axis, axis, indexing="ij")):
+        assert np.concatenate(got).tobytes() == grid.ravel().tobytes()
+
+
+def test_cp_grid_check_holds_one_slab_at_a_time():
+    # a timing-free guard: the grid check never holds arrays of the whole
+    # grid (6.25 MB of traced peak when it did; about 3.0 MB by slabs);
+    # a first call also traces about 0.75 MB of one-time module imports
+    verify._check_cp_grid(np.random.default_rng(7))
+    tracemalloc.start()
+    try:
+        verify._check_cp_grid(np.random.default_rng(7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 # ---------------------------------------------------------------------------
