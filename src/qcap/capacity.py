@@ -37,6 +37,7 @@ from .core import (
     _Arithmetic,
     _FLOATS,
     _as_ptm,
+    _check_finite,
     _is_family_channel,
     binary_entropy,
     entropy_kernel,
@@ -340,7 +341,7 @@ def _stick_weights(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     k, mm1 = logits.shape
     s = 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(logits, -_LOGIT_CLIP), _LOGIT_CLIP)))
     w = np.empty((k, mm1 + 1))
-    rem = np.cumprod(1.0 - s, axis=1)
+    rem = (1.0 - s).cumprod(axis=1)
     w[:, 0] = s[:, 0]
     np.multiply(s[:, 1:], rem[:, :-1], out=w[:, 1:-1])
     w[:, -1] = rem[:, -1]
@@ -350,14 +351,16 @@ def _stick_weights(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _LN2 = math.log(2.0)
 _Q0 = -1.0 / _LN2  # q(0), the r -> 0 limit of the entropy slope
 _R_MAX = 1.0 - 1e-16  # keeps the entropy slope finite at pure outputs
+_R_MIN = 2.0 ** -30  # below it atanh(r) rounds to r, so atanh(r) / r is 1.0
 
 
 def _entropy_slope(r: np.ndarray) -> np.ndarray:
     # q(r) = S'(r) / r = -atanh(r) / (r ln 2) for S(r) = h((1 - r)/2),
-    # with its limit -1/ln 2 at r = 0
-    rc = np.minimum(r, _R_MAX)
-    q = np.ones_like(rc)
-    np.divide(np.arctanh(rc), rc, out=q, where=rc > 0.0)
+    # with its limit -1/ln 2 at r = 0; raising r to _R_MIN gives that
+    # limit without a division by zero
+    rc = np.minimum(np.maximum(r, _R_MIN), _R_MAX)
+    q = np.arctanh(rc)
+    q /= rc
     q *= _Q0
     return q
 
@@ -419,17 +422,18 @@ def _chi_gradient(M: np.ndarray, fw: _Forward, rows) -> np.ndarray:
     with s_i = sigmoid(l_i); dchi/do_k is pulled back through M^T and
     the angle derivatives of n_k.
     """
-    sin, cos, w, frac, out, avg, r, s = (np.take(a, rows, axis=0) for a in fw[1:])
+    sin, cos, w, frac, out, avg, r, s = (a[rows] for a in fw[1:])
     k, m = w.shape
     st, sp, ct, cp = sin[:, 0::2], sin[:, 1::2], cos[:, 0::2], cos[:, 1::2]
     q = _entropy_slope(r)
     qa = q[:, :1] * avg
     qo = q[:, 1:, None] * out
     g_n = ((w[..., None] * (qa[:, None, :] - qo)).reshape(-1, 3) @ M).reshape(k, m, 3)
-    d_th = (g_n[..., 0] * cp + g_n[..., 1] * sp) * ct - g_n[..., 2] * st
-    d_ph = (g_n[..., 1] * cp - g_n[..., 0] * sp) * st
+    g0, g1, g2 = g_n[..., 0], g_n[..., 1], g_n[..., 2]
+    d_th = (g0 * cp + g1 * sp) * ct - g2 * st
+    d_ph = (g1 * cp - g0 * sp) * st
     wg = w * (np.einsum("ki,kmi->km", qa, out) - s[:, 1:])
-    later = np.cumsum(wg[:, :0:-1], axis=1)[:, ::-1]
+    later = wg[:, :0:-1].cumsum(axis=1)[:, ::-1]
     d_l = (1.0 - frac) * wg[:, :-1] - frac * later
     grad = np.empty((k, 3 * m - 1))
     np.negative(d_th, out=grad[:, 0:2 * m:2])
@@ -487,11 +491,19 @@ def chi_capacity_numeric(channel: ChannelLike,
     earlier size and start.  ``converged`` records whether that start
     met a stopping rule rather than the iteration cap, and
     ``iterations`` sums the iterations of the sizes' batches.
+
+    A channel with a field or PTM entry that is not finite raises
+    ValueError naming the first such field or ``(row, col)`` entry.
     """
-    if config is None and _is_family_channel(channel):
-        return _family_chi(channel)
+    if _is_family_channel(channel):
+        _check_finite(channel)
+        if config is None:
+            return _family_chi(channel)
     cfg = config or ChiConfig()
     ptm = _as_ptm(channel)
+    if not np.isfinite(ptm).all():
+        row, col = np.argwhere(~np.isfinite(ptm))[0].tolist()
+        raise ValueError(f"PTM entry ({row}, {col}) = {ptm[row, col]} is not finite")
     M = np.ascontiguousarray(ptm[1:, 1:])
     t = ptm[1:, 0]
     rng = np.random.default_rng(cfg.seed)

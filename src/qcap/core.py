@@ -92,6 +92,15 @@ def _is_family_channel(channel: ChannelLike) -> bool:
     return True
 
 
+def _check_finite(params: PauliChannelParams, where: str = "") -> None:
+    """Raise ValueError naming the first field of one family channel that
+    is not finite, with ``where`` appended to the message."""
+    for name in ("lambda1", "lambda2", "lambda3", "t3"):
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} = {value} is not finite{where}")
+
+
 def _as_ptm(channel: ChannelLike, stacked: bool = False) -> np.ndarray:
     """The 4x4 PTM of ``channel``; with ``stacked``, it may also be a
     (..., 4, 4) stack of PTMs or a family stack."""

@@ -5,10 +5,14 @@ ever called on stacked 2-D arrays.  This keeps the per-iteration cost
 dominated by a handful of vectorized array operations instead of Python
 overhead, which matters when the objective itself is a few microseconds.
 Each iteration makes one objective call, on every trial step of every
-open member, and takes the gradient at the accepted steps from that
-call instead of evaluating the objective again.  Members leave the
-working arrays as they stop.  ``bfgs_batch`` needs a smooth objective
-that supplies its gradient; the chi-capacity search is its only caller.
+open member, and takes the gradient at each member's chosen step from
+that call instead of evaluating the objective again.  The step, the
+inverse-Hessian update and the stopping test are computed for every
+open member, and ``np.where`` keeps each result only where it applies,
+so an iteration gathers no subset of the members and writes none back.
+Members leave the working arrays as they stop.  ``bfgs_batch`` needs a
+smooth objective that supplies its gradient; the chi-capacity search is
+its only caller.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import numpy as np
 # backtracking: a ladder that only backtracks from 1 stalls on the
 # nonconvex start region of the Holevo objective
 _LADDER = 2.0 ** np.arange(8, -12, -1)
-_ARMIJO = 1e-4
+_STEPS = _LADDER[:, None]
+_ARMIJO_STEPS = 1e-4 * _LADDER  # the Armijo factor of each trial step
 
 
 class BatchResult(NamedTuple):
@@ -51,8 +56,8 @@ def bfgs_batch(
     the quasi-Newton direction ``-H g`` of every open member in one call
     and takes the lowest value among those meeting the Armijo condition;
     ``-g`` replaces a direction that does not descend.  The gradient is
-    asked of that same call, at the accepted steps only.  The inverse
-    Hessian estimate ``H`` starts as the identity, is rescaled by
+    asked of that same call, at each open member's chosen step.  The
+    inverse Hessian estimate ``H`` starts as the identity, is rescaled by
     ``s.y / y.y`` at the first update, and skips updates with
     ``s.y <= 0``.  A member stops when no trial step is accepted, when
     its step is at most ``xatol`` in every coordinate, or when its
@@ -71,6 +76,7 @@ def bfgs_batch(
     g = np.array(gradient(live), dtype=float)
     H = np.repeat(np.eye(n)[None], batch, axis=0)
     scaled = np.zeros(batch, dtype=bool)
+    base = np.arange(batch) * steps  # the row of each member's first trial step
     converged = np.zeros(batch, dtype=bool)
     it = 0
 
@@ -78,63 +84,58 @@ def bfgs_batch(
         it += 1
         d = -np.einsum("kij,kj->ki", H, g)
         slope = np.einsum("ki,ki->k", d, g)
-        uphill = ~(slope < 0.0)
-        if uphill.any():
+        descends = slope < 0.0
+        if not descends.all():
+            uphill = ~descends
             d[uphill] = -g[uphill]
             slope[uphill] = -np.einsum("ki,ki->k", g[uphill], g[uphill])
 
-        trial = x[:, None, :] + _LADDER[:, None] * d[:, None, :]
-        ft, gradient = func(trial.reshape(-1, n))
-        ft = ft.reshape(len(live), steps)
-        ok = ft <= f[:, None] + _ARMIJO * _LADDER * slope[:, None]
-        pick = np.argmin(np.where(ok, ft, np.inf), axis=1)
-        took = np.flatnonzero(ok[np.arange(len(live)), pick])
-        done = np.ones(len(live), dtype=bool)
-
-        if took.size:
-            at = took * steps + pick[took]
-            xn = trial.reshape(-1, n)[at]
-            fn = ft.reshape(-1)[at]
-            gn = np.asarray(gradient(at), dtype=float)
-            s = xn - x[took]
-            y = gn - g[took]
-            sy = np.einsum("ki,ki->k", s, y)
-
-            upd = sy > 0.0
-            if upd.any():
-                iu = took[upd]
-                su, yu, rho = s[upd], y[upd], 1.0 / sy[upd]
-                Hu = H[iu]
-                first = ~scaled[iu]
-                if first.any():
-                    Hu[first] *= (sy[upd][first] / np.einsum(
-                        "ki,ki->k", yu[first], yu[first]))[:, None, None]
-                    scaled[iu] = True
-                Hy = np.einsum("kij,kj->ki", Hu, yu)
-                yHy = np.einsum("ki,ki->k", yu, Hy)
-                # H -= rho (s Hy^T + Hy s^T); H += (rho^2 y.Hy + rho) s s^T
-                step = su[:, :, None] * Hy[:, None, :]
-                step += Hy[:, :, None] * su[:, None, :]
-                step *= rho[:, None, None]
-                Hu -= step
-                np.multiply((rho * rho * yHy + rho)[:, None, None] * su[:, :, None],
-                            su[:, None, :], out=step)
-                Hu += step
-                H[iu] = Hu
-
-            done[took] = (np.abs(s).max(axis=1) <= xatol) | (f[took] - fn <= fatol)
-            x[took] = xn
-            f[took] = fn
-            g[took] = gn
+        trial = (x[:, None, :] + _STEPS * d[:, None, :]).reshape(-1, n)
+        values, gradient = func(trial)
+        ft = values.reshape(-1, steps)
+        ok = ft <= f[:, None] + _ARMIJO_STEPS * slope[:, None]
+        pick = np.where(ok, ft, np.inf).argmin(axis=1)
+        # every open member's best trial and its update, kept below only
+        # where the member took that step (and s.y > 0)
+        at = base[:len(ft)] + pick
+        took = ok.reshape(-1)[at]
+        xn, fn = trial[at], values[at]
+        gn = np.asarray(gradient(at), dtype=float)
         gradient = None  # frees this pass's intermediates before the next
+        s = xn - x
+        y = gn - g
+        sy = np.einsum("ki,ki->k", s, y)
+        upd = took & (sy > 0.0)
+        first = upd & ~scaled
+        if first.any():
+            # x * 1.0 is exact, so the other members keep their bits
+            yy = np.einsum("ki,ki->k", y, y)
+            H = H * np.divide(sy, yy, out=np.ones(len(sy)), where=first)[:, None, None]
+            scaled |= first
+        rho = np.divide(1.0, sy, out=np.zeros(len(sy)), where=upd)
+        Hy = np.einsum("kij,kj->ki", H, y)
+        yHy = np.einsum("ki,ki->k", y, Hy)
+        # H -= rho (s Hy^T + Hy s^T); H += (rho^2 y.Hy + rho) s s^T
+        sc, sr = s[:, :, None], s[:, None, :]
+        step = sc * Hy[:, None, :]
+        step += Hy[:, :, None] * sr
+        step *= rho[:, None, None]
+        Hu = H - step
+        np.multiply((rho * rho * yHy + rho)[:, None, None] * sc, sr, out=step)
+        Hu += step
+        H = np.where(upd[:, None, None], Hu, H)
 
+        # a member that took no step stops, so every member that stays
+        # moves to its trial point
+        done = ~took | (np.abs(s).max(axis=1) <= xatol) | (f - fn <= fatol)
         if done.any():
             out = live[done]
-            x_best[out] = x[done]
-            f_best[out] = f[done]
+            x_best[out] = np.where(took[:, None], xn, x)[done]
+            f_best[out] = np.where(took, fn, f)[done]
             converged[out] = True
             keep = ~done
-            live, x, f, g, H, scaled = (a[keep] for a in (live, x, f, g, H, scaled))
+            live, xn, fn, gn, H, scaled = (a[keep] for a in (live, xn, fn, gn, H, scaled))
+        x, f, g = xn, fn, gn
 
     x_best[live] = x
     f_best[live] = f

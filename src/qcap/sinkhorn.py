@@ -29,6 +29,7 @@ from .core import (
     _Arithmetic,
     _FLOATS,
     _as_ptm,
+    _check_finite,
     apply_channel_matrix,
     inverse_2x2,
     is_interior,
@@ -131,25 +132,29 @@ def _family_pass(params: PauliChannelParams,
     arrays, a smaller one a pass on floats per channel.
 
     Raises NotInterior for a channel that ``is_interior`` refuses, naming
-    the first boundary channel of a stack; when a refused channel's
-    lambda3 or t3 is not finite, raises ValueError naming that field and
-    the first such channel instead, as NaN is no boundary value.
+    the first boundary channel of a stack; when a field of a channel is
+    not finite, raises ValueError naming that field and the first such
+    channel instead, as NaN is no boundary value.
     """
     fields = (params.lambda1, params.lambda2, params.lambda3, params.t3)
     stacked = isinstance(params.lambda3, np.ndarray)
     inside = is_interior(params)
-    if not (inside.all() if stacked else inside):
-        lambda3, t3 = params.lambda3, params.t3
-        total = abs(t3) + abs(lambda3)
-        where = ""
+    # NaN and inf fail the interior test in lambda3 and t3, not in lambda1
+    # and lambda2
+    if stacked:
+        good = (inside & np.isfinite(params.lambda1) & np.isfinite(params.lambda2)).all()
+    else:
+        good = inside and math.isfinite(params.lambda1) and math.isfinite(params.lambda2)
+    if not good:
+        channel, where = params, ""
         if stacked:
-            bad = ~np.isfinite(total)
+            table = np.array(fields, dtype=float)  # (4, n), a column per channel
+            bad = ~np.isfinite(table).all(axis=0)
             k = int(np.argmax(bad) if bad.any() else np.argmin(inside))
-            lambda3, t3, total = lambda3[k], t3[k], total[k]
+            channel = PauliChannelParams(*table[:, k].tolist())
             where = f" at channel {k} of the stack"
-        if not math.isfinite(total):
-            name, value = ("lambda3", lambda3) if not math.isfinite(lambda3) else ("t3", t3)
-            raise ValueError(f"{name} = {value} is not finite{where}")
+        _check_finite(channel, where)
+        total = abs(channel.t3) + abs(channel.lambda3)
         raise NotInterior(f"|t3| + |lambda3| = {total:.6g} >= 1{where}; "
                           "no scaling pair for boundary channels")
     if not stacked:

@@ -871,18 +871,30 @@ def test_chi_gradient_finite_at_pure_and_maximally_mixed_outputs():
         for m in (2, 3, 4):
             value, gradient = func(_random_starts(rng, m, 4))
             assert np.all(np.isfinite(value)) and np.all(np.isfinite(gradient(np.arange(4))))
+    # the slope is its r -> 0 limit exactly at and near a maximally mixed output
+    tiny = np.array([0.0, 5e-324, 1e-300, 2.0 ** -31, 2.0 ** -30])
+    assert np.all(capacity._entropy_slope(tiny) == -1.0 / math.log(2.0))
 
 
-def test_chi_converges_before_the_iteration_cap():
-    cfg = ChiConfig(sizes=(2,), starts=4, xatol=1e-7, fatol=1e-12, max_iter=200)
-    rng = np.random.default_rng(23)
-    count = 0
-    while count < 50:
+UNITAL_CFG = ChiConfig(sizes=(2,), starts=4, xatol=1e-7, fatol=1e-12, max_iter=200)
+
+
+def _unital_channels(seed, count):
+    # criterion 1's draw: diagonal unital channels, uniform on the CP part
+    # of [-1, 1]^3
+    rng = np.random.default_rng(seed)
+    channels = []
+    while len(channels) < count:
         lam = rng.uniform(-1, 1, 3)
         if 1 + lam[2] < abs(lam[0] + lam[1]) or 1 - lam[2] < abs(lam[0] - lam[1]):
             continue
-        count += 1
-        r = chi_capacity_numeric(PauliChannelParams(*lam, 0.0), cfg)
+        channels.append(PauliChannelParams(*lam, 0.0))
+    return channels
+
+
+def test_chi_converges_before_the_iteration_cap():
+    for channel in _unital_channels(23, 50):
+        r = chi_capacity_numeric(channel, UNITAL_CFG)
         assert r.converged
         assert 0 < r.iterations < 200
     r = chi_capacity_numeric(gad_params(0.475, 1.0), ChiConfig())
@@ -964,6 +976,60 @@ def test_lockstep_chi_matches_one_batch_per_size(channel, sizes):
     assert got.iterations == iterations
     assert got.ensemble.size == m
     assert got.converged == converged
+
+
+# a random Kraus channel (random_cptp_channel at seed 61), written out so
+# that its bits do not depend on the eigensolver
+KRAUS_PTM = np.array([float.fromhex(v) for v in (
+    "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+    "-0x1.07aba99f948eep-2", "0x1.f5e340a2ed867p-4", "0x1.22778f4afee28p-1", "0x1.864184c65f2d0p-5",
+    "0x1.800e51a7be588p-2", "0x1.2fc4a56cf5aa7p-2", "0x1.39912dae5e6b3p-2", "-0x1.bf7bedb33932ep-3",
+    "-0x1.d25700a417a88p-6", "-0x1.721951a4aa71ep-4", "0x1.03a54c1398fb4p-1", "-0x1.57706bf249b89p-2",
+)]).reshape(4, 4)
+
+
+@pytest.mark.parametrize("make, config, expected", [
+    *[(lambda k=k: _unital_channels(8101, 5)[k], UNITAL_CFG, pin) for k, pin in enumerate([
+        ("0x1.376d3aee43304p-2", 15, True, 2),
+        ("0x1.f67934a7f90d2p-2", 16, True, 2),
+        ("0x1.27a003f196e94p-3", 14, True, 2),
+        ("0x1.dac70459c75eap-2", 12, True, 2),
+        ("0x1.9ab65a65ba100p-2", 9, True, 2),
+    ])],
+    (lambda: gad_params(0.475, 1.0), ChiConfig(), ("0x1.99afd6f57e7e0p-4", 124, True, 3)),
+    (lambda: mix_params(0.3), ChiConfig(), ("0x1.6d0ea5b22ee70p-2", 222, True, 2)),
+    (lambda: KRAUS_PTM, ChiConfig(), ("0x1.9f8aa5d40c344p-1", 270, True, 2)),
+], ids=[f"unital-{k}" for k in range(5)] + ["gad", "mix", "kraus"])
+def test_chi_search_is_pinned(make, config, expected):
+    # the search's bits: value, iterations, converged and ensemble size
+    result = chi_capacity_numeric(make(), config)
+    assert (result.value.hex(), result.iterations, result.converged,
+            result.ensemble.size) == expected
+
+
+@pytest.mark.parametrize("channel, message", [
+    (PauliChannelParams(math.nan, 0.4, 0.3, 0.0), "lambda1 = nan is not finite"),
+    (PauliChannelParams(0.5, math.inf, 0.3, 0.0), "lambda2 = inf is not finite"),
+    (PauliChannelParams(0.5, 0.4, -math.inf, 0.0), "lambda3 = -inf is not finite"),
+    (PauliChannelParams(0.5, 0.4, 0.3, math.inf), "t3 = inf is not finite"),
+    (np.where(np.arange(16).reshape(4, 4) == 9, math.nan, np.eye(4)),
+     "PTM entry (2, 1) = nan is not finite"),
+    (np.where(np.arange(16).reshape(4, 4) >= 14, math.inf, np.eye(4)),
+     "PTM entry (3, 2) = inf is not finite"),
+], ids=["lambda1-nan", "lambda2-inf", "lambda3-neg-inf", "t3-inf", "ptm-nan", "ptm-inf"])
+def test_chi_refuses_a_non_finite_channel(monkeypatch, channel, message):
+    # refused before any start is drawn, by the exact solver and the search
+    def no_starts(*args):
+        raise AssertionError("a start was drawn")
+
+    monkeypatch.setattr(capacity, "_random_starts", no_starts)
+    configs = [ChiConfig(sizes=(2,), starts=4), ChiConfig()]
+    if isinstance(channel, PauliChannelParams):
+        configs.append(None)
+    for config in configs:
+        with pytest.raises(ValueError) as info:
+            chi_capacity_numeric(channel, config)
+        assert str(info.value) == message
 
 
 def test_gradient_from_the_trial_pass_matches_a_fresh_evaluation():
