@@ -248,8 +248,8 @@ def _check_gad_domain(p: float, gt: float) -> None:
 def gad_params(p: float, gt: float) -> PauliChannelParams:
     """Generalized amplitude damping toward equilibrium diag(p, 1-p)."""
     _check_gad_domain(p, gt)
-    u = math.exp(-2.0 * gt)
-    return PauliChannelParams(math.exp(-gt), math.exp(-gt), u, (2.0 * p - 1.0) * (1.0 - u))
+    e, u = math.exp(-gt), math.exp(-2.0 * gt)
+    return PauliChannelParams(e, e, u, (2.0 * p - 1.0) * (1.0 - u))
 
 
 def gad_f(p: float, gt: float) -> float:
@@ -310,8 +310,10 @@ def mix_params(p: float) -> PauliChannelParams:
 
 def holevo_quantity(channel: ChannelLike, ensemble: Ensemble) -> float:
     """S(sum_k p_k Phi[rho_k]) - sum_k p_k S(Phi[rho_k]) in bits, for one
-    channel; a family stack raises ValueError."""
+    channel; a family stack, or a family channel with a field that is not
+    finite, raises ValueError."""
     if _is_family_channel(channel):
+        _check_finite(channel)
         # (lambda1 x, lambda2 y, lambda3 z + t3), the bits of the PTM's
         # product: its other terms are exact zeros
         out = ensemble.states * (channel.lambda1, channel.lambda2, channel.lambda3)
@@ -752,8 +754,10 @@ def chi_capacity_grid_oracle(params: PauliChannelParams) -> float:
     chi = max_z S(|lambda3 z + t3|) - conv S(r(z)), conv the lower convex
     envelope on [-1, 1].  On a grid each envelope value is attained by
     two heights, each a +- pair of states, so the grid value is a lower
-    bound on chi that converges quadratically in the grid step.
+    bound on chi that converges quadratically in the grid step.  A field
+    that is not finite raises ValueError naming it.
     """
+    _check_finite(params)
     z = np.arange(-100_000, 100_001) / 100_000  # 200 001 heights, z = 0 exact
     s, s_avg = _family_profile(params, z)
     hx, hy = _lower_hull(z, s)

@@ -57,7 +57,7 @@ CSV_COLUMNS = [
 
 # each family: the values that fix one of its channels (any one can be
 # swept), the label analyze and sinkhorn print for it, and its
-# constructor, called with the values by name
+# constructor, which takes the values by name or in that order
 _FAMILIES = {
     "gad": (("gamma_t", "p"), "gad p={p:g} gamma_t={gamma_t:g}",
             lambda gamma_t, p: gad_params(p, gamma_t)),
@@ -334,10 +334,13 @@ def cmd_sweep(args) -> int:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
 
     grid = _grid(args.min, args.max, args.steps)
+    point = [fixed.get(name) for name in names]  # the swept slot set per point
+    slot = names.index(args.x)
     xs, channels = [], []
     for index, x in enumerate(grid):
+        point[slot] = x
         try:
-            params = make(**fixed, **{args.x: x})
+            params = make(*point)
             if not is_interior(params):
                 raise NotInterior(f"|t3| + |lambda3| >= 1 at {args.x} = {x:g}")
             if family == "custom" and not _completely_positive(params, args.x, x):

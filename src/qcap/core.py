@@ -522,7 +522,7 @@ def _square(x: float) -> float:
 
 
 def _each(f: Callable) -> Callable:
-    return lambda values: np.array([f(v) for v in values.tolist()])
+    return lambda values: np.array(list(map(f, values.tolist())))
 
 
 _FLOATS = _Arithmetic(math.sqrt, max, min, _square, math.log2,

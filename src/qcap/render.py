@@ -47,6 +47,8 @@ class ChartSpec:
         lo, hi = self.y_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError(f"y range must be finite with min < max, got {self.y_range}")
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"y range max - min overflows to infinity, got {self.y_range}")
 
 
 def _parse_cell(text: str, column: str, line_no: int) -> Optional[float]:
@@ -62,14 +64,33 @@ def _parse_cell(text: str, column: str, line_no: int) -> Optional[float]:
     return value if math.isfinite(value) else None
 
 
+def _parse_column(cells: Sequence[str]) -> list[Optional[float]]:
+    """``_parse_cell`` of every cell of one column, in one ``float`` pass
+    when no cell is empty; ValueError, naming no cell, where ``float``
+    refuses a cell that is not empty."""
+    try:
+        values = list(map(float, cells))
+    except ValueError:  # an empty cell, or a bad one
+        values = [float(c) if c.strip() else math.nan for c in cells]
+    if all(map(math.isfinite, values)):
+        return values
+    return [v if math.isfinite(v) else None for v in values]
+
+
 def read_columns(csv_path: str, columns: Sequence[str]) -> dict[str, list[Optional[float]]]:
     """Read the requested columns; empty/NaN cells become None.
 
     Rows are read as ``csv.DictReader`` reads them: blank lines are
     skipped, missing trailing cells read as empty, extra cells are
     ignored, and a name repeated in the header reads its last column.
+    A column requested twice gets one cell per request in each row.
     Error line numbers count the header as line 1 and each row after it,
-    blank lines not counted.
+    blank lines not counted; the error is that of the first bad cell in
+    row order, then in the order the columns are requested.
+
+    The rows are transposed and each column parsed as a whole; only a
+    column with a bad cell, or reaching past the shortest row, is parsed
+    cell by cell, row by row.
     """
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -79,16 +100,28 @@ def read_columns(csv_path: str, columns: Sequence[str]) -> dict[str, list[Option
             if col not in index:
                 raise ValueError(f"column {col!r} not found in {csv_path} "
                                  f"(header: {', '.join(header)})")
-        picks = [(col, index[col]) for col in columns]
-        data: dict[str, list[Optional[float]]] = {col: [] for col in columns}
-        line_no = 1
-        for row in reader:
-            if not row:
-                continue
-            line_no += 1
+        rows = [row for row in reader if row]
+    cells = list(zip(*rows))  # as many columns as the shortest row holds
+    data: dict[str, list[Optional[float]]] = dict.fromkeys(columns)
+    for col in data:
+        i = index[col]
+        if i < len(cells):
+            try:
+                data[col] = _parse_column(cells[i])
+            except ValueError:  # reported below, in row order
+                pass
+    slow = [(col, index[col]) for col, values in data.items() if values is None]
+    if slow:
+        for col, _ in slow:
+            data[col] = []
+        for line_no, row in enumerate(rows, start=2):
             size = len(row)
-            for col, i in picks:
+            for col, i in slow:
                 data[col].append(_parse_cell(row[i] if i < size else "", col, line_no))
+    for col in data:
+        count = columns.count(col)
+        if count > 1:
+            data[col] = [v for v in data[col] for _ in range(count)]
     return data
 
 
@@ -105,6 +138,8 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:  # the step is below the spacing of doubles at t
+            break
         t += step
     return ticks
 
@@ -118,18 +153,24 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _runs(points: list[tuple[Optional[float], Optional[float]]]):
-    """Split into maximal runs of consecutive finite points."""
-    run: list[tuple[float, float]] = []
+def _runs(xs: list[Optional[float]],
+          ys: list[Optional[float]]) -> list[list[tuple[float, float]]]:
+    """Split the points into maximal runs of consecutive finite points:
+    one run of them all when no cell is missing."""
+    points = list(zip(xs, ys))
+    if None not in xs and None not in ys:
+        return [points] if points else []
+    runs, run = [], []
     for x, y in points:
         if x is None or y is None:
             if run:
-                yield run
+                runs.append(run)
                 run = []
         else:
             run.append((x, y))
     if run:
-        yield run
+        runs.append(run)
+    return runs
 
 
 def render_svg(spec: ChartSpec) -> str:
@@ -142,18 +183,23 @@ def render_svg(spec: ChartSpec) -> str:
     if not finite_x:
         raise ValueError(f"column {spec.x_column!r} holds no numeric data")
     x_lo, x_hi = min(finite_x), max(finite_x)
+    if not math.isfinite(x_hi - x_lo):
+        raise ValueError(f"column {spec.x_column!r} runs from {x_lo:g} to {x_hi:g}: "
+                         f"max - min overflows to infinity")
     if x_hi - x_lo < 1e-300:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     y_lo, y_hi = spec.y_range
 
     px_lo, px_hi = MARGIN_X, VIEW_W - MARGIN_X
     py_lo, py_hi = VIEW_H - MARGIN_Y, MARGIN_Y  # y axis points up
+    x_span, px_span = x_hi - x_lo, px_hi - px_lo
+    y_span, py_span = y_hi - y_lo, py_hi - py_lo
 
     def sx(x: float) -> float:
-        return px_lo + (x - x_lo) / (x_hi - x_lo) * (px_hi - px_lo)
+        return px_lo + (x - x_lo) / x_span * px_span
 
     def sy(y: float) -> float:
-        return py_lo + (y - y_lo) / (y_hi - y_lo) * (py_hi - py_lo)
+        return py_lo + (y - y_lo) / y_span * py_span
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -189,15 +235,18 @@ def render_svg(spec: ChartSpec) -> str:
         color = PALETTE[idx % len(PALETTE)]
         dash = STYLES[series.style]
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        points = list(zip(xs, data[series.column]))
-        for run in _runs(points):
-            coords = [(sx(x), sy(min(max(y, y_lo), y_hi))) for x, y in run]
+        for run in _runs(xs, data[series.column]):
+            # sx and sy written out with the same operations, so each
+            # coordinate keeps its bits; y is clamped into the y range first
+            coords = [(px_lo + (x - x_lo) / x_span * px_span,
+                       py_lo + ((y_lo if y < y_lo else y_hi if y > y_hi else y) - y_lo)
+                       / y_span * py_span) for x, y in run]
             if len(coords) == 1:
                 cx, cy = coords[0]
                 parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" '
                              f'fill="{color}"/>')
             else:
-                path = " ".join(f"{cx:.2f},{cy:.2f}" for cx, cy in coords)
+                path = " ".join(map("%.2f,%.2f".__mod__, coords))
                 parts.append(f'<polyline points="{path}" fill="none" '
                              f'stroke="{color}" stroke-width="1.5"{dash_attr}/>')
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -1018,17 +1019,22 @@ def test_chi_search_is_pinned(make, config, expected):
      "PTM entry (3, 2) = inf is not finite"),
 ], ids=["lambda1-nan", "lambda2-inf", "lambda3-neg-inf", "t3-inf", "ptm-nan", "ptm-inf"])
 def test_chi_refuses_a_non_finite_channel(monkeypatch, channel, message):
-    # refused before any start is drawn, by the exact solver and the search
+    # refused before any start is drawn, by the exact solver and the
+    # search; a family channel also by the Holevo quantity and the oracle
     def no_starts(*args):
         raise AssertionError("a start was drawn")
 
     monkeypatch.setattr(capacity, "_random_starts", no_starts)
-    configs = [ChiConfig(sizes=(2,), starts=4), ChiConfig()]
+    calls = [partial(chi_capacity_numeric, channel, config)
+             for config in (ChiConfig(sizes=(2,), starts=4), ChiConfig())]
     if isinstance(channel, PauliChannelParams):
-        configs.append(None)
-    for config in configs:
+        antipodal = Ensemble(np.array([0.5, 0.5]), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+        calls += [partial(chi_capacity_numeric, channel, None),
+                  partial(holevo_quantity, channel, antipodal),
+                  partial(chi_capacity_grid_oracle, channel)]
+    for call in calls:
         with pytest.raises(ValueError) as info:
-            chi_capacity_numeric(channel, config)
+            call()
         assert str(info.value) == message
 
 

@@ -185,9 +185,9 @@ def test_sweep_builds_each_grid_point_once(monkeypatch, capsys):
     names, label, make = cli._FAMILIES["mix"]
     calls = []
 
-    def counting(**values):
+    def counting(*values):
         calls.append(values)
-        return make(**values)
+        return make(*values)
 
     monkeypatch.setitem(cli._FAMILIES, "mix", (names, label, counting))
     code, out, err = run(["sweep", "--mix", "--x", "p", "--min", "0", "--max", "1",
@@ -495,6 +495,28 @@ def test_figure_svg_pinned(preset, args, digest, tmp_path, capsys):
     assert cli.main(["sweep", *args, "--chi", "--seed", "42", "--out", str(csv_path)]) == 0
     code, out, err = run(["render", "--preset", preset, "--in", str(csv_path),
                           "--out", str(svg_path)], capsys)
+    assert (code, out, err) == (0, "", "")
+    assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("sweep_args, render_args, digest", [
+    (["--gad", "--p", "0.3135671843055624", "--x", "gamma_t", "--min=0.05", "--max=3.0"],
+     ["--preset", "fig1"], "0457af394bf81781e575c2507640e4fcea42591376871c0b66bc9ae32d11ab1a"),
+    (["--mix", "--x", "p", "--min=0.02", "--max=0.98"],
+     ["--preset", "fig2"], "2af244596ca8c574169d84af759d7e4540f21f86b24a38f1b86a55f66b59f40e"),
+    (["--lambda", "0.418366", "-0.367108", "-0.220811", "--x", "t3",
+      "--min=-0.6179790587404281", "--max=0.6179790587404281"],
+     ["--x", "x", "--series", "c_lower_raw:solid:lower",
+      "--series", "c_upper_raw:dashed:upper"],
+     "48c80bc4b2b7210ded603b4bff3fdf6f98b35bca1086bd0e438ff0d31d4febab"),
+], ids=["gad-fig1", "mix-fig2", "custom"])
+def test_closed_form_sweep_charts_pinned(sweep_args, render_args, digest, tmp_path, capsys):
+    # 100-point sweeps without --chi, drawn by a preset or by explicit
+    # series, byte for byte
+    csv_path, svg_path = tmp_path / "sweep.csv", tmp_path / "chart.svg"
+    assert cli.main(["sweep", *sweep_args, "--steps", "100", "--out", str(csv_path)]) == 0
+    code, out, err = run(["render", "--in", str(csv_path), "--out", str(svg_path),
+                          *render_args], capsys)
     assert (code, out, err) == (0, "", "")
     assert hashlib.sha256(svg_path.read_bytes()).hexdigest() == digest
 

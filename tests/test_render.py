@@ -1,9 +1,16 @@
 import csv
+import hashlib
+import os
 import re
+import resource
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+from qcap import render
 from qcap.render import ChartSpec, _parse_cell, Series, preset_spec, read_columns, render_chart, render_svg
 
 
@@ -161,6 +168,8 @@ def _read_or_error(read, path, columns):
     "x,b\n0,0.9\n",                                         # missing column
     "x,a,b\n0,0.1,0.9\n\n1,oops,0.8\n",                      # non-numeric after a blank
     "x,a,b\n0,0.1,0.9\n1,0.2,x7\n",                          # non-numeric, later column
+    "x,a,b\n0,0.1,bad\n1,oops,0.8\n",                        # the first bad cell in row order
+    "x,a,b\n0,\x1c0.1\x1c,0.9\n1,0.2,\n",                  # str.strip takes \x1c, float does not
     "x,a,b,a\n0,0.1,0.9,0.5\n1,0.2,0.8\n",                   # repeated header name
     "\nx,a,b\n0,0.1,0.9\n",                                 # blank first line
     "",                                                     # empty file
@@ -185,3 +194,69 @@ def test_x_column_plotted_as_a_series_keeps_every_series_aligned(tmp_path):
     assert polylines == ["80.00,450.00 400.00,50.00 720.00,50.00",
                          "80.00,410.00 400.00,250.00 720.00,90.00"]
     assert len(polylines[0].split()) == 3
+
+
+# an empty cell and a NaN break runs, row 0 of "a" is a single-point run
+# (a circle), "b" runs above y max and below y min, and the x column is
+# drawn too, above y max at its right end
+MIXED = ("x,a,b\n0,0.1,0.5\n0.25,,1.7\n0.5,0.3,-0.4\n0.75,0.45,0.2\n"
+         "1,nan,0.9\n1.25,0.6,\n1.5,0.7,0.3\n")
+
+
+def test_mixed_chart_pinned(tmp_path):
+    path = _write_csv(tmp_path / "mixed.csv", MIXED)
+    series = (Series("a", "solid", "a"), Series("b", "dashed", "b"),
+              Series("x", "dotted", "x"))
+    svg = render_svg(ChartSpec(path, "x", series, "x", "y", (-0.2, 1.2), "out.svg"))
+    assert svg.count("<circle") == 2
+    assert hashlib.sha256(svg.encode()).hexdigest() == (
+        "1a0b8100fbba8e7e8762f95fb52aaf6d0e135f725d5769f4cef5c4166217c10f")
+
+
+def _cap_address_space():
+    limit = 1 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def _render_in_subprocess(tmp_path, text, *args):
+    # in its own process under a short timeout and a 1 GiB address space,
+    # since a chart that never finishes also grows its tick list without
+    # bound
+    csv_path, svg_path = tmp_path / "in.csv", tmp_path / "out.svg"
+    csv_path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(render.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcap.cli", "render", "--in", str(csv_path),
+         "--out", str(svg_path), *args],
+        capture_output=True, text=True, env=env, timeout=5,
+        preexec_fn=_cap_address_space)
+    return proc, svg_path
+
+
+@pytest.mark.parametrize("text, args", [
+    ("x,y\n1e20,0.5\n100000000000000016384,0.6\n", ["--x", "x", "--series", "y:solid:y"]),
+    (BASIC, ["--x", "x", "--series", "a:solid:a",
+             "--ymin", "1e20", "--ymax", "100000000000000016384"]),
+    ("x,y\n1,0.5\n1.0000000000000002,0.6\n", ["--x", "x", "--series", "y:solid:y"]),
+], ids=["x-axis", "y-axis", "x-axis-near-one"])
+def test_an_axis_narrower_than_its_tick_step_finishes(tmp_path, text, args):
+    # a tick step below the spacing of doubles at the axis's magnitude
+    # once left the tick loop unable to advance
+    proc, svg_path = _render_in_subprocess(tmp_path, text, *args)
+    if proc.returncode == 0:
+        ET.parse(svg_path)
+    else:
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("text, args", [
+    ("x,y\n-1e308,0.5\n1e308,0.6\n", ["--x", "x", "--series", "y:solid:y"]),
+    (BASIC, ["--x", "x", "--series", "a:solid:a", "--ymin=-1e308", "--ymax=1e308"]),
+], ids=["x-axis", "y-axis"])
+def test_an_axis_whose_span_overflows_is_refused(tmp_path, text, args):
+    proc, svg_path = _render_in_subprocess(tmp_path, text, *args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "overflow" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not svg_path.exists()
