@@ -37,8 +37,8 @@ from .core import (
     _Arithmetic,
     _FLOATS,
     _as_ptm,
-    _check_finite,
     _is_family_channel,
+    apply_channel,
     binary_entropy,
     entropy_kernel,
 )
@@ -310,17 +310,14 @@ def mix_params(p: float) -> PauliChannelParams:
 
 def holevo_quantity(channel: ChannelLike, ensemble: Ensemble) -> float:
     """S(sum_k p_k Phi[rho_k]) - sum_k p_k S(Phi[rho_k]) in bits, for one
-    channel; a family stack, or a family channel with a field that is not
-    finite, raises ValueError."""
+    channel; a family stack raises ValueError."""
     if _is_family_channel(channel):
-        _check_finite(channel)
         # (lambda1 x, lambda2 y, lambda3 z + t3), the bits of the PTM's
         # product: its other terms are exact zeros
         out = ensemble.states * (channel.lambda1, channel.lambda2, channel.lambda3)
         out[:, 2] += channel.t3
     else:
-        ptm = _as_ptm(channel)
-        out = ensemble.states @ ptm[1:, 1:].T + ptm[1:, 0]
+        out = apply_channel(channel, ensemble.states)
     avg = ensemble.weights @ out
     # the radii of the average, then of each output, by np.linalg.norm's
     # own formulas; a root of a sum of squares is >= +0, so only the top
@@ -494,18 +491,13 @@ def chi_capacity_numeric(channel: ChannelLike,
     met a stopping rule rather than the iteration cap, and
     ``iterations`` sums the iterations of the sizes' batches.
 
-    A channel with a field or PTM entry that is not finite raises
-    ValueError naming the first such field or ``(row, col)`` entry.
+    A PTM entry that is not finite raises ValueError naming the first
+    such ``(row, col)`` entry, before any start is drawn.
     """
-    if _is_family_channel(channel):
-        _check_finite(channel)
-        if config is None:
-            return _family_chi(channel)
+    if _is_family_channel(channel) and config is None:
+        return _family_chi(channel)
     cfg = config or ChiConfig()
     ptm = _as_ptm(channel)
-    if not np.isfinite(ptm).all():
-        row, col = np.argwhere(~np.isfinite(ptm))[0].tolist()
-        raise ValueError(f"PTM entry ({row}, {col}) = {ptm[row, col]} is not finite")
     M = np.ascontiguousarray(ptm[1:, 1:])
     t = ptm[1:, 0]
     rng = np.random.default_rng(cfg.seed)
@@ -754,10 +746,8 @@ def chi_capacity_grid_oracle(params: PauliChannelParams) -> float:
     chi = max_z S(|lambda3 z + t3|) - conv S(r(z)), conv the lower convex
     envelope on [-1, 1].  On a grid each envelope value is attained by
     two heights, each a +- pair of states, so the grid value is a lower
-    bound on chi that converges quadratically in the grid step.  A field
-    that is not finite raises ValueError naming it.
+    bound on chi that converges quadratically in the grid step.
     """
-    _check_finite(params)
     z = np.arange(-100_000, 100_001) / 100_000  # 200 001 heights, z = 0 exact
     s, s_avg = _family_profile(params, z)
     hx, hy = _lower_hull(z, s)

@@ -197,6 +197,9 @@ def _emit(text: str, out_path: Optional[str]) -> int:
 
 
 def _analyze_payload(label: str, params: PauliChannelParams, chi: bool) -> dict:
+    # the single channel's pair first, so that a boundary channel's
+    # NotInterior names no stack position
+    residuals = asdict(verify_decomposition(params, family_scaling_pair(params)))
     columns = _sweep_columns([None], [params], None)
     row = {name: column[0] for name, column in zip(CSV_COLUMNS, columns)}
     payload = {
@@ -207,7 +210,7 @@ def _analyze_payload(label: str, params: PauliChannelParams, chi: bool) -> dict:
         "interior": True,
         "lambda_tilde": [row["lambda_t1"], row["lambda_t2"], row["lambda_t3"]],
         **{col: row[col] for col in CSV_COLUMNS[4:11]},  # norm_AB .. c_upper
-        "residuals": asdict(verify_decomposition(params, family_scaling_pair(params))),
+        "residuals": residuals,
     }
     if chi:
         result = chi_capacity_numeric(params)
@@ -248,11 +251,10 @@ def cmd_analyze(args) -> int:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
     if not _completely_positive(params):
         return EXIT_NOT_CP
-    if not is_interior(params):
-        return _fail(
-            f"channel is not interior: |t3| + |lambda3| = "
-            f"{abs(params.t3) + abs(params.lambda3):.6g} >= 1", EXIT_NOT_INTERIOR)
-    payload = _analyze_payload(label, params, args.chi)
+    try:
+        payload = _analyze_payload(label, params, args.chi)
+    except NotInterior as exc:
+        return _fail(f"channel is not interior: {exc}", EXIT_NOT_INTERIOR)
     text = json.dumps(payload, indent=2) + "\n" if args.json else _analyze_text(payload)
     return _emit(text, args.out)
 

@@ -56,12 +56,27 @@ class PauliChannelParams:
 
     A family stack holds four (n,) arrays, one entry per channel (see
     ``stack``); the family closed forms take a stack in one pass.
+
+    A field that is not finite raises ValueError naming it (and, in a
+    stack, the first channel holding one); no layer below checks again.
     """
 
     lambda1: float
     lambda2: float
     lambda3: float
     t3: float
+
+    def __post_init__(self) -> None:
+        stacked = isinstance(self.lambda3, np.ndarray)
+        if stacked or not (math.isfinite(self.lambda1) and math.isfinite(self.lambda2)
+                           and math.isfinite(self.lambda3) and math.isfinite(self.t3)):
+            fields = np.broadcast_arrays(self.lambda1, self.lambda2, self.lambda3, self.t3)
+            table = np.array(fields, dtype=float).reshape(4, -1)
+            finite = np.isfinite(table)
+            if not finite.all():
+                k, i = np.argwhere(~finite.T)[0].tolist()  # the first channel, then field
+                raise ValueError(f"{list(vars(self))[i]} = {table[i, k]} is not finite"
+                                 + _stack_position(k, stacked))
 
     @classmethod
     def stack(cls, channels: Sequence["PauliChannelParams"]) -> "PauliChannelParams":
@@ -92,23 +107,26 @@ def _is_family_channel(channel: ChannelLike) -> bool:
     return True
 
 
-def _check_finite(params: PauliChannelParams, where: str = "") -> None:
-    """Raise ValueError naming the first field of one family channel that
-    is not finite, with ``where`` appended to the message."""
-    for name in ("lambda1", "lambda2", "lambda3", "t3"):
-        value = getattr(params, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} = {value} is not finite{where}")
+def _stack_position(k: int, stacked: bool) -> str:
+    """An error message's " at channel k of the stack", or "" for one channel."""
+    return f" at channel {k} of the stack" if stacked else ""
 
 
 def _as_ptm(channel: ChannelLike, stacked: bool = False) -> np.ndarray:
     """The 4x4 PTM of ``channel``; with ``stacked``, it may also be a
-    (..., 4, 4) stack of PTMs or a family stack."""
-    ptm = (ptm_from_params(channel) if isinstance(channel, PauliChannelParams)
-           else np.asarray(channel, dtype=float))
+    (..., 4, 4) stack of PTMs or a family stack.  An array entry that is
+    not finite raises ValueError naming it (and, in a stack, its channel).
+    """
+    family = isinstance(channel, PauliChannelParams)
+    ptm = ptm_from_params(channel) if family else np.asarray(channel, dtype=float)
     if ptm.shape[-2:] != (4, 4) or (ptm.ndim != 2 and not stacked):
         expected = "a (..., 4, 4) stack of PTMs" if stacked else "a 4x4 PTM"
         raise ValueError(f"expected {expected}, got shape {ptm.shape}")
+    if not (family or np.isfinite(ptm).all()):
+        members = ptm.reshape(-1, 4, 4)
+        k, row, col = np.argwhere(~np.isfinite(members))[0].tolist()
+        raise ValueError(f"PTM entry ({row}, {col}) = {members[k, row, col]} is not finite"
+                         + _stack_position(k, ptm.ndim > 2))
     return ptm
 
 

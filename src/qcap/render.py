@@ -125,14 +125,19 @@ def read_columns(csv_path: str, columns: Sequence[str]) -> dict[str, list[Option
     return data
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
+def _nice_ticks(lo: float, hi: float, axis: str, target: int = 6) -> list[float]:
+    """Ticks from lo to hi at 1, 2, 2.5 or 5 times a power of ten; a span
+    with no such step above 0 raises ValueError naming ``axis``."""
     span = hi - lo
     raw = span / max(target - 1, 1)
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else math.nan
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
+    else:  # raw is 0, or so far subnormal that mag underflows or rounds low
+        raise ValueError(f"{axis} runs from {lo:g} to {hi:g}: the span {span:g} "
+                         "is too narrow for tick marks")
     first = math.ceil(lo / step - 1e-9) * step
     ticks = []
     t = first
@@ -210,13 +215,13 @@ def render_svg(spec: ChartSpec) -> str:
         f'height="{py_lo - py_hi:.2f}" fill="none" stroke="black" stroke-width="1"/>',
     ]
 
-    for t in _nice_ticks(x_lo, x_hi):
+    for t in _nice_ticks(x_lo, x_hi, f"column {spec.x_column!r}"):
         x = sx(t)
         parts.append(f'<line x1="{x:.2f}" y1="{py_lo:.2f}" x2="{x:.2f}" '
                      f'y2="{py_lo + 6:.2f}" stroke="black" stroke-width="1"/>')
         parts.append(f'<text x="{x:.2f}" y="{py_lo + 20:.2f}" font-size="12" '
                      f'text-anchor="middle" font-family="sans-serif">{_fmt(t)}</text>')
-    for t in _nice_ticks(y_lo, y_hi):
+    for t in _nice_ticks(y_lo, y_hi, "y range"):
         y = sy(t)
         parts.append(f'<line x1="{px_lo - 6:.2f}" y1="{y:.2f}" x2="{px_lo:.2f}" '
                      f'y2="{y:.2f}" stroke="black" stroke-width="1"/>')

@@ -29,7 +29,7 @@ from .core import (
     _Arithmetic,
     _FLOATS,
     _as_ptm,
-    _check_finite,
+    _stack_position,
     apply_channel_matrix,
     inverse_2x2,
     is_interior,
@@ -132,30 +132,16 @@ def _family_pass(params: PauliChannelParams,
     arrays, a smaller one a pass on floats per channel.
 
     Raises NotInterior for a channel that ``is_interior`` refuses, naming
-    the first boundary channel of a stack; when a field of a channel is
-    not finite, raises ValueError naming that field and the first such
-    channel instead, as NaN is no boundary value.
+    the first boundary channel of a stack.  Every field is finite, as
+    ``PauliChannelParams`` refuses any other value when it is built.
     """
     fields = (params.lambda1, params.lambda2, params.lambda3, params.t3)
     stacked = isinstance(params.lambda3, np.ndarray)
     inside = is_interior(params)
-    # NaN and inf fail the interior test in lambda3 and t3, not in lambda1
-    # and lambda2
-    if stacked:
-        good = (inside & np.isfinite(params.lambda1) & np.isfinite(params.lambda2)).all()
-    else:
-        good = inside and math.isfinite(params.lambda1) and math.isfinite(params.lambda2)
-    if not good:
-        channel, where = params, ""
-        if stacked:
-            table = np.array(fields, dtype=float)  # (4, n), a column per channel
-            bad = ~np.isfinite(table).all(axis=0)
-            k = int(np.argmax(bad) if bad.any() else np.argmin(inside))
-            channel = PauliChannelParams(*table[:, k].tolist())
-            where = f" at channel {k} of the stack"
-        _check_finite(channel, where)
-        total = abs(channel.t3) + abs(channel.lambda3)
-        raise NotInterior(f"|t3| + |lambda3| = {total:.6g} >= 1{where}; "
+    if not (inside.all() if stacked else inside):
+        k = int(inside.argmin()) if stacked else 0
+        total = np.ravel(abs(params.t3) + abs(params.lambda3))[k]
+        raise NotInterior(f"|t3| + |lambda3| = {total:.6g} >= 1{_stack_position(k, stacked)}; "
                           "no scaling pair for boundary channels")
     if not stacked:
         return values(*fields, _FLOATS)
@@ -304,7 +290,7 @@ def sinkhorn_iterate(
     outside = np.flatnonzero(~np.ravel(is_interior(channel)))
     if outside.size:
         raise NotInterior("channel image touches the Bloch sphere"
-                          + _stack_position(int(outside[0]), ptm))
+                          + _stack_position(int(outside[0]), ptm.ndim > 2))
     n = len(members)
     roots = np.empty((2, 4, n))  # sqrt(Q) and sqrt(T(P)) of the members that stopped
     residual = np.full(n, math.inf)  # P = I; what max_iter < 1 reports
@@ -326,15 +312,10 @@ def sinkhorn_iterate(
         k = int(active[0])
         raise NoConvergence(
             f"residual {residual[k]:.3e} > {tol:.1e} after {max(max_iter, 0)} Newton steps"
-            + _stack_position(k, ptm))
+            + _stack_position(k, ptm.ndim > 2))
     shape = ptm.shape[:-2] + (2, 2)
     a, b = _gauged_operators(*roots)
     return ScalingPair.from_operators(a.reshape(shape), b.reshape(shape), iterations=steps)
-
-
-def _stack_position(k: int, ptm: np.ndarray) -> str:
-    """An error message's " at channel k of the stack", or "" for one channel."""
-    return "" if ptm.ndim == 2 else f" at channel {k} of the stack"
 
 
 def _sweep(forward, adjoint, c) -> tuple:
@@ -496,7 +477,7 @@ def unital_diagonalize(channel: ChannelLike, tol: float = 1e-9) -> UnitalForm:
     failed = np.ravel(~(unital & trace_preserving))
     if failed.any():
         k = int(failed.argmax())
-        where = _stack_position(k, ptm)
+        where = _stack_position(k, ptm.ndim > 2)
         if not np.ravel(unital)[k]:
             raise NotUnital(f"translation norm {np.ravel(translation)[k]:.3e} > {tol:.1e}{where}")
         raise NotUnital(f"map is not trace preserving{where}")

@@ -1,6 +1,5 @@
 import cmath
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -1009,10 +1008,10 @@ def test_chi_search_is_pinned(make, config, expected):
 
 
 @pytest.mark.parametrize("channel, message", [
-    (PauliChannelParams(math.nan, 0.4, 0.3, 0.0), "lambda1 = nan is not finite"),
-    (PauliChannelParams(0.5, math.inf, 0.3, 0.0), "lambda2 = inf is not finite"),
-    (PauliChannelParams(0.5, 0.4, -math.inf, 0.0), "lambda3 = -inf is not finite"),
-    (PauliChannelParams(0.5, 0.4, 0.3, math.inf), "t3 = inf is not finite"),
+    ((math.nan, 0.4, 0.3, 0.0), "lambda1 = nan is not finite"),
+    ((0.5, math.inf, 0.3, 0.0), "lambda2 = inf is not finite"),
+    ((0.5, 0.4, -math.inf, 0.0), "lambda3 = -inf is not finite"),
+    ((0.5, 0.4, 0.3, math.inf), "t3 = inf is not finite"),
     (np.where(np.arange(16).reshape(4, 4) == 9, math.nan, np.eye(4)),
      "PTM entry (2, 1) = nan is not finite"),
     (np.where(np.arange(16).reshape(4, 4) >= 14, math.inf, np.eye(4)),
@@ -1020,18 +1019,24 @@ def test_chi_search_is_pinned(make, config, expected):
 ], ids=["lambda1-nan", "lambda2-inf", "lambda3-neg-inf", "t3-inf", "ptm-nan", "ptm-inf"])
 def test_chi_refuses_a_non_finite_channel(monkeypatch, channel, message):
     # refused before any start is drawn, by the exact solver and the
-    # search; a family channel also by the Holevo quantity and the oracle
+    # search; a family channel (given here as its fields, and built in
+    # each call) also by the Holevo quantity and the oracle
     def no_starts(*args):
         raise AssertionError("a start was drawn")
 
     monkeypatch.setattr(capacity, "_random_starts", no_starts)
-    calls = [partial(chi_capacity_numeric, channel, config)
+    family = isinstance(channel, tuple)
+
+    def build():
+        return PauliChannelParams(*channel) if family else channel
+
+    calls = [lambda config=config: chi_capacity_numeric(build(), config)
              for config in (ChiConfig(sizes=(2,), starts=4), ChiConfig())]
-    if isinstance(channel, PauliChannelParams):
+    if family:
         antipodal = Ensemble(np.array([0.5, 0.5]), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
-        calls += [partial(chi_capacity_numeric, channel, None),
-                  partial(holevo_quantity, channel, antipodal),
-                  partial(chi_capacity_grid_oracle, channel)]
+        calls += [lambda: chi_capacity_numeric(build(), None),
+                  lambda: holevo_quantity(build(), antipodal),
+                  lambda: chi_capacity_grid_oracle(build())]
     for call in calls:
         with pytest.raises(ValueError) as info:
             call()

@@ -38,6 +38,15 @@ def test_analyze_boundary_exit_2(capsys):
     assert "not interior" in err
 
 
+@pytest.mark.parametrize("chi", [[], ["--chi"]], ids=["bounds", "chi"])
+def test_analyze_reports_the_pipelines_boundary_refusal(capsys, chi):
+    # the closed forms refuse the channel, as one channel (no stack
+    # position), and nothing reaches stdout
+    code, out, err = run(["analyze", "--lambda", "0", "0", "0.3", "--t3", "0.7", *chi], capsys)
+    assert (code, out, err) == (2, "", "error: channel is not interior: |t3| + |lambda3| = 1 "
+                                       ">= 1; no scaling pair for boundary channels\n")
+
+
 def test_analyze_non_cp_exit_3(capsys):
     code, out, err = run(["analyze", "--lambda", "1", "1", "-1", "--t3", "0"], capsys)
     assert code == 3

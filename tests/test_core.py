@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qcap import core, sinkhorn, verify
+from qcap import capacity, core, sinkhorn, verify
 from qcap.capacity import (
     ChiConfig,
     Ensemble,
@@ -259,6 +259,73 @@ def test_chi_capacity_numeric_refuses_a_family_stack():
     for config in (None, ChiConfig()):
         with pytest.raises(ValueError, match=ONE_PTM_ONLY):
             chi_capacity_numeric(FAMILY_STACK, config)
+
+
+_INTERIOR_FIELDS = (0.5, 0.4, 0.3, 0.2)
+_ANTIPODAL = Ensemble(np.array([0.5, 0.5]), np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+_PAIR = sinkhorn.family_scaling_pair(PauliChannelParams(*_INTERIOR_FIELDS))
+# every public function that takes a channel, by name, and whether it
+# takes a (..., 4, 4) stack of PTMs; "construction" is the channel itself
+_ENTRY_POINTS = {
+    "construction": (lambda channel: channel, False),
+    "is_interior": (is_interior, True),
+    "is_completely_positive": (is_completely_positive, True),
+    "image_radius": (image_radius, False),
+    "apply_channel": (lambda channel: apply_channel(channel, [0.1, 0.2, 0.3]), False),
+    "choi_from_channel": (choi_from_channel, True),
+    "sinkhorn_iterate": (sinkhorn.sinkhorn_iterate, True),
+    "unital_diagonalize": (sinkhorn.unital_diagonalize, True),
+    "upsilon_ptm": (lambda channel: sinkhorn.upsilon_ptm(channel, _PAIR), True),
+    "holevo_quantity": (lambda channel: holevo_quantity(channel, _ANTIPODAL), False),
+    "chi_capacity_numeric": (chi_capacity_numeric, False),
+}
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["one", "stack"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["lambda1", "lambda2", "lambda3", "t3", "ptm"])
+def test_every_entry_point_refuses_a_non_finite_channel_alike(field, value, stacked):
+    # one ValueError text from every function, raised where the channel
+    # enters (when a family channel is built, or by the PTM intake) and
+    # with no floating-point warning on the way.  A stack holds a
+    # boundary member before the bad one, which must not be reported
+    if field == "ptm":
+        interior = ptm_from_params(PauliChannelParams(*_INTERIOR_FIELDS))
+        ptm = interior.copy()
+        ptm[2, 1] = value
+        channel = np.stack([interior, np.eye(4), interior, ptm]) if stacked else ptm
+        message = f"PTM entry (2, 1) = {value} is not finite"
+    else:
+        fields = dict(zip(("lambda1", "lambda2", "lambda3", "t3"), _INTERIOR_FIELDS))
+        fields[field] = value
+        if stacked:
+            table = np.array([_INTERIOR_FIELDS, (1.0, 1.0, 1.0, 0.0), _INTERIOR_FIELDS,
+                              tuple(fields.values()), _INTERIOR_FIELDS])
+            fields = dict(zip(fields, table.T))
+        channel = None
+        message = f"{field} = {value} is not finite"
+    if stacked:
+        message += " at channel 3 of the stack"
+    # a family channel is refused when built, so by every entry point; a
+    # PTM stack only by those that take one
+    names = [name for name, (_, takes_stack) in _ENTRY_POINTS.items()
+             if channel is None or (name != "construction" and (takes_stack or not stacked))]
+    for name in names:
+        call = _ENTRY_POINTS[name][0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as info:
+                call(PauliChannelParams(**fields) if channel is None else channel)
+        assert (name, type(info.value), str(info.value)) == (name, ValueError, message)
+
+
+def test_finiteness_is_decided_only_where_a_channel_enters():
+    # PauliChannelParams and core._as_ptm decide it; the layers below them
+    # take a channel as it enters and do not test it again
+    assert not hasattr(core, "_check_finite")
+    for module in (capacity, sinkhorn):
+        with open(module.__file__) as fh:
+            assert "isfinite" not in fh.read(), module.__name__
 
 
 def test_is_interior():

@@ -260,3 +260,22 @@ def test_an_axis_whose_span_overflows_is_refused(tmp_path, text, args):
     assert proc.stderr.startswith("error: ") and "overflow" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not svg_path.exists()
+
+
+@pytest.mark.parametrize("text, args, message", [
+    ("x,a\n1e20,0.5\n1e20,0.6\n", ["--x", "x", "--series", "a:solid:a"],
+     "column 'x' runs from 1e+20 to 1e+20: the span 0 is too narrow for tick marks"),
+    (BASIC, ["--x", "x", "--series", "a:solid:a", "--ymin", "0", "--ymax", "1e-323"],
+     "y range runs from 0 to 9.88131e-324: the span 9.88131e-324 is too narrow for tick marks"),
+    (BASIC, ["--x", "x", "--series", "a:solid:a", "--ymin", "0", "--ymax", "3e-323"],
+     "y range runs from 0 to 2.96439e-323: the span 2.96439e-323 is too narrow for tick marks"),
+    (BASIC, ["--x", "x", "--series", "a:solid:a", "--ymin", "0", "--ymax", "5e-321"],
+     "y range runs from 0 to 4.99994e-321: the span 4.99994e-321 is too narrow for tick marks"),
+], ids=["x-single-value-1e20", "y-span-underflows", "y-step-underflows", "y-step-rounded-low"])
+def test_an_axis_too_narrow_for_tick_marks_is_refused_by_name(tmp_path, text, args, message):
+    # a single x value that the +-0.5 widening cannot move at its
+    # magnitude leaves a span of 0; a subnormal y span leaves a tick step
+    # of 0, or one that the power of ten below it cannot reach
+    proc, svg_path = _render_in_subprocess(tmp_path, text, *args)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+    assert not svg_path.exists()

@@ -82,25 +82,23 @@ def test_a_boundary_channel_in_a_stack_is_named(padding):
 def test_a_non_finite_channel_is_bad_input_not_boundary(padding):
     # NaN fails |t3| + |lambda3| < 1 without being a boundary value, and
     # passes it in lambda1 or lambda2: a plain ValueError that names the
-    # field, before any boundary member
-    interior = PauliChannelParams(0.5, 0.4, 0.3, 0.2)
-    boundary = PauliChannelParams(1, 1, 1, 0)
-    cases = [(PauliChannelParams(0.5, 0.4, 0.3, math.nan), "t3 = nan is not finite"),
-             (PauliChannelParams(math.nan, 0.4, 0.3, 0.2), "lambda1 = nan is not finite")]
-    for bad, message in ((PauliChannelParams(0.5, 0.4, math.nan, 0.2), "lambda3 = nan"),
-                         (PauliChannelParams(0.5, math.inf, 0.3, 0.2), "lambda2 = inf"),
-                         (PauliChannelParams(math.nan, 0.4, 0.3, 0.2), "lambda1 = nan")):
-        channels = [interior, boundary, interior, bad] + [interior] * padding
-        cases.append((PauliChannelParams.stack(channels),
-                      f"{message} is not finite at channel 3 of the stack"))
+    # field, raised when the channel is built, so before any boundary
+    # member of a stack is looked at
+    interior, boundary = (0.5, 0.4, 0.3, 0.2), (1, 1, 1, 0)
+    cases = [((0.5, 0.4, 0.3, math.nan), "t3 = nan is not finite"),
+             ((math.nan, 0.4, 0.3, 0.2), "lambda1 = nan is not finite")]
+    for bad, message in (((0.5, 0.4, math.nan, 0.2), "lambda3 = nan"),
+                         ((0.5, math.inf, 0.3, 0.2), "lambda2 = inf"),
+                         ((math.nan, 0.4, 0.3, 0.2), "lambda1 = nan")):
+        rows = [interior, boundary, interior, bad] + [interior] * padding
+        cases.append((np.array(rows).T, f"{message} is not finite at channel 3 of the stack"))
         # with no boundary member the interior pass must refuse it too
-        channels[1] = interior
-        cases.append((PauliChannelParams.stack(channels),
-                      f"{message} is not finite at channel 3 of the stack"))
+        rows[1] = interior
+        cases.append((np.array(rows).T, f"{message} is not finite at channel 3 of the stack"))
     for closed_form in (family_scaling_pair, analyze):
-        for params, message in cases:
+        for fields, message in cases:
             with pytest.raises(ValueError) as info:
-                closed_form(params)
+                closed_form(PauliChannelParams(*fields))
             assert type(info.value) is ValueError
             assert str(info.value) == message
 
