@@ -711,6 +711,12 @@ def _family_chi(params: PauliChannelParams) -> ChiResult:
     lower bound on chi whose error is second order in the Newton
     residual; ``iterations`` counts the Newton steps, and ``converged``
     says whether the tangent residual met its tolerance.
+
+    A single pair (a == b, or w is 0 or 1) has weights 1/2 and takes
+    ``holevo_quantity``'s operations in order on floats, with its bits:
+    the x parts cancel to exactly 0 in any order, 1/2 u + 1/2 u is u and
+    1/2 s + 1/2 s is s.  Two pairs call ``holevo_quantity``, as the order
+    of numpy's sums decides their bits.
     """
     a, b, z, _, steps, residual = _family_heights(params)
     w = (b - z) / (b - a) if b > a else 1.0
@@ -721,15 +727,23 @@ def _family_chi(params: PauliChannelParams) -> ChiResult:
             rows += [[side, 0.0, height], [-side, 0.0, height]]
             weights += [0.5 * weight] * 2
     states = np.array(rows)
-    if abs(params.lambda1) < abs(params.lambda2):
+    swap = abs(params.lambda1) < abs(params.lambda2)
+    if swap:
         states = states[:, [1, 0, 2]]  # the states lie in the plane of l's axis
     # the solver's own unit states: Ensemble's copies and checks are skipped
     ensemble = object.__new__(Ensemble)
     for name, array in (("weights", np.array(weights)), ("states", states)):
         array.flags.writeable = False
         object.__setattr__(ensemble, name, array)
-    return ChiResult(holevo_quantity(params, ensemble), ensemble,
-                     residual <= _TANGENT_TOL, steps)
+    if len(rows) == 4:
+        value = holevo_quantity(params, ensemble)
+    else:
+        side, _, height = rows[0]
+        x = side * (params.lambda2 if swap else params.lambda1)
+        u = height * params.lambda3 + params.t3
+        r0, r1 = min(math.sqrt(u * u), 1.0), min(math.sqrt(x * x + u * u), 1.0)
+        value = binary_entropy(0.5 * (1.0 - r0)) - binary_entropy(0.5 * (1.0 - r1))
+    return ChiResult(value, ensemble, residual <= _TANGENT_TOL, steps)
 
 
 def chi_capacity_grid_oracle(params: PauliChannelParams) -> float:
@@ -748,6 +762,7 @@ def chi_capacity_grid_oracle(params: PauliChannelParams) -> float:
     two heights, each a +- pair of states, so the grid value is a lower
     bound on chi that converges quadratically in the grid step.
     """
+    _is_family_channel(params)  # a family stack raises ValueError
     z = np.arange(-100_000, 100_001) / 100_000  # 200 001 heights, z = 0 exact
     s, s_avg = _family_profile(params, z)
     hx, hy = _lower_hull(z, s)

@@ -81,9 +81,13 @@ class PauliChannelParams:
     @classmethod
     def stack(cls, channels: Sequence["PauliChannelParams"]) -> "PauliChannelParams":
         """One family stack from n channels: four (n,) float arrays, each
-        entry the value of its channel."""
-        return cls(*np.array([(c.lambda1, c.lambda2, c.lambda3, c.t3) for c in channels],
-                             dtype=float).reshape(-1, 4).T)
+        entry the value of its channel, not checked again: every channel
+        was checked when it was built."""
+        stacked = object.__new__(cls)
+        vars(stacked).update(zip(("lambda1", "lambda2", "lambda3", "t3"), np.array(
+            [(c.lambda1, c.lambda2, c.lambda3, c.t3) for c in channels],
+            dtype=float).reshape(-1, 4).T))
+        return stacked
 
 
 ChannelLike = Union[PauliChannelParams, np.ndarray]

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qcap import capacity
+from qcap import capacity, verify
 from qcap.capacity import (
     CapacityBounds,
     ChiConfig,
@@ -746,6 +746,28 @@ def test_family_chi_reports_its_newton_steps(monkeypatch):
 
 FIG_CHANNELS = ([gad_params(0.475, float(gt)) for gt in np.linspace(0.05, 3.0, 60)]
                 + [mix_params(float(p)) for p in np.linspace(0.02, 0.98, 49)])
+
+
+def test_family_chi_value_is_its_ensembles_holevo_quantity_bit_for_bit():
+    # a single pair's value is computed on floats and two pairs' by
+    # holevo_quantity; either way it is holevo_quantity's value of the
+    # returned ensemble, with no tolerance.  Every figure point is a
+    # single pair; seeded random interior CP channels take both branches
+    stack = verify._random_family_interiors(np.random.default_rng(39), 5000)
+    randoms = [PauliChannelParams(*fields) for fields in zip(
+        stack.lambda1.tolist(), stack.lambda2.tolist(), stack.lambda3.tolist(),
+        stack.t3.tolist())]
+    sizes = {"fig": set(), "other": set()}
+    for kind, channels in (("fig", FIG_CHANNELS),
+                           ("other", [*randoms, *ORACLE_CHANNELS.values(),
+                                      *EDGE_CHANNELS.values(), *RANDOM_FAMILY,
+                                      *ONE_END_PINNED])):
+        for channel in channels:
+            result = capacity._family_chi(channel)
+            assert type(result.value) is float
+            assert result.value == holevo_quantity(channel, result.ensemble), channel
+            sizes[kind].add(result.ensemble.size)
+    assert sizes == {"fig": {2}, "other": {2, 4}}
 
 
 def test_exact_chi_takes_no_hull_and_few_evaluations(monkeypatch):

@@ -206,6 +206,58 @@ def test_sweep_builds_each_grid_point_once(monkeypatch, capsys):
     assert len(calls) == 6
 
 
+def test_fig1_sweep_with_chi_calls_no_holevo_quantity(monkeypatch, capsys):
+    # a timing-free guard for the exact chi's single-pair value: every
+    # fig1 point is one +- pair, whose value is computed on floats; a
+    # two-pair channel still counts, so the counter is live
+    calls = []
+    original = capacity.holevo_quantity
+
+    def counting(channel, ensemble):
+        calls.append(channel)
+        return original(channel, ensemble)
+
+    monkeypatch.setattr(capacity, "holevo_quantity", counting)
+    code, out, _ = run(["sweep", "--gad", "--p", "0.475", "--x", "gamma_t", "--min", "0.05",
+                        "--max", "3", "--steps", "60", "--chi"], capsys)
+    assert code == 0 and len(out.splitlines()) == 1 + 60
+    assert calls == []
+    two_pairs = capacity.PauliChannelParams(-0.376, -0.034, 0.322, 0.565)
+    assert capacity._family_chi(two_pairs).ensemble.size == 4 and len(calls) == 1
+
+
+@pytest.mark.parametrize("args, make, xs", [
+    (["--gad", "--p", "0.475", "--x", "gamma_t"], lambda x: capacity.gad_params(0.475, x),
+     (float(np.linspace(0.05, 3.0, 60)[24]), 3.0)),
+    (["--mix", "--x", "p"], capacity.mix_params,
+     (float(np.linspace(0.02, 0.98, 49)[16]), float(np.linspace(0.02, 0.98, 49)[32]))),
+], ids=["fig1", "fig2"])
+def test_sweep_chi_calls_cli_chi_once_per_row(args, make, xs, monkeypatch, capsys):
+    # the sweep_chi benchmark wraps cli.chi_capacity_numeric and counts
+    # an item as failed unless it sees exactly one call per CSV row, in
+    # row order, on the row's family channel, whose value is the row's
+    # c_chi cell
+    seen = []
+    original = cli.chi_capacity_numeric
+
+    def recording(channel, config=None):
+        result = original(channel, config)
+        seen.append((channel, result))
+        return result
+
+    monkeypatch.setattr(cli, "chi_capacity_numeric", recording)
+    lo, hi = xs
+    code, out, err = run(["sweep", *args, f"--min={lo!r}", f"--max={hi!r}", "--steps", "2",
+                          "--chi", "--workers", "1", "--seed", "42"], capsys)
+    assert (code, err) == (0, "")
+    header, *rows = [line.split(",") for line in out.splitlines()]
+    assert len(rows) == len(seen) == 2
+    for x, row, (channel, result) in zip(xs, rows, seen):
+        cells = dict(zip(header, row))
+        assert cells["x"] == f"{x:.12g}" and channel == make(x)
+        assert cells["c_chi"] == f"{result.value:.12g}"
+
+
 def test_sweep_builds_no_scaling_pair(monkeypatch, capsys):
     # sweep rows take the norm products from analyze's float pass; only
     # analyze's residuals line builds the operators

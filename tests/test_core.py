@@ -8,6 +8,7 @@ from qcap import capacity, core, sinkhorn, verify
 from qcap.capacity import (
     ChiConfig,
     Ensemble,
+    chi_capacity_grid_oracle,
     chi_capacity_numeric,
     gad_params,
     holevo_quantity,
@@ -252,6 +253,41 @@ def test_holevo_quantity_refuses_a_family_stack():
         holevo_quantity(stack, Ensemble(np.full(3, 1 / 3), np.eye(3)))
     with pytest.raises(ValueError, match=ONE_PTM_ONLY):
         holevo_quantity(FAMILY_STACK, Ensemble(np.full(2, 0.5), np.eye(3)[:2]))
+
+
+def test_chi_capacity_grid_oracle_refuses_a_family_stack():
+    # a stack of one once returned a value as if it were one channel, and
+    # a stack of two failed inside numpy
+    one = PauliChannelParams.stack([PauliChannelParams(*_INTERIOR_FIELDS)])
+    with pytest.raises(ValueError, match=r"expected a 4x4 PTM, got shape \(1, 4, 4\)"):
+        chi_capacity_grid_oracle(one)
+    with pytest.raises(ValueError, match=ONE_PTM_ONLY):
+        chi_capacity_grid_oracle(FAMILY_STACK)
+
+
+def test_a_stack_of_built_channels_is_not_checked_again(monkeypatch):
+    # every member passed the finiteness check when it was built, so the
+    # stack runs no __post_init__; one built from raw arrays still does
+    channels = [PauliChannelParams(0.5, 0.4, 0.3, 0.2), gad_params(0.475, 1.0),
+                PauliChannelParams(0.2, -0.1, 0.0, 0.0)]
+    checks = []
+    monkeypatch.setattr(PauliChannelParams, "__post_init__",
+                        lambda self: checks.append(self))
+    stack = PauliChannelParams.stack(channels)
+    assert checks == []
+    for name in ("lambda1", "lambda2", "lambda3", "t3"):
+        column = getattr(stack, name)
+        assert column.dtype == float and column.shape == (3,)
+        assert column.tolist() == [float(getattr(c, name)) for c in channels]
+    assert list(vars(stack)) == ["lambda1", "lambda2", "lambda3", "t3"]
+    PauliChannelParams(*vars(stack).values())
+    assert len(checks) == 1
+    monkeypatch.undo()
+    fields = np.array([_INTERIOR_FIELDS] * 5).T
+    fields[1, 3] = math.inf
+    with pytest.raises(ValueError) as info:
+        PauliChannelParams(*fields)
+    assert str(info.value) == "lambda2 = inf is not finite at channel 3 of the stack"
 
 
 def test_chi_capacity_numeric_refuses_a_family_stack():
