@@ -558,19 +558,18 @@ _NEWTON_CAP = 50     # Newton steps per solve, far above the few it takes
 _TANGENT_TOL = 1e-11  # tangent residual below which a solve counts as converged
 
 
-def _entropy_slopes(params: PauliChannelParams, z: float) -> tuple[float, float, float]:
+def _entropy_slopes(profile: tuple, z: float) -> tuple[float, float, float]:
     # r(z), the purest output's Bloch radius at input height z, and the
     # first two derivatives of s(z) = S(r(z)), the least output entropy:
-    # with g = r r' = (lambda3^2 - l^2) z + lambda3 t3 and
-    # q(r) = atanh(r)/r, s' = -q g/ln 2 and
-    # s'' = -(q'(r) g^2/r + q (lambda3^2 - l^2))/ln 2; r is clipped as in
-    # _entropy_slope, and q'(r)/r takes its series below r = 1e-2, where
-    # the closed form cancels
-    lam = max(abs(params.lambda1), abs(params.lambda2))
-    height = params.lambda3 * z + params.t3
-    r = min(math.sqrt(lam * lam * (1.0 - z * z) + height * height), 1.0)
-    curve = params.lambda3 * params.lambda3 - lam * lam
-    g = curve * z + params.lambda3 * params.t3
+    # with g = r r' = C z + lambda3 t3, C = lambda3^2 - l^2, and
+    # q(r) = atanh(r)/r, s' = -q g/ln 2 and s'' = -(q'(r) g^2/r + q C)/ln 2;
+    # r is clipped as in _entropy_slope, and q'(r)/r takes its series
+    # below r = 1e-2, where the closed form cancels.  ``profile`` is
+    # _family_heights' (lambda3, t3, l^2, C, lambda3 t3)
+    l3, t3, lam2, curve, l3_t3 = profile
+    height = l3 * z + t3
+    r = min(math.sqrt(lam2 * (1.0 - z * z) + height * height), 1.0)
+    g = curve * z + l3_t3
     rc = min(r, _R_MAX)
     r2 = rc * rc
     if rc < 1e-2:
@@ -582,9 +581,9 @@ def _entropy_slopes(params: PauliChannelParams, z: float) -> tuple[float, float,
     return r, _Q0 * q * g, _Q0 * (dq_r * g * g + q * curve)
 
 
-def _least_entropy(params: PauliChannelParams, z: float) -> tuple[float, float, float]:
+def _least_entropy(profile: tuple, z: float) -> tuple[float, float, float]:
     # s(z) = S(r(z)) and its first two derivatives (see _entropy_slopes)
-    r, ds, hs = _entropy_slopes(params, z)
+    r, ds, hs = _entropy_slopes(profile, z)
     return float(binary_entropy(0.5 * (1.0 - r))), ds, hs
 
 
@@ -652,30 +651,37 @@ def _family_heights(params: PauliChannelParams) -> _Heights:
     chord or bitangent of slope m the best height is where S_avg' = m
     (``_best_height``), clipped to the segment; past the bitangent's free
     end it is a single pair again.
+
+    The channel's constants are computed once per solve; each evaluation
+    applies its operations to them in the order it would compute them in
+    place, so with the same bits.
     """
+    l3, t3 = params.lambda3, params.t3
+    lam = max(abs(params.lambda1), abs(params.lambda2))
+    curve = l3 * l3 - lam * lam
+    profile = (l3, t3, lam * lam, curve, l3 * t3)
+    q_l3, q_l3_l3 = _Q0 * l3, _Q0 * l3 ** 2
 
     def gap(z):
         # s' - S_avg' and its derivative, where S_avg(z) = S(|u|) for
         # u = lambda3 z + t3 has S_avg' = -lambda3 atanh(u)/ln 2; it rises
         # where the envelope is s, as S_avg - s is concave there
-        _, ds, hs = _entropy_slopes(params, z)
-        u = min(max(params.lambda3 * z + params.t3, -_R_MAX), _R_MAX)
-        return (ds - _Q0 * params.lambda3 * math.atanh(u),
-                hs - _Q0 * params.lambda3 ** 2 / (1.0 - u * u), ds)
+        _, ds, hs = _entropy_slopes(profile, z)
+        u = min(max(l3 * z + t3, -_R_MAX), _R_MAX)
+        return ds - q_l3 * math.atanh(u), hs - q_l3_l3 / (1.0 - u * u), ds
 
     def pair(lo, hi, z):
         z, slope, steps, residual = _rising_root(gap, lo, hi, z)
         return _Heights(z, z, z, slope, steps, residual)
 
-    s_lo, ds_lo, hs_lo = _least_entropy(params, -1.0)
-    s_hi, ds_hi, hs_hi = _least_entropy(params, 1.0)
-    lam = max(abs(params.lambda1), abs(params.lambda2))
-    concave = params.lambda3 * params.lambda3 >= lam * lam
+    s_lo, ds_lo, hs_lo = _least_entropy(profile, -1.0)
+    s_hi, ds_hi, hs_hi = _least_entropy(profile, 1.0)
+    concave = curve >= 0.0  # x - y >= 0 exactly when x >= y
     chord = 0.5 * (s_hi - s_lo)
     best = min(max(_best_height(params, chord), -1.0), 1.0)
     if not concave and hs_lo >= 0.0 and hs_hi >= 0.0:
         # with lambda3 = 0, s is even and the root is z = 0
-        return pair(-1.0, 1.0, best if params.lambda3 else 0.0)
+        return pair(-1.0, 1.0, best if l3 else 0.0)
     # s'' < 0 at the end e only: the bitangent pinned at e touches s where
     # phi(y) = s'(y) - (s(e) - s(y))/(e - y) = 0.  (e - y) phi(y) vanishes
     # at e and has derivative s''(y)(e - y), so phi rises through one root
@@ -685,7 +691,7 @@ def _family_heights(params: PauliChannelParams) -> _Heights:
         return _Heights(-1.0, 1.0, best, chord, 0, 0.0)
 
     def tangent(y):
-        s, ds, hs = _least_entropy(params, y)
+        s, ds, hs = _least_entropy(profile, y)
         m = (s_e - s) / (e - y)
         return ds - m, hs + (ds - m) / (e - y), m
 
@@ -720,25 +726,23 @@ def _family_chi(params: PauliChannelParams) -> ChiResult:
     """
     a, b, z, _, steps, residual = _family_heights(params)
     w = (b - z) / (b - a) if b > a else 1.0
+    swap = abs(params.lambda1) < abs(params.lambda2)  # l's axis is y
     rows, weights = [], []
     for height, weight in ((a, w), (b, 1.0 - w)):
         if weight > 0.0:
             side = math.sqrt(max(1.0 - height * height, 0.0))
-            rows += [[side, 0.0, height], [-side, 0.0, height]]
+            rows += ([[0.0, side, height], [0.0, -side, height]] if swap
+                     else [[side, 0.0, height], [-side, 0.0, height]])
             weights += [0.5 * weight] * 2
-    states = np.array(rows)
-    swap = abs(params.lambda1) < abs(params.lambda2)
-    if swap:
-        states = states[:, [1, 0, 2]]  # the states lie in the plane of l's axis
     # the solver's own unit states: Ensemble's copies and checks are skipped
     ensemble = object.__new__(Ensemble)
-    for name, array in (("weights", np.array(weights)), ("states", states)):
+    for name, array in (("weights", np.array(weights)), ("states", np.array(rows))):
         array.flags.writeable = False
         object.__setattr__(ensemble, name, array)
     if len(rows) == 4:
         value = holevo_quantity(params, ensemble)
     else:
-        side, _, height = rows[0]
+        side, height = rows[0][1 if swap else 0], rows[0][2]
         x = side * (params.lambda2 if swap else params.lambda1)
         u = height * params.lambda3 + params.t3
         r0, r1 = min(math.sqrt(u * u), 1.0), min(math.sqrt(x * x + u * u), 1.0)

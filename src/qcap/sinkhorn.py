@@ -115,21 +115,16 @@ class DecompositionResiduals:
                           self.reconstruction)
 
 
-# Stacks of up to this many channels are evaluated one channel at a time
-# on Python floats, larger ones in one pass on arrays: a numpy pass costs
-# about as much as this many channels in floats (2-CPU Xeon, numpy 2.4).
-_FLOAT_PASS_MAX = 10
-
-
 def _family_pass(params: PauliChannelParams,
                  values: Callable[..., Sequence]) -> Sequence:
     """``values(lambda1, lambda2, lambda3, t3, arithmetic)`` of a family
     channel, as Python floats, or of every channel of a family stack, as
     (n,) arrays, each entry the bits of its single call.
 
-    ``values`` is written once for both ``_FLOATS`` and ``_ARRAYS``: a
-    stack of more than ``_FLOAT_PASS_MAX`` channels takes one pass on
-    arrays, a smaller one a pass on floats per channel.
+    ``values`` is written once for both ``_FLOATS`` and ``_ARRAYS``: one
+    channel takes a pass on floats, and a stack of any size one pass on
+    arrays.  A caller that holds a few channels and wants floats calls
+    once per channel (``qcap sweep``, see ``cli._sweep_columns``).
 
     Raises NotInterior for a channel that ``is_interior`` refuses, naming
     the first boundary channel of a stack.  Every field is finite, as
@@ -145,11 +140,7 @@ def _family_pass(params: PauliChannelParams,
                           "no scaling pair for boundary channels")
     if not stacked:
         return values(*fields, _FLOATS)
-    if not 0 < params.lambda3.size <= _FLOAT_PASS_MAX:
-        return values(*(np.asarray(f, dtype=float) for f in fields), _ARRAYS)
-    rows = [values(*row, _FLOATS)
-            for row in zip(*(np.asarray(f, dtype=float).tolist() for f in fields))]
-    return np.array(rows).T
+    return values(*(np.asarray(f, dtype=float) for f in fields), _ARRAYS)
 
 
 def _family_roots(l3, t3, arithmetic: _Arithmetic) -> tuple:

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -161,9 +162,8 @@ def _pair_fields(pair):
 
 def test_stacked_family_closed_forms_match_the_single_calls():
     # every field of analyze and family_scaling_pair on a family stack,
-    # slice by slice, is the single call's, bit for bit: whole sweeps in
-    # one array pass, and their first points as the small stacks that go
-    # one channel at a time
+    # slice by slice, is the single call's, bit for bit: whole sweeps and
+    # small stacks of their first points, each in one array pass
     sweeps = _family_sweeps()
     assert len(sweeps) == 2 + 210 + 1
     for channels in sweeps:
@@ -768,6 +768,28 @@ def test_family_chi_value_is_its_ensembles_holevo_quantity_bit_for_bit():
             assert result.value == holevo_quantity(channel, result.ensemble), channel
             sizes[kind].add(result.ensemble.size)
     assert sizes == {"fig": {2}, "other": {2, 4}}
+
+
+def test_family_chi_is_pinned_off_the_figure_grids():
+    # every figure point is a single pair, so the fig CSV pins never reach
+    # the chord or the bitangent; 5000 seeded random interior CP channels
+    # do: value bits, Newton steps, convergence and ensemble bytes, hashed
+    # in order, with the branch counts of that set
+    stack = verify._random_family_interiors(np.random.default_rng(3), 5000)
+    digest = hashlib.sha256()
+    kinds = {"pair": 0, "chord": 0, "bitangent": 0}
+    for fields in zip(stack.lambda1.tolist(), stack.lambda2.tolist(),
+                      stack.lambda3.tolist(), stack.t3.tolist()):
+        result = capacity._family_chi(PauliChannelParams(*fields))
+        ensemble = result.ensemble
+        heights = ensemble.states[:, 2].tolist()
+        kinds["pair" if ensemble.size == 2 else
+              "chord" if heights[0] == -1.0 and heights[-1] == 1.0 else "bitangent"] += 1
+        digest.update(f"{result.value.hex()} {result.iterations} {result.converged}".encode())
+        digest.update(ensemble.weights.tobytes() + ensemble.states.tobytes())
+    assert kinds == {"pair": 3662, "chord": 1332, "bitangent": 6}
+    assert digest.hexdigest() == (
+        "e018af28f98b1ce34a0a0fc7c81eb90d0194df53468b2706bfe2de5b115c8e2d")
 
 
 def test_exact_chi_takes_no_hull_and_few_evaluations(monkeypatch):

@@ -169,23 +169,96 @@ def test_sweep_worker_pool_matches_serial(args, tmp_path, capsys):
     ["--lambda", "0.5", "0.4", "0.3", "--x", "t3", "--min", "-0.4", "--max", "0.4"],
 ], ids=["gad", "mix", "custom"])
 def test_sweep_runs_one_stacked_pass(args, extra, workers, monkeypatch, capsys):
-    # one analyze call on the stack of all points, whatever the format,
-    # chi or --workers
-    from qcap import capacity
-    calls = []
+    # up to cli._FLOAT_PASS_MAX (7) kept rows, one analyze call per row on
+    # its own channel and no stack built; above that, one analyze call on
+    # the stack of all rows; whatever the format, chi or --workers
+    calls, stacks = [], []
+    stack = capacity.PauliChannelParams.stack
 
     def counting(params):
         calls.append(params)
         return capacity.analyze(params)
 
-    argv = ["sweep", *args, "--steps", "6", *extra]
-    code, expected, _ = run(argv, capsys)
+    def counting_stack(channels):
+        stacks.append(len(channels))
+        return stack(channels)
+
+    for steps in ("6", "13"):
+        calls.clear()
+        stacks.clear()
+        argv = ["sweep", *args, "--steps", steps, *extra]
+        code, expected, _ = run(argv, capsys)
+        assert code == 0
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "analyze", counting)
+            patch.setattr(capacity.PauliChannelParams, "stack", staticmethod(counting_stack))
+            code, out, _ = run([*argv, "--workers", workers], capsys)
+        assert (code, out) == (0, expected)
+        rows = json.loads(out)["rows"] if "json" in extra else out.splitlines()[1:]
+        if len(rows) <= cli._FLOAT_PASS_MAX:
+            assert steps == "6" and stacks == [] and len(calls) == len(rows)
+            assert all(isinstance(params.lambda3, float) for params in calls)
+        else:
+            assert steps == "13" and stacks == [len(rows)] and len(calls) == 1
+            assert calls[0].lambda3.shape == (len(rows),)
+
+
+HEADER = ("x,lambda_t1,lambda_t2,lambda_t3,norm_AB,norm_AinvBinv,c_unital,c_lower_raw,"
+          "c_upper_raw,c_lower,c_upper,c_chi")
+
+
+@pytest.mark.parametrize("extra", [[], ["--chi"], ["--format", "json"],
+                                   ["--format", "json", "--chi"]],
+                         ids=["csv", "csv-chi", "json", "json-chi"])
+def test_sweep_that_keeps_no_point_prints_an_empty_table(extra, capsys):
+    # both grid points have |t3| + |lambda3| >= 1 and are dropped as
+    # boundary points: exit 0 with the header alone, or no JSON rows
+    code, out, err = run(["sweep", "--lambda", "0", "0", "0.3", "--x", "t3", "--min", "0.7",
+                          "--max", "0.8", "--steps", "2", "--seed", "42", *extra], capsys)
     assert code == 0
-    monkeypatch.setattr(cli, "analyze", counting)
-    code, out, _ = run([*argv, "--workers", workers], capsys)
-    assert (code, out) == (0, expected)
-    rows = json.loads(out)["rows"] if "json" in extra else out.splitlines()[1:]
-    assert len(calls) == 1 and calls[0].lambda3.shape == (len(rows),)
+    assert err == ("warning: dropping boundary grid point t3 = 0.7: "
+                   "|t3| + |lambda3| >= 1 at t3 = 0.7\n"
+                   "warning: dropping boundary grid point t3 = 0.8: "
+                   "|t3| + |lambda3| >= 1 at t3 = 0.8\n")
+    if "json" not in extra:
+        assert out == HEADER + "\n"
+        return
+    meta = {"version": "0.1.0", "family": "custom", "x": "t3", "seed": 42,
+            "chi": "--chi" in extra, "tolerances": {"psd": 1e-10, "unital": 1e-09}}
+    assert out == json.dumps({"meta": meta, "columns": HEADER.split(","), "rows": []},
+                             indent=2) + "\n"
+
+
+@pytest.mark.parametrize("sweep, channel", [
+    (["--gad", "--p", "0.475", "--x", "gamma_t", "--min", "0.05", "--max", "3"], GAD_ARGS),
+    (["--mix", "--x", "p", "--min", "0.02", "--max", "0.98"], ["--mix", "--p", "0.4"]),
+    (["--lambda", "0.5", "0.4", "0.3", "--x", "t3", "--min", "-0.4", "--max", "0.4"],
+     ["--lambda", "0.5", "0.4", "0.3", "--t3", "0.2"]),
+], ids=["gad", "mix", "custom"])
+def test_output_bytes_do_not_depend_on_the_float_pass_threshold(sweep, channel, monkeypatch,
+                                                                 capsys):
+    # with the threshold at 0 every sweep and analyze takes the stacked
+    # array pass, at 10 000 the per-channel float one; both print the
+    # same bytes, for sizes on both sides of the default of 7
+    argvs = [["sweep", *sweep, "--steps", steps, *extra]
+             for steps in ("2", "7", "8", "10", "11", "60")
+             for extra in ([], ["--chi"], ["--format", "json"], ["--format", "json", "--chi"])]
+    argvs += [["analyze", *channel, *extra] for extra in ([], ["--chi"], ["--json"])]
+    outputs, stacked = {}, {}
+    for threshold in (0, 10_000):
+        seen = []
+
+        def recording(params):
+            seen.append(isinstance(params.lambda3, np.ndarray))
+            return capacity.analyze(params)
+
+        monkeypatch.setattr(cli, "_FLOAT_PASS_MAX", threshold)
+        monkeypatch.setattr(cli, "analyze", recording)
+        outputs[threshold] = [run(argv, capsys) for argv in argvs]
+        stacked[threshold] = set(seen)
+    assert stacked == {0: {True}, 10_000: {False}}
+    assert all(code == 0 for code, _, _ in outputs[0])
+    assert outputs[0] == outputs[10_000]
 
 
 def test_sweep_builds_each_grid_point_once(monkeypatch, capsys):
