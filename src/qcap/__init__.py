@@ -22,7 +22,6 @@ from .core import (
     binary_entropy,
     bloch_to_density,
     choi_from_channel,
-    compose,
     density_to_bloch,
     image_radius,
     is_completely_positive,
@@ -60,7 +59,6 @@ from .capacity import (
     gad_params,
     holevo_quantity,
     mix_params,
-    theorem_bound,
     unital_capacity,
 )
 from .protocol import (

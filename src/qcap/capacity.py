@@ -44,7 +44,6 @@ from .core import (
 )
 from .optimize import bfgs_batch
 from .sinkhorn import (
-    ScalingPair,
     UnitalForm,
     _diagonal_norms,
     _family_diagonals,
@@ -76,10 +75,12 @@ class CapacityBounds:
 
 
 def _bound_values(unital_capacity, lower_gap, upper_gap, arithmetic: _Arithmetic) -> tuple:
-    """The fields of ``CapacityBounds``, in order."""
+    """The fields of ``CapacityBounds``, in order; a gap that rounds below
+    0 is 0, as |A||B| >= 1 and |A^-1||B^-1| >= 1 for every scaling pair."""
+    minimum, maximum = arithmetic.minimum, arithmetic.maximum
+    lower_gap, upper_gap = maximum(lower_gap, 0.0), maximum(upper_gap, 0.0)
     lower_raw = unital_capacity - lower_gap
     upper_raw = unital_capacity + upper_gap
-    minimum, maximum = arithmetic.minimum, arithmetic.maximum
     return (unital_capacity, lower_gap, upper_gap, lower_raw, upper_raw,
             minimum(maximum(lower_raw, 0.0), 1.0), minimum(maximum(upper_raw, 0.0), 1.0))
 
@@ -177,13 +178,6 @@ def unital_capacity(form: UnitalForm) -> Union[float, np.ndarray]:
     an (n,) array for a stacked form."""
     h = binary_entropy(0.5 * (1.0 - form.s_max))
     return 1.0 - (h if isinstance(h, np.ndarray) else float(h))
-
-
-def theorem_bound(c_psi: float, pair: ScalingPair) -> float:
-    """Achievable-rate bound c_psi - 2 log2(|A||B|)."""
-    if not 0.0 <= c_psi <= 1.0:
-        raise ValueError(f"capacity argument must lie in [0, 1], got {c_psi}")
-    return c_psi - 2.0 * math.log2(pair.norm_ab)
 
 
 @dataclass(frozen=True)
@@ -311,13 +305,7 @@ def mix_params(p: float) -> PauliChannelParams:
 def holevo_quantity(channel: ChannelLike, ensemble: Ensemble) -> float:
     """S(sum_k p_k Phi[rho_k]) - sum_k p_k S(Phi[rho_k]) in bits, for one
     channel; a family stack raises ValueError."""
-    if _is_family_channel(channel):
-        # (lambda1 x, lambda2 y, lambda3 z + t3), the bits of the PTM's
-        # product: its other terms are exact zeros
-        out = ensemble.states * (channel.lambda1, channel.lambda2, channel.lambda3)
-        out[:, 2] += channel.t3
-    else:
-        out = apply_channel(channel, ensemble.states)
+    out = apply_channel(channel, ensemble.states)
     avg = ensemble.weights @ out
     # the radii of the average, then of each output, by np.linalg.norm's
     # own formulas; a root of a sum of squares is >= +0, so only the top

@@ -441,7 +441,7 @@ def cmd_verify(args) -> int:
         seed = _resolve_seed(args.seed)
     except ValueError as exc:
         return _fail(str(exc), EXIT_NOT_INTERIOR)
-    results = verify.run_suites(names, seed=seed, canary=args.canary)
+    results = verify.run_suites(names, seed=seed)
     passed = sum(c.passed for r in results for c in r.checks)
     failed = sum(not c.passed for r in results for c in r.checks)
     payload = {
@@ -545,8 +545,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     pv.add_argument("--suite", choices=("core", "sinkhorn", "protocol", "all"),
                     default="all")
     pv.add_argument("--seed", type=int)
-    pv.add_argument("--canary", action="store_true",
-                    help="append a deliberately failing check (harness test)")
     pv.add_argument("--out")
     pv.set_defaults(func=cmd_verify)
 

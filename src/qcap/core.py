@@ -275,11 +275,6 @@ def _dot2(x0, y0, x1, y1):
     return re, im
 
 
-def compose(outer: ChannelLike, inner: ChannelLike) -> np.ndarray:
-    """PTM of the map applying ``inner`` first, then ``outer``."""
-    return _as_ptm(outer) @ _as_ptm(inner)
-
-
 def choi_from_channel(channel: ChannelLike) -> np.ndarray:
     """C = sum_ij Phi[E_ij] (x) E_ij (channel on half of an unnormalized
     maximally entangled state), in the closed form

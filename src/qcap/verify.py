@@ -468,17 +468,6 @@ def protocol_suite(rng: np.random.Generator) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _canary_check(rng: np.random.Generator) -> CheckResult:
-    """Deliberately failing check proving the harness reports failures."""
-    params = _random_family_interiors(rng, 1)
-    pair = sinkhorn.family_scaling_pair(params)
-    corrupted = sinkhorn.ScalingPair.from_operators(
-        pair.a + np.diag([1e-3, 0.0]), pair.b)
-    residual = float(sinkhorn.verify_decomposition(params, corrupted).max_residual[0])
-    return _result("canary_corrupted_pair_accepted", residual <= 1e-9,
-                   f"corrupted pair residual {residual:.2e} (expected to fail)")
-
-
 SUITES = {
     "core": core_suite,
     "sinkhorn": sinkhorn_suite,
@@ -486,15 +475,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, canary: bool = False) -> SuiteResult:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> SuiteResult:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    rng = np.random.default_rng(seed)
-    checks = SUITES[name](rng)
-    if canary:
-        checks.append(_canary_check(rng))
-    return SuiteResult(name, tuple(checks))
+    return SuiteResult(name, tuple(SUITES[name](np.random.default_rng(seed))))
 
 
-def run_suites(names, seed: int = DEFAULT_SEED, canary: bool = False) -> list[SuiteResult]:
-    return [run_suite(name, seed=seed, canary=canary) for name in names]
+def run_suites(names, seed: int = DEFAULT_SEED) -> list[SuiteResult]:
+    return [run_suite(name, seed=seed) for name in names]

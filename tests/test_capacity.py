@@ -21,7 +21,6 @@ from qcap.capacity import (
     gad_params,
     holevo_quantity,
     mix_params,
-    theorem_bound,
     unital_capacity,
 )
 from qcap.core import (
@@ -33,7 +32,7 @@ from qcap.core import (
     is_completely_positive,
 )
 from qcap.optimize import _LADDER, bfgs_batch
-from qcap.sinkhorn import ScalingPair, family_scaling_pair
+from qcap.sinkhorn import family_scaling_pair
 
 H_QUARTER = 0.8112781244591328           # h(1/4) = 2 - (3/4) log2(3)
 F_QUARTER_ONE = 0.8993095900651654       # f(0.25, 1.0)
@@ -49,15 +48,6 @@ def test_unital_capacity_values():
     assert unital_capacity(form) == pytest.approx(1 - H_QUARTER, abs=1e-15)
 
 
-def test_theorem_bound():
-    unit_pair = ScalingPair.from_operators(np.eye(2), np.eye(2))
-    assert theorem_bound(0.7, unit_pair) == pytest.approx(0.7, abs=1e-15)
-    root2_pair = ScalingPair.from_operators(math.sqrt(2) * np.eye(2), np.eye(2))
-    assert theorem_bound(1.0, root2_pair) == pytest.approx(0.0, abs=1e-14)
-    with pytest.raises(ValueError):
-        theorem_bound(1.5, unit_pair)
-
-
 def test_proposition_bounds_collapse_for_unital():
     bounds = analyze(PauliChannelParams(0.6, 0.4, 0.0, 0.0)).bounds
     assert bounds.lower_gap == pytest.approx(0.0, abs=1e-12)
@@ -65,6 +55,20 @@ def test_proposition_bounds_collapse_for_unital():
     expected = 1 - binary_entropy(0.5 * (1 - 0.6))
     assert bounds.lower_raw == pytest.approx(expected, abs=1e-12)
     assert bounds.upper_raw == pytest.approx(expected, abs=1e-12)
+
+
+def test_a_norm_product_rounded_below_one_gives_no_negative_gap():
+    # a unital channel whose |A||B| and |A^-1||B^-1| both round to
+    # 1 - 2^-53 once printed lower_raw above upper_raw; one and a stack
+    params = PauliChannelParams(0.27819138581131075, -0.36555357329072824,
+                                -0.9002364055036354, 0.0)
+    single = analyze(params)
+    stacked = analyze(PauliChannelParams.stack([params] * 9)).bounds
+    assert single.norm_ab < 1.0 and single.norm_ab_inv < 1.0
+    bounds = single.bounds
+    assert bounds.lower_gap == bounds.upper_gap == 0.0
+    assert bounds.lower_raw == bounds.unital_capacity == bounds.upper_raw
+    assert stacked.lower_raw.tolist() == stacked.upper_raw.tolist() == [bounds.lower_raw] * 9
 
 
 def test_proposition_bounds_match_gad_closed_form():
@@ -362,6 +366,30 @@ def test_holevo_quantity_of_a_family_channel_is_its_ptm_value():
         ensemble = chi_capacity_numeric(params).ensemble
         assert holevo_quantity(params, ensemble) == \
             holevo_quantity(_as_ptm(params), ensemble)
+
+
+def test_holevo_quantity_of_family_channels_is_pinned():
+    # 5000 seeded random interior CP channels, each with a random ensemble
+    # of 1 to 4 states and with its exact chi ensemble (single and two
+    # pairs), value bits hashed in order; recorded when holevo_quantity
+    # still had its own family branch, so the PTM path keeps those bits
+    rng = np.random.default_rng(2024)
+    stack = verify._random_family_interiors(rng, 5000)
+    digest = hashlib.sha256()
+    sizes = {2: 0, 4: 0}
+    for fields in zip(stack.lambda1.tolist(), stack.lambda2.tolist(),
+                      stack.lambda3.tolist(), stack.t3.tolist()):
+        params = PauliChannelParams(*fields)
+        m = int(rng.integers(1, 5))
+        states = rng.normal(size=(m, 3))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        exact = chi_capacity_numeric(params).ensemble
+        sizes[exact.size] += 1
+        for ensemble in (Ensemble(rng.dirichlet(np.ones(m)), states), exact):
+            digest.update(holevo_quantity(params, ensemble).hex().encode())
+    assert sizes == {2: 3659, 4: 1341}
+    assert digest.hexdigest() == (
+        "9ebfadce68cac5097077dba44f1108fb72e5aa8cde913ed1d3fcdf4a68e0cad7")
 
 
 def test_ensemble_validation():

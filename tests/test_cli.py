@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcap import capacity, cli, protocol
+from qcap import capacity, cli, protocol, verify
 from qcap.capacity import chi_capacity_numeric
 
 GAD_ARGS = ["--gad", "--p", "0.475", "--gamma-t", "1.0"]
@@ -537,13 +537,18 @@ def test_verify_reports_a_success_probability_below_the_bound(monkeypatch, capsy
     assert checks["modified_povm_complete_and_psd"]["passed"]
 
 
-def test_verify_canary_fails(capsys):
-    code, out, err = run(["verify", "--suite", "sinkhorn", "--canary"], capsys)
+def test_verify_canary_fails(capsys, monkeypatch):
+    # a failing check appended to the sinkhorn suite fails the run
+    suite = verify.SUITES["sinkhorn"]
+    monkeypatch.setitem(verify.SUITES, "sinkhorn", lambda rng: [
+        *suite(rng), verify.CheckResult("canary", False, "injected failure")])
+    code, out, err = run(["verify", "--suite", "sinkhorn"], capsys)
     assert code == 1
     payload = json.loads(out)
-    names = [c["name"] for c in payload["suites"]["sinkhorn"]["checks"]
-             if not c["passed"]]
-    assert names == ["canary_corrupted_pair_accepted"]
+    assert payload["all_passed"] is False
+    checks = payload["suites"]["sinkhorn"]["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["canary"]
+    assert payload["counts"] == {"passed": len(checks) - 1, "failed": 1}
 
 
 def test_render_cli_roundtrip(tmp_path, capsys):
@@ -743,18 +748,63 @@ def test_fig1_bounds_cells_are_correctly_rounded(capsys):
 
 
 def _family_json_50_digits(mpmath, l1, l2, l3, t3) -> dict:
-    # norm_AB and c_lower_raw of `analyze --json` from the family closed
-    # forms, in 50-digit arithmetic
+    # every bounds column of a family channel from its closed forms, in
+    # 50-digit arithmetic on the exact values of its doubles
     l1, l2, l3, t3 = (mpmath.mpf(v) for v in (l1, l2, l3, t3))
     p, m, r, s = (mpmath.sqrt(1 + t3 + l3), mpmath.sqrt(1 - t3 - l3),
                   mpmath.sqrt(1 + t3 - l3), mpmath.sqrt(1 - t3 + l3))
     denom = p * s + m * r
     g = mpmath.sqrt(2 / denom)
-    norm_ab = (max(mpmath.sqrt(m * s), mpmath.sqrt(p * r))
-               * max(g / mpmath.sqrt(p * m), g / mpmath.sqrt(r * s)))
-    x = (1 - max(abs(2 * l1 / denom), abs(2 * l2 / denom), abs(4 * l3 / denom**2))) / 2
+    a = (mpmath.sqrt(m * s), mpmath.sqrt(p * r))
+    b = (g / mpmath.sqrt(p * m), g / mpmath.sqrt(r * s))
+    norm_ab = max(a) * max(b)
+    norm_ab_inv = max(1 / v for v in a) * max(1 / v for v in b)
+    lt = (2 * l1 / denom, 2 * l2 / denom, 4 * l3 / denom**2)
+    x = (1 - max(abs(v) for v in lt)) / 2
     unital = 1 + x * mpmath.log(x, 2) + (1 - x) * mpmath.log(1 - x, 2)
-    return {"norm_AB": norm_ab, "c_lower_raw": unital - 2 * mpmath.log(norm_ab, 2)}
+    lower = unital - 2 * mpmath.log(norm_ab, 2)
+    upper = unital + 2 * mpmath.log(norm_ab_inv, 2)
+    values = (*lt, norm_ab, norm_ab_inv, unital, lower, upper,
+              min(max(lower, 0), 1), min(max(upper, 0), 1))
+    return dict(zip(FIG1_COLUMNS, values))
+
+
+FIGURES = {
+    "fig1": (["--gad", "--p", "0.475", "--x", "gamma_t", "--min", "0.05", "--max", "3",
+              "--steps", "60"], [capacity.gad_params(0.475, g)
+                                 for g in np.linspace(0.05, 3.0, 60).tolist()]),
+    "fig2": (["--mix", "--x", "p", "--min", "0.02", "--max", "0.98", "--steps", "49"],
+             [capacity.mix_params(p) for p in np.linspace(0.02, 0.98, 49).tolist()]),
+}
+
+
+@pytest.mark.parametrize("fig", FIGURES)
+def test_figure_cells_are_correctly_rounded(fig, capsys):
+    # every c_chi cell of a figure CSV is its exact ensemble's 50-digit
+    # Holevo quantity correctly rounded to 12 digits, and every fig2
+    # bounds cell its 50-digit closed-form value (fig1's bounds are
+    # test_fig1_bounds_cells_are_correctly_rounded's); compared as
+    # numbers, since '%.12g' drops the trailing zeros that Decimal keeps
+    mpmath = pytest.importorskip("mpmath")
+    args, channels = FIGURES[fig]
+    code, out, err = run(["sweep", *args, "--chi", "--seed", "42"], capsys)
+    assert (code, err) == (0, "")
+    header, *lines = out.splitlines()
+    names = header.split(",")
+    assert len(lines) == len(channels)
+    off = []
+    for params, line in zip(channels, lines):
+        row = dict(zip(names, line.split(",")))
+        exact = _holevo_50_digits(params, chi_capacity_numeric(params).ensemble)
+        if float(row["c_chi"]) != float(format(exact, ".12g")):
+            off.append((row["x"], "c_chi"))
+        if fig == "fig2":
+            fields = (params.lambda1, params.lambda2, params.lambda3, params.t3)
+            with mpmath.workdps(50):
+                for name, value in _family_json_50_digits(mpmath, *fields).items():
+                    if float(row[name]) != float(mpmath.nstr(value, 12)):
+                        off.append((row["x"], name))
+    assert off == []
 
 
 def test_analyze_json_values_are_no_farther_from_50_digits():
@@ -920,6 +970,8 @@ BAD_INPUT = [
     # |t3| + |lambda3| rounds to 1: the closed forms refuse these channels
     (["analyze", "--lambda", "0", "0", "0.3", "--t3", "0.7"], 2, "not interior"),
     (["analyze", "--gad", "--p", "1e-17", "--gamma-t", "0.97"], 2, "not interior"),
+    # the removed failing-check switch is refused by name
+    (["verify", "--canary"], 2, "unrecognized arguments: --canary"),
 ]
 
 
